@@ -11,7 +11,7 @@ quadratic form on mass-neutral differences, classified here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, signal
@@ -48,6 +48,7 @@ class KernelTable:
     cell_measure: float
     singular: bool = False
     exact_form: str | None = None
+    _zero: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -56,6 +57,8 @@ class KernelTable:
         if any(s % 2 == 0 for s in vals.shape):
             raise ShapeError("kernel table must have odd length per axis")
         object.__setattr__(self, "values", vals)
+        # The table is fixed from here on, and steps read this on every solve.
+        object.__setattr__(self, "_zero", not np.any(vals))
 
     @property
     def n_cells(self) -> int:
@@ -67,7 +70,7 @@ class KernelTable:
 
     @property
     def is_zero(self) -> bool:
-        return not np.any(self.values)
+        return self._zero
 
     def at_offset(self, *offset):
         idx = tuple(o + self.center for o in offset)

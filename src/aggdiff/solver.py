@@ -22,7 +22,7 @@ from .kernels import (
     tabulate_kernel,
 )
 from .model import DensityField, ModelSpec, field_values, sample_confinement
-from .scheme1d import S2, SchemeConfig, Tridiagonal
+from .scheme1d import S2, LineProblem, SchemeConfig, Tridiagonal
 
 
 @dataclass(frozen=True)
@@ -105,17 +105,19 @@ def build_setup(model: ModelSpec, scheme, stage: str = "auto", theta: float = 2.
 
 
 def _solve_linear(jac, rhs):
+    """Newton updates for the lines of rhs, shaped (lines, n)."""
     if isinstance(jac, Tridiagonal):
-        return solve_banded((1, 1), jac.to_banded(), rhs)
-    return np.linalg.solve(jac, rhs)
+        return solve_banded((1, 1), jac.to_banded(), rhs.ravel()).reshape(rhs.shape)
+    return np.linalg.solve(np.atleast_2d(jac), rhs[..., None])[..., 0]
 
 
 def assemble_jacobian(residual_fn, rho, mode: str = "fd", analytic_fn=None, step: float = 1e-7):
     """Jacobian of residual_fn at rho.
 
     Finite-difference mode uses column-wise forward differences with
-    increment step*max(|rho_j|, 1); analytic mode delegates to the scheme's
-    exact assembly.
+    increment step*max(|rho_j|, 1); on (..., n) lines the column is
+    perturbed on every line at once, giving one (n, n) block per line.
+    Analytic mode delegates to the scheme's exact assembly.
     """
     if mode == "analytic":
         if analytic_fn is None:
@@ -123,109 +125,135 @@ def assemble_jacobian(residual_fn, rho, mode: str = "fd", analytic_fn=None, step
         return analytic_fn(rho)
     x = np.asarray(rho, dtype=float)
     f0 = np.asarray(residual_fn(x), dtype=float)
-    n = x.size
-    jac = np.empty((f0.size, n))
+    n = x.shape[-1]
+    jac = np.empty(f0.shape + (n,))
     for j in range(n):
-        h = step * max(abs(x[j]), 1.0)
+        h = step * np.maximum(np.abs(x[..., j]), 1.0)
         xj = x.copy()
-        xj[j] += h
-        jac[:, j] = (np.asarray(residual_fn(xj), dtype=float) - f0) / h
+        xj[..., j] += h
+        jac[..., j] = (np.asarray(residual_fn(xj), dtype=float) - f0) / h[..., None]
     return jac
 
 
 def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobian=None):
-    """Damped Newton iteration to max-norm tolerance.
+    """Damped Newton iteration to max-norm tolerance, line by line.
 
-    ``jacobian`` is a callable returning a Tridiagonal or dense matrix; when
-    absent, finite differences of residual_fn are used. A full step that
-    increases the residual norm is halved, up to 30 times per iteration.
-    Returns (root, iterations, final_norm).
+    ``guess`` is a scalar, one line (n,) or a batch of independent lines
+    (L, n). Each line has its own norm, convergence test, iteration count
+    and line search: a step that increases the line's residual norm is
+    halved, up to 30 times per iteration. Lines at tolerance drop out; while
+    some do, the callables get ``(z, lines)``: the remaining lines and their
+    batch indices. ``jacobian`` returns a Tridiagonal (one banded solve for
+    every line) or, for one line, a dense matrix; when absent, finite
+    differences of residual_fn are used. Raises NewtonError if any line
+    misses the tolerance. Returns (root, iterations summed over lines,
+    worst norm).
     """
     cfg = config or NewtonConfig()
-    x = np.atleast_1d(np.asarray(guess, dtype=float)).copy()
-    scalar = np.ndim(guess) == 0
+    shape = np.shape(guess)
+    x = np.atleast_2d(np.array(guess, dtype=float, order="C"))
 
-    def fvec(z):
-        return np.atleast_1d(np.asarray(residual_fn(z[0] if scalar else z), dtype=float))
+    def call(fn, z, lines):
+        if lines is not None:
+            return fn(z, lines)
+        return fn(z[0, 0] if not shape else z.reshape(shape))
 
-    def evaluate(z):
-        r = fvec(z)
+    def evaluate(z, lines=None):
+        r = np.asarray(call(residual_fn, z, lines), dtype=float).reshape(z.shape)
         if not np.all(np.isfinite(r)):
             raise NumericalError("residual returned a non-finite value")
         return r
 
     r = evaluate(x)
-    norm = float(np.abs(r).max())
-    for iteration in range(1, cfg.max_iterations + 1):
-        if norm <= cfg.tolerance:
-            return (float(x[0]) if scalar else x), iteration - 1, norm
+    norm = np.abs(r).max(axis=1)
+    iterations = np.zeros(len(x), dtype=int)
+    for _ in range(cfg.max_iterations):
+        active = norm > cfg.tolerance
+        if not active.any():
+            break
+        # Indexing the active lines is skipped while every line is active.
+        lines = None if active.all() else np.flatnonzero(active)
+        xa, ra, na = (x, r, norm) if lines is None else (x[lines], r[lines], norm[lines])
         if jacobian is not None:
-            jac = jacobian(x[0] if scalar else x)
+            jac = call(jacobian, xa, lines)
         else:
-            jac = assemble_jacobian(fvec, x, mode="fd", step=cfg.fd_step)
-        if isinstance(jac, Tridiagonal):
-            delta = _solve_linear(jac, -r)
-        else:
-            jac = np.atleast_2d(np.asarray(jac, dtype=float))
-            delta = _solve_linear(jac, -r)
-        step_x = x + delta
-        r_new = evaluate(step_x)
-        norm_new = float(np.abs(r_new).max())
+            jac = assemble_jacobian(lambda w: evaluate(w, lines), xa, step=cfg.fd_step)
+        delta = _solve_linear(jac, -ra)
+        step_x = xa + delta
+        r_new = evaluate(step_x, lines)
+        norm_new = np.abs(r_new).max(axis=1)
         halvings = 0
-        while norm_new > norm and halvings < 30:
-            delta *= 0.5
-            step_x = x + delta
-            r_new = evaluate(step_x)
-            norm_new = float(np.abs(r_new).max())
+        while halvings < 30 and (worse := norm_new > na).any():
+            h = np.flatnonzero(worse)
+            delta[h] *= 0.5
+            step_x[h] = xa[h] + delta[h]
+            sub = lines if worse.all() else h if lines is None else lines[h]
+            r_new[h] = evaluate(step_x[h], sub)
+            norm_new[h] = np.abs(r_new[h]).max(axis=1)
             halvings += 1
-        x = step_x
-        r = r_new
-        norm = norm_new
-        if norm <= cfg.tolerance:
-            return (float(x[0]) if scalar else x), iteration, norm
-    raise NewtonError(
-        f"Newton did not reach tolerance {cfg.tolerance:g} in "
-        f"{cfg.max_iterations} iterations (best norm {norm:g})",
-        best_iterate=(float(x[0]) if scalar else x),
-        best_norm=norm,
-    )
+        if lines is None:
+            x, r, norm = step_x, r_new, norm_new
+            iterations += 1
+        else:
+            x[lines], r[lines], norm[lines] = step_x, r_new, norm_new
+            iterations[lines] += 1
+    root = float(x[0, 0]) if not shape else x.reshape(shape)
+    worst = float(norm.max())
+    if worst > cfg.tolerance:
+        raise NewtonError(
+            f"Newton did not reach tolerance {cfg.tolerance:g} in "
+            f"{cfg.max_iterations} iterations (best norm {worst:g})",
+            best_iterate=root,
+            best_norm=worst,
+        )
+    return root, int(iterations.sum()), worst
 
 
 _UNSET = object()
 
 
-def implicit_step_1d(rho_old, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
-                     v_table=None, kernel=_UNSET, dx=None):
-    """One implicit solve of the 1D scheme (no CFL retry logic).
+def line_problem(setup: SchemeSetup, rho_old, dt, v_table=None, kernel=_UNSET,
+                 dx=None) -> LineProblem:
+    """The setup's implicit step as a LineProblem on rho_old, shaped (..., n).
 
     ``v_table``/``kernel``/``dx`` override the setup's tables (``kernel=None``
-    explicitly disables the interaction); the 2D splitting passes per-row
-    effective tables through here. Newton converges on the update-form
-    residual R*dt. Returns (rho_new, iterations, norm).
+    disables the interaction); the 2D passes give their per-line tables here.
+    """
+    sch = setup.scheme
+    return LineProblem(
+        sch.kind, rho_old, dt, setup.dx if dx is None else dx, setup.energy,
+        setup.v_table if v_table is None else v_table,
+        setup.kernel if kernel is _UNSET else kernel, sch.stage_rule, sch.theta,
+    )
+
+
+def solve_lines(problem: LineProblem, config: NewtonConfig | None = None):
+    """Newton on the update-form residual R*dt of every line of ``problem`` at once.
+
+    Returns (rho_new, iterations summed over lines, worst norm).
     """
     cfg = config or NewtonConfig()
-    b = field_values(rho_old)
-    v = setup.v_table if v_table is None else v_table
-    ker = setup.kernel if kernel is _UNSET else kernel
-    h = setup.dx if dx is None else dx
-    sch = setup.scheme
-    energy = setup.energy
+    dt = problem.dt
 
-    def f(a):
-        return dt * scheme1d.residual(
-            sch.kind, a, b, dt, h, energy, v, ker, sch.stage_rule, sch.theta
-        )
+    def f(a, lines=None):
+        return dt * problem.residual(a, lines)
 
+    jac = None
     if cfg.jacobian_mode == "analytic":
-        def jac(a):
-            j = scheme1d.residual_jacobian(
-                sch.kind, a, b, dt, h, energy, v, ker, sch.stage_rule, sch.theta
-            )
+        def jac(a, lines=None):
+            j = problem.jacobian(a, lines)
             return j.scaled(dt) if isinstance(j, Tridiagonal) else dt * j
-    else:
-        jac = None
 
-    return newton_solve(f, b.copy(), cfg, jacobian=jac)
+    return newton_solve(f, problem.old, cfg, jacobian=jac)
+
+
+def implicit_step_1d(rho_old, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
+                     v_table=None, kernel=_UNSET, dx=None):
+    """One implicit solve of the scheme (no CFL retry logic); see line_problem.
+
+    Returns (rho_new, iterations, norm).
+    """
+    return solve_lines(line_problem(setup, rho_old, dt, v_table, kernel, dx), config)
 
 
 MAX_CFL_HALVINGS = 20
@@ -250,61 +278,64 @@ def advance_step_1d(rho_old, dt_request, scheme, model: ModelSpec | None = None,
     grid = setup.model.grid
     sch = setup.scheme
 
-    energy_before = None
-    if compute_energy:
-        energy_before = analysis.discrete_energy(
-            np.maximum(b, 0.0), setup.model, setup.kernel
-        ).total
+    energy_before = clipped_energy(setup, b, compute_energy)
 
-    dt = float(dt_request)
-    retries = 0
-    while True:
-        try:
-            a, iters, norm = implicit_step_1d(b, dt, setup, cfg)
-        except NewtonError:
-            # S1's implicit system may be unsolvable well above its CFL
-            # bound; treat a failed solve like a bound violation and retry
-            # smaller. S2 reports non-convergence instead of guessing.
-            if sch.kind == S2 or retries >= MAX_CFL_HALVINGS:
-                raise
-            dt *= 0.5
-            retries += 1
-            continue
-        if sch.kind == S2:
-            break
-        faces = scheme1d.face_data(
-            sch.kind, a, b, setup.dx, setup.energy, setup.v_table, setup.kernel,
-            sch.stage_rule, sch.theta,
-        )
-        bound = scheme1d.max_stable_dt(sch.kind, faces.velocity, setup.dx, order=2)
-        if dt <= bound * (1.0 + 1e-12):
-            break
-        if retries >= MAX_CFL_HALVINGS:
-            raise StepError(
-                f"CFL halving exhausted after {retries} retries (dt={dt:g}, bound={bound:g})"
-            )
-        dt *= 0.5
-        retries += 1
+    def attempt(dt):
+        problem = line_problem(setup, b, dt)
+        a, iters, norm = solve_lines(problem, cfg)
+        bound = np.inf if sch.kind == S2 else scheme1d.max_stable_dt(
+            sch.kind, problem.velocity(a), setup.dx, order=2)
+        return (a, iters, norm), bound
 
-    _check_step_postconditions(a, b, grid.cell_measure, cfg.tolerance)
+    (a, iters, norm), dt, retries = retry_halving_dt(attempt, dt_request, sch.kind)
+    check_step_postconditions(a, b, grid.cell_measure, cfg.tolerance)
 
-    energy_after = None
-    if compute_energy:
-        energy_after = analysis.discrete_energy(
-            np.maximum(a, 0.0), setup.model, setup.kernel
-        ).total
+    energy_after = clipped_energy(setup, a, compute_energy)
 
     field = DensityField(a, grid, min_allowed=10.0 * cfg.tolerance)
     return StepOutcome(field, iters, norm, dt, retries, energy_before, energy_after)
 
 
-def _check_step_postconditions(a, b, measure, tol):
+def clipped_energy(setup: SchemeSetup, values, compute: bool = True):
+    """Discrete energy of max(values, 0), or None when not computed."""
+    if not compute:
+        return None
+    return analysis.discrete_energy(np.maximum(values, 0.0), setup.model, setup.kernel).total
+
+
+def retry_halving_dt(attempt, dt_request, kind):
+    """Run ``attempt(dt) -> (result, cfl_bound)``, halving dt while the bound is violated.
+
+    S1's implicit system may be unsolvable well above its CFL bound, so a
+    NewtonError is treated like a violation and retried smaller; S2 reports
+    non-convergence instead of guessing. At most MAX_CFL_HALVINGS retries.
+    Returns (result, dt, retries).
+    """
+    dt = float(dt_request)
+    retries = 0
+    while True:
+        try:
+            result, bound = attempt(dt)
+        except NewtonError:
+            if kind == S2 or retries >= MAX_CFL_HALVINGS:
+                raise
+        else:
+            if dt <= bound * (1.0 + 1e-12):
+                return result, dt, retries
+            if retries >= MAX_CFL_HALVINGS:
+                raise StepError(
+                    f"CFL halving exhausted after {retries} retries (dt={dt:g}, bound={bound:g})"
+                )
+        dt *= 0.5
+        retries += 1
+
+
+def check_step_postconditions(a, b, measure, tol):
+    """The accepted field conserves mass and stays above -10*tol."""
     slack = 10.0 * tol
     if a.min() < -slack:
         raise StepError(f"accepted field dips to {a.min():g}, below -10*tol")
     mass_new = a.sum() * measure
     mass_old = b.sum() * measure
     if abs(mass_new - mass_old) > slack * (1.0 + abs(mass_old)):
-        raise StepError(
-            f"mass drifted by {mass_new - mass_old:g} over one step"
-        )
+        raise StepError(f"mass drifted by {mass_new - mass_old:g} over one step")

@@ -2,12 +2,14 @@
 
 A 2D step is an x-direction pass followed by a y-direction pass. When the
 convolution is frozen over a pass (no interaction, or explicit staging), the
-rows decouple and each advances independently by the 1D scheme. When the
-interaction is staged implicitly or at the midpoint, rows do not decouple;
-the sweeping form restores tractability by updating one row at a time, the
-convolution seeing the stage-rule value on the active row and the latest
-frozen values elsewhere. Each sweep stage is then exactly a 1D implicit
-solve with an effective confinement table.
+lines decouple: the whole pass is one LineProblem with the lines on its
+leading axis, solved by one batched Newton iteration in which every line
+keeps its own convergence test and line search. When the interaction is
+staged implicitly or at the midpoint, lines do not decouple; the sweeping
+form restores tractability by updating one line at a time, the convolution
+seeing the stage-rule value on the active line and the latest frozen values
+elsewhere. Each sweep stage is then exactly a 1D implicit solve with an
+effective confinement table.
 """
 
 from __future__ import annotations
@@ -15,17 +17,19 @@ from __future__ import annotations
 import numpy as np
 from scipy.signal import fftconvolve
 
-from . import analysis, scheme1d
-from .errors import NewtonError, RoutingError, StepError
+from .errors import RoutingError
 from .kernels import EXPLICIT, convolve, make_kernel_1d
 from .model import DensityField, field_values
-from .scheme1d import S2
+from .scheme1d import S1, max_stable_dt
 from .solver import (
-    MAX_CFL_HALVINGS,
     NewtonConfig,
     SchemeSetup,
     StepOutcome,
-    implicit_step_1d,
+    check_step_postconditions,
+    clipped_energy,
+    line_problem,
+    retry_halving_dt,
+    solve_lines,
 )
 
 
@@ -38,40 +42,22 @@ class PassTelemetry:
         self.max_velocity = 0.0
         self.worst_norm = 0.0
 
-    def absorb(self, iters, norm, velocity):
-        self.row_solves += 1
+    def absorb(self, problem, new_lines, iters, norm):
+        """Count one solve of ``problem``; S1 also records the converged |u|."""
+        self.row_solves += new_lines.size // new_lines.shape[-1]
         self.newton_iterations += iters
         self.worst_norm = max(self.worst_norm, norm)
-        if velocity.size:
-            self.max_velocity = max(self.max_velocity, float(np.abs(velocity).max()))
+        if problem.kind == S1:
+            speed = float(np.abs(problem.velocity(new_lines)).max(initial=0.0))
+            self.max_velocity = max(self.max_velocity, speed)
 
 
-def _axis_view(field, axis, index):
-    """The 1D line of a field along ``axis`` at position ``index``.
+def _lines(field, axis):
+    """The field with the lines of an ``axis`` pass on its first axis (a view).
 
-    axis 0 sweeps the x-direction (row j = index varies i); axis 1 sweeps y.
+    axis 0 sweeps the x-direction (line j varies i); axis 1 sweeps y.
     """
-    return field[:, index] if axis == 0 else field[index, :]
-
-
-def _set_axis(field, axis, index, line):
-    if axis == 0:
-        field[:, index] = line
-    else:
-        field[index, :] = line
-
-
-def _row_kernel(setup: SchemeSetup, axis: int):
-    """1D kernel slice that couples cells within one line of the sweep."""
-    if setup.kernel is None:
-        return None
-    return make_kernel_1d(setup.kernel.axis_slice(axis), setup.kernel.cell_measure)
-
-
-def _full_convolution(setup: SchemeSetup, field):
-    if setup.kernel is None:
-        return None
-    return convolve(setup.kernel, field)
+    return field.T if axis == 0 else field
 
 
 def _convolution_increment(setup, axis, index, delta):
@@ -94,39 +80,31 @@ def _convolution_increment(setup, axis, index, delta):
 
 def advance_split_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
                        telemetry: PassTelemetry | None = None) -> np.ndarray:
-    """One decoupled directional pass: every line advances independently.
+    """One decoupled directional pass: a single Newton solve over every line.
 
     Requires the convolution to be frozen over the pass (W absent, or the
-    explicit stage rule); with an implicit or midpoint stage the lines
-    couple and the sweeping form must be used instead.
+    explicit stage rule), so that each line is an independent 1D implicit
+    step with the effective confinement V + W * rho_old. All lines form one
+    LineProblem and one batched Newton (see ``newton_solve``), in which each
+    line keeps its own convergence test, iteration count and line search,
+    and reaches the same iterate as a solve of that line alone. With an
+    implicit or midpoint stage the lines couple and the sweeping form must
+    be used instead.
     """
     field = field_values(rho)
-    sch = setup.scheme
-    if setup.kernel is not None and sch.stage_rule != EXPLICIT:
+    if setup.kernel is not None and setup.scheme.stage_rule != EXPLICIT:
         raise RoutingError(
             "dimensional splitting does not decouple with an implicitly staged "
             "interaction; use sweeping"
         )
-    cfg = config or NewtonConfig()
     tel = telemetry if telemetry is not None else PassTelemetry()
-    n = setup.model.grid.n_cells
-    conv = _full_convolution(setup, field)  # frozen over the pass
-    out = field.copy()
-    for r in range(n):
-        v_eff = _axis_view(setup.v_table, axis, r).copy()
-        if conv is not None:
-            v_eff += _axis_view(conv, axis, r)
-        old_line = _axis_view(field, axis, r)
-        new_line, iters, norm = implicit_step_1d(
-            old_line, dt, setup, cfg, v_table=v_eff, kernel=None
-        )
-        faces = scheme1d.face_data(
-            sch.kind, new_line, old_line, setup.dx, setup.energy, v_eff, None,
-            EXPLICIT, sch.theta,
-        )
-        tel.absorb(iters, norm, faces.velocity)
-        _set_axis(out, axis, r, new_line)
-    return out
+    v_eff = setup.v_table  # plus the convolution, frozen over the pass
+    if setup.kernel is not None:
+        v_eff = v_eff + convolve(setup.kernel, field)
+    problem = line_problem(setup, _lines(field, axis), dt, _lines(v_eff, axis), kernel=None)
+    new_lines, iters, norm = solve_lines(problem, config)
+    tel.absorb(problem, new_lines, iters, norm)
+    return np.ascontiguousarray(_lines(new_lines, axis))
 
 
 def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
@@ -140,7 +118,6 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
     product per stage, matching a full re-convolution to roundoff).
     """
     field = field_values(rho).copy()
-    sch = setup.scheme
     cfg = config or NewtonConfig()
     tel = telemetry if telemetry is not None else PassTelemetry()
     n = setup.model.grid.n_cells
@@ -148,36 +125,23 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
         # No coupling: the sweep degenerates to the decoupled pass.
         return advance_split_axis(field, axis, dt, setup, cfg, tel)
 
-    row_kernel = _row_kernel(setup, axis)
-    conv = _full_convolution(setup, field)
-    out = field
+    # The 1D kernel slice that couples the cells of one line.
+    row_kernel = make_kernel_1d(setup.kernel.axis_slice(axis), setup.kernel.cell_measure)
+    conv = convolve(setup.kernel, field)
+    lines, conv_lines, v_lines = (_lines(a, axis) for a in (field, conv, setup.v_table))
     for r in range(n):
-        old_line = _axis_view(out, axis, r).copy()
-        background = _axis_view(conv, axis, r) - convolve(row_kernel, old_line)
-        v_eff = _axis_view(setup.v_table, axis, r) + background
-        new_line, iters, norm = implicit_step_1d(
-            old_line, dt, setup, cfg, v_table=v_eff, kernel=row_kernel
-        )
-        faces = scheme1d.face_data(
-            sch.kind, new_line, old_line, setup.dx, setup.energy,
-            v_eff, row_kernel, sch.stage_rule, sch.theta,
-        )
-        tel.absorb(iters, norm, faces.velocity)
-        _set_axis(out, axis, r, new_line)
+        old_line = lines[r].copy()
+        background = conv_lines[r] - convolve(row_kernel, old_line)
+        problem = line_problem(setup, old_line, dt, v_lines[r] + background, row_kernel)
+        new_line, iters, norm = solve_lines(problem, cfg)
+        tel.absorb(problem, new_line, iters, norm)
+        lines[r] = new_line
         delta = new_line - old_line
         if np.any(delta):
             conv += _convolution_increment(setup, axis, r, delta)
         if stage_hook is not None:
-            stage_hook(axis, r, out)
-    return out
-
-
-def _pass_cfl_bound(setup: SchemeSetup, telemetry: PassTelemetry) -> float:
-    if setup.scheme.kind == S2:
-        return np.inf
-    if telemetry.max_velocity == 0.0:
-        return np.inf
-    return setup.dx / (2.0 * telemetry.max_velocity)
+            stage_hook(axis, r, field)
+    return field
 
 
 def advance_step_2d(rho, dt_request, setup: SchemeSetup, config: NewtonConfig | None = None,
@@ -194,54 +158,21 @@ def advance_step_2d(rho, dt_request, setup: SchemeSetup, config: NewtonConfig | 
     decoupled = setup.kernel is None or sch.stage_rule == EXPLICIT
     advance = advance_split_axis if decoupled else advance_sweep_axis
 
-    energy_before = None
-    if compute_energy:
-        energy_before = analysis.discrete_energy(
-            np.maximum(field, 0.0), setup.model, setup.kernel
-        ).total
+    energy_before = clipped_energy(setup, field, compute_energy)
 
-    dt = float(dt_request)
-    retries = 0
-    while True:
+    def attempt(dt):
         tel = PassTelemetry()
-        try:
-            half = advance(field, 0, dt, setup, cfg, tel)
-            full = advance(half, 1, dt, setup, cfg, tel)
-        except NewtonError:
-            # As in 1D: an S1 solve failing above its CFL bound retries
-            # smaller; S2 reports non-convergence.
-            if sch.kind == S2 or retries >= MAX_CFL_HALVINGS:
-                raise
-            dt *= 0.5
-            retries += 1
-            continue
-        if sch.kind == S2:
-            break
-        bound = _pass_cfl_bound(setup, tel)
-        if dt <= bound * (1.0 + 1e-12):
-            break
-        if retries >= MAX_CFL_HALVINGS:
-            raise StepError(
-                f"CFL halving exhausted after {retries} retries (dt={dt:g}, bound={bound:g})"
-            )
-        dt *= 0.5
-        retries += 1
+        half = advance(field, 0, dt, setup, cfg, tel)
+        full = advance(half, 1, dt, setup, cfg, tel)
+        # The split bound is the smallest of the passes' face-velocity bounds.
+        return (full, tel), max_stable_dt(sch.kind, np.array([tel.max_velocity]), setup.dx)
 
-    slack = 10.0 * cfg.tolerance
-    if full.min() < -slack:
-        raise StepError(f"accepted field dips to {full.min():g}, below -10*tol")
-    mass_new = full.sum() * grid.cell_measure
-    mass_old = field.sum() * grid.cell_measure
-    if abs(mass_new - mass_old) > slack * (1.0 + abs(mass_old)):
-        raise StepError(f"mass drifted by {mass_new - mass_old:g} over one step")
+    (full, tel), dt, retries = retry_halving_dt(attempt, dt_request, sch.kind)
+    check_step_postconditions(full, field, grid.cell_measure, cfg.tolerance)
 
-    energy_after = None
-    if compute_energy:
-        energy_after = analysis.discrete_energy(
-            np.maximum(full, 0.0), setup.model, setup.kernel
-        ).total
+    energy_after = clipped_energy(setup, full, compute_energy)
 
-    out_field = DensityField(full, grid, min_allowed=slack)
+    out_field = DensityField(full, grid, min_allowed=10.0 * cfg.tolerance)
     return StepOutcome(
         out_field, tel.newton_iterations, tel.worst_norm, dt, retries,
         energy_before, energy_after, row_solves=tel.row_solves,

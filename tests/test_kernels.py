@@ -11,6 +11,7 @@ from aggdiff.kernels import (
     NEGATIVE_DEFINITE,
     POSITIVE_DEFINITE,
     DefinitenessClass,
+    KernelTable,
     classify_definiteness,
     convolve,
     select_stage_rule,
@@ -42,6 +43,16 @@ class TestTabulate:
         g = Grid(1, 1.0, 2)
         kt = tabulate_kernel(None, g)
         assert kt.is_zero
+
+    def test_is_zero_fixed_at_construction_matches_a_scan(self):
+        # is_zero is computed once; it must agree with a scan of the table.
+        g = Grid(2, 2.0, 4)
+        zero = KernelTable(2, np.zeros((15, 15)), g.cell_measure)
+        gaussian = tabulate_kernel(Gaussian(0.5, -1.0), g)
+        point = KernelTable(1, np.eye(1, 7, 3)[0], 0.5)
+        for table, expected in ((zero, True), (gaussian, False), (point, False)):
+            assert table.is_zero is expected
+            assert table.is_zero == (not np.any(table.values))
 
     def test_singular_cell_average_of_abs(self):
         # W(x) = |x| has (1/dx) * integral over the origin cell = dx/4.

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from aggdiff.kernels import EXPLICIT, IMPLICIT, MIDPOINT, make_kernel_1d
 from aggdiff.model import InternalEnergy
@@ -16,6 +17,7 @@ from aggdiff.scheme1d import (
     minmod,
     reconstruct_faces,
     residual,
+    Tridiagonal,
     residual_jacobian,
 )
 from aggdiff.solver import newton_solve, NewtonConfig
@@ -253,6 +255,33 @@ class TestJacobian:
         rho = np.linspace(0.2, 1.0, n)
         jac = residual_jacobian(S2, rho, rho, 0.1, 0.5, energy, np.zeros(n), kernel, MIDPOINT)
         assert isinstance(jac, np.ndarray)
+
+
+class TestTridiagonalBatch:
+    def _bands(self, lines, n, seed):
+        rng = np.random.default_rng(seed)
+        diag = 4.0 + rng.random((lines, n))
+        return Tridiagonal(rng.random((lines, n - 1)) - 0.5, diag, rng.random((lines, n - 1)) - 0.5)
+
+    def test_one_concatenated_solve_equals_per_line_solves(self):
+        jac = self._bands(7, 9, 0)
+        rhs = np.random.default_rng(1).random((7, 9))
+        together = solve_banded((1, 1), jac.to_banded(), rhs.ravel()).reshape(rhs.shape)
+        for k in range(7):
+            line = Tridiagonal(jac.lower[k], jac.diag[k], jac.upper[k])
+            alone = solve_banded((1, 1), line.to_banded(), rhs[k])
+            assert np.array_equal(together[k], alone)
+
+    def test_dense_and_scaled_agree_line_by_line(self):
+        jac = self._bands(3, 6, 2)
+        dense, scaled = jac.to_dense(), jac.scaled(0.3)
+        for k in range(3):
+            line = Tridiagonal(jac.lower[k], jac.diag[k], jac.upper[k])
+            expected = (np.diag(line.diag) + np.diag(line.upper, 1) + np.diag(line.lower, -1))
+            assert np.array_equal(dense[k], expected)
+            assert np.array_equal(line.to_dense(), expected)
+            for band, whole in zip(line.scaled(0.3), scaled):
+                assert np.array_equal(band, whole[k])
 
 
 class TestCFLBound:

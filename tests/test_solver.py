@@ -1,9 +1,11 @@
 """Newton iteration, Jacobian assembly, and the 1D step driver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from aggdiff.errors import NewtonError, NumericalError
+from aggdiff.errors import DomainError, NewtonError, NumericalError
 from aggdiff.presets import grid_1d, heat, linear_fokker_planck, porous_medium
 from aggdiff.analysis import ReferenceSolution, sample_reference
 from aggdiff.solver import (
@@ -11,6 +13,7 @@ from aggdiff.solver import (
     advance_step_1d,
     assemble_jacobian,
     build_setup,
+    implicit_step_1d,
     newton_solve,
 )
 
@@ -135,6 +138,20 @@ class TestAdvanceStep:
             out = advance_step_1d(rho, 0.1, None, None, cfg, setup=setup)
             roots.append(out.field.values)
         assert np.abs(roots[0] - roots[1]).max() <= 1e-9
+
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
+    def test_bad_dt_fails_fast(self, dt):
+        # No solve starts: no divide-by-zero warning, no Newton iterations.
+        g = grid_1d(2.0, 0.5)
+        rho = np.full(g.n_cells, 1.0)
+        for kind in ("s1", "s2"):
+            setup = build_setup(heat(g), kind, stage="midpoint")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError):
+                    implicit_step_1d(rho, dt, setup)
+                with pytest.raises(DomainError):
+                    advance_step_1d(rho, dt, None, None, NewtonConfig(), setup=setup)
 
     def test_energy_can_be_skipped(self):
         g = grid_1d(2.0, 0.5)

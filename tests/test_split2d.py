@@ -1,10 +1,12 @@
 """Dimensional splitting and sweeping splitting in two dimensions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from aggdiff.analysis import ReferenceSolution, discrete_energy, sample_reference
-from aggdiff.errors import RoutingError
+from aggdiff.errors import DomainError, RoutingError
 from aggdiff.kernels import KernelTable, convolve, tabulate_kernel
 from aggdiff.model import Gaussian
 from aggdiff.presets import (
@@ -18,6 +20,7 @@ from aggdiff.split2d import (
     advance_split_axis,
     advance_step_2d,
     advance_sweep_axis,
+    PassTelemetry,
     _convolution_increment,
 )
 
@@ -59,11 +62,85 @@ class TestSplitPass:
         out = advance_step_2d(field, g.dx**2 / 8, setup, cfg)
         assert out.field.values.min() >= -10 * cfg.tolerance
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan])
+    def test_bad_dt_fails_fast(self, dt):
+        g = grid_2d(2.0, 0.5)
+        setup = build_setup(heat(g), "s1", stage="midpoint")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                advance_split_axis(smooth_field(g), 1, dt, setup, NewtonConfig())
+
     def test_routing_error_for_coupled_stage(self):
         g = grid_2d(2.0, 0.5)
         setup = build_setup(nonlocal_fokker_planck(g), "s2", stage="midpoint")
         with pytest.raises(RoutingError):
             advance_split_axis(np.full(g.shape, 0.2), 0, 0.1, setup, NewtonConfig())
+
+
+class TestBatchedPassMatchesPerLineSolves:
+    """The one-Newton pass against the per-line 1D oracle."""
+
+    n_zero = 3  # lines of zero mass in every pass
+
+    def _field(self, g, seed):
+        rng = np.random.default_rng(seed)
+        field = 0.2 + rng.random(g.shape)
+        field[:, : self.n_zero] = 0.0  # zero lines of the x-pass
+        field[: self.n_zero, :] = 0.0  # and of the y-pass
+        return field
+
+    def _oracle(self, field, axis, dt, setup, cfg):
+        v = setup.v_table
+        if setup.kernel is not None:
+            v = v + convolve(setup.kernel, field)
+        out, counts = field.copy(), []
+        for r in range(field.shape[0]):
+            index = (slice(None), r) if axis == 0 else (r, slice(None))
+            line, iters, _ = implicit_step_1d(
+                field[index], dt, setup, cfg, v_table=v[index], kernel=None
+            )
+            out[index] = line
+            counts.append(iters)
+        return out, counts
+
+    @pytest.mark.parametrize("kind", ["s1", "s2"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_fields(self, kind, axis, seed):
+        g = grid_2d(3.0, 0.25)
+        rng = np.random.default_rng(100 + seed)
+        cfg = NewtonConfig()
+        cases = [
+            # V varies per line and is unrelated to the grid.
+            SchemeSetup(build_setup(heat(g), kind, stage="midpoint").scheme,
+                        heat(g), 2.0 * rng.random(g.shape), None),
+            # Explicit stage with a kernel: the convolution is frozen.
+            build_setup(nonlocal_fokker_planck(g), kind, stage="explicit"),
+        ]
+        field = self._field(g, seed)
+        dt = g.dx**2 / 8 if kind == "s1" else 0.05
+        for setup in cases:
+            tel = PassTelemetry()
+            batched = advance_split_axis(field, axis, dt, setup, cfg, tel)
+            expected, counts = self._oracle(field, axis, dt, setup, cfg)
+            assert np.abs(batched - expected).max() <= 1e-12
+            assert tel.newton_iterations == sum(counts)
+            assert tel.row_solves == g.n_cells
+            assert counts[: self.n_zero] == [0] * self.n_zero
+            assert max(counts) >= 3
+
+    def test_full_step_counts_every_line(self):
+        g = grid_2d(3.0, 0.25)
+        setup = build_setup(nonlocal_fokker_planck(g), "s2", stage="explicit")
+        field = self._field(g, 2)
+        cfg = NewtonConfig()
+        out = advance_step_2d(field, 0.05, setup, cfg)
+        half, first = self._oracle(field, 0, 0.05, setup, cfg)
+        full, second = self._oracle(half, 1, 0.05, setup, cfg)
+        assert out.row_solves == 2 * g.n_cells
+        assert out.iterations == sum(first) + sum(second)
+        assert np.abs(out.field.values - full).max() <= 1e-12
 
 
 class TestSweepPass:
