@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy import integrate, signal
+from scipy import integrate, linalg, signal
 
 from .errors import DomainError, KernelError, ShapeError
 from .model import Grid, Quadratic, TabulatedInteraction, field_values
@@ -81,6 +82,28 @@ class KernelTable:
         if self.dimension != 2:
             raise ShapeError("axis_slice is only defined for 2D kernels")
         return self.values[:, self.center] if axis == 0 else self.values[self.center, :]
+
+    @cached_property
+    def toeplitz(self) -> np.ndarray:
+        """1D only: the (n, n) matrix T[i, k] = W_{i-k}, so W * rho = T @ rho * cell_measure.
+
+        Built from the column (offsets 0..n-1) and the row (offsets 0..-(n-1))
+        separately, so an asymmetric table keeps its orientation.
+        """
+        if self.dimension != 1:
+            raise ShapeError("the Toeplitz operator is only defined for 1D kernels")
+        n = self.n_cells
+        t = linalg.toeplitz(self.values[n - 1 :], self.values[n - 1 :: -1])
+        t.setflags(write=False)  # shared by every caller
+        return t
+
+    @cached_property
+    def toeplitz_difference(self) -> np.ndarray:
+        """1D only: T[:-1] - T[1:], the face differences of the convolution's rows."""
+        t = self.toeplitz
+        d = t[:-1] - t[1:]
+        d.setflags(write=False)
+        return d
 
 
 def _eval_radial(interaction, x, y=None, dimension=1):

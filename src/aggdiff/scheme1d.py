@@ -13,11 +13,11 @@ one upwinds the unknown state itself, which buys unconditional positivity.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .errors import DomainError
 from .kernels import EXPLICIT, IMPLICIT, MIDPOINT, STAGE_RULES, convolve
@@ -188,6 +188,12 @@ class LineProblem:
             self.east, self.west = reconstruct_faces(self.old, theta)
         self._last = None
 
+    def with_dt(self, dt) -> "LineProblem":
+        """The same step over another time step, sharing what was precomputed."""
+        other = copy.copy(self)
+        other.dt, other._last = dt, None
+        return other
+
     @staticmethod
     def _rows(values, lines):
         return values if lines is None else values[lines]
@@ -197,12 +203,11 @@ class LineProblem:
         last = self._last
         if last is not None and last[0] is a and last[1] is lines:
             return last[2], last[3]
-        kernel, stage = None, None
+        xi = chemical_potential(a, None, self.energy, self._rows(self.v, lines), None)
         if self.coupled:  # the density the convolution sees under the stage rule
-            kernel = self.kernel
             stage = a if self.stage_rule == IMPLICIT else 0.5 * (a + self.old)
-        xi = chemical_potential(a, stage, self.energy, self._rows(self.v, lines), kernel)
-        if self.conv is not None:
+            xi = xi + self.kernel.cell_measure * (self.kernel.toeplitz @ stage)
+        elif self.conv is not None:
             xi = xi + self._rows(self.conv, lines)
         u = face_velocities(xi, self.dx)
         self._last = (a, lines, xi, u)
@@ -252,15 +257,13 @@ class LineProblem:
 
         n = a.size
         c_rule = 1.0 if self.stage_rule == IMPLICIT else 0.5
-        w = self.kernel.values
-        col = w[n - 1 : 2 * n - 1]      # W at offsets 0..n-1
-        row = w[n - 1 :: -1][:n]        # W at offsets 0..-(n-1)
-        dxi = c_rule * self.kernel.cell_measure * toeplitz(col, row)
-        dxi[np.diag_indices(n)] += g
-        du = (dxi[:-1, :] - dxi[1:, :]) / dx  # du_j/da = -(dxi_{j+1} - dxi_j)/dx
+        # du_j/da = -(dxi_{j+1} - dxi_j)/dx, dxi = c_rule*cell_measure*T + diag(g).
+        du = (c_rule * self.kernel.cell_measure / dx) * self.kernel.toeplitz_difference
+        idx = np.arange(n - 1)
+        du[idx, idx] += g[:-1] / dx
+        du[idx, idx + 1] -= g[1:] / dx
         dF = m_face[:, None] * du
         if self.kind == S2:
-            idx = np.arange(n - 1)
             dF[idx, idx] += np.maximum(u, 0.0)
             dF[idx, idx + 1] += np.minimum(u, 0.0)
         jac = np.zeros((n, n))

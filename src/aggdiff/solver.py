@@ -135,28 +135,38 @@ def assemble_jacobian(residual_fn, rho, mode: str = "fd", analytic_fn=None, step
     return jac
 
 
+MAX_LINE_SEARCH_HALVINGS = 30
+
+
 def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobian=None):
     """Damped Newton iteration to max-norm tolerance, line by line.
 
     ``guess`` is a scalar, one line (n,) or a batch of independent lines
     (L, n). Each line has its own norm, convergence test, iteration count
     and line search: a step that increases the line's residual norm is
-    halved, up to 30 times per iteration. Lines at tolerance drop out; while
-    some do, the callables get ``(z, lines)``: the remaining lines and their
-    batch indices. ``jacobian`` returns a Tridiagonal (one banded solve for
-    every line) or, for one line, a dense matrix; when absent, finite
-    differences of residual_fn are used. Raises NewtonError if any line
-    misses the tolerance. Returns (root, iterations summed over lines,
-    worst norm).
+    halved, up to 30 times per iteration. A line whose last halving still
+    increases its norm takes that tiny step once: it moves the iterate off a
+    kink of the residual (a vacuum cell at the density floor, where the
+    one-sided Jacobian points the wrong way). If its next line search runs
+    out too, NewtonError is raised with the iterate before that step. Lines
+    at tolerance drop out; while some do, the callables get ``(z, lines)``:
+    the remaining lines and their batch indices. ``jacobian`` returns a
+    Tridiagonal (one banded solve for every line) or, for one line, a dense
+    matrix; when absent, finite differences of residual_fn are used. Raises
+    NewtonError if any line misses the tolerance. Returns (root, iterations
+    summed over lines, worst norm).
     """
     cfg = config or NewtonConfig()
     shape = np.shape(guess)
     x = np.atleast_2d(np.array(guess, dtype=float, order="C"))
 
+    def shaped(z):
+        return float(z[0, 0]) if not shape else z.reshape(shape)
+
     def call(fn, z, lines):
         if lines is not None:
             return fn(z, lines)
-        return fn(z[0, 0] if not shape else z.reshape(shape))
+        return fn(shaped(z))
 
     def evaluate(z, lines=None):
         r = np.asarray(call(residual_fn, z, lines), dtype=float).reshape(z.shape)
@@ -167,6 +177,7 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
     r = evaluate(x)
     norm = np.abs(r).max(axis=1)
     iterations = np.zeros(len(x), dtype=int)
+    stalled = np.zeros(len(x), dtype=bool)  # the line's last line search ran out
     for _ in range(cfg.max_iterations):
         active = norm > cfg.tolerance
         if not active.any():
@@ -183,7 +194,7 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
         r_new = evaluate(step_x, lines)
         norm_new = np.abs(r_new).max(axis=1)
         halvings = 0
-        while halvings < 30 and (worse := norm_new > na).any():
+        while halvings < MAX_LINE_SEARCH_HALVINGS and (worse := norm_new > na).any():
             h = np.flatnonzero(worse)
             delta[h] *= 0.5
             step_x[h] = xa[h] + delta[h]
@@ -191,13 +202,22 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
             r_new[h] = evaluate(step_x[h], sub)
             norm_new[h] = np.abs(r_new[h]).max(axis=1)
             halvings += 1
+        # Still worse after every halving: the Newton step is no descent direction.
+        exhausted = norm_new > na
+        if (exhausted & (stalled if lines is None else stalled[lines])).any():
+            raise NewtonError(
+                f"Newton line search found no decrease in {halvings} halvings "
+                f"on two iterations in a row (best norm {norm.max():g})",
+                best_iterate=shaped(x),
+                best_norm=float(norm.max()),
+            )
         if lines is None:
-            x, r, norm = step_x, r_new, norm_new
+            x, r, norm, stalled = step_x, r_new, norm_new, exhausted
             iterations += 1
         else:
-            x[lines], r[lines], norm[lines] = step_x, r_new, norm_new
+            x[lines], r[lines], norm[lines], stalled[lines] = step_x, r_new, norm_new, exhausted
             iterations[lines] += 1
-    root = float(x[0, 0]) if not shape else x.reshape(shape)
+    root = shaped(x)
     worst = float(norm.max())
     if worst > cfg.tolerance:
         raise NewtonError(
@@ -227,8 +247,17 @@ def line_problem(setup: SchemeSetup, rho_old, dt, v_table=None, kernel=_UNSET,
     )
 
 
-def solve_lines(problem: LineProblem, config: NewtonConfig | None = None):
+MAX_CONTINUATION_HALVINGS = 10
+
+
+def solve_lines(problem: LineProblem, config: NewtonConfig | None = None, *, _depth: int = 0):
     """Newton on the update-form residual R*dt of every line of ``problem`` at once.
+
+    Newton from the old state can miss the root of a long S2 step, e.g. under
+    strong aggregation next to a vacuum cell. S2 then solves the step over
+    dt/2 first (nested up to MAX_CONTINUATION_HALVINGS times) and restarts
+    Newton from that root; the root moves continuously with dt. S1 halves
+    the step itself instead (see ``retry_halving_dt``).
 
     Returns (rho_new, iterations summed over lines, worst norm).
     """
@@ -244,7 +273,14 @@ def solve_lines(problem: LineProblem, config: NewtonConfig | None = None):
             j = problem.jacobian(a, lines)
             return j.scaled(dt) if isinstance(j, Tridiagonal) else dt * j
 
-    return newton_solve(f, problem.old, cfg, jacobian=jac)
+    try:
+        return newton_solve(f, problem.old, cfg, jacobian=jac)
+    except NewtonError:
+        if problem.kind != S2 or _depth >= MAX_CONTINUATION_HALVINGS:
+            raise
+    start, iters, _ = solve_lines(problem.with_dt(0.5 * dt), cfg, _depth=_depth + 1)
+    root, more, norm = newton_solve(f, start, cfg, jacobian=jac)
+    return root, iters + more, norm
 
 
 def implicit_step_1d(rho_old, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
@@ -277,6 +313,7 @@ def advance_step_1d(rho_old, dt_request, scheme, model: ModelSpec | None = None,
     b = field_values(rho_old)
     grid = setup.model.grid
     sch = setup.scheme
+    check_step_input(b, grid.shape, cfg.tolerance)
 
     energy_before = clipped_energy(setup, b, compute_energy)
 
@@ -328,6 +365,16 @@ def retry_halving_dt(attempt, dt_request, kind):
                 )
         dt *= 0.5
         retries += 1
+
+
+def check_step_input(values, shape, tol):
+    """Reject a density before any solve: wrong shape, non-finite, or below -10*tol."""
+    if values.shape != shape:
+        raise DomainError(f"density shape {values.shape} does not match the grid's {shape}")
+    if not np.all(np.isfinite(values)):
+        raise DomainError("density must be finite")
+    if values.min() < -10.0 * tol:
+        raise DomainError(f"density dips to {values.min():g}, below -10*tol")
 
 
 def check_step_postconditions(a, b, measure, tol):

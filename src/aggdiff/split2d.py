@@ -9,13 +9,16 @@ staged implicitly or at the midpoint, lines do not decouple; the sweeping
 form restores tractability by updating one line at a time, the convolution
 seeing the stage-rule value on the active line and the latest frozen values
 elsewhere. Each sweep stage is then exactly a 1D implicit solve with an
-effective confinement table.
+effective confinement table. A sweep pass convolves the whole field once;
+a stage then costs one 1D FFT of its line's change and one inverse FFT of
+its own line's background, and its coupled solve uses the row kernel's
+Toeplitz matrix, built once per pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import RoutingError
 from .kernels import EXPLICIT, convolve, make_kernel_1d
@@ -25,6 +28,7 @@ from .solver import (
     NewtonConfig,
     SchemeSetup,
     StepOutcome,
+    check_step_input,
     check_step_postconditions,
     clipped_energy,
     line_problem,
@@ -58,24 +62,6 @@ def _lines(field, axis):
     axis 0 sweeps the x-direction (line j varies i); axis 1 sweeps y.
     """
     return field.T if axis == 0 else field
-
-
-def _convolution_increment(setup, axis, index, delta):
-    """Update of W * field when one line changes by ``delta``.
-
-    The increment is a 1D convolution of delta against every offset slice of
-    the kernel, evaluated in one pass along the sweep axis.
-    """
-    w = setup.kernel.values
-    n = delta.size
-    if axis == 0:
-        # Field changed on column j=index: increment[:, l] from slice (l-index).
-        g = fftconvolve(w, delta[:, None], axes=0)[n - 1 : 2 * n - 1, :]
-        block = g[:, n - 1 - index : 2 * n - 1 - index]
-    else:
-        g = fftconvolve(w, delta[None, :], axes=1)[:, n - 1 : 2 * n - 1]
-        block = g[n - 1 - index : 2 * n - 1 - index, :]
-    return block * setup.kernel.cell_measure
 
 
 def advance_split_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
@@ -113,9 +99,14 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
 
     At stage r only line r changes; its implicit 1D solve sees the
     interaction of the whole field through an effective confinement, with
-    the stage rule applied to line r's own contribution. The running
-    convolution is updated incrementally after each stage (one kernel-slice
-    product per stage, matching a full re-convolution to roundoff).
+    the stage rule applied to line r's own contribution. The field is
+    convolved once per pass; what earlier stages changed reaches line r
+    through a spectral accumulator along the line. After each stage, one
+    rfft of the line's change, times the kernel's rfft at each later line's
+    offset (taken once per pass), is added to the later lines, and stage r
+    takes one irfft of its own row. Lines before r are never read again in
+    the pass, so they are not updated. Matches a full re-convolution at
+    every stage to roundoff.
     """
     field = field_values(rho).copy()
     cfg = config or NewtonConfig()
@@ -125,20 +116,25 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
         # No coupling: the sweep degenerates to the decoupled pass.
         return advance_split_axis(field, axis, dt, setup, cfg, tel)
 
+    kernel = setup.kernel
     # The 1D kernel slice that couples the cells of one line.
-    row_kernel = make_kernel_1d(setup.kernel.axis_slice(axis), setup.kernel.cell_measure)
-    conv = convolve(setup.kernel, field)
+    row_kernel = make_kernel_1d(kernel.axis_slice(axis), kernel.cell_measure)
+    conv = convolve(kernel, field)
     lines, conv_lines, v_lines = (_lines(a, axis) for a in (field, conv, setup.v_table))
+    # Row m of w_hat: the in-line kernel at line offset m - (n-1). Linear
+    # convolutions of length 3n-2 do not wrap at this size.
+    nfft = next_fast_len(3 * n - 2, real=True)
+    w_hat = rfft(_lines(kernel.values, axis), nfft, axis=1)
+    acc = np.zeros((n, nfft // 2 + 1), dtype=complex)
     for r in range(n):
         old_line = lines[r].copy()
-        background = conv_lines[r] - convolve(row_kernel, old_line)
+        earlier = irfft(acc[r], nfft)[n - 1 : 2 * n - 1] * kernel.cell_measure
+        background = conv_lines[r] + earlier - convolve(row_kernel, old_line)
         problem = line_problem(setup, old_line, dt, v_lines[r] + background, row_kernel)
         new_line, iters, norm = solve_lines(problem, cfg)
         tel.absorb(problem, new_line, iters, norm)
         lines[r] = new_line
-        delta = new_line - old_line
-        if np.any(delta):
-            conv += _convolution_increment(setup, axis, r, delta)
+        acc[r + 1 :] += rfft(new_line - old_line, nfft) * w_hat[n : 2 * n - 1 - r]
         if stage_hook is not None:
             stage_hook(axis, r, field)
     return field
@@ -155,6 +151,7 @@ def advance_step_2d(rho, dt_request, setup: SchemeSetup, config: NewtonConfig | 
     field = field_values(rho)
     grid = setup.model.grid
     sch = setup.scheme
+    check_step_input(field, grid.shape, cfg.tolerance)
     decoupled = setup.kernel is None or sch.stage_rule == EXPLICIT
     advance = advance_split_axis if decoupled else advance_sweep_axis
 

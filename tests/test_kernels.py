@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from aggdiff.kernels import (
     EXPLICIT,
@@ -14,6 +15,7 @@ from aggdiff.kernels import (
     KernelTable,
     classify_definiteness,
     convolve,
+    make_kernel_1d,
     select_stage_rule,
     tabulate_kernel,
 )
@@ -185,6 +187,26 @@ class TestConvolve:
             lhs = float(a @ convolve(kt, b))
             rhs = float(b @ convolve(kt, a))
             assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
+
+    def test_toeplitz_keeps_an_asymmetric_table_oriented(self):
+        # TabulatedInteraction only admits symmetric tables, so the
+        # asymmetric one is wrapped directly.
+        rng = np.random.default_rng(4)
+        n = 7
+        kt = make_kernel_1d(rng.standard_normal(2 * n - 1), 0.3)
+        col = kt.values[n - 1 :]            # offsets 0..n-1
+        row = kt.values[n - 1 :: -1]        # offsets 0..-(n-1)
+        assert np.array_equal(kt.toeplitz, scipy.linalg.toeplitz(col, row))
+        assert np.array_equal(kt.toeplitz_difference, kt.toeplitz[:-1] - kt.toeplitz[1:])
+        assert kt.toeplitz is kt.toeplitz  # built once per table
+        rho = rng.random(n)
+        assert np.allclose(kt.toeplitz @ rho * kt.cell_measure, convolve(kt, rho), rtol=1e-13)
+        assert not kt.toeplitz.flags.writeable
+
+    def test_toeplitz_is_1d_only(self):
+        kt = tabulate_kernel(Gaussian(0.7, 1.0), Grid(2, 1.0, 2))
+        with pytest.raises(ShapeError):
+            kt.toeplitz
 
     def test_table_symmetry(self):
         g = Grid(1, 3.0, 8)

@@ -220,24 +220,34 @@ class TestJacobian:
         at = rng.random(n) + 0.2
         v = rng.random(n)
         offsets = np.arange(-(n - 1), n)
-        kernel = make_kernel_1d(np.exp(-0.5 * (0.3 * offsets) ** 2), 0.25)
+        symmetric = np.exp(-0.5 * (0.3 * offsets) ** 2)
         dt, dx = 0.03, 0.25
+        for values in (symmetric, symmetric * (1.0 + 0.5 * np.sin(offsets))):
+            kernel = make_kernel_1d(values, 0.25)
 
-        def f(a):
-            return residual(kind, a, old, dt, dx, energy, v, kernel, stage)
+            def f(a):
+                return residual(kind, a, old, dt, dx, energy, v, kernel, stage)
 
-        exact = residual_jacobian(kind, at, old, dt, dx, energy, v, kernel, stage)
-        if not isinstance(exact, np.ndarray):
-            exact = exact.to_dense()
-        fd = np.empty((n, n))
-        f0 = f(at)
-        for j in range(n):
-            h = 1e-7 * max(abs(at[j]), 1.0)
-            pert = at.copy()
-            pert[j] += h
-            fd[:, j] = (f(pert) - f0) / h
-        scale = np.abs(exact).max()
-        assert np.abs(exact - fd).max() <= 1e-5 * scale
+            # The residual against one assembled from kernels.convolve.
+            conv_of = {EXPLICIT: old, IMPLICIT: at, MIDPOINT: 0.5 * (at + old)}[stage]
+            u = face_velocities(chemical_potential(at, conv_of, energy, v, kernel), dx)
+            faces = reconstruct_faces(old) if kind == S1 else (None, None)
+            flux = assemble_flux(kind, u, at, *faces)
+            expected = (at - old) / dt + np.diff(flux, prepend=0.0, append=0.0) / dx
+            assert np.abs(f(at) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+            exact = residual_jacobian(kind, at, old, dt, dx, energy, v, kernel, stage)
+            if not isinstance(exact, np.ndarray):
+                exact = exact.to_dense()
+            fd = np.empty((n, n))
+            f0 = f(at)
+            for j in range(n):
+                h = 1e-7 * max(abs(at[j]), 1.0)
+                pert = at.copy()
+                pert[j] += h
+                fd[:, j] = (f(pert) - f0) / h
+            scale = np.abs(exact).max()
+            assert np.abs(exact - fd).max() <= 1e-5 * scale
 
     def test_tridiagonal_when_uncoupled(self):
         from aggdiff.scheme1d import Tridiagonal

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from aggdiff import solver
 from aggdiff.errors import DomainError, NewtonError, NumericalError
 from aggdiff.presets import grid_1d, heat, linear_fokker_planck, porous_medium
 from aggdiff.analysis import ReferenceSolution, sample_reference
@@ -16,6 +17,10 @@ from aggdiff.solver import (
     implicit_step_1d,
     newton_solve,
 )
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve started on invalid input")
 
 
 class TestNewton:
@@ -37,6 +42,45 @@ class TestNewton:
             newton_solve(lambda x: x * x + 1.0, 0.7, cfg)
         assert info.value.best_iterate is not None
         assert info.value.best_norm > 0
+
+    def test_exhausted_line_search_raises(self):
+        # |x| + 1 has no root and its least norm is at the guess: no halving
+        # of any step reduces it.
+        with pytest.raises(NewtonError) as info:
+            newton_solve(lambda x: np.abs(x) + 1.0, np.zeros(3))
+        assert "halvings" in str(info.value)
+        assert info.value.best_norm == pytest.approx(1.0)
+
+    def test_exhausted_line_search_in_a_batch(self):
+        # Line 0 converges in one iteration; line 1 cannot decrease. The
+        # solve stops at line 1's second exhausted search, long before
+        # max_iterations, and carries both lines.
+        calls = []
+
+        def f(z, lines=None):
+            calls.append(z.shape[0])
+            rows = np.arange(2) if lines is None else lines
+            return np.where((rows == 1)[:, None], np.abs(z) + 1.0, z - 1.0)
+
+        with pytest.raises(NewtonError) as info:
+            newton_solve(f, np.zeros((2, 3)))
+        best = info.value.best_iterate
+        assert best.shape == (2, 3)
+        assert np.abs(best[0] - 1.0).max() <= 1e-9
+        assert info.value.best_norm == pytest.approx(1.0)
+        # Two iterations of an FD Jacobian and 30 halvings (71 calls), not
+        # max_iterations of them.
+        assert len(calls) < 100
+
+    def test_single_exhausted_search_recovers(self):
+        # Porous medium from compactly supported data: the first Newton step
+        # starts on the vacuum floor's kink and no halving of it decreases
+        # the norm; the tiny step it takes moves the iterate off the kink.
+        g = grid_1d(3.0, 0.25)
+        setup = build_setup(porous_medium(g, 2.0), "s2", stage="midpoint")
+        rho = sample_reference(ReferenceSolution("barenblatt", 1, exponent=2.0, mass=1.0), 1.0, g)
+        _, iters, norm = implicit_step_1d(rho, 0.5, setup)
+        assert norm <= NewtonConfig().tolerance and iters >= 2
 
     def test_nan_residual_raises_numerical_error(self):
         with pytest.raises(NumericalError):
@@ -152,6 +196,28 @@ class TestAdvanceStep:
                     implicit_step_1d(rho, dt, setup)
                 with pytest.raises(DomainError):
                     advance_step_1d(rho, dt, None, None, NewtonConfig(), setup=setup)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "negative", "shape"])
+    def test_bad_density_fails_before_any_solve(self, bad, monkeypatch):
+        g = grid_1d(2.0, 0.5)
+        rho = np.full(g.n_cells, 1.0)
+        if bad == "shape":
+            rho = rho[:-1]
+        else:
+            rho[2] = {"nan": np.nan, "inf": np.inf, "negative": -1e-6}[bad]
+        monkeypatch.setattr(solver, "solve_lines", _no_solve)
+        for kind in ("s1", "s2"):
+            setup = build_setup(heat(g), kind, stage="midpoint")
+            with pytest.raises(DomainError):
+                advance_step_1d(rho, 0.1, None, None, NewtonConfig(), setup=setup)
+
+    def test_density_within_slack_is_accepted(self):
+        g = grid_1d(2.0, 0.5)
+        rho = np.full(g.n_cells, 1.0)
+        rho[2] = -5.0 * NewtonConfig().tolerance  # DensityField's slack is 10*tol
+        setup = build_setup(heat(g), "s2", stage="midpoint")
+        out = advance_step_1d(rho, 0.1, None, None, NewtonConfig(), setup=setup)
+        assert out.field.values.min() >= -10 * NewtonConfig().tolerance
 
     def test_energy_can_be_skipped(self):
         g = grid_1d(2.0, 0.5)

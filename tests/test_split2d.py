@@ -2,12 +2,16 @@
 
 import warnings
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from aggdiff import split2d
 from aggdiff.analysis import ReferenceSolution, discrete_energy, sample_reference
 from aggdiff.errors import DomainError, RoutingError
-from aggdiff.kernels import KernelTable, convolve, tabulate_kernel
+from aggdiff.kernels import MIDPOINT, KernelTable, convolve, make_kernel_1d, tabulate_kernel
 from aggdiff.model import Gaussian
 from aggdiff.presets import (
     grid_2d,
@@ -15,13 +19,13 @@ from aggdiff.presets import (
     linear_fokker_planck,
     nonlocal_fokker_planck,
 )
+from aggdiff.scheme1d import SchemeConfig
 from aggdiff.solver import NewtonConfig, SchemeSetup, build_setup, implicit_step_1d
 from aggdiff.split2d import (
     advance_split_axis,
     advance_step_2d,
     advance_sweep_axis,
     PassTelemetry,
-    _convolution_increment,
 )
 
 
@@ -199,33 +203,126 @@ class TestSweepPass:
         for m_val in masses[1:]:
             assert abs(m_val - masses[0]) <= 10 * cfg.tolerance * (1 + masses[0])
 
-    def test_incremental_convolution_matches_full(self):
-        rng = np.random.default_rng(6)
-        g = grid_2d(2.0, 0.25)
-        kernel = tabulate_kernel(Gaussian(0.5, -1.0), g)
-        setup = SchemeSetup(
-            build_setup(nonlocal_fokker_planck(g), "s2", stage="midpoint").scheme,
-            nonlocal_fokker_planck(g),
-            np.zeros(g.shape),
-            kernel,
-        )
-        field = rng.random(g.shape)
-        conv = convolve(kernel, field)
-        for axis in (0, 1):
-            for r in (0, 3, g.n_cells - 1):
-                delta = rng.random(g.n_cells)
-                updated = field.copy()
-                if axis == 0:
-                    updated[:, r] += delta
-                else:
-                    updated[r, :] += delta
-                full = convolve(kernel, updated)
-                incremental = conv + _convolution_increment(setup, axis, r, delta)
-                scale = np.abs(full).max()
-                assert np.abs(full - incremental).max() <= 1e-12 * scale
+class TestSweepMatchesFullReconvolution:
+    """The sweep pass against a reference that re-convolves the whole field at every stage."""
+
+    @staticmethod
+    def _reference_sweep(field, axis, dt, setup, cfg):
+        field = field.copy()
+        row_kernel = make_kernel_1d(setup.kernel.axis_slice(axis), setup.kernel.cell_measure)
+        total = 0
+        for r in range(field.shape[0]):
+            index = (slice(None), r) if axis == 0 else (r, slice(None))
+            old_line = field[index].copy()
+            conv = convolve(setup.kernel, field)[index]
+            background = conv - convolve(row_kernel, old_line)
+            field[index], iters, _ = implicit_step_1d(
+                old_line, dt, setup, cfg, v_table=setup.v_table[index] + background,
+                kernel=row_kernel,
+            )
+            total += iters
+        return field, total
+
+    @staticmethod
+    def _setups(g, kind):
+        fp = nonlocal_fokker_planck(g)
+        gaussian = tabulate_kernel(Gaussian(0.5, -1.0), g)  # attractive
+        return [
+            SchemeSetup(SchemeConfig(kind, MIDPOINT), fp, build_setup(fp, kind).v_table, gaussian),
+            build_setup(fp, kind, stage="implicit"),
+            build_setup(fp, kind, stage="midpoint"),
+        ]
+
+    @pytest.mark.parametrize("kind", ["s1", "s2"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_random_fields(self, kind, axis):
+        g = grid_2d(3.0, 0.25)
+        rng = np.random.default_rng(10 * axis + (kind == "s2"))
+        cfg = NewtonConfig()
+        dt = g.dx**2 / 8 if kind == "s1" else 0.05
+        for setup in self._setups(g, kind):
+            field = 0.2 + rng.random(g.shape)
+            tel = PassTelemetry()
+            swept = advance_sweep_axis(field, axis, dt, setup, cfg, tel)
+            expected, iterations = self._reference_sweep(field, axis, dt, setup, cfg)
+            assert np.abs(swept - expected).max() <= 1e-12
+            assert tel.newton_iterations == iterations
+            assert tel.row_solves == g.n_cells
+
+
+class TestSweepProperties:
+    """S2 with a midpoint-staged interaction: guarantees for any data and any dt."""
+
+    g = grid_2d(2.0, 0.5)
+    positive = st.floats(0.0, 10.0, allow_subnormal=False)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        field=hnp.arrays(float, g.shape, elements=positive),
+        dt=st.floats(1e-4, 100.0),
+        axis=st.sampled_from([0, 1]),
+        attractive=st.booleans(),
+    )
+    def test_each_stage_conserves_mass_and_dissipates(self, field, dt, axis, attractive):
+        g = self.g
+        model = nonlocal_fokker_planck(g)
+        base = build_setup(model, "s2", stage="midpoint")
+        kernel = tabulate_kernel(Gaussian(0.5, -1.0), g) if attractive else base.kernel
+        setup = SchemeSetup(base.scheme, model, base.v_table, kernel)
+        # The Newton tolerance is absolute on R*dt, whose roundoff floor is
+        # about eps*dt*max(rho)*max|xi|/dx^2 (|H'| <= 40 above the vacuum
+        # floor); it is set above that floor so that every example can converge.
+        xi = np.abs(convolve(kernel, field)).max() + 40.0
+        floor = np.finfo(float).eps * dt * field.max() * xi / g.dx**2
+        cfg = NewtonConfig(tolerance=max(1e-10, 4.0 * floor))
+        slack = 10 * cfg.tolerance
+        mass0 = field.sum() * g.cell_measure
+        energies = [discrete_energy(field, model, kernel).total]
+
+        def hook(axis, r, working):
+            assert abs(working.sum() * g.cell_measure - mass0) <= slack * (1 + mass0)
+            assert working.min() >= -slack
+            clipped = np.maximum(working, 0.0)
+            energies.append(discrete_energy(clipped, model, kernel).total)
+            assert energies[-1] <= energies[-2] + 10 * slack * (1 + abs(energies[-2]))
+
+        advance_sweep_axis(field, axis, dt, setup, cfg, stage_hook=hook)
+        assert len(energies) == g.n_cells + 1
+
+    def test_long_step_next_to_vacuum(self):
+        # Newton from the old state misses this stage's root; the S2 solve
+        # reaches it by continuation in dt.
+        g = self.g
+        model = nonlocal_fokker_planck(g)
+        base = build_setup(model, "s2", stage="midpoint")
+        setup = SchemeSetup(base.scheme, model, base.v_table,
+                            tabulate_kernel(Gaussian(0.5, -1.0), g))
+        field = np.full(g.shape, 4.0)
+        field[0, 0] = 0.0
+        out = advance_sweep_axis(field, 0, 5.0, setup, NewtonConfig())
+        assert abs(out.sum() - field.sum()) <= 1e-9 * field.sum()
+        assert out.min() > 0.0
 
 
 class TestFullStep:
+    @pytest.mark.parametrize("stage", ["explicit", "midpoint"])  # split, sweep
+    @pytest.mark.parametrize("bad", ["nan", "negative", "shape"])
+    def test_bad_density_fails_before_any_solve(self, stage, bad, monkeypatch):
+        g = grid_2d(2.0, 0.5)
+        setup = build_setup(nonlocal_fokker_planck(g), "s2", stage=stage)
+        field = smooth_field(g)
+        if bad == "shape":
+            field = field[:, :-1]
+        else:
+            field[1, 2] = np.nan if bad == "nan" else -1e-6
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started on invalid input")
+
+        monkeypatch.setattr(split2d, "solve_lines", no_solve)
+        with pytest.raises(DomainError):
+            advance_step_2d(field, 0.1, setup, NewtonConfig())
+
     def test_symmetry_preserved(self):
         g = grid_2d(3.0, 0.5)
         model = nonlocal_fokker_planck(g)
