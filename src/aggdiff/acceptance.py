@@ -27,6 +27,7 @@ transition) passes.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -39,7 +40,9 @@ from .experiments import (
     bifurcation_sweep,
     build_initial,
     convergence_study,
+    march,
     run_to_steady,
+    step,
 )
 from .kernels import KernelTable, convolve, tabulate_kernel
 from .model import Gaussian, Grid, field_values
@@ -57,12 +60,11 @@ from .scheme1d import S1, S2
 from .solver import (
     NewtonConfig,
     SchemeSetup,
-    advance_step_1d,
     assemble_jacobian,
     build_setup,
     implicit_step_1d,
 )
-from .split2d import advance_step_2d, advance_sweep_axis
+from .split2d import advance_sweep_axis
 from . import scheme1d
 
 
@@ -204,11 +206,7 @@ def criterion_5() -> CriterionResult:
     finals = []
     for model in (linear_fokker_planck(grid), nonlocal_fokker_planck(grid)):
         setup = build_setup(model, S1, stage="midpoint")
-        rho, t = rho0.copy(), 2.0
-        while t < 3.0 - 1e-12:
-            out = advance_step_2d(rho, 2.0**-4, setup, cfg, compute_energy=False)
-            rho = out.field.values
-            t += out.dt_used
+        rho, _ = march(setup, rho0, 2.0, 3.0, 2.0**-4, cfg, compute_energy=False)
         finals.append(rho)
     diff = float(np.abs(finals[0] - finals[1]).sum() * grid.cell_measure)
     res.add(
@@ -308,11 +306,7 @@ def criterion_7() -> CriterionResult:
                 detail = ""
                 try:
                     for dt in dts:
-                        out = (
-                            advance_step_1d(rho, dt, None, None, cfg, setup=setup)
-                            if dim == 1
-                            else advance_step_2d(rho, dt, setup, cfg)
-                        )
+                        out = step(rho, dt, setup, cfg)
                         mass_old = rho.sum() * grid.cell_measure
                         mass_new = out.field.mass
                         e0, e1 = out.energy_before, out.energy_after
@@ -474,15 +468,16 @@ def criterion_9() -> CriterionResult:
     rho = np.maximum(build_initial(spec, grid, 0.0, model), 0.0)
     cfg = NewtonConfig()
     dt, t_max = 0.1, 150.0
-    t = 0.0
     ts, energies, components = [], [], []
-    while t < t_max - 1e-12:
-        out = advance_step_1d(rho, dt, None, None, cfg, setup=setup)
-        rho = out.field.values
-        t += out.dt_used
+
+    def record(t, out):
         ts.append(t)
         energies.append(out.energy_after)
-        components.append(_support_components(rho))
+        components.append(_support_components(out.field.values))
+        return t >= t_max - 1e-12
+
+    # Unclamped steps: the last one ends past t_max (at 150.1 after 1501 steps).
+    march(setup, rho, 0.0, math.inf, dt, cfg, record)
     ts = np.array(ts)
     energies = np.array(energies)
     rates = np.abs(np.diff(energies) / np.diff(ts))

@@ -22,6 +22,7 @@ from .experiments import (
     STUDY_CASE_NAMES,
     bifurcation_sweep,
     convergence_study,
+    format_row,
     run_experiment,
 )
 
@@ -60,12 +61,10 @@ def _cmd_convergence(args):
         args.case, args.scheme, args.levels, exponent=args.exponent,
         output_dir=_resolve_output(args.output),
     )
-    dim2 = len(result.rows[0]) == 4
-    header = ("dt", "dx", "dy", "error", "order") if dim2 else ("dt", "dx", "error", "order")
+    header, rows = result.table()
     print(",".join(header))
-    for i, row in enumerate(result.rows):
-        order = "" if i == 0 else f"{result.orders[i - 1]:.10g}"
-        print(",".join(f"{v:.10g}" for v in row) + f",{order}")
+    for row in rows:
+        print(format_row(row))
     if result.csv_path:
         print(f"written: {result.csv_path}", file=sys.stderr)
     return 0
@@ -79,8 +78,7 @@ def _cmd_sweep(args):
     )
     print(",".join(record.HEADER))
     for row in record.rows:
-        print(",".join(f"{v:.10g}" if not isinstance(v, bool) else ("1" if v else "0")
-                       for v in row))
+        print(format_row(row))
     if record.csv_path:
         print(f"written: {record.csv_path}", file=sys.stderr)
     if any(not row[3] for row in record.rows):

@@ -14,7 +14,6 @@ import numpy as np
 from . import analysis, scheme1d
 from .analysis import ReferenceSolution, convergence_order, l1_error, sample_reference
 from .errors import ConfigurationError, StepError
-from .kernels import EXPLICIT
 from .model import DensityField, Grid, ModelSpec, field_values
 from .presets import (
     heat,
@@ -23,16 +22,30 @@ from .presets import (
     porous_medium,
 )
 from .scheme1d import S1, S2
-from .solver import NewtonConfig, SchemeSetup, advance_step_1d, build_setup
+from .solver import (
+    NewtonConfig,
+    SchemeSetup,
+    StepOutcome,
+    advance_step_1d,
+    build_setup,
+    clipped_energy,
+)
 from .split2d import advance_step_2d
 
 
 def _format(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{value:.10g}"
+
+
+def format_row(row) -> str:
+    """One CSV line: 10 significant digits, integers and booleans as digits."""
+    return ",".join(_format(v) for v in row)
 
 
 def write_csv(path, header, rows):
@@ -41,7 +54,7 @@ def write_csv(path, header, rows):
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(_format(v) for v in row) + "\n")
+            f.write(format_row(row) + "\n")
 
 
 def write_snapshot(path, grid: Grid, values):
@@ -178,42 +191,44 @@ class RunRecord:
         return not self.violations
 
 
-def _advance(values, dt, setup: SchemeSetup, cfg: NewtonConfig):
-    if setup.model.grid.dimension == 1:
-        return advance_step_1d(values, dt, None, None, cfg, setup=setup)
-    return advance_step_2d(values, dt, setup, cfg)
+def step(rho, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
+         compute_energy: bool = True) -> StepOutcome:
+    """One time step of the setup's model, 1D or 2D."""
+    advance = advance_step_1d if setup.model.grid.dimension == 1 else advance_step_2d
+    return advance(rho, dt, setup, config, compute_energy)
+
+
+def march(setup: SchemeSetup, rho, t, until, dt, config: NewtonConfig | None = None,
+          observer=None, compute_energy: bool = True):
+    """Step rho from time t toward ``until``; returns (rho, t).
+
+    Each step requests min(dt, until - t), where ``dt`` is a number or a
+    callable of the current density. The loop stops once t >= until - 1e-12,
+    or after a step for which ``observer(t, outcome)`` returns True. A
+    StepError propagates to the caller.
+    """
+    while t < until - 1e-12:
+        h = dt(rho) if callable(dt) else dt
+        out = step(rho, min(h, until - t), setup, config, compute_energy)
+        rho = out.field.values
+        t += out.dt_used
+        if observer is not None and observer(t, out):
+            break
+    return rho, t
 
 
 def _auto_dt(values, setup: SchemeSetup) -> float:
     """Conservative step suggestion from the current state's velocities."""
-    grid = setup.model.grid
+    dx = setup.dx
     if setup.scheme.kind == S2:
-        return grid.dx
+        return dx
     vals = field_values(values)
-    peak = 0.0
-    if grid.dimension == 1:
-        faces = scheme1d.face_data(
-            setup.scheme.kind, vals, vals, setup.dx, setup.energy,
-            setup.v_table, setup.kernel, EXPLICIT, setup.scheme.theta,
-        )
-        if faces.velocity.size:
-            peak = float(np.abs(faces.velocity).max())
-    else:
-        conv = None
-        if setup.kernel is not None:
-            from .kernels import convolve
-
-            conv = convolve(setup.kernel, vals)
-        xi = setup.energy.slope_regularized(vals) + setup.v_table
-        if conv is not None:
-            xi = xi + conv
-        peak = max(
-            float(np.abs(np.diff(xi, axis=0)).max(initial=0.0)),
-            float(np.abs(np.diff(xi, axis=1)).max(initial=0.0)),
-        ) / grid.dx
+    xi = scheme1d.chemical_potential(vals, vals, setup.energy, setup.v_table, setup.kernel)
+    # The largest face velocity |u| = |xi_{i+1} - xi_i| / dx along any axis.
+    peak = max(float(np.abs(np.diff(xi, axis=k)).max(initial=0.0)) for k in range(xi.ndim)) / dx
     if peak == 0.0:
-        return grid.dx
-    return 0.9 * grid.dx / (2.0 * peak)
+        return dx
+    return 0.9 * dx / (2.0 * peak)
 
 
 def run_experiment(config: ExperimentConfig) -> RunRecord:
@@ -231,7 +246,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     rho = np.maximum(rho, 0.0)
 
     t = config.t_initial
-    energy0 = analysis.discrete_energy(rho, model, setup.kernel).total
+    energy0 = clipped_energy(setup, rho)
     rows = [(t, energy0, rho.sum() * grid.cell_measure, float(rho.min()), 0, 0.0, 0)]
     violations: list = []
     snapshots_pending = sorted(config.snapshots)
@@ -252,16 +267,10 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
     prev_energy = energy0
     step_index = 0
-    while t < config.t_final - 1e-12:
-        dt = _auto_dt(rho, setup) if config.dt == "auto" else float(config.dt)
-        dt = min(dt, config.t_final - t)
-        try:
-            out = _advance(rho, dt, setup, cfg)
-        except StepError as exc:
-            violations.append(f"step failed at t={t:.6g}: {exc}")
-            break
-        rho = out.field.values
-        t += out.dt_used
+
+    def record(t_now, out):
+        nonlocal t, rho, prev_energy, step_index, snapshot_paths
+        t, rho = t_now, out.field.values
         step_index += 1
         energy = out.energy_after
         tol = 100.0 * cfg.tolerance * (1.0 + abs(prev_energy))
@@ -276,6 +285,12 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                  out.iterations, out.dt_used, out.cfl_retries)
             )
         snapshot_paths += maybe_snapshot(t, rho)
+
+    dt = (lambda values: _auto_dt(values, setup)) if config.dt == "auto" else float(config.dt)
+    try:
+        march(setup, rho, t, config.t_final, dt, cfg, record)
+    except StepError as exc:
+        violations.append(f"step failed at t={t:.6g}: {exc}")
 
     csv_path = None
     if config.output_dir:
@@ -335,6 +350,12 @@ class StudyResult:
     orders: list
     csv_path: str | None = None
 
+    def table(self):
+        """CSV header and rows, each row ending in its order ("" on the first)."""
+        header = ("dt", "dx", "error") if len(self.rows[0]) == 3 else ("dt", "dx", "dy", "error")
+        orders = [""] + list(self.orders)
+        return header + ("order",), [row + (o,) for row, o in zip(self.rows, orders)]
+
 
 def run_level(case: StudyCase, scheme_kind: str, level: int, exponent=None,
               solver: NewtonConfig | None = None) -> tuple:
@@ -350,18 +371,8 @@ def run_level(case: StudyCase, scheme_kind: str, level: int, exponent=None,
         exponent=model.energy.exponent, mass=1.0,
     )
     setup = build_setup(model, scheme_kind, stage="midpoint")
-    cfg = solver or NewtonConfig()
     rho = sample_reference(ref, case.t_initial, grid)
-    t = case.t_initial
-    while t < case.t_final - 1e-12:
-        step_dt = min(dt, case.t_final - t)
-        out = (
-            advance_step_1d(rho, step_dt, None, None, cfg, setup=setup, compute_energy=False)
-            if case.dimension == 1
-            else advance_step_2d(rho, step_dt, setup, cfg, compute_energy=False)
-        )
-        rho = out.field.values
-        t += out.dt_used
+    rho, _ = march(setup, rho, case.t_initial, case.t_final, dt, solver, compute_energy=False)
     error = l1_error(rho, ref, case.t_final, grid)
     return dt, dx, error
 
@@ -390,24 +401,10 @@ def convergence_study(case_name: str, scheme_kind: str, levels: int, exponent=No
     orders = convergence_order(errors) if len(errors) >= 2 else []
     result = StudyResult(case_name, scheme_kind, rows, errors, orders)
     if output_dir:
-        header = (
-            ("dt", "dx", "error", "order")
-            if case.dimension == 1
-            else ("dt", "dx", "dy", "error", "order")
-        )
         path = os.path.join(output_dir, f"convergence_{case_name}_{scheme_kind}.csv")
-        with open_makedirs(path) as f:
-            f.write(",".join(header) + "\n")
-            for i, row in enumerate(rows):
-                order = "" if i == 0 else _format(orders[i - 1])
-                f.write(",".join(_format(v) for v in row) + f",{order}\n")
+        write_csv(path, *result.table())
         result.csv_path = path
     return result
-
-
-def open_makedirs(path):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    return open(path, "w", newline="\n")
 
 
 # ---------------------------------------------------------------------------
@@ -423,27 +420,21 @@ def run_to_steady(setup: SchemeSetup, rho0, dt, t_max, cfg: NewtonConfig | None 
     Returns (rho, t_reached, converged, history) where history holds
     (t, energy) pairs when requested.
     """
-    cfg = cfg or NewtonConfig()
     grid = setup.model.grid
     rho = field_values(rho0).copy()
-    t = 0.0
-    history = []
-    if record_energy:
-        history.append((t, analysis.discrete_energy(np.maximum(rho, 0.0),
-                                                    setup.model, setup.kernel).total))
-    converged = False
-    while t < t_max - 1e-12:
-        step_dt = min(dt, t_max - t)
-        out = _advance(rho, step_dt, setup, cfg)
-        new = out.field.values
-        increment = np.abs(new - rho).sum() * grid.cell_measure
-        rho = new
-        t += out.dt_used
+    history = [(0.0, clipped_energy(setup, rho))] if record_energy else []
+    last, converged = rho, False
+
+    def settled(t, out):
+        nonlocal last, converged
         if record_energy:
             history.append((t, out.energy_after))
-        if increment <= l1_tol:
-            converged = True
-            break
+        increment = np.abs(out.field.values - last).sum() * grid.cell_measure
+        last = out.field.values
+        converged = bool(increment <= l1_tol)
+        return converged
+
+    rho, t = march(setup, rho, 0.0, t_max, dt, cfg, settled, compute_energy=record_energy)
     return rho, t, converged, history
 
 
@@ -510,7 +501,7 @@ def bifurcation_sweep(config: ExperimentConfig, parameter: str, values,
             setup, rho0, float(dt), config.t_final - config.t_initial, config.solver
         )
         moment = analysis.first_moment(rho, model.grid)
-        energy = analysis.discrete_energy(np.maximum(rho, 0.0), model, setup.kernel).total
+        energy = clipped_energy(setup, rho)
         rows.append((float(value), float(np.abs(moment[0])), energy, converged, t_reached))
     record = SweepRecord(rows)
     if output_dir:

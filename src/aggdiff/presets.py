@@ -13,18 +13,19 @@ from .model import (
 )
 
 
-def grid_1d(half_width: float, dx: float) -> Grid:
+def _grid(dimension: int, half_width: float, dx: float) -> Grid:
     m = round(half_width / dx)
     if abs(m * dx - half_width) > 1e-12 * half_width:
         raise ValueError(f"dx={dx} does not tile [-L, L] with L={half_width}")
-    return Grid(1, half_width, m)
+    return Grid(dimension, half_width, m)
+
+
+def grid_1d(half_width: float, dx: float) -> Grid:
+    return _grid(1, half_width, dx)
 
 
 def grid_2d(half_width: float, dx: float) -> Grid:
-    m = round(half_width / dx)
-    if abs(m * dx - half_width) > 1e-12 * half_width:
-        raise ValueError(f"dx={dx} does not tile [-L, L] with L={half_width}")
-    return Grid(2, half_width, m)
+    return _grid(2, half_width, dx)
 
 
 def heat(grid: Grid, diffusion: float = 1.0) -> ModelSpec:
@@ -61,14 +62,6 @@ def bistable_heat(grid: Grid, diffusion: float = 0.25) -> ModelSpec:
     )
 
 
-def bistable_porous_medium(grid: Grid, exponent: float = 3.0, diffusion: float = 1.0) -> ModelSpec:
-    return ModelSpec(
-        InternalEnergy.power(diffusion, exponent),
-        PotentialSpec(confinement=Bistable(1.0)),
-        grid,
-    )
-
-
 def aggregation_diffusion(grid: Grid, exponent: float = 3.0, diffusion: float = 0.1,
                           width: float = 0.5) -> ModelSpec:
     """Degenerate diffusion with an attractive Gaussian kernel (metastability)."""
@@ -83,16 +76,6 @@ def flocking(grid: Grid, noise: float, alignment: float = 1.0) -> ModelSpec:
     """Noisy kinetic flocking: entropy diffusion, bistable well, quadratic alignment."""
     return ModelSpec(
         InternalEnergy.entropy(noise),
-        PotentialSpec(confinement=Bistable(alignment), interaction=Quadratic(1.0)),
-        grid,
-    )
-
-
-def flocking_degenerate(grid: Grid, noise: float, exponent: float = 2.0,
-                        regularization: float = 0.0, alignment: float = 1.0) -> ModelSpec:
-    """Flocking with power diffusion and optional linear-diffusion regularization."""
-    return ModelSpec(
-        InternalEnergy.power_plus_entropy(noise, exponent, regularization),
         PotentialSpec(confinement=Bistable(alignment), interaction=Quadratic(1.0)),
         grid,
     )

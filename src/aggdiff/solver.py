@@ -1,4 +1,4 @@
-"""Newton solution of the implicit systems and the 1D time step driver.
+"""Newton solution of the implicit systems and the time step driver.
 
 The schemes' updates are roots of a nonlinear residual. A damped Newton
 iteration with vacuum regularization solves them; the second-order scheme's
@@ -257,7 +257,7 @@ def solve_lines(problem: LineProblem, config: NewtonConfig | None = None, *, _de
     strong aggregation next to a vacuum cell. S2 then solves the step over
     dt/2 first (nested up to MAX_CONTINUATION_HALVINGS times) and restarts
     Newton from that root; the root moves continuously with dt. S1 halves
-    the step itself instead (see ``retry_halving_dt``).
+    the step itself instead (see ``drive_step``).
 
     Returns (rho_new, iterations summed over lines, worst norm).
     """
@@ -295,70 +295,42 @@ def implicit_step_1d(rho_old, dt, setup: SchemeSetup, config: NewtonConfig | Non
 MAX_CFL_HALVINGS = 20
 
 
-def advance_step_1d(rho_old, dt_request, scheme, model: ModelSpec | None = None,
-                    config: NewtonConfig | None = None, setup: SchemeSetup | None = None,
-                    compute_energy: bool = True) -> StepOutcome:
-    """Advance one 1D time step, enforcing the S1 CFL bound a posteriori.
+def drive_step(attempt, rho, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
+               compute_energy: bool = True) -> StepOutcome:
+    """One time step around ``attempt``, the only part that depends on dimension.
 
-    S2 accepts the requested dt unconditionally. S1 solves, evaluates its
-    CFL bound with the converged velocities, and halves dt with a re-solve
-    on violation (at most 20 halvings). The accepted field must conserve
-    mass and stay non-negative within solver tolerance.
+    ``attempt(values, dt, cfg) -> (new, iterations, worst_norm, row_solves,
+    cfl_bound)`` solves the step. The input density is checked before any
+    solve: a wrong shape, a non-finite value or a value below -10*tol raises
+    DomainError. S1's CFL bound references the converged velocities, so a
+    violation halves dt and re-solves; S1's implicit system may also be
+    unsolvable well above the bound, so a NewtonError is retried smaller too.
+    S2 reports non-convergence instead of guessing. At most MAX_CFL_HALVINGS
+    retries. The accepted field must conserve mass and stay above -10*tol.
     """
     cfg = config or NewtonConfig()
-    if setup is None:
-        if model is None:
-            raise DomainError("advance_step_1d needs a model or a prebuilt setup")
-        setup = build_setup(model, scheme)
-    b = field_values(rho_old)
+    b = field_values(rho)
     grid = setup.model.grid
-    sch = setup.scheme
-    check_step_input(b, grid.shape, cfg.tolerance)
+    tol = cfg.tolerance
+    if b.shape != grid.shape:
+        raise DomainError(f"density shape {b.shape} does not match the grid's {grid.shape}")
+    if not np.all(np.isfinite(b)):
+        raise DomainError("density must be finite")
+    if b.min() < -10.0 * tol:
+        raise DomainError(f"density dips to {b.min():g}, below -10*tol")
 
     energy_before = clipped_energy(setup, b, compute_energy)
-
-    def attempt(dt):
-        problem = line_problem(setup, b, dt)
-        a, iters, norm = solve_lines(problem, cfg)
-        bound = np.inf if sch.kind == S2 else scheme1d.max_stable_dt(
-            sch.kind, problem.velocity(a), setup.dx, order=2)
-        return (a, iters, norm), bound
-
-    (a, iters, norm), dt, retries = retry_halving_dt(attempt, dt_request, sch.kind)
-    check_step_postconditions(a, b, grid.cell_measure, cfg.tolerance)
-
-    energy_after = clipped_energy(setup, a, compute_energy)
-
-    field = DensityField(a, grid, min_allowed=10.0 * cfg.tolerance)
-    return StepOutcome(field, iters, norm, dt, retries, energy_before, energy_after)
-
-
-def clipped_energy(setup: SchemeSetup, values, compute: bool = True):
-    """Discrete energy of max(values, 0), or None when not computed."""
-    if not compute:
-        return None
-    return analysis.discrete_energy(np.maximum(values, 0.0), setup.model, setup.kernel).total
-
-
-def retry_halving_dt(attempt, dt_request, kind):
-    """Run ``attempt(dt) -> (result, cfl_bound)``, halving dt while the bound is violated.
-
-    S1's implicit system may be unsolvable well above its CFL bound, so a
-    NewtonError is treated like a violation and retried smaller; S2 reports
-    non-convergence instead of guessing. At most MAX_CFL_HALVINGS retries.
-    Returns (result, dt, retries).
-    """
-    dt = float(dt_request)
+    dt = float(dt)
     retries = 0
     while True:
         try:
-            result, bound = attempt(dt)
+            a, iters, norm, row_solves, bound = attempt(b, dt, cfg)
         except NewtonError:
-            if kind == S2 or retries >= MAX_CFL_HALVINGS:
+            if setup.scheme.kind == S2 or retries >= MAX_CFL_HALVINGS:
                 raise
         else:
             if dt <= bound * (1.0 + 1e-12):
-                return result, dt, retries
+                break
             if retries >= MAX_CFL_HALVINGS:
                 raise StepError(
                     f"CFL halving exhausted after {retries} retries (dt={dt:g}, bound={bound:g})"
@@ -366,23 +338,35 @@ def retry_halving_dt(attempt, dt_request, kind):
         dt *= 0.5
         retries += 1
 
-
-def check_step_input(values, shape, tol):
-    """Reject a density before any solve: wrong shape, non-finite, or below -10*tol."""
-    if values.shape != shape:
-        raise DomainError(f"density shape {values.shape} does not match the grid's {shape}")
-    if not np.all(np.isfinite(values)):
-        raise DomainError("density must be finite")
-    if values.min() < -10.0 * tol:
-        raise DomainError(f"density dips to {values.min():g}, below -10*tol")
-
-
-def check_step_postconditions(a, b, measure, tol):
-    """The accepted field conserves mass and stays above -10*tol."""
-    slack = 10.0 * tol
-    if a.min() < -slack:
+    if a.min() < -10.0 * tol:
         raise StepError(f"accepted field dips to {a.min():g}, below -10*tol")
-    mass_new = a.sum() * measure
-    mass_old = b.sum() * measure
-    if abs(mass_new - mass_old) > slack * (1.0 + abs(mass_old)):
+    mass_new = a.sum() * grid.cell_measure
+    mass_old = b.sum() * grid.cell_measure
+    if abs(mass_new - mass_old) > 10.0 * tol * (1.0 + abs(mass_old)):
         raise StepError(f"mass drifted by {mass_new - mass_old:g} over one step")
+
+    field = DensityField(a, grid, min_allowed=10.0 * tol)
+    return StepOutcome(field, iters, norm, dt, retries, energy_before,
+                       clipped_energy(setup, a, compute_energy), row_solves)
+
+
+def advance_step_1d(rho_old, dt_request, setup: SchemeSetup, config: NewtonConfig | None = None,
+                    compute_energy: bool = True) -> StepOutcome:
+    """Advance one 1D time step (see drive_step); S2 accepts any dt."""
+
+    def attempt(values, dt, cfg):
+        problem = line_problem(setup, values, dt)
+        a, iters, norm = solve_lines(problem, cfg)
+        # S2 has no bound; skipping it saves one potential evaluation per step.
+        bound = np.inf if problem.kind == S2 else scheme1d.max_stable_dt(
+            problem.kind, problem.velocity(a), setup.dx, order=2)
+        return a, iters, norm, 1, bound
+
+    return drive_step(attempt, rho_old, dt_request, setup, config, compute_energy)
+
+
+def clipped_energy(setup: SchemeSetup, values, compute: bool = True):
+    """Discrete energy of max(values, 0), or None when not computed."""
+    if not compute:
+        return None
+    return analysis.discrete_energy(np.maximum(values, 0.0), setup.model, setup.kernel).total

@@ -22,17 +22,14 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import RoutingError
 from .kernels import EXPLICIT, convolve, make_kernel_1d
-from .model import DensityField, field_values
+from .model import field_values
 from .scheme1d import S1, max_stable_dt
 from .solver import (
     NewtonConfig,
     SchemeSetup,
     StepOutcome,
-    check_step_input,
-    check_step_postconditions,
-    clipped_energy,
+    drive_step,
     line_problem,
-    retry_halving_dt,
     solve_lines,
 )
 
@@ -142,35 +139,19 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
 
 def advance_step_2d(rho, dt_request, setup: SchemeSetup, config: NewtonConfig | None = None,
                     compute_energy: bool = True) -> StepOutcome:
-    """One full 2D step: x-pass then y-pass, routed to split or sweep.
+    """One full 2D step (see drive_step): x-pass then y-pass, routed to split or sweep.
 
-    S1 enforces the split CFL bound (the minimum of the per-pass face-velocity
-    bounds) a posteriori, halving dt and retrying the whole step on violation.
+    S1's bound is the split CFL bound: the smallest of the passes'
+    face-velocity bounds.
     """
-    cfg = config or NewtonConfig()
-    field = field_values(rho)
-    grid = setup.model.grid
-    sch = setup.scheme
-    check_step_input(field, grid.shape, cfg.tolerance)
-    decoupled = setup.kernel is None or sch.stage_rule == EXPLICIT
+    decoupled = setup.kernel is None or setup.scheme.stage_rule == EXPLICIT
     advance = advance_split_axis if decoupled else advance_sweep_axis
 
-    energy_before = clipped_energy(setup, field, compute_energy)
-
-    def attempt(dt):
+    def attempt(field, dt, cfg):
         tel = PassTelemetry()
         half = advance(field, 0, dt, setup, cfg, tel)
         full = advance(half, 1, dt, setup, cfg, tel)
-        # The split bound is the smallest of the passes' face-velocity bounds.
-        return (full, tel), max_stable_dt(sch.kind, np.array([tel.max_velocity]), setup.dx)
+        bound = max_stable_dt(setup.scheme.kind, np.array([tel.max_velocity]), setup.dx)
+        return full, tel.newton_iterations, tel.worst_norm, tel.row_solves, bound
 
-    (full, tel), dt, retries = retry_halving_dt(attempt, dt_request, sch.kind)
-    check_step_postconditions(full, field, grid.cell_measure, cfg.tolerance)
-
-    energy_after = clipped_energy(setup, full, compute_energy)
-
-    out_field = DensityField(full, grid, min_allowed=10.0 * cfg.tolerance)
-    return StepOutcome(
-        out_field, tel.newton_iterations, tel.worst_norm, dt, retries,
-        energy_before, energy_after, row_solves=tel.row_solves,
-    )
+    return drive_step(attempt, rho, dt_request, setup, config, compute_energy)

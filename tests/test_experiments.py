@@ -10,14 +10,20 @@ from aggdiff.errors import ConfigurationError
 from aggdiff.experiments import (
     ExperimentConfig,
     InitialSpec,
+    _auto_dt,
     bifurcation_sweep,
     build_initial,
     convergence_study,
+    march,
     run_experiment,
     run_to_steady,
+    step,
 )
+from aggdiff.kernels import convolve
 from aggdiff.presets import flocking, grid_1d, grid_2d, heat, linear_fokker_planck
-from aggdiff.solver import NewtonConfig, build_setup
+from aggdiff.scheme1d import face_data
+from aggdiff.solver import NewtonConfig, advance_step_1d, build_setup
+from aggdiff.split2d import advance_step_2d
 
 
 class TestInitialConditions:
@@ -129,9 +135,79 @@ class TestRunExperiment:
         assert record.ok
         assert record.rows[-1][0] == pytest.approx(0.05)
 
+    def test_auto_dt_s1_2d(self):
+        g = grid_2d(3.0, 0.5)
+        record = run_experiment(self._config(
+            model=linear_fokker_planck(g), scheme_kind="s1", dt="auto", t_final=0.05,
+        ))
+        assert record.ok
+        assert record.rows[-1][0] == pytest.approx(0.05)
+
     def test_final_step_clipped_to_t_final(self):
         record = run_experiment(self._config(dt=0.4, t_final=0.5))
         assert record.rows[-1][0] == pytest.approx(0.5)
+
+
+def _flocking_setup(dimension, kind, stage):
+    g = grid_1d(4.0, 0.25) if dimension == 1 else grid_2d(4.0, 0.5)
+    model = flocking(g, noise=0.5)
+    rho = build_initial(
+        InitialSpec("gaussian", mass=1.0, width=0.6, center=(0.3, -0.2)), g, 0.0, model
+    )
+    return build_setup(model, kind, stage), rho
+
+
+class TestAutoDt:
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_matches_the_largest_face_velocity(self, dimension):
+        setup, rho = _flocking_setup(dimension, "s1", "explicit")
+        dx = setup.dx
+        v_eff = setup.v_table + convolve(setup.kernel, rho)
+        peak = 0.0
+        for axis in range(dimension):
+            lines = np.moveaxis(rho, axis, -1)
+            faces = face_data("s1", lines, lines, dx, setup.energy,
+                              np.moveaxis(v_eff, axis, -1), None, "explicit")
+            peak = max(peak, float(np.abs(faces.velocity).max()))
+        assert _auto_dt(rho, setup) == pytest.approx(0.9 * dx / (2.0 * peak), rel=1e-12)
+
+    def test_s2_takes_dx(self):
+        setup, rho = _flocking_setup(2, "s2", "explicit")
+        assert _auto_dt(rho, setup) == setup.dx
+
+
+class TestStepAndMarch:
+    @pytest.mark.parametrize("dimension, stage", [(1, "midpoint"), (2, "explicit"),
+                                                  (2, "midpoint")])
+    def test_step_equals_the_dimension_driver(self, dimension, stage):
+        setup, rho = _flocking_setup(dimension, "s1", stage)
+        driver = advance_step_1d if dimension == 1 else advance_step_2d
+        ours, theirs = step(rho, 0.05, setup), driver(rho, 0.05, setup)
+        assert np.array_equal(ours.field.values, theirs.field.values)
+        fields = ("iterations", "residual_norm", "dt_used", "cfl_retries",
+                  "energy_before", "energy_after", "row_solves")
+        assert [getattr(ours, f) for f in fields] == [getattr(theirs, f) for f in fields]
+
+    def test_last_step_clamped_to_until(self):
+        setup, rho0 = _flocking_setup(1, "s2", "midpoint")
+        seen = []
+        rho, t = march(setup, rho0, 0.0, 0.5, lambda values: 0.2,
+                       observer=lambda t, out: seen.append((t, out)))
+        assert [out.dt_used for _, out in seen[:2]] == [0.2, 0.2]
+        assert len(seen) == 3 and seen[2][1].dt_used == 0.5 - seen[1][0]
+        assert t == seen[-1][0] == pytest.approx(0.5)
+        assert rho is seen[-1][1].field.values
+
+    def test_observer_stops_the_loop(self):
+        setup, rho0 = _flocking_setup(1, "s2", "midpoint")
+        times = []
+
+        def stop_after_two(t, out):
+            times.append(t)
+            return len(times) == 2
+
+        _, t = march(setup, rho0, 0.0, 10.0, 0.1, observer=stop_after_two)
+        assert times == [0.1, 0.2] and t == 0.2
 
 
 class TestConvergenceStudy:

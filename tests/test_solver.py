@@ -120,7 +120,7 @@ class TestAdvanceStep:
         g = grid_1d(2.0, 0.5)
         setup = build_setup(heat(g), "s2", stage="midpoint")
         rho = np.full(g.n_cells, 0.7)
-        out = advance_step_1d(rho, 0.3, None, None, NewtonConfig(), setup=setup)
+        out = advance_step_1d(rho, 0.3, setup, NewtonConfig())
         assert out.iterations <= 1
         assert np.allclose(out.field.values, rho, atol=1e-12)
 
@@ -130,7 +130,7 @@ class TestAdvanceStep:
         rho = np.zeros(g.n_cells)
         rho[5:10] = [0.5, 1.0, 0.0, 1.0, 0.5]  # includes an interior zero cell
         cfg = NewtonConfig()
-        out = advance_step_1d(rho, 10.0 * g.dx, None, None, cfg, setup=setup)
+        out = advance_step_1d(rho, 10.0 * g.dx, setup, cfg)
         assert out.field.values.min() >= -10.0 * cfg.tolerance
         assert out.dt_used == 10.0 * g.dx
 
@@ -139,7 +139,7 @@ class TestAdvanceStep:
         setup = build_setup(linear_fokker_planck(g), "s1", stage="midpoint")
         ref = ReferenceSolution("heat_kernel", 1)
         rho = sample_reference(ref, 0.5, g)
-        out = advance_step_1d(rho, g.dx**2, None, None, NewtonConfig(), setup=setup)
+        out = advance_step_1d(rho, g.dx**2, setup, NewtonConfig())
         assert out.energy_after <= out.energy_before + 1e-12
 
     def test_mass_conserved_per_step(self):
@@ -148,7 +148,7 @@ class TestAdvanceStep:
         ref = ReferenceSolution("barenblatt", 1, exponent=2.0, mass=1.0)
         rho = sample_reference(ref, 1.0, g)
         cfg = NewtonConfig()
-        out = advance_step_1d(rho, 0.5, None, None, cfg, setup=setup)
+        out = advance_step_1d(rho, 0.5, setup, cfg)
         assert abs(out.field.mass - rho.sum() * g.dx) <= 10 * cfg.tolerance * 2
 
     def test_newton_count_small_on_smooth_heat(self):
@@ -157,7 +157,7 @@ class TestAdvanceStep:
         setup = build_setup(heat(g), "s2", stage="midpoint")
         ref = ReferenceSolution("heat_kernel", 1)
         rho = sample_reference(ref, 2.0, g)
-        out = advance_step_1d(rho, g.dx, None, None, NewtonConfig(), setup=setup)
+        out = advance_step_1d(rho, g.dx, setup, NewtonConfig())
         assert out.iterations <= 8
 
     def test_s1_cfl_halves_when_requested_dt_too_big(self):
@@ -166,7 +166,7 @@ class TestAdvanceStep:
         ref = ReferenceSolution("fp_steady", 1)
         rho = sample_reference(ref, 1.0, g) * (1 + 0.3 * np.cos(g.axis_centers()))
         rho = np.maximum(rho, 0.0)
-        out = advance_step_1d(rho, 5.0, None, None, NewtonConfig(), setup=setup)
+        out = advance_step_1d(rho, 5.0, setup, NewtonConfig())
         assert out.cfl_retries >= 1
         assert out.dt_used < 5.0
         assert out.field.values.min() >= -1e-9
@@ -179,7 +179,7 @@ class TestAdvanceStep:
         for mode in ("analytic", "fd"):
             setup = build_setup(heat(g), "s2", stage="midpoint")
             cfg = NewtonConfig(jacobian_mode=mode)
-            out = advance_step_1d(rho, 0.1, None, None, cfg, setup=setup)
+            out = advance_step_1d(rho, 0.1, setup, cfg)
             roots.append(out.field.values)
         assert np.abs(roots[0] - roots[1]).max() <= 1e-9
 
@@ -195,7 +195,7 @@ class TestAdvanceStep:
                 with pytest.raises(DomainError):
                     implicit_step_1d(rho, dt, setup)
                 with pytest.raises(DomainError):
-                    advance_step_1d(rho, dt, None, None, NewtonConfig(), setup=setup)
+                    advance_step_1d(rho, dt, setup, NewtonConfig())
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "negative", "shape"])
     def test_bad_density_fails_before_any_solve(self, bad, monkeypatch):
@@ -209,22 +209,21 @@ class TestAdvanceStep:
         for kind in ("s1", "s2"):
             setup = build_setup(heat(g), kind, stage="midpoint")
             with pytest.raises(DomainError):
-                advance_step_1d(rho, 0.1, None, None, NewtonConfig(), setup=setup)
+                advance_step_1d(rho, 0.1, setup, NewtonConfig())
 
     def test_density_within_slack_is_accepted(self):
         g = grid_1d(2.0, 0.5)
         rho = np.full(g.n_cells, 1.0)
         rho[2] = -5.0 * NewtonConfig().tolerance  # DensityField's slack is 10*tol
         setup = build_setup(heat(g), "s2", stage="midpoint")
-        out = advance_step_1d(rho, 0.1, None, None, NewtonConfig(), setup=setup)
+        out = advance_step_1d(rho, 0.1, setup, NewtonConfig())
         assert out.field.values.min() >= -10 * NewtonConfig().tolerance
 
     def test_energy_can_be_skipped(self):
         g = grid_1d(2.0, 0.5)
         setup = build_setup(heat(g), "s2", stage="midpoint")
         out = advance_step_1d(
-            np.full(g.n_cells, 1.0), 0.1, None, None, NewtonConfig(),
-            setup=setup, compute_energy=False,
+            np.full(g.n_cells, 1.0), 0.1, setup, NewtonConfig(), compute_energy=False
         )
         assert out.energy_before is None and out.energy_after is None
 
@@ -249,7 +248,7 @@ class TestEnergyMonotonicityMatrix:
         cfg = NewtonConfig()
         dt = 0.5 if kind == "s2" else g.dx**2 / 4
         for _ in range(3):
-            out = advance_step_1d(rho, dt, None, None, cfg, setup=setup)
+            out = advance_step_1d(rho, dt, setup, cfg)
             tol = 100 * cfg.tolerance * (1 + abs(out.energy_before))
             assert out.energy_after <= out.energy_before + tol
             rho = out.field.values
