@@ -192,10 +192,13 @@ class RunRecord:
 
 
 def step(rho, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
-         compute_energy: bool = True) -> StepOutcome:
-    """One time step of the setup's model, 1D or 2D."""
+         compute_energy: bool = True, energy_before: float | None = None) -> StepOutcome:
+    """One time step of the setup's model, 1D or 2D (see drive_step)."""
     advance = advance_step_1d if setup.model.grid.dimension == 1 else advance_step_2d
-    return advance(rho, dt, setup, config, compute_energy)
+    return advance(rho, dt, setup, config, compute_energy, energy_before)
+
+
+SLIVER_SHARE = 1e-9  # a last step this close to until absorbs the remainder
 
 
 def march(setup: SchemeSetup, rho, t, until, dt, config: NewtonConfig | None = None,
@@ -203,14 +206,20 @@ def march(setup: SchemeSetup, rho, t, until, dt, config: NewtonConfig | None = N
     """Step rho from time t toward ``until``; returns (rho, t).
 
     Each step requests min(dt, until - t), where ``dt`` is a number or a
-    callable of the current density. The loop stops once t >= until - 1e-12,
-    or after a step for which ``observer(t, outcome)`` returns True. A
-    StepError propagates to the caller.
+    callable of the current density; a step that would leave a remainder
+    within roundoff of until (at most SLIVER_SHARE of dt) runs to until
+    instead. Each step's energy_after is the next step's energy_before. The
+    loop stops once t >= until - 1e-12, or after a step for which
+    ``observer(t, outcome)`` returns True. A StepError propagates to the
+    caller.
     """
+    energy = None
     while t < until - 1e-12:
         h = dt(rho) if callable(dt) else dt
-        out = step(rho, min(h, until - t), setup, config, compute_energy)
-        rho = out.field.values
+        if until - t - h <= SLIVER_SHARE * h:
+            h = until - t
+        out = step(rho, h, setup, config, compute_energy, energy)
+        rho, energy = out.field.values, out.energy_after
         t += out.dt_used
         if observer is not None and observer(t, out):
             break

@@ -26,6 +26,9 @@ IMPLICIT = "implicit"   # rho** = new (unknown) state
 MIDPOINT = "midpoint"   # rho** = (old + new) / 2
 STAGE_RULES = (EXPLICIT, IMPLICIT, MIDPOINT)
 
+# KernelTable.exact_form of W = +-|x|^2/2: the table is exactly quadratic in the offset.
+QUADRATIC_FORMS = ("quadratic+", "quadratic-")
+
 NEGATIVE_DEFINITE = "negative_definite"
 POSITIVE_DEFINITE = "positive_definite"
 INDETERMINATE = "indeterminate"
@@ -104,6 +107,25 @@ class KernelTable:
         d = t[:-1] - t[1:]
         d.setflags(write=False)
         return d
+
+    @cached_property
+    def difference_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """1D quadratic only: (faces, cells) with toeplitz_difference = faces @ cells.T.
+
+        For W_o = alpha*o^2 and centred cell positions p_k = k - (n-1)/2,
+        T[j, k] - T[j+1, k] = 2*alpha*(p_k - (p_j + 1/2)): rank 2, with
+        faces (n-1, 2) = 2*alpha*[-(p_j + 1/2), 1] and cells (n, 2) = [1, p_k].
+        """
+        if self.dimension != 1 or self.exact_form not in QUADRATIC_FORMS:
+            raise ShapeError("rank-2 face differences need a 1D quadratic kernel")
+        n, c = self.n_cells, self.center
+        alpha = self.values[c + 1] - self.values[c]
+        p = np.arange(n) - 0.5 * (n - 1)
+        faces = 2.0 * alpha * np.stack((-(p[:-1] + 0.5), np.ones(n - 1)), axis=1)
+        cells = np.stack((np.ones(n), p), axis=1)
+        faces.setflags(write=False)
+        cells.setflags(write=False)
+        return faces, cells
 
 
 def _eval_radial(interaction, x, y=None, dimension=1):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .kernels import EXPLICIT, IMPLICIT, MIDPOINT, STAGE_RULES, convolve
+from .kernels import EXPLICIT, IMPLICIT, MIDPOINT, QUADRATIC_FORMS, STAGE_RULES, convolve
 from .model import InternalEnergy, field_values
 
 S1 = "s1"  # second order in space, CFL-conditional guarantees
@@ -96,7 +96,8 @@ def chemical_potential(rho_new, rho_conv, energy: InternalEnergy, v_table, kerne
 
 def face_velocities(xi, dx: float) -> np.ndarray:
     """u_{i+1/2} = -(xi_{i+1} - xi_i)/dx on the interior faces of each line."""
-    return -np.diff(np.asarray(xi, dtype=float)) / dx
+    xi = np.asarray(xi, dtype=float)
+    return -(xi[..., 1:] - xi[..., :-1]) / dx
 
 
 def assemble_flux(kind: str, velocity, rho_new, east=None, west=None) -> np.ndarray:
@@ -149,6 +150,20 @@ class Tridiagonal(NamedTuple):
 
     def scaled(self, c: float) -> "Tridiagonal":
         return Tridiagonal(c * self.lower, c * self.diag, c * self.upper)
+
+
+class TridiagonalLowRank(NamedTuple):
+    """One line's tri + left @ right.T, with left and right shaped (n, rank)."""
+
+    tri: Tridiagonal
+    left: np.ndarray
+    right: np.ndarray
+
+    def to_dense(self) -> np.ndarray:
+        return self.tri.to_dense() + self.left @ self.right.T
+
+    def scaled(self, c: float) -> "TridiagonalLowRank":
+        return TridiagonalLowRank(self.tri.scaled(c), c * self.left, self.right)
 
 
 class LineProblem:
@@ -225,11 +240,23 @@ class LineProblem:
     def residual(self, a, lines=None) -> np.ndarray:
         """R(a); defined for any real a (H' is evaluated above the vacuum floor)."""
         flux = self.flux(a, self.potential(a, lines)[1], lines)
-        divergence = np.diff(flux, prepend=0.0, append=0.0) / self.dx  # zero wall fluxes
+        padded = np.zeros(flux.shape[:-1] + (flux.shape[-1] + 2,))  # zero wall fluxes
+        padded[..., 1:-1] = flux
+        divergence = (padded[..., 1:] - padded[..., :-1]) / self.dx
         return (a - self._rows(self.old, lines)) / self.dt + divergence
 
     def jacobian(self, a, lines=None):
-        """Exact dR/da: a Tridiagonal per line, or a dense matrix when coupled."""
+        """Exact dR/da.
+
+        Without coupling, a Tridiagonal per line. A coupled line sees every
+        cell through the convolution's face differences T[:-1] - T[1:]. Under
+        an exactly quadratic kernel (``exact_form``) those have rank 2
+        (``KernelTable.difference_factors``), and the Jacobian is a
+        TridiagonalLowRank: the tridiagonal part of the decoupled case at the
+        coupled u, plus diag(m_face) times the two factors, pushed through
+        the divergence. Any other coupled kernel gives the dense (n, n)
+        matrix.
+        """
         dx = self.dx
         u = self.potential(a, lines)[1]
         pos = u > 0
@@ -241,20 +268,33 @@ class LineProblem:
             m_face = np.where(pos, east[..., :-1], 0.0) + np.where(neg, west[..., 1:], 0.0)
         else:
             m_face = np.where(pos, a[..., :-1], 0.0) + np.where(neg, a[..., 1:], 0.0)
+        if self.coupled and self.kernel.exact_form not in QUADRATIC_FORMS:
+            return self._dense_jacobian(a, u, g, m_face)
 
+        # dF_j/da_j = [S2] u_j^+ + m_j g_j / dx ; dF_j/da_{j+1} = [S2] u_j^- - m_j g_{j+1}/dx
+        dF_dleft = m_face * g[..., :-1] / dx
+        dF_dright = -m_face * g[..., 1:] / dx
+        if self.kind == S2:
+            dF_dleft = dF_dleft + np.maximum(u, 0.0)
+            dF_dright = dF_dright + np.minimum(u, 0.0)
+        diag = np.full(a.shape, 1.0 / self.dt)
+        diag[..., :-1] += dF_dleft / dx     # +dF_i/da_i from the right face of cell i
+        diag[..., 1:] += -dF_dright / dx    # -dF_{i-1}/da_i from the left face
+        # lower: -dF_{i-1}/da_{i-1}; upper: +dF_i/da_{i+1}
+        tri = Tridiagonal(-dF_dleft / dx, diag, dF_dright / dx)
         if not self.coupled:
-            # dF_j/da_j = [S2] u_j^+ + m_j g_j / dx ; dF_j/da_{j+1} = [S2] u_j^- - m_j g_{j+1}/dx
-            dF_dleft = m_face * g[..., :-1] / dx
-            dF_dright = -m_face * g[..., 1:] / dx
-            if self.kind == S2:
-                dF_dleft = dF_dleft + np.maximum(u, 0.0)
-                dF_dright = dF_dright + np.minimum(u, 0.0)
-            diag = np.full(a.shape, 1.0 / self.dt)
-            diag[..., :-1] += dF_dleft / dx     # +dF_i/da_i from the right face of cell i
-            diag[..., 1:] += -dF_dright / dx    # -dF_{i-1}/da_i from the left face
-            # lower: -dF_{i-1}/da_{i-1}; upper: +dF_i/da_{i+1}
-            return Tridiagonal(-dF_dleft / dx, diag, dF_dright / dx)
+            return tri
 
+        c_rule = 1.0 if self.stage_rule == IMPLICIT else 0.5
+        faces, cells = self.kernel.difference_factors
+        dF = faces * ((c_rule * self.kernel.cell_measure / dx) * m_face)[:, None]
+        left = np.zeros(cells.shape)
+        left[:-1] += dF / dx
+        left[1:] -= dF / dx
+        return TridiagonalLowRank(tri, left, cells)
+
+    def _dense_jacobian(self, a, u, g, m_face):
+        dx = self.dx
         n = a.size
         c_rule = 1.0 if self.stage_rule == IMPLICIT else 0.5
         # du_j/da = -(dxi_{j+1} - dxi_j)/dx, dxi = c_rule*cell_measure*T + diag(g).
@@ -297,8 +337,9 @@ def residual_jacobian(kind, rho_new, rho_old, dt, dx, energy, v_table, kernel,
     """Exact Jacobian of ``residual`` with respect to rho_new.
 
     Returns a Tridiagonal when the convolution does not couple the unknowns
-    (no kernel, or explicit staging); otherwise a dense matrix -- the
-    implicit convolution makes every cell feel every other.
+    (no kernel, or explicit staging); otherwise the implicit convolution
+    makes every cell feel every other, and it returns a TridiagonalLowRank
+    for a quadratic kernel or a dense matrix (see LineProblem.jacobian).
     """
     problem = LineProblem(kind, rho_old, dt, dx, energy, v_table, kernel, stage_rule, theta)
     return problem.jacobian(field_values(rho_new))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from . import analysis, scheme1d
 from .errors import DomainError, NewtonError, NumericalError, StepError
@@ -22,7 +22,7 @@ from .kernels import (
     tabulate_kernel,
 )
 from .model import DensityField, ModelSpec, field_values, sample_confinement
-from .scheme1d import S2, LineProblem, SchemeConfig, Tridiagonal
+from .scheme1d import S2, LineProblem, SchemeConfig, Tridiagonal, TridiagonalLowRank
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,50 @@ def build_setup(model: ModelSpec, scheme, stage: str = "auto", theta: float = 2.
     return SchemeSetup(cfg, model, v_table, kernel)
 
 
+_GTSV, _GESV = get_lapack_funcs(("gtsv", "gesv"), dtype=np.float64)
+
+
+def _solve_tridiagonal(lower, diag, upper, rhs):
+    """LAPACK gtsv on one tridiagonal system of n >= 2 cells, rhs shaped (n,) or (n, k).
+
+    The routine scipy.linalg.solve_banded calls for (1, 1) bands, without
+    its per-call wrapper: the same bits, and the same finite-input check and
+    LinAlgError on a singular matrix.
+    """
+    if not all(np.isfinite(x).all() for x in (lower, diag, upper, rhs)):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, _, x, info = _GTSV(lower, diag, upper, rhs)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
+    return x
+
+
 def _solve_linear(jac, rhs):
-    """Newton updates for the lines of rhs, shaped (lines, n)."""
+    """Newton updates for the lines of rhs, shaped (lines, n).
+
+    A Tridiagonal is one gtsv over every line laid end to end. A
+    TridiagonalLowRank A + U V^T (one line, from a quadratic kernel) is
+    solved by the Woodbury identity: one gtsv of A against [rhs, U], then a
+    rank-sized capacitance system I + V^T A^-1 U. Any other Jacobian is a
+    dense matrix, solved by LU.
+    """
     if isinstance(jac, Tridiagonal):
-        return solve_banded((1, 1), jac.to_banded(), rhs.ravel()).reshape(rhs.shape)
+        ab = jac.to_banded()
+        return _solve_tridiagonal(ab[2, :-1], ab[1], ab[0, 1:], rhs.ravel()).reshape(rhs.shape)
+    if isinstance(jac, TridiagonalLowRank):
+        tri, left, right = jac
+        stacked = np.empty((left.shape[0], 1 + left.shape[1]), order="F")
+        stacked[:, 0] = rhs.reshape(-1)
+        stacked[:, 1:] = left
+        solved = _solve_tridiagonal(tri.lower, tri.diag, tri.upper, stacked)
+        y, z = solved[:, 0], solved[:, 1:]
+        capacitance = np.eye(left.shape[1]) + right.T @ z
+        _, _, w, info = _GESV(capacitance, right.T @ y)
+        if info > 0:
+            raise LinAlgError("singular matrix")
+        return (y - z @ w).reshape(rhs.shape)
     return np.linalg.solve(np.atleast_2d(jac), rhs[..., None])[..., 0]
 
 
@@ -151,8 +191,9 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
     out too, NewtonError is raised with the iterate before that step. Lines
     at tolerance drop out; while some do, the callables get ``(z, lines)``:
     the remaining lines and their batch indices. ``jacobian`` returns a
-    Tridiagonal (one banded solve for every line) or, for one line, a dense
-    matrix; when absent, finite differences of residual_fn are used. Raises
+    Tridiagonal (one banded solve for every line) or, for one line, a
+    TridiagonalLowRank or a dense matrix (see _solve_linear); when absent,
+    finite differences of residual_fn are used. Raises
     NewtonError if any line misses the tolerance. Returns (root, iterations
     summed over lines, worst norm).
     """
@@ -160,8 +201,14 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
     shape = np.shape(guess)
     x = np.atleast_2d(np.array(guess, dtype=float, order="C"))
 
+    views = [None, None]  # the last (z, shaped z): a repeated state keeps its object
+
     def shaped(z):
-        return float(z[0, 0]) if not shape else z.reshape(shape)
+        if not shape:
+            return float(z[0, 0])
+        if views[0] is not z:
+            views[:] = z, z.reshape(shape)
+        return views[1]
 
     def call(fn, z, lines):
         if lines is not None:
@@ -271,7 +318,7 @@ def solve_lines(problem: LineProblem, config: NewtonConfig | None = None, *, _de
     if cfg.jacobian_mode == "analytic":
         def jac(a, lines=None):
             j = problem.jacobian(a, lines)
-            return j.scaled(dt) if isinstance(j, Tridiagonal) else dt * j
+            return dt * j if isinstance(j, np.ndarray) else j.scaled(dt)
 
     try:
         return newton_solve(f, problem.old, cfg, jacobian=jac)
@@ -296,7 +343,7 @@ MAX_CFL_HALVINGS = 20
 
 
 def drive_step(attempt, rho, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
-               compute_energy: bool = True) -> StepOutcome:
+               compute_energy: bool = True, energy_before: float | None = None) -> StepOutcome:
     """One time step around ``attempt``, the only part that depends on dimension.
 
     ``attempt(values, dt, cfg) -> (new, iterations, worst_norm, row_solves,
@@ -307,6 +354,8 @@ def drive_step(attempt, rho, dt, setup: SchemeSetup, config: NewtonConfig | None
     unsolvable well above the bound, so a NewtonError is retried smaller too.
     S2 reports non-convergence instead of guessing. At most MAX_CFL_HALVINGS
     retries. The accepted field must conserve mass and stay above -10*tol.
+    ``energy_before``, when given, is the input's clipped energy (the
+    previous step's ``energy_after``) and is not computed again.
     """
     cfg = config or NewtonConfig()
     b = field_values(rho)
@@ -319,7 +368,8 @@ def drive_step(attempt, rho, dt, setup: SchemeSetup, config: NewtonConfig | None
     if b.min() < -10.0 * tol:
         raise DomainError(f"density dips to {b.min():g}, below -10*tol")
 
-    energy_before = clipped_energy(setup, b, compute_energy)
+    if energy_before is None:
+        energy_before = clipped_energy(setup, b, compute_energy)
     dt = float(dt)
     retries = 0
     while True:
@@ -351,7 +401,8 @@ def drive_step(attempt, rho, dt, setup: SchemeSetup, config: NewtonConfig | None
 
 
 def advance_step_1d(rho_old, dt_request, setup: SchemeSetup, config: NewtonConfig | None = None,
-                    compute_energy: bool = True) -> StepOutcome:
+                    compute_energy: bool = True,
+                    energy_before: float | None = None) -> StepOutcome:
     """Advance one 1D time step (see drive_step); S2 accepts any dt."""
 
     def attempt(values, dt, cfg):
@@ -362,7 +413,7 @@ def advance_step_1d(rho_old, dt_request, setup: SchemeSetup, config: NewtonConfi
             problem.kind, problem.velocity(a), setup.dx, order=2)
         return a, iters, norm, 1, bound
 
-    return drive_step(attempt, rho_old, dt_request, setup, config, compute_energy)
+    return drive_step(attempt, rho_old, dt_request, setup, config, compute_energy, energy_before)
 
 
 def clipped_energy(setup: SchemeSetup, values, compute: bool = True):

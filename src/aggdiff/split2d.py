@@ -9,10 +9,15 @@ staged implicitly or at the midpoint, lines do not decouple; the sweeping
 form restores tractability by updating one line at a time, the convolution
 seeing the stage-rule value on the active line and the latest frozen values
 elsewhere. Each sweep stage is then exactly a 1D implicit solve with an
-effective confinement table. A sweep pass convolves the whole field once;
-a stage then costs one 1D FFT of its line's change and one inverse FFT of
-its own line's background, and its coupled solve uses the row kernel's
-Toeplitz matrix, built once per pass.
+effective confinement table: V plus the stage's background, the
+convolution of every other line. For a general kernel a sweep pass
+convolves the whole field once, and a stage then costs one 1D FFT of its
+line's change and one inverse FFT of its own line's background
+(SpectralBackground); its coupled solve uses the row kernel's Toeplitz
+matrix and a dense LU. For a quadratic kernel (``KernelTable.exact_form``)
+the background follows from three moments per line, updated in O(n) per
+stage (MomentBackground), and the coupled Jacobian is tridiagonal plus
+rank 2, solved by Woodbury.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import RoutingError
-from .kernels import EXPLICIT, convolve, make_kernel_1d
+from .kernels import EXPLICIT, QUADRATIC_FORMS, convolve, make_kernel_1d
 from .model import field_values
 from .scheme1d import S1, max_stable_dt
 from .solver import (
@@ -90,55 +95,121 @@ def advance_split_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
     return np.ascontiguousarray(_lines(new_lines, axis))
 
 
+class SpectralBackground:
+    """Stage backgrounds of a sweep pass for any kernel, by FFTs along the line.
+
+    The field is convolved once per pass. What earlier stages changed
+    reaches line r through a complex accumulator: after each stage, one
+    rfft of the line's change, times the kernel's rfft at each later line's
+    offset (taken once per pass), is added to the later lines, and stage r
+    takes one irfft of its own row. Lines before r are never read again in
+    the pass, so they are not updated.
+    """
+
+    def __init__(self, kernel, field, axis, row_kernel):
+        n = field.shape[0]
+        self.n, self.measure, self.row_kernel = n, kernel.cell_measure, row_kernel
+        self.conv = _lines(convolve(kernel, field), axis)
+        # Row m of w_hat: the in-line kernel at line offset m - (n-1). Linear
+        # convolutions of length 3n-2 do not wrap at this size.
+        self.nfft = next_fast_len(3 * n - 2, real=True)
+        self.w_hat = rfft(_lines(kernel.values, axis), self.nfft, axis=1)
+        self.acc = np.zeros((n, self.nfft // 2 + 1), dtype=complex)
+
+    def __call__(self, r, old_line):
+        n = self.n
+        earlier = irfft(self.acc[r], self.nfft)[n - 1 : 2 * n - 1] * self.measure
+        return self.conv[r] + earlier - convolve(self.row_kernel, old_line)
+
+    def update(self, r, old_line, new_line):
+        n = self.n
+        self.acc[r + 1 :] += rfft(new_line - old_line, self.nfft) * self.w_hat[n : 2 * n - 1 - r]
+
+
+class MomentBackground:
+    """Stage backgrounds of a sweep pass for a quadratic kernel, by moments.
+
+    For W_(o, q) = alpha*o^2 + beta*q^2 (o along the line, q across it), the
+    contribution of line q to cell i of line r is
+    measure*(alpha*(p_i^2 M_q - 2 p_i m1_q + m2_q) + beta*(p_r - p_q)^2 M_q),
+    with p the centred cell positions and M_q, m1_q, m2_q line q's mass and
+    first and second moments along the line. Stage r's background is the
+    sum over every line but r: totals minus line r's own row. After a stage
+    only line r's three moments change.
+    """
+
+    def __init__(self, kernel, field, axis):
+        n, c = field.shape[0], kernel.center
+        along, across = kernel.axis_slice(axis), kernel.axis_slice(1 - axis)
+        self.alpha, self.beta = along[c + 1] - along[c], across[c + 1] - across[c]
+        self.measure = kernel.cell_measure
+        self.p = np.arange(n) - 0.5 * (n - 1)
+        self.basis = np.stack((np.ones(n), self.p, self.p**2), axis=1)
+        self.moments = _lines(field, axis) @ self.basis  # (n, 3): M, m1, m2 of every line
+        self.totals = self.moments.sum(axis=0)
+        # Across the lines: sum_q M_q, p_q M_q and p_q^2 M_q.
+        self.across = self.basis.T @ self.moments[:, 0]
+
+    def __call__(self, r, old_line):
+        p = self.p
+        mass, m1, m2 = self.totals - self.moments[r]
+        pr = p[r]
+        total_mass, q1, q2 = self.across
+        between = self.beta * (pr * pr * total_mass - 2.0 * pr * q1 + q2)
+        return self.measure * (self.alpha * ((p * p) * mass - 2.0 * p * m1 + m2) + between)
+
+    def update(self, r, old_line, new_line):
+        new = self.basis.T @ new_line
+        change = new - self.moments[r]
+        self.moments[r] = new
+        self.totals += change
+        self.across += self.basis[r] * change[0]
+
+
 def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
                        telemetry: PassTelemetry | None = None, stage_hook=None) -> np.ndarray:
     """One sweeping directional pass: lines update sequentially.
 
     At stage r only line r changes; its implicit 1D solve sees the
-    interaction of the whole field through an effective confinement, with
-    the stage rule applied to line r's own contribution. The field is
-    convolved once per pass; what earlier stages changed reaches line r
-    through a spectral accumulator along the line. After each stage, one
-    rfft of the line's change, times the kernel's rfft at each later line's
-    offset (taken once per pass), is added to the later lines, and stage r
-    takes one irfft of its own row. Lines before r are never read again in
-    the pass, so they are not updated. Matches a full re-convolution at
-    every stage to roundoff.
+    interaction of the whole field through an effective confinement, the
+    background: every other line's convolution at its latest value, with
+    the stage rule applied to line r's own contribution. A quadratic kernel
+    (``exact_form``) takes its backgrounds from per-line moments
+    (MomentBackground, O(n) per stage); any other kernel from one 2D
+    convolution per pass and a spectral accumulator (SpectralBackground).
+    Both match a full re-convolution at every stage to roundoff.
     """
     field = field_values(rho).copy()
     cfg = config or NewtonConfig()
     tel = telemetry if telemetry is not None else PassTelemetry()
-    n = setup.model.grid.n_cells
     if setup.kernel is None:
         # No coupling: the sweep degenerates to the decoupled pass.
         return advance_split_axis(field, axis, dt, setup, cfg, tel)
 
     kernel = setup.kernel
     # The 1D kernel slice that couples the cells of one line.
-    row_kernel = make_kernel_1d(kernel.axis_slice(axis), kernel.cell_measure)
-    conv = convolve(kernel, field)
-    lines, conv_lines, v_lines = (_lines(a, axis) for a in (field, conv, setup.v_table))
-    # Row m of w_hat: the in-line kernel at line offset m - (n-1). Linear
-    # convolutions of length 3n-2 do not wrap at this size.
-    nfft = next_fast_len(3 * n - 2, real=True)
-    w_hat = rfft(_lines(kernel.values, axis), nfft, axis=1)
-    acc = np.zeros((n, nfft // 2 + 1), dtype=complex)
-    for r in range(n):
+    row_kernel = make_kernel_1d(kernel.axis_slice(axis), kernel.cell_measure, kernel.exact_form)
+    lines, v_lines = _lines(field, axis), _lines(setup.v_table, axis)
+    if kernel.exact_form in QUADRATIC_FORMS:
+        background = MomentBackground(kernel, field, axis)
+    else:
+        background = SpectralBackground(kernel, field, axis, row_kernel)
+    for r in range(lines.shape[0]):
         old_line = lines[r].copy()
-        earlier = irfft(acc[r], nfft)[n - 1 : 2 * n - 1] * kernel.cell_measure
-        background = conv_lines[r] + earlier - convolve(row_kernel, old_line)
-        problem = line_problem(setup, old_line, dt, v_lines[r] + background, row_kernel)
+        v_eff = v_lines[r] + background(r, old_line)
+        problem = line_problem(setup, old_line, dt, v_eff, row_kernel)
         new_line, iters, norm = solve_lines(problem, cfg)
         tel.absorb(problem, new_line, iters, norm)
         lines[r] = new_line
-        acc[r + 1 :] += rfft(new_line - old_line, nfft) * w_hat[n : 2 * n - 1 - r]
+        background.update(r, old_line, new_line)
         if stage_hook is not None:
             stage_hook(axis, r, field)
     return field
 
 
 def advance_step_2d(rho, dt_request, setup: SchemeSetup, config: NewtonConfig | None = None,
-                    compute_energy: bool = True) -> StepOutcome:
+                    compute_energy: bool = True,
+                    energy_before: float | None = None) -> StepOutcome:
     """One full 2D step (see drive_step): x-pass then y-pass, routed to split or sweep.
 
     S1's bound is the split CFL bound: the smallest of the passes'
@@ -154,4 +225,4 @@ def advance_step_2d(rho, dt_request, setup: SchemeSetup, config: NewtonConfig | 
         bound = max_stable_dt(setup.scheme.kind, np.array([tel.max_velocity]), setup.dx)
         return full, tel.newton_iterations, tel.worst_norm, tel.row_solves, bound
 
-    return drive_step(attempt, rho, dt_request, setup, config, compute_energy)
+    return drive_step(attempt, rho, dt_request, setup, config, compute_energy, energy_before)

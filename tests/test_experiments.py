@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from aggdiff import analysis
 from aggdiff.analysis import first_moment
 from aggdiff.errors import ConfigurationError
 from aggdiff.experiments import (
@@ -208,6 +209,38 @@ class TestStepAndMarch:
 
         _, t = march(setup, rho0, 0.0, 10.0, 0.1, observer=stop_after_two)
         assert times == [0.1, 0.2] and t == 0.2
+
+    def test_no_sliver_step_at_the_end(self):
+        # 1500 additions of 0.1 stop just short of 150; the last step absorbs
+        # the roundoff remainder instead of leaving a ~4e-12 step behind it.
+        g = grid_1d(1.0, 0.5)
+        setup = build_setup(heat(g), "s2", stage="midpoint")
+        steps = []
+        _, t = march(setup, np.full(g.n_cells, 0.5), 0.0, 150.0, 0.1,
+                       observer=lambda t, out: steps.append(out.dt_used),
+                       compute_energy=False)
+        assert len(steps) == 1500 and t == pytest.approx(150.0, abs=1e-12)
+        assert min(steps) == pytest.approx(0.1, rel=1e-9)
+
+    def test_energy_handed_from_step_to_step(self, monkeypatch):
+        calls = []
+        energy = analysis.discrete_energy
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return energy(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "discrete_energy", counted)
+        setup, rho0 = _flocking_setup(1, "s2", "midpoint")
+        outcomes = []
+        march(setup, rho0, 0.0, 0.5, 0.1, observer=lambda t, out: outcomes.append(out))
+        assert len(outcomes) == 5 and len(calls) == len(outcomes) + 1
+        for previous, out in zip(outcomes, outcomes[1:]):
+            assert out.energy_before == previous.energy_after
+        # Each handed-on energy equals the one computed afresh, bit for bit.
+        inputs = [rho0] + [out.field.values for out in outcomes[:-1]]
+        for values, out in zip(inputs, outcomes):
+            assert out.energy_before == step(values, 0.1, setup).energy_before
 
 
 class TestConvergenceStudy:

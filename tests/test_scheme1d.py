@@ -9,6 +9,7 @@ from aggdiff.model import InternalEnergy
 from aggdiff.scheme1d import (
     S1,
     S2,
+    LineProblem,
     SchemeConfig,
     assemble_flux,
     chemical_potential,
@@ -20,7 +21,13 @@ from aggdiff.scheme1d import (
     Tridiagonal,
     residual_jacobian,
 )
-from aggdiff.solver import newton_solve, NewtonConfig
+from aggdiff.solver import _solve_linear, newton_solve, NewtonConfig
+
+
+def same_bits(x, y):
+    """Equal shapes and equal bytes: -0.0 and 0.0 differ, equal NaNs agree."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 class TestMinmod:
@@ -209,6 +216,31 @@ class TestResidual:
         assert abs(solved[0] - root) <= 1e-9
 
 
+class TestSliceDifferencesMatchNpDiff:
+    """The residual's divergence and the face velocities against np.diff, bit for bit."""
+
+    @pytest.mark.parametrize("kind", [S1, S2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_batched_lines(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        lines, n, dt, dx = 6, 11, 0.07, 0.25
+        old = rng.random((lines, n))
+        at = old + 0.1 * rng.standard_normal((lines, n))
+        old[rng.random(old.shape) < 0.2] = 0.0  # vacuum cells and zero fluxes
+        at[rng.random(at.shape) < 0.2] = 0.0
+        at[0] = old[0]  # a line at its old state
+        v = rng.random((lines, n))
+        for energy in (InternalEnergy.entropy(1.0), InternalEnergy.power(1.0, 2.0)):
+            problem = LineProblem(kind, old, dt, dx, energy, v, None, MIDPOINT)
+            xi = chemical_potential(at, None, energy, v, None)
+            u = -np.diff(xi) / dx
+            assert same_bits(face_velocities(xi, dx), u)
+            faces = reconstruct_faces(old) if kind == S1 else (None, None)
+            flux = assemble_flux(kind, u, at, *faces)
+            expected = (at - old) / dt + np.diff(flux, prepend=0.0, append=0.0) / dx
+            assert same_bits(problem.residual(at), expected)
+
+
 class TestJacobian:
     @pytest.mark.parametrize("kind", [S1, S2])
     @pytest.mark.parametrize("stage", [EXPLICIT, IMPLICIT, MIDPOINT])
@@ -281,6 +313,25 @@ class TestTridiagonalBatch:
             line = Tridiagonal(jac.lower[k], jac.diag[k], jac.upper[k])
             alone = solve_banded((1, 1), line.to_banded(), rhs[k])
             assert np.array_equal(together[k], alone)
+
+    @pytest.mark.parametrize("lines, n", [(1, 2), (7, 9), (3, 80), (2, 240)])
+    def test_newton_solve_equals_solve_banded(self, lines, n):
+        jac = self._bands(lines, n, n)
+        rhs = np.random.default_rng(n + 1).standard_normal((lines, n))
+        expected = solve_banded((1, 1), jac.to_banded(), rhs.ravel()).reshape(rhs.shape)
+        assert same_bits(_solve_linear(jac, rhs), expected)
+
+    def test_bad_bands_fail_like_solve_banded(self):
+        from scipy.linalg import LinAlgError
+
+        jac = self._bands(2, 5, 3)
+        rhs = np.ones((2, 5))
+        jac.diag[1, 2] = np.nan
+        with pytest.raises(ValueError):
+            _solve_linear(jac, rhs)
+        singular = Tridiagonal(np.zeros((1, 4)), np.zeros((1, 5)), np.zeros((1, 4)))
+        with pytest.raises(LinAlgError):
+            _solve_linear(singular, np.ones((1, 5)))
 
     def test_dense_and_scaled_agree_line_by_line(self):
         jac = self._bands(3, 6, 2)

@@ -2,10 +2,16 @@
 
 import warnings
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from aggdiff import solver
+from aggdiff.kernels import IMPLICIT, MIDPOINT, make_kernel_1d
+from aggdiff.model import InternalEnergy
+from aggdiff.scheme1d import S1, S2, LineProblem, TridiagonalLowRank
 from aggdiff.errors import DomainError, NewtonError, NumericalError
 from aggdiff.presets import grid_1d, heat, linear_fokker_planck, porous_medium
 from aggdiff.analysis import ReferenceSolution, sample_reference
@@ -252,3 +258,40 @@ class TestEnergyMonotonicityMatrix:
             tol = 100 * cfg.tolerance * (1 + abs(out.energy_before))
             assert out.energy_after <= out.energy_before + tol
             rho = out.field.values
+
+
+class TestStructuredSolve:
+    """Woodbury on tridiagonal + rank 2 against LU of the dense coupled Jacobian."""
+
+    n, dx = 16, 0.25
+    offsets = dx * np.arange(-(n - 1), n)
+    density = st.floats(0.0, 5.0, allow_subnormal=False)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        old=hnp.arrays(float, n, elements=density),
+        change=hnp.arrays(float, n, elements=st.floats(-0.5, 0.5)),
+        rhs=hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)),
+        kind=st.sampled_from([S1, S2]),
+        stage=st.sampled_from([IMPLICIT, MIDPOINT]),
+        strength=st.sampled_from([1.0, -1.0]),
+        dt=st.floats(1e-3, 10.0),
+    )
+    def test_matches_dense_lu(self, old, change, rhs, kind, stage, strength, dt):
+        at = np.maximum(old + change, 0.0)
+        values = 0.5 * strength * self.offsets**2
+        form = "quadratic+" if strength > 0 else "quadratic-"
+        energy = InternalEnergy.entropy(1.0)
+        v = 0.1 * np.arange(self.n)
+
+        def problem(kernel):
+            return LineProblem(kind, old, dt, self.dx, energy, v, kernel, stage)
+
+        structured = problem(make_kernel_1d(values, self.dx, form)).jacobian(at)
+        dense = problem(make_kernel_1d(values, self.dx)).jacobian(at)
+        assert isinstance(structured, TridiagonalLowRank) and isinstance(dense, np.ndarray)
+        assert np.abs(structured.to_dense() - dense).max() <= 1e-12 * np.abs(dense).max()
+        for j, scale in ((structured, 1.0), (structured.scaled(dt), dt)):
+            expected = np.linalg.solve(scale * dense, rhs)
+            got = solver._solve_linear(j, rhs[None])[0]
+            assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()

@@ -12,7 +12,7 @@ from aggdiff import split2d
 from aggdiff.analysis import ReferenceSolution, discrete_energy, sample_reference
 from aggdiff.errors import DomainError, RoutingError
 from aggdiff.kernels import MIDPOINT, KernelTable, convolve, make_kernel_1d, tabulate_kernel
-from aggdiff.model import Gaussian
+from aggdiff.model import Gaussian, Quadratic
 from aggdiff.presets import (
     grid_2d,
     heat,
@@ -22,6 +22,8 @@ from aggdiff.presets import (
 from aggdiff.scheme1d import SchemeConfig
 from aggdiff.solver import NewtonConfig, SchemeSetup, build_setup, implicit_step_1d
 from aggdiff.split2d import (
+    MomentBackground,
+    SpectralBackground,
     advance_split_axis,
     advance_step_2d,
     advance_sweep_axis,
@@ -231,6 +233,9 @@ class TestSweepMatchesFullReconvolution:
             SchemeSetup(SchemeConfig(kind, MIDPOINT), fp, build_setup(fp, kind).v_table, gaussian),
             build_setup(fp, kind, stage="implicit"),
             build_setup(fp, kind, stage="midpoint"),
+            # W = -|x|^2/2 (exact_form "quadratic-"), positive definite: implicit.
+            SchemeSetup(SchemeConfig(kind, "implicit"), fp, build_setup(fp, kind).v_table,
+                        tabulate_kernel(Quadratic(-1.0), g)),
         ]
 
     @pytest.mark.parametrize("kind", ["s1", "s2"])
@@ -248,6 +253,36 @@ class TestSweepMatchesFullReconvolution:
             assert np.abs(swept - expected).max() <= 1e-12
             assert tel.newton_iterations == iterations
             assert tel.row_solves == g.n_cells
+
+
+class TestMomentBackground:
+    """Stage backgrounds from line moments against the spectral accumulator."""
+
+    g = grid_2d(2.0, 0.5)
+    n = g.n_cells
+    positive = st.floats(0.0, 10.0, allow_subnormal=False)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        field=hnp.arrays(float, (n, n), elements=positive),
+        changes=hnp.arrays(float, (n, n), elements=st.floats(-1.0, 1.0)),
+        axis=st.sampled_from([0, 1]),
+        strength=st.sampled_from([1.0, -1.0]),
+    )
+    def test_every_stage_matches(self, field, changes, axis, strength):
+        kernel = tabulate_kernel(Quadratic(strength), self.g)
+        row_kernel = make_kernel_1d(kernel.axis_slice(axis), kernel.cell_measure)
+        moments = MomentBackground(kernel, field, axis)
+        spectral = SpectralBackground(kernel, field, axis, row_kernel)
+        lines = split2d._lines(field.copy(), axis)
+        for r in range(self.n):
+            old_line = lines[r].copy()
+            expected = spectral(r, old_line)
+            got = moments(r, old_line)
+            assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+            lines[r] = np.maximum(old_line + changes[r], 0.0)  # the stage's new line
+            moments.update(r, old_line, lines[r])
+            spectral.update(r, old_line, lines[r])
 
 
 class TestSweepProperties:
