@@ -58,18 +58,21 @@ def write_csv(path, header, rows):
 
 
 def write_snapshot(path, grid: Grid, values):
-    """Plain text columns (x, rho) or (x, y, rho), one cell per line."""
+    """Plain text columns (x, rho) or (x, y, rho), one cell per line.
+
+    Each coordinate is formatted once per axis and the lines go to the file
+    in one call; every number reads as ``_format`` writes it.
+    """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     vals = field_values(values)
+    xs = [_format(x) for x in grid.axis_centers().tolist()]
+    if grid.dimension == 1:
+        lines = (f"{x} {r:.10g}\n" for x, r in zip(xs, vals.tolist()))
+    else:  # one row of Python floats at a time
+        lines = (f"{x} {y} {r:.10g}\n"
+                 for x, row in zip(xs, vals) for y, r in zip(xs, row.tolist()))
     with open(path, "w", newline="\n") as f:
-        if grid.dimension == 1:
-            for x, r in zip(grid.axis_centers(), vals):
-                f.write(f"{_format(x)} {_format(r)}\n")
-        else:
-            xs = grid.axis_centers()
-            for i, x in enumerate(xs):
-                for j, y in enumerate(xs):
-                    f.write(f"{_format(x)} {_format(y)} {_format(vals[i, j])}\n")
+        f.writelines(lines)
 
 
 # ---------------------------------------------------------------------------

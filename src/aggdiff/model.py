@@ -10,6 +10,7 @@ the uniform no-flux grid and the non-negative cell-average density field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import xlogy
@@ -127,7 +128,8 @@ class InternalEnergy:
     def power_plus_entropy(cls, diffusion, exponent, entropy_weight):
         return cls("power_entropy", diffusion, exponent, entropy_weight)
 
-    @property
+    # Cached: the solves read both on every residual and Jacobian.
+    @cached_property
     def _entropy_coeff(self) -> float:
         if self.kind == "entropy":
             return self.diffusion
@@ -135,7 +137,7 @@ class InternalEnergy:
             return self.diffusion * self.entropy_weight
         return 0.0
 
-    @property
+    @cached_property
     def _power_coeff(self) -> float:
         # Coefficient of rho^m in H.
         if self.kind in ("power", "power_entropy"):
@@ -182,14 +184,33 @@ class InternalEnergy:
                 out = out + cp * m * (m - 1.0) * rho ** (m - 2.0)
         return out
 
+    # The regularized forms evaluate on the floored density, where every term
+    # is finite and positive (or +0.0), so they need neither slope()'s
+    # errstate nor its zero start: 0.0 + x is x for such x, signed zeros too.
+
     def slope_regularized(self, rho):
         """H'(max(rho, machine eps)) -- the vacuum-safe form used in solves."""
-        return self.slope(np.maximum(rho, EPS_VACUUM))
+        floored = np.maximum(rho, EPS_VACUUM)
+        ce, cp, m = self._entropy_coeff, self._power_coeff, self.exponent
+        if not cp:
+            out = np.log(floored)
+            if ce != 1.0:  # 1.0 * x is x
+                out *= ce
+            return out
+        power = cp * m * floored ** (m - 1.0)
+        return ce * np.log(floored) + power if ce else power
 
     def curvature_regularized(self, rho):
         """d/drho of slope_regularized: H''(rho) above the floor, 0 below."""
         rho = np.asarray(rho, dtype=float)
-        curv = self.curvature(np.maximum(rho, EPS_VACUUM))
+        floored = np.maximum(rho, EPS_VACUUM)
+        ce, cp, m = self._entropy_coeff, self._power_coeff, self.exponent
+        if not cp:
+            curv = ce / floored
+        else:
+            curv = cp * m * (m - 1.0) * floored ** (m - 2.0)
+            if ce:
+                curv = ce / floored + curv
         return np.where(rho > EPS_VACUUM, curv, 0.0)
 
 

@@ -14,6 +14,7 @@ one upwinds the unknown state itself, which buys unconditional positivity.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,11 +59,11 @@ def minmod(z1, z2, z3):
     z1, z2, z3 = np.broadcast_arrays(
         np.asarray(z1, dtype=float), np.asarray(z2, dtype=float), np.asarray(z3, dtype=float)
     )
-    all_pos = (z1 > 0) & (z2 > 0) & (z3 > 0)
-    all_neg = (z1 < 0) & (z2 < 0) & (z3 < 0)
     mn = np.minimum(np.minimum(z1, z2), z3)
     mx = np.maximum(np.maximum(z1, z2), z3)
-    out = np.where(all_pos, mn, np.where(all_neg, mx, 0.0))
+    # All three are positive exactly when the smallest is (a NaN fails both
+    # tests either way), and all negative exactly when the largest is.
+    out = np.where(mn > 0, mn, np.where(mx < 0, mx, 0.0))
     if out.ndim == 0:
         return float(out)
     return out
@@ -97,7 +98,7 @@ def chemical_potential(rho_new, rho_conv, energy: InternalEnergy, v_table, kerne
 def face_velocities(xi, dx: float) -> np.ndarray:
     """u_{i+1/2} = -(xi_{i+1} - xi_i)/dx on the interior faces of each line."""
     xi = np.asarray(xi, dtype=float)
-    return -(xi[..., 1:] - xi[..., :-1]) / dx
+    return (xi[..., 1:] - xi[..., :-1]) / -dx  # d/(-dx) is -(d/dx), bit for bit
 
 
 def assemble_flux(kind: str, velocity, rho_new, east=None, west=None) -> np.ndarray:
@@ -148,9 +149,6 @@ class Tridiagonal(NamedTuple):
         dense[..., i[1:], i[:-1]] = self.lower
         return dense
 
-    def scaled(self, c: float) -> "Tridiagonal":
-        return Tridiagonal(c * self.lower, c * self.diag, c * self.upper)
-
 
 class TridiagonalLowRank(NamedTuple):
     """One line's tri + left @ right.T, with left and right shaped (n, rank)."""
@@ -162,9 +160,6 @@ class TridiagonalLowRank(NamedTuple):
     def to_dense(self) -> np.ndarray:
         return self.tri.to_dense() + self.left @ self.right.T
 
-    def scaled(self, c: float) -> "TridiagonalLowRank":
-        return TridiagonalLowRank(self.tri.scaled(c), c * self.left, self.right)
-
 
 class LineProblem:
     """The implicit system of one time step on a batch of independent lines.
@@ -172,23 +167,32 @@ class LineProblem:
     R(a) = (a - rho_old)/dt + (F_{i+1/2} - F_{i-1/2})/dx, with ``rho_old``
     and ``v_table`` shaped (..., n), lines on the leading axes. What stays
     fixed over a solve is computed once here: the old state's S1 face
-    values and, under the explicit stage rule, the convolution W * rho_old.
-    An implicitly or midpoint staged interaction couples every cell of a
-    line to every other and is defined on a single line only.
+    values (or ``faces``, the (east, west) pair a caller reconstructed for
+    many lines at once) and, under the explicit stage rule, the convolution
+    W * rho_old. An implicitly or midpoint staged interaction couples every
+    cell of a line to every other and is defined on a single line only.
 
-    ``residual`` and ``jacobian`` take the candidate state and optionally
-    ``lines``, the first-axis indices of the lines that state holds. A call
-    at the same state object as the previous one reuses its xi and u, so
-    the state must not be modified in place between calls.
+    Each candidate state a gets one record, computed on first use: xi, the
+    face velocities u, u+ = max(u, 0), u- = min(u, 0), and the two values
+    each face upwinds (the old S1 face values, or a's own cells under S2).
+    The residual's flux, the Jacobian's bands and ``velocity`` all read it;
+    a call at the same state object as the previous one reuses it, so the
+    state must not be modified in place between calls.
+
+    ``residual`` and ``jacobian`` give R and dR/da; ``update_residual`` and
+    ``update_jacobian`` give R*dt and dR/da*dt, the update form Newton
+    solves, scaled as they are assembled and equal bit for bit to dt times
+    the unscaled forms. All four take the candidate state and optionally
+    ``lines``, the first-axis indices of the lines that state holds.
     """
 
     def __init__(self, kind, rho_old, dt, dx, energy, v_table, kernel, stage_rule,
-                 theta: float = 2.0):
+                 theta: float = 2.0, faces=None):
         if kind not in SCHEME_KINDS:
             raise DomainError(f"unknown scheme kind {kind!r}")
         if stage_rule not in STAGE_RULES:
             raise DomainError(f"unknown stage rule {stage_rule!r}")
-        if not (np.isfinite(dt) and dt > 0):
+        if not (math.isfinite(dt) and dt > 0):
             raise DomainError(f"time step must be positive and finite, got {dt!r}")
         self.kind, self.dt, self.dx, self.energy = kind, dt, dx, energy
         self.old = field_values(rho_old)
@@ -200,50 +204,78 @@ class LineProblem:
         if self.kernel is not None and not self.coupled:
             self.conv = convolve(self.kernel, self.old)
         if kind == S1:
-            self.east, self.west = reconstruct_faces(self.old, theta)
-        self._last = None
+            self.east, self.west = faces if faces is not None else reconstruct_faces(
+                self.old, theta)
+            # What a face upwinds when u > 0 and when u < 0.
+            self._upwind = (self.east[..., :-1], self.west[..., 1:])
+        self._last = (None, None, None)
 
     def with_dt(self, dt) -> "LineProblem":
         """The same step over another time step, sharing what was precomputed."""
         other = copy.copy(self)
-        other.dt, other._last = dt, None
+        other.dt, other._last = dt, (None, None, None)
         return other
 
-    @staticmethod
-    def _rows(values, lines):
-        return values if lines is None else values[lines]
+    def _state(self, a, lines):
+        """(xi, u, u+, u-, upwinded left, upwinded right) at state a; see the class."""
+        last = self._last
+        if last[0] is a and last[1] is lines:
+            return last[2]
+        xi = self.energy.slope_regularized(a)
+        xi += self.v if lines is None else self.v[lines]
+        if self.coupled:  # the density the convolution sees under the stage rule
+            stage = a if self.stage_rule == IMPLICIT else 0.5 * (a + self.old)
+            xi += self.kernel.cell_measure * (self.kernel.toeplitz @ stage)
+        elif self.conv is not None:
+            xi += self.conv if lines is None else self.conv[lines]
+        u = face_velocities(xi, self.dx)
+        if self.kind == S1:
+            left, right = self._upwind if lines is None else (
+                self._upwind[0][lines], self._upwind[1][lines])
+        else:
+            left, right = a[..., :-1], a[..., 1:]
+        state = (xi, u, np.maximum(u, 0.0), np.minimum(u, 0.0), left, right)
+        self._last = (a, lines, state)
+        return state
 
     def potential(self, a, lines=None):
         """(xi, u): the cell potential and the face velocities at state a."""
-        last = self._last
-        if last is not None and last[0] is a and last[1] is lines:
-            return last[2], last[3]
-        xi = chemical_potential(a, None, self.energy, self._rows(self.v, lines), None)
-        if self.coupled:  # the density the convolution sees under the stage rule
-            stage = a if self.stage_rule == IMPLICIT else 0.5 * (a + self.old)
-            xi = xi + self.kernel.cell_measure * (self.kernel.toeplitz @ stage)
-        elif self.conv is not None:
-            xi = xi + self._rows(self.conv, lines)
-        u = face_velocities(xi, self.dx)
-        self._last = (a, lines, xi, u)
-        return xi, u
+        return self._state(a, lines)[:2]
 
     def velocity(self, a) -> np.ndarray:
-        return self.potential(a)[1]
+        return self._state(a, None)[1]
 
-    def flux(self, a, u, lines=None) -> np.ndarray:
-        if self.kind == S1:
-            return assemble_flux(S1, u, a, self._rows(self.east, lines),
-                                 self._rows(self.west, lines))
-        return assemble_flux(S2, u, a)
+    def _walled_flux(self, a, lines):
+        """The upwind fluxes at state a between the two zero wall fluxes, (..., n+1)."""
+        _, _, up, um, left, right = self._state(a, lines)
+        walled = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+        flux = walled[..., 1:-1]
+        np.multiply(left, up, out=flux)
+        flux += right * um
+        return walled
+
+    def flux(self, a, lines=None) -> np.ndarray:
+        """Upwind flux on the interior faces at state a; walls carry none."""
+        return self._walled_flux(a, lines)[..., 1:-1]
 
     def residual(self, a, lines=None) -> np.ndarray:
         """R(a); defined for any real a (H' is evaluated above the vacuum floor)."""
-        flux = self.flux(a, self.potential(a, lines)[1], lines)
-        padded = np.zeros(flux.shape[:-1] + (flux.shape[-1] + 2,))  # zero wall fluxes
-        padded[..., 1:-1] = flux
-        divergence = (padded[..., 1:] - padded[..., :-1]) / self.dx
-        return (a - self._rows(self.old, lines)) / self.dt + divergence
+        return self._residual(a, lines, False)
+
+    def update_residual(self, a, lines=None) -> np.ndarray:
+        """R(a)*dt, equal bit for bit to dt * residual(a, lines)."""
+        return self._residual(a, lines, True)
+
+    def _residual(self, a, lines, update):
+        walled = self._walled_flux(a, lines)
+        divergence = walled[..., 1:] - walled[..., :-1]
+        divergence /= self.dx
+        r = a - (self.old if lines is None else self.old[lines])
+        r /= self.dt
+        r += divergence
+        if update:
+            r *= self.dt
+        return r
 
     def jacobian(self, a, lines=None):
         """Exact dR/da.
@@ -257,43 +289,59 @@ class LineProblem:
         the divergence. Any other coupled kernel gives the dense (n, n)
         matrix.
         """
+        return self._jacobian(a, lines, 1.0)
+
+    def update_jacobian(self, a, lines=None):
+        """dR/da*dt, the Jacobian of update_residual, scaled as it is assembled.
+
+        Every band, dense entry and low-rank left factor equals dt times the
+        matching one of ``jacobian`` bit for bit.
+        """
+        return self._jacobian(a, lines, self.dt)
+
+    def _jacobian(self, a, lines, c):
         dx = self.dx
-        u = self.potential(a, lines)[1]
-        pos = u > 0
-        neg = u < 0
+        _, u, up, um, left, right = self._state(a, lines)
         # d xi_i / d a_i from the diffusion term (vacuum-floored).
         g = self.energy.curvature_regularized(a)
-        if self.kind == S1:
-            east, west = self._rows(self.east, lines), self._rows(self.west, lines)
-            m_face = np.where(pos, east[..., :-1], 0.0) + np.where(neg, west[..., 1:], 0.0)
-        else:
-            m_face = np.where(pos, a[..., :-1], 0.0) + np.where(neg, a[..., 1:], 0.0)
+        m_face = np.where(u > 0, left, 0.0) + np.where(u < 0, right, 0.0)
         if self.coupled and self.kernel.exact_form not in QUADRATIC_FORMS:
-            return self._dense_jacobian(a, u, g, m_face)
+            return self._dense_jacobian(a, up, um, g, m_face, c)
 
-        # dF_j/da_j = [S2] u_j^+ + m_j g_j / dx ; dF_j/da_{j+1} = [S2] u_j^- - m_j g_{j+1}/dx
-        dF_dleft = m_face * g[..., :-1] / dx
-        dF_dright = -m_face * g[..., 1:] / dx
+        # dF_j/da_j = m_j g_j/dx [+ u_j^+] and dF_j/da_{j+1} = -m_j g_{j+1}/dx [+ u_j^-],
+        # the bracketed terms under S2 only; dleft and dright end as these over dx.
+        dleft = m_face * g[..., :-1]
+        dleft /= dx
+        dright = m_face * g[..., 1:]
+        dright /= dx
         if self.kind == S2:
-            dF_dleft = dF_dleft + np.maximum(u, 0.0)
-            dF_dright = dF_dright + np.minimum(u, 0.0)
-        diag = np.full(a.shape, 1.0 / self.dt)
-        diag[..., :-1] += dF_dleft / dx     # +dF_i/da_i from the right face of cell i
-        diag[..., 1:] += -dF_dright / dx    # -dF_{i-1}/da_i from the left face
+            dleft += up
+            np.subtract(um, dright, out=dright)
+        else:
+            np.negative(dright, out=dright)
+        dleft /= dx
+        dright /= dx
+        diag = np.empty(a.shape)
+        diag.fill(1.0 / self.dt)
+        diag[..., :-1] += dleft   # +dF_i/da_i from the right face of cell i
+        diag[..., 1:] -= dright   # -dF_{i-1}/da_i from the left face
+        diag *= c
         # lower: -dF_{i-1}/da_{i-1}; upper: +dF_i/da_{i+1}
-        tri = Tridiagonal(-dF_dleft / dx, diag, dF_dright / dx)
+        tri = Tridiagonal(dleft * -c, diag, dright * c)
         if not self.coupled:
             return tri
 
         c_rule = 1.0 if self.stage_rule == IMPLICIT else 0.5
         faces, cells = self.kernel.difference_factors
         dF = faces * ((c_rule * self.kernel.cell_measure / dx) * m_face)[:, None]
-        left = np.zeros(cells.shape)
-        left[:-1] += dF / dx
-        left[1:] -= dF / dx
-        return TridiagonalLowRank(tri, left, cells)
+        dF /= dx
+        low = np.zeros(cells.shape)
+        low[:-1] += dF
+        low[1:] -= dF
+        low *= c
+        return TridiagonalLowRank(tri, low, cells)
 
-    def _dense_jacobian(self, a, u, g, m_face):
+    def _dense_jacobian(self, a, up, um, g, m_face, c):
         dx = self.dx
         n = a.size
         c_rule = 1.0 if self.stage_rule == IMPLICIT else 0.5
@@ -304,12 +352,13 @@ class LineProblem:
         du[idx, idx + 1] -= g[1:] / dx
         dF = m_face[:, None] * du
         if self.kind == S2:
-            dF[idx, idx] += np.maximum(u, 0.0)
-            dF[idx, idx + 1] += np.minimum(u, 0.0)
+            dF[idx, idx] += up
+            dF[idx, idx + 1] += um
         jac = np.zeros((n, n))
         jac[:-1, :] += dF / dx
         jac[1:, :] -= dF / dx
         jac[np.diag_indices(n)] += 1.0 / self.dt
+        jac *= c
         return jac
 
 
@@ -319,7 +368,7 @@ def face_data(kind, rho_new, rho_old, dx, energy, v_table, kernel, stage_rule,
     problem = LineProblem(kind, rho_old, 1.0, dx, energy, v_table, kernel, stage_rule, theta)
     a = field_values(rho_new)
     xi, u = problem.potential(a)  # dt enters neither xi, u nor F
-    return FaceData(u, problem.flux(a, u), xi)
+    return FaceData(u, problem.flux(a), xi)
 
 
 def residual(kind, rho_new, rho_old, dt, dx, energy, v_table, kernel, stage_rule,

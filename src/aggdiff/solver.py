@@ -8,6 +8,8 @@ posteriori with time-step halving and re-solves.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,18 +107,23 @@ def build_setup(model: ModelSpec, scheme, stage: str = "auto", theta: float = 2.
 
 
 _GTSV, _GESV = get_lapack_funcs(("gtsv", "gesv"), dtype=np.float64)
+# The reductions themselves: the ndarray methods add a Python-level call.
+_ALL, _ANY, _MAX = np.logical_and.reduce, np.logical_or.reduce, np.maximum.reduce
 
 
-def _solve_tridiagonal(lower, diag, upper, rhs):
+def _solve_tridiagonal(lower, diag, upper, rhs, overwrite_bands=False, overwrite_rhs=False):
     """LAPACK gtsv on one tridiagonal system of n >= 2 cells, rhs shaped (n,) or (n, k).
 
     The routine scipy.linalg.solve_banded calls for (1, 1) bands, without
     its per-call wrapper: the same bits, and the same finite-input check and
-    LinAlgError on a singular matrix.
+    LinAlgError on a singular matrix. Arrays the caller allows to be
+    overwritten are used as LAPACK's workspace instead of being copied.
     """
-    if not all(np.isfinite(x).all() for x in (lower, diag, upper, rhs)):
+    if not (_ALL(np.isfinite(lower), axis=None) and _ALL(np.isfinite(diag), axis=None)
+            and _ALL(np.isfinite(upper), axis=None) and _ALL(np.isfinite(rhs), axis=None)):
         raise ValueError("array must not contain infs or NaNs")
-    _, _, _, x, info = _GTSV(lower, diag, upper, rhs)
+    _, _, _, x, info = _GTSV(lower, diag, upper, rhs, overwrite_bands, overwrite_bands,
+                             overwrite_bands, overwrite_rhs)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
@@ -124,27 +131,40 @@ def _solve_tridiagonal(lower, diag, upper, rhs):
     return x
 
 
+@functools.cache
+def _identity(k):
+    eye = np.eye(k)
+    eye.setflags(write=False)
+    return eye
+
+
 def _solve_linear(jac, rhs):
     """Newton updates for the lines of rhs, shaped (lines, n).
 
-    A Tridiagonal is one gtsv over every line laid end to end. A
-    TridiagonalLowRank A + U V^T (one line, from a quadratic kernel) is
-    solved by the Woodbury identity: one gtsv of A against [rhs, U], then a
-    rank-sized capacitance system I + V^T A^-1 U. Any other Jacobian is a
-    dense matrix, solved by LU.
+    A Tridiagonal is one gtsv over every line laid end to end (a single
+    line passes its bands as they are). A TridiagonalLowRank A + U V^T (one
+    line, from a quadratic kernel) is solved by the Woodbury identity: one
+    gtsv of A against [rhs, U], then a rank-sized capacitance system
+    I + V^T A^-1 U. Any other Jacobian is a dense matrix, solved by LU.
     """
     if isinstance(jac, Tridiagonal):
-        ab = jac.to_banded()
-        return _solve_tridiagonal(ab[2, :-1], ab[1], ab[0, 1:], rhs.ravel()).reshape(rhs.shape)
+        if rhs.shape[0] == 1:  # one line: its bands as they are
+            bands, scratch = [band.reshape(-1) for band in jac], False
+        else:  # every line end to end, in a copy LAPACK may overwrite
+            ab = jac.to_banded()
+            bands, scratch = (ab[2, :-1], ab[1], ab[0, 1:]), True
+        x = _solve_tridiagonal(*bands, rhs.reshape(-1), overwrite_bands=scratch)
+        return x.reshape(rhs.shape)
     if isinstance(jac, TridiagonalLowRank):
         tri, left, right = jac
         stacked = np.empty((left.shape[0], 1 + left.shape[1]), order="F")
         stacked[:, 0] = rhs.reshape(-1)
         stacked[:, 1:] = left
-        solved = _solve_tridiagonal(tri.lower, tri.diag, tri.upper, stacked)
+        solved = _solve_tridiagonal(tri.lower, tri.diag, tri.upper, stacked, overwrite_rhs=True)
         y, z = solved[:, 0], solved[:, 1:]
-        capacitance = np.eye(left.shape[1]) + right.T @ z
-        _, _, w, info = _GESV(capacitance, right.T @ y)
+        across = right.T
+        capacitance = _identity(left.shape[1]) + across @ z
+        _, _, w, info = _GESV(capacitance, across @ y, 1, 1)
         if info > 0:
             raise LinAlgError("singular matrix")
         return (y - z @ w).reshape(rhs.shape)
@@ -196,101 +216,129 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
     finite differences of residual_fn are used. Raises
     NewtonError if any line misses the tolerance. Returns (root, iterations
     summed over lines, worst norm).
+
+    The callables see the state in the guess's shape, and a repeated state
+    as the same object (the iterate a residual was evaluated at is the one
+    the next Jacobian gets), so they may cache per state (see LineProblem).
+    The path nearly every solve takes (every line active, the first trial
+    step accepted) costs a handful of small array operations per iteration
+    besides the residual, the Jacobian and the solve.
     """
     cfg = config or NewtonConfig()
+    tol = cfg.tolerance
     shape = np.shape(guess)
-    x = np.atleast_2d(np.array(guess, dtype=float, order="C"))
+    x = np.array(guess, dtype=float, order="C", ndmin=2)
+    batch = len(x)
 
-    views = [None, None]  # the last (z, shaped z): a repeated state keeps its object
-
-    def shaped(z):
-        if not shape:
+    if not shape:
+        def shaped(z):
             return float(z[0, 0])
-        if views[0] is not z:
-            views[:] = z, z.reshape(shape)
-        return views[1]
+    elif x.shape == shape:
+        def shaped(z):
+            return z
+    else:
+        views = [None, None]  # the last (z, shaped z): a repeated state keeps its object
 
-    def call(fn, z, lines):
-        if lines is not None:
-            return fn(z, lines)
-        return fn(shaped(z))
+        def shaped(z):
+            if views[0] is not z:
+                views[:] = z, z.reshape(shape)
+            return views[1]
 
     def evaluate(z, lines=None):
-        r = np.asarray(call(residual_fn, z, lines), dtype=float).reshape(z.shape)
-        if not np.all(np.isfinite(r)):
+        """(r, norm, worst): the residual at the lines of z, each line's max norm, their max."""
+        r = np.asarray(residual_fn(shaped(z)) if lines is None else residual_fn(z, lines),
+                       dtype=float)
+        if r.shape != z.shape:
+            r = r.reshape(z.shape)
+        norm = _MAX(np.abs(r), axis=1)
+        worst = _MAX(norm)
+        if not math.isfinite(worst):  # NaN propagates through the max
             raise NumericalError("residual returned a non-finite value")
-        return r
+        return r, norm, worst
 
-    r = evaluate(x)
-    norm = np.abs(r).max(axis=1)
-    iterations = np.zeros(len(x), dtype=int)
-    stalled = np.zeros(len(x), dtype=bool)  # the line's last line search ran out
+    r, norm, worst = evaluate(x)
+    iterations = 0
+    stalled = None  # per line: its last line search ran out (None while none did)
     for _ in range(cfg.max_iterations):
-        active = norm > cfg.tolerance
-        if not active.any():
+        if worst <= tol:
             break
-        # Indexing the active lines is skipped while every line is active.
-        lines = None if active.all() else np.flatnonzero(active)
-        xa, ra, na = (x, r, norm) if lines is None else (x[lines], r[lines], norm[lines])
-        if jacobian is not None:
-            jac = call(jacobian, xa, lines)
+        # A batch of one line is active here; a larger one indexes its active
+        # lines unless all of them are.
+        active = norm > tol if batch > 1 else None
+        count = batch if active is None else np.count_nonzero(active)
+        iterations += count
+        if count == batch:
+            lines, xa, ra, na = None, x, r, norm
         else:
-            jac = assemble_jacobian(lambda w: evaluate(w, lines), xa, step=cfg.fd_step)
+            lines = np.flatnonzero(active)
+            xa, ra, na = x[lines], r[lines], norm[lines]
+        if jacobian is None:
+            jac = assemble_jacobian(lambda w: evaluate(w, lines)[0], xa, step=cfg.fd_step)
+        elif lines is None:
+            jac = jacobian(shaped(xa))
+        else:
+            jac = jacobian(xa, lines)
         delta = _solve_linear(jac, -ra)
         step_x = xa + delta
-        r_new = evaluate(step_x, lines)
-        norm_new = np.abs(r_new).max(axis=1)
+        r_new, norm_new, worst_new = evaluate(step_x, lines)
+        worse = norm_new > na
         halvings = 0
-        while halvings < MAX_LINE_SEARCH_HALVINGS and (worse := norm_new > na).any():
+        while halvings < MAX_LINE_SEARCH_HALVINGS and _ANY(worse):
             h = np.flatnonzero(worse)
             delta[h] *= 0.5
             step_x[h] = xa[h] + delta[h]
-            sub = lines if worse.all() else h if lines is None else lines[h]
-            r_new[h] = evaluate(step_x[h], sub)
-            norm_new[h] = np.abs(r_new[h]).max(axis=1)
+            sub = lines if len(h) == len(worse) else h if lines is None else lines[h]
+            r_new[h], norm_new[h], _ = evaluate(step_x[h], sub)
+            worse = norm_new > na
             halvings += 1
+            worst_new = _MAX(norm_new)
         # Still worse after every halving: the Newton step is no descent direction.
-        exhausted = norm_new > na
-        if (exhausted & (stalled if lines is None else stalled[lines])).any():
-            raise NewtonError(
-                f"Newton line search found no decrease in {halvings} halvings "
-                f"on two iterations in a row (best norm {norm.max():g})",
-                best_iterate=shaped(x),
-                best_norm=float(norm.max()),
-            )
-        if lines is None:
-            x, r, norm, stalled = step_x, r_new, norm_new, exhausted
-            iterations += 1
+        if halvings < MAX_LINE_SEARCH_HALVINGS or not _ANY(worse):
+            stalled = None
         else:
-            x[lines], r[lines], norm[lines], stalled[lines] = step_x, r_new, norm_new, exhausted
-            iterations[lines] += 1
+            rows = slice(None) if active is None else active
+            if stalled is not None and _ANY(worse & stalled[rows]):
+                raise NewtonError(
+                    f"Newton line search found no decrease in {halvings} halvings "
+                    f"on two iterations in a row (best norm {worst:g})",
+                    best_iterate=shaped(x),
+                    best_norm=float(worst),
+                )
+            stalled = np.zeros(batch, dtype=bool)
+            stalled[rows] = worse
+        if lines is None:
+            x, r, norm, worst = step_x, r_new, norm_new, worst_new
+        else:
+            x[lines], r[lines], norm[lines] = step_x, r_new, norm_new
+            worst = _MAX(norm)
     root = shaped(x)
-    worst = float(norm.max())
-    if worst > cfg.tolerance:
+    worst = float(worst)
+    if worst > tol:
         raise NewtonError(
-            f"Newton did not reach tolerance {cfg.tolerance:g} in "
+            f"Newton did not reach tolerance {tol:g} in "
             f"{cfg.max_iterations} iterations (best norm {worst:g})",
             best_iterate=root,
             best_norm=worst,
         )
-    return root, int(iterations.sum()), worst
+    return root, int(iterations), worst
 
 
 _UNSET = object()
 
 
 def line_problem(setup: SchemeSetup, rho_old, dt, v_table=None, kernel=_UNSET,
-                 dx=None) -> LineProblem:
+                 dx=None, faces=None) -> LineProblem:
     """The setup's implicit step as a LineProblem on rho_old, shaped (..., n).
 
     ``v_table``/``kernel``/``dx`` override the setup's tables (``kernel=None``
     disables the interaction); the 2D passes give their per-line tables here.
+    ``faces`` is rho_old's S1 (east, west) face values, when already known.
     """
     sch = setup.scheme
     return LineProblem(
         sch.kind, rho_old, dt, setup.dx if dx is None else dx, setup.energy,
         setup.v_table if v_table is None else v_table,
-        setup.kernel if kernel is _UNSET else kernel, sch.stage_rule, sch.theta,
+        setup.kernel if kernel is _UNSET else kernel, sch.stage_rule, sch.theta, faces,
     )
 
 
@@ -299,6 +347,10 @@ MAX_CONTINUATION_HALVINGS = 10
 
 def solve_lines(problem: LineProblem, config: NewtonConfig | None = None, *, _depth: int = 0):
     """Newton on the update-form residual R*dt of every line of ``problem`` at once.
+
+    The problem's ``update_residual`` and ``update_jacobian`` (or, with
+    ``jacobian_mode = "fd"``, finite differences of the former) go to
+    ``newton_solve`` as they are.
 
     Newton from the old state can miss the root of a long S2 step, e.g. under
     strong aggregation next to a vacuum cell. S2 then solves the step over
@@ -309,24 +361,14 @@ def solve_lines(problem: LineProblem, config: NewtonConfig | None = None, *, _de
     Returns (rho_new, iterations summed over lines, worst norm).
     """
     cfg = config or NewtonConfig()
-    dt = problem.dt
-
-    def f(a, lines=None):
-        return dt * problem.residual(a, lines)
-
-    jac = None
-    if cfg.jacobian_mode == "analytic":
-        def jac(a, lines=None):
-            j = problem.jacobian(a, lines)
-            return dt * j if isinstance(j, np.ndarray) else j.scaled(dt)
-
+    jac = problem.update_jacobian if cfg.jacobian_mode == "analytic" else None
     try:
-        return newton_solve(f, problem.old, cfg, jacobian=jac)
+        return newton_solve(problem.update_residual, problem.old, cfg, jacobian=jac)
     except NewtonError:
         if problem.kind != S2 or _depth >= MAX_CONTINUATION_HALVINGS:
             raise
-    start, iters, _ = solve_lines(problem.with_dt(0.5 * dt), cfg, _depth=_depth + 1)
-    root, more, norm = newton_solve(f, start, cfg, jacobian=jac)
+    start, iters, _ = solve_lines(problem.with_dt(0.5 * problem.dt), cfg, _depth=_depth + 1)
+    root, more, norm = newton_solve(problem.update_residual, start, cfg, jacobian=jac)
     return root, iters + more, norm
 
 

@@ -28,7 +28,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from .errors import RoutingError
 from .kernels import EXPLICIT, QUADRATIC_FORMS, convolve, make_kernel_1d
 from .model import field_values
-from .scheme1d import S1, max_stable_dt
+from .scheme1d import S1, max_stable_dt, reconstruct_faces
 from .solver import (
     NewtonConfig,
     SchemeSetup,
@@ -141,29 +141,40 @@ class MomentBackground:
     def __init__(self, kernel, field, axis):
         n, c = field.shape[0], kernel.center
         along, across = kernel.axis_slice(axis), kernel.axis_slice(1 - axis)
-        self.alpha, self.beta = along[c + 1] - along[c], across[c + 1] - across[c]
-        self.measure = kernel.cell_measure
-        self.p = np.arange(n) - 0.5 * (n - 1)
-        self.basis = np.stack((np.ones(n), self.p, self.p**2), axis=1)
-        self.moments = _lines(field, axis) @ self.basis  # (n, 3): M, m1, m2 of every line
-        self.totals = self.moments.sum(axis=0)
+        # The scalars live as Python floats: the same IEEE doubles, without
+        # the per-operation cost of numpy scalars.
+        self.alpha = float(along[c + 1] - along[c])
+        self.beta = float(across[c + 1] - across[c])
+        self.measure = float(kernel.cell_measure)
+        p = np.arange(n) - 0.5 * (n - 1)
+        self.p_squared, self.p_twice, self.p = p * p, 2.0 * p, p.tolist()
+        basis = np.stack((np.ones(n), p, p**2), axis=1)
+        self.basis_t, self.basis = basis.T, basis.tolist()
+        moments = _lines(field, axis) @ basis  # (n, 3): M, m1, m2 of every line
+        self.totals = moments.sum(axis=0).tolist()
         # Across the lines: sum_q M_q, p_q M_q and p_q^2 M_q.
-        self.across = self.basis.T @ self.moments[:, 0]
+        self.across = (self.basis_t @ moments[:, 0]).tolist()
+        self.moments = moments.tolist()
 
     def __call__(self, r, old_line):
-        p = self.p
-        mass, m1, m2 = self.totals - self.moments[r]
-        pr = p[r]
+        mass, m1, m2 = (t - m for t, m in zip(self.totals, self.moments[r]))
+        pr = self.p[r]
         total_mass, q1, q2 = self.across
         between = self.beta * (pr * pr * total_mass - 2.0 * pr * q1 + q2)
-        return self.measure * (self.alpha * ((p * p) * mass - 2.0 * p * m1 + m2) + between)
+        background = self.p_squared * mass
+        background -= self.p_twice * m1
+        background += m2
+        background *= self.alpha
+        background += between
+        background *= self.measure
+        return background
 
     def update(self, r, old_line, new_line):
-        new = self.basis.T @ new_line
-        change = new - self.moments[r]
+        new = (self.basis_t @ new_line).tolist()
+        change = [b - a for a, b in zip(self.moments[r], new)]
         self.moments[r] = new
-        self.totals += change
-        self.across += self.basis[r] * change[0]
+        self.totals = [t + d for t, d in zip(self.totals, change)]
+        self.across = [q + b * change[0] for q, b in zip(self.across, self.basis[r])]
 
 
 def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
@@ -177,7 +188,8 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
     (``exact_form``) takes its backgrounds from per-line moments
     (MomentBackground, O(n) per stage); any other kernel from one 2D
     convolution per pass and a spectral accumulator (SpectralBackground).
-    Both match a full re-convolution at every stage to roundoff.
+    Both match a full re-convolution at every stage to roundoff. Under S1
+    the old lines' reconstructed face values are computed once per pass.
     """
     field = field_values(rho).copy()
     cfg = config or NewtonConfig()
@@ -194,10 +206,17 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
         background = MomentBackground(kernel, field, axis)
     else:
         background = SpectralBackground(kernel, field, axis, row_kernel)
+    # Only stage r writes line r, so every stage's old line is its line at
+    # the start of the pass, and reconstruct_faces works line by line.
+    east = west = None
+    if setup.scheme.kind == S1:
+        east, west = reconstruct_faces(lines, setup.scheme.theta)
     for r in range(lines.shape[0]):
         old_line = lines[r].copy()
-        v_eff = v_lines[r] + background(r, old_line)
-        problem = line_problem(setup, old_line, dt, v_eff, row_kernel)
+        v_eff = background(r, old_line)
+        v_eff += v_lines[r]
+        faces = None if east is None else (east[r], west[r])
+        problem = line_problem(setup, old_line, dt, v_eff, row_kernel, faces=faces)
         new_line, iters, norm = solve_lines(problem, cfg)
         tel.absorb(problem, new_line, iters, norm)
         lines[r] = new_line

@@ -12,6 +12,7 @@ from aggdiff.experiments import (
     ExperimentConfig,
     InitialSpec,
     _auto_dt,
+    _format,
     bifurcation_sweep,
     build_initial,
     convergence_study,
@@ -19,6 +20,7 @@ from aggdiff.experiments import (
     run_experiment,
     run_to_steady,
     step,
+    write_snapshot,
 )
 from aggdiff.kernels import convolve
 from aggdiff.presets import flocking, grid_1d, grid_2d, heat, linear_fokker_planck
@@ -130,6 +132,32 @@ class TestRunExperiment:
         lines = open(rec.snapshot_paths[0]).read().splitlines()
         assert len(lines) == 32  # one line per cell
         assert len(lines[0].split()) == 2
+
+    @staticmethod
+    def _per_cell_snapshot(path, grid, values):
+        """The writer as it was: one _format call per coordinate of every cell."""
+        with open(path, "w", newline="\n") as f:
+            if grid.dimension == 1:
+                for x, r in zip(grid.axis_centers(), values):
+                    f.write(f"{_format(x)} {_format(r)}\n")
+            else:
+                xs = grid.axis_centers()
+                for i, x in enumerate(xs):
+                    for j, y in enumerate(xs):
+                        f.write(f"{_format(x)} {_format(y)} {_format(values[i, j])}\n")
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_snapshot_equals_per_cell_writer(self, tmp_path, dimension):
+        grid = grid_1d(3.0, 0.25) if dimension == 1 else grid_2d(3.0, 0.25)
+        rng = np.random.default_rng(dimension)
+        values = rng.random(grid.shape) * 10.0 ** rng.integers(-12, 4, grid.shape)
+        flat = values.reshape(-1)
+        flat[:5] = [0.0, -0.0, 5e-324, 2.5e-310, 1e-300]
+        write_snapshot(tmp_path / "new.txt", grid, values)
+        self._per_cell_snapshot(tmp_path / "old.txt", grid, values)
+        new, old = (tmp_path / "new.txt").read_bytes(), (tmp_path / "old.txt").read_bytes()
+        assert new == old
+        assert new.count(b"\n") == values.size and b" -0\n" in new
 
     def test_auto_dt_s1(self):
         record = run_experiment(self._config(scheme_kind="s1", dt="auto", t_final=0.05))

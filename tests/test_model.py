@@ -1,10 +1,14 @@
 """Internal energies, potentials, grid, and density-field contracts."""
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from aggdiff.errors import DomainError, ShapeError
 from aggdiff.model import (
+    EPS_VACUUM,
     Bistable,
     DensityField,
     Gaussian,
@@ -107,6 +111,41 @@ class TestInternalEnergy:
             InternalEnergy.power(1.0, 1.0)
         with pytest.raises(DomainError):
             InternalEnergy.entropy(0.0)
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestRegularizedDerivatives:
+    """The floored slope and curvature, byte for byte against their definitions."""
+
+    # At, just around, below and far above the vacuum floor; signed zeros,
+    # subnormals and negative densities included.
+    special = st.sampled_from([
+        0.0, -0.0, EPS_VACUUM, np.nextafter(EPS_VACUUM, 0.0), np.nextafter(EPS_VACUUM, 1.0),
+        5e-324, 1e-310, -1e-310, 1e-300, -1.0, 1.0, 1e100,
+    ])
+    density = st.one_of(special, st.floats(-10.0, 10.0), st.floats(0.0, 1e100),
+                        st.floats(-1e-12, 1e-12))
+    energies = st.sampled_from([
+        InternalEnergy.entropy(1.0),
+        InternalEnergy.entropy(0.3),
+        InternalEnergy.power(1.0, 1.5),
+        InternalEnergy.power(0.1, 2.0),
+        InternalEnergy.power(2.0, 3.0),
+        InternalEnergy.power_plus_entropy(1.0, 2.0, 0.1),
+        InternalEnergy.power_plus_entropy(0.5, 2.5, 1.0),
+    ])
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rho=hnp.arrays(float, st.integers(1, 40), elements=density), energy=energies)
+    def test_equal_to_the_errstate_forms(self, rho, energy):
+        floored = np.maximum(rho, EPS_VACUUM)
+        assert same_bits(energy.slope_regularized(rho), energy.slope(floored))
+        assert same_bits(energy.curvature_regularized(rho),
+                         np.where(rho > EPS_VACUUM, energy.curvature(floored), 0.0))
 
 
 class TestPotentials:

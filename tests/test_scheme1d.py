@@ -1,5 +1,7 @@
 """Reconstruction, fluxes, residual assembly, and CFL bounds in 1D."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -19,6 +21,7 @@ from aggdiff.scheme1d import (
     reconstruct_faces,
     residual,
     Tridiagonal,
+    TridiagonalLowRank,
     residual_jacobian,
 )
 from aggdiff.solver import _solve_linear, newton_solve, NewtonConfig
@@ -46,6 +49,16 @@ class TestMinmod:
     def test_vectorized(self):
         out = minmod(np.array([1.0, -1.0]), np.array([2.0, -0.5]), np.array([3.0, -2.0]))
         assert np.allclose(out, [1.0, -0.5])
+
+    def test_equals_the_three_sign_tests(self):
+        """Every triple of special values against a reference testing each argument's sign."""
+        values = [0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 2.0, -2.0, np.inf, -np.inf, np.nan]
+        z1, z2, z3 = np.array(list(itertools.product(values, repeat=3))).T
+        all_pos = (z1 > 0) & (z2 > 0) & (z3 > 0)
+        all_neg = (z1 < 0) & (z2 < 0) & (z3 < 0)
+        mn = np.minimum(np.minimum(z1, z2), z3)
+        mx = np.maximum(np.maximum(z1, z2), z3)
+        assert same_bits(minmod(z1, z2, z3), np.where(all_pos, mn, np.where(all_neg, mx, 0.0)))
 
 
 class TestReconstruction:
@@ -239,6 +252,127 @@ class TestSliceDifferencesMatchNpDiff:
             flux = assemble_flux(kind, u, at, *faces)
             expected = (at - old) / dt + np.diff(flux, prepend=0.0, append=0.0) / dx
             assert same_bits(problem.residual(at), expected)
+            assert same_bits(problem.update_residual(at), dt * expected)
+            for lines in (np.array([0, 2, 5]), np.array([4])):
+                subset = at[lines]
+                assert same_bits(problem.residual(subset, lines), expected[lines])
+                assert same_bits(problem.update_residual(subset, lines), dt * expected[lines])
+
+
+def reference_update_jacobian(problem, a, lines=None):
+    """dt times the Jacobian as assembled before the update form, kept as the oracle.
+
+    The potential is rebuilt from public pieces; the bands, the rank-2 factors
+    and the dense matrix follow the unscaled assembly term by term and are
+    then multiplied by dt, as the removed ``scaled`` methods did.
+    """
+    rows = (lambda values: values) if lines is None else (lambda values: values[lines])
+    dx, dt = problem.dx, problem.dt
+    xi = chemical_potential(a, None, problem.energy, rows(problem.v), None)
+    if problem.coupled:
+        stage = a if problem.stage_rule == IMPLICIT else 0.5 * (a + problem.old)
+        xi = xi + problem.kernel.cell_measure * (problem.kernel.toeplitz @ stage)
+    elif problem.conv is not None:
+        xi = xi + rows(problem.conv)
+    u = -np.diff(xi) / dx
+    pos, neg = u > 0, u < 0
+    g = problem.energy.curvature_regularized(a)
+    if problem.kind == S1:
+        east, west = rows(problem.east), rows(problem.west)
+        m_face = np.where(pos, east[..., :-1], 0.0) + np.where(neg, west[..., 1:], 0.0)
+    else:
+        m_face = np.where(pos, a[..., :-1], 0.0) + np.where(neg, a[..., 1:], 0.0)
+    c_rule = 1.0 if problem.stage_rule == IMPLICIT else 0.5
+    if problem.coupled and problem.kernel.exact_form is None:
+        n = a.size
+        du = (c_rule * problem.kernel.cell_measure / dx) * problem.kernel.toeplitz_difference
+        idx = np.arange(n - 1)
+        du[idx, idx] += g[:-1] / dx
+        du[idx, idx + 1] -= g[1:] / dx
+        dF = m_face[:, None] * du
+        if problem.kind == S2:
+            dF[idx, idx] += np.maximum(u, 0.0)
+            dF[idx, idx + 1] += np.minimum(u, 0.0)
+        jac = np.zeros((n, n))
+        jac[:-1, :] += dF / dx
+        jac[1:, :] -= dF / dx
+        jac[np.diag_indices(n)] += 1.0 / dt
+        return dt * jac
+    dF_dleft = m_face * g[..., :-1] / dx
+    dF_dright = -m_face * g[..., 1:] / dx
+    if problem.kind == S2:
+        dF_dleft = dF_dleft + np.maximum(u, 0.0)
+        dF_dright = dF_dright + np.minimum(u, 0.0)
+    diag = np.full(a.shape, 1.0 / dt)
+    diag[..., :-1] += dF_dleft / dx
+    diag[..., 1:] += -dF_dright / dx
+    tri = Tridiagonal(dt * (-dF_dleft / dx), dt * diag, dt * (dF_dright / dx))
+    if not problem.coupled:
+        return tri
+    faces, cells = problem.kernel.difference_factors
+    dF = faces * ((c_rule * problem.kernel.cell_measure / dx) * m_face)[:, None]
+    left = np.zeros(cells.shape)
+    left[:-1] += dF / dx
+    left[1:] -= dF / dx
+    return TridiagonalLowRank(tri, dt * left, cells)
+
+
+def jacobian_parts(jac):
+    if isinstance(jac, np.ndarray):
+        return [jac]
+    if isinstance(jac, TridiagonalLowRank):
+        return [*jac.tri, jac.left, jac.right]
+    return list(jac)
+
+
+class TestUpdateJacobianBits:
+    """The update-form Jacobian equals dt times the unscaled assembly, byte for byte."""
+
+    n, dx, dt = 12, 0.25, 0.37
+
+    def _kernels(self):
+        offsets = self.dx * np.arange(-(self.n - 1), self.n)
+        gaussian = -np.exp(-0.5 * (offsets / 0.6) ** 2)
+        return {
+            "none": None,
+            "gaussian": make_kernel_1d(gaussian, self.dx),
+            "quadratic+": make_kernel_1d(0.5 * offsets**2, self.dx, "quadratic+"),
+            "quadratic-": make_kernel_1d(-0.5 * offsets**2, self.dx, "quadratic-"),
+        }
+
+    @pytest.mark.parametrize("kind", [S1, S2])
+    @pytest.mark.parametrize("stage", [EXPLICIT, IMPLICIT, MIDPOINT])
+    @pytest.mark.parametrize("kernel_name", ["none", "gaussian", "quadratic+", "quadratic-"])
+    @pytest.mark.parametrize("energy", [InternalEnergy.entropy(0.7), InternalEnergy.power(1.0, 3.0)],
+                             ids=["entropy", "power"])
+    def test_random_lines_with_vacuum(self, kind, stage, kernel_name, energy):
+        rng = np.random.default_rng(len(kernel_name) + 7 * len(stage) + (kind == S1))
+        lines, n, dt = 5, self.n, self.dt
+        old = rng.random((lines, n))
+        at = old + 0.2 * rng.standard_normal((lines, n))
+        old[rng.random(old.shape) < 0.25] = 0.0  # vacuum cells
+        at[rng.random(at.shape) < 0.25] = 0.0
+        at[rng.random(at.shape) < 0.1] = -0.0
+        at[0] = old[0]  # a line at its old state: zero velocities where xi is flat
+        v = rng.random((lines, n))
+        kernel = self._kernels()[kernel_name]
+        if kernel is not None:  # a kernel convolves one line per problem
+            cases = [(LineProblem(kind, old[k], dt, self.dx, energy, v[k], kernel, stage),
+                      at[k], None) for k in range(lines)]
+        else:
+            batch = LineProblem(kind, old, dt, self.dx, energy, v, kernel, stage)
+            subset = np.array([1, 3, 4])
+            cases = [(batch, at, None), (batch, at[subset], subset)]
+        for problem, a, rows in cases:
+            expected = jacobian_parts(reference_update_jacobian(problem, a, rows))
+            got = jacobian_parts(problem.update_jacobian(a, rows))
+            assert len(got) == len(expected)
+            assert all(same_bits(x, y) for x, y in zip(got, expected))
+            unscaled = problem.with_dt(1.0).jacobian(a, rows)
+            # With dt = 1 the unscaled assembly and the reference coincide too.
+            assert all(same_bits(x, y) for x, y in zip(
+                jacobian_parts(unscaled),
+                jacobian_parts(reference_update_jacobian(problem.with_dt(1.0), a, rows))))
 
 
 class TestJacobian:
@@ -333,16 +467,14 @@ class TestTridiagonalBatch:
         with pytest.raises(LinAlgError):
             _solve_linear(singular, np.ones((1, 5)))
 
-    def test_dense_and_scaled_agree_line_by_line(self):
+    def test_dense_agrees_line_by_line(self):
         jac = self._bands(3, 6, 2)
-        dense, scaled = jac.to_dense(), jac.scaled(0.3)
+        dense = jac.to_dense()
         for k in range(3):
             line = Tridiagonal(jac.lower[k], jac.diag[k], jac.upper[k])
             expected = (np.diag(line.diag) + np.diag(line.upper, 1) + np.diag(line.lower, -1))
             assert np.array_equal(dense[k], expected)
             assert np.array_equal(line.to_dense(), expected)
-            for band, whole in zip(line.scaled(0.3), scaled):
-                assert np.array_equal(band, whole[k])
 
 
 class TestCFLBound:

@@ -6,7 +6,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from aggdiff import solver
 from aggdiff.kernels import IMPLICIT, MIDPOINT, make_kernel_1d
@@ -271,7 +271,7 @@ class TestStructuredSolve:
     @given(
         old=hnp.arrays(float, n, elements=density),
         change=hnp.arrays(float, n, elements=st.floats(-0.5, 0.5)),
-        rhs=hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)),
+        rhs=hnp.arrays(float, n, elements=st.floats(-1.0, 1.0, allow_subnormal=False)),
         kind=st.sampled_from([S1, S2]),
         stage=st.sampled_from([IMPLICIT, MIDPOINT]),
         strength=st.sampled_from([1.0, -1.0]),
@@ -287,11 +287,15 @@ class TestStructuredSolve:
         def problem(kernel):
             return LineProblem(kind, old, dt, self.dx, energy, v, kernel, stage)
 
-        structured = problem(make_kernel_1d(values, self.dx, form)).jacobian(at)
+        quadratic = problem(make_kernel_1d(values, self.dx, form))
+        structured = quadratic.jacobian(at)
         dense = problem(make_kernel_1d(values, self.dx)).jacobian(at)
         assert isinstance(structured, TridiagonalLowRank) and isinstance(dense, np.ndarray)
         assert np.abs(structured.to_dense() - dense).max() <= 1e-12 * np.abs(dense).max()
-        for j, scale in ((structured, 1.0), (structured.scaled(dt), dt)):
+        # A Jacobian singular to working precision (e.g. S1 with one occupied
+        # cell at dt = 2) leaves the two solves nothing to agree on.
+        assume(np.linalg.cond(dense) < 1e12)
+        for j, scale in ((structured, 1.0), (quadratic.update_jacobian(at), dt)):
             expected = np.linalg.solve(scale * dense, rhs)
             got = solver._solve_linear(j, rhs[None])[0]
             assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()

@@ -19,8 +19,14 @@ from aggdiff.presets import (
     linear_fokker_planck,
     nonlocal_fokker_planck,
 )
-from aggdiff.scheme1d import SchemeConfig
-from aggdiff.solver import NewtonConfig, SchemeSetup, build_setup, implicit_step_1d
+from aggdiff.scheme1d import SchemeConfig, reconstruct_faces
+from aggdiff.solver import (
+    NewtonConfig,
+    SchemeSetup,
+    build_setup,
+    implicit_step_1d,
+    line_problem,
+)
 from aggdiff.split2d import (
     MomentBackground,
     SpectralBackground,
@@ -204,6 +210,52 @@ class TestSweepPass:
             assert e1 <= e0 + 100 * cfg.tolerance * (1 + abs(e0))
         for m_val in masses[1:]:
             assert abs(m_val - masses[0]) <= 10 * cfg.tolerance * (1 + masses[0])
+
+class TestS1FacesOncePerPass:
+    """An S1 sweep reconstructs every line's faces once per pass, with the same bits."""
+
+    @staticmethod
+    def _parts(value):  # a residual, or a tridiagonal-plus-low-rank Jacobian
+        return (*value.tri, value.left, value.right) if hasattr(value, "tri") else (value,)
+
+    def test_pass_faces_give_the_same_problem(self):
+        g = grid_2d(2.0, 0.25)
+        setup = build_setup(nonlocal_fokker_planck(g), "s1", stage="midpoint")
+        rng = np.random.default_rng(3)
+        lines = rng.random(g.shape)
+        lines[rng.random(g.shape) < 0.2] = 0.0
+        row_kernel = make_kernel_1d(setup.kernel.axis_slice(0), setup.kernel.cell_measure,
+                                    setup.kernel.exact_form)
+        east, west = reconstruct_faces(lines, setup.scheme.theta)
+        dt = g.dx**2 / 8
+        for r in range(g.n_cells):
+            v = rng.random(g.n_cells)
+            own = line_problem(setup, lines[r], dt, v, row_kernel)
+            given = line_problem(setup, lines[r], dt, v, row_kernel, faces=(east[r], west[r]))
+            a = np.maximum(lines[r] + 0.1 * rng.standard_normal(g.n_cells), 0.0)
+            for method in ("residual", "update_residual", "jacobian", "update_jacobian"):
+                mine, theirs = getattr(own, method)(a), getattr(given, method)(a)
+                assert all(x.tobytes() == y.tobytes()
+                           for x, y in zip(self._parts(mine), self._parts(theirs)))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_sweep_hands_each_stage_its_old_lines_faces(self, axis, monkeypatch):
+        g = grid_2d(2.0, 0.5)
+        setup = build_setup(nonlocal_fokker_planck(g), "s1", stage="midpoint")
+        seen = []
+        original = split2d.line_problem
+
+        def spy(setup_, old_line, dt, v_eff, kernel, faces=None):
+            seen.append((old_line.copy(), faces))
+            return original(setup_, old_line, dt, v_eff, kernel, faces=faces)
+
+        monkeypatch.setattr(split2d, "line_problem", spy)
+        advance_sweep_axis(smooth_field(g, 0.3), axis, g.dx**2 / 8, setup, NewtonConfig())
+        assert len(seen) == g.n_cells
+        for old_line, (east, west) in seen:
+            own_east, own_west = reconstruct_faces(old_line, setup.scheme.theta)
+            assert east.tobytes() == own_east.tobytes() and west.tobytes() == own_west.tobytes()
+
 
 class TestSweepMatchesFullReconvolution:
     """The sweep pass against a reference that re-convolves the whole field at every stage."""
