@@ -101,25 +101,6 @@ def face_velocities(xi, dx: float) -> np.ndarray:
     return (xi[..., 1:] - xi[..., :-1]) / -dx  # d/(-dx) is -(d/dx), bit for bit
 
 
-def assemble_flux(kind: str, velocity, rho_new, east=None, west=None) -> np.ndarray:
-    """Upwind flux per interior face; walls carry no flux.
-
-    S1 upwinds the reconstructed old-state face values; S2 upwinds the
-    unknown state itself.
-    """
-    u = np.asarray(velocity, dtype=float)
-    up = np.maximum(u, 0.0)
-    um = np.minimum(u, 0.0)
-    if kind == S1:
-        if east is None or west is None:
-            raise DomainError("S1 flux needs reconstructed face values")
-        return east[..., :-1] * up + west[..., 1:] * um
-    if kind == S2:
-        r = field_values(rho_new)
-        return r[..., :-1] * up + r[..., 1:] * um
-    raise DomainError(f"unknown scheme kind {kind!r}")
-
-
 class Tridiagonal(NamedTuple):
     """Tridiagonal matrices of independent lines, bands shaped (..., n-1), (..., n)."""
 

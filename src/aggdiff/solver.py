@@ -107,23 +107,19 @@ def build_setup(model: ModelSpec, scheme, stage: str = "auto", theta: float = 2.
 
 
 _GTSV, _GESV = get_lapack_funcs(("gtsv", "gesv"), dtype=np.float64)
-# The reductions themselves: the ndarray methods add a Python-level call.
-_ALL, _ANY, _MAX = np.logical_and.reduce, np.logical_or.reduce, np.maximum.reduce
 
 
-def _solve_tridiagonal(lower, diag, upper, rhs, overwrite_bands=False, overwrite_rhs=False):
+def _solve_tridiagonal(lower, diag, upper, rhs):
     """LAPACK gtsv on one tridiagonal system of n >= 2 cells, rhs shaped (n,) or (n, k).
 
     The routine scipy.linalg.solve_banded calls for (1, 1) bands, without
     its per-call wrapper: the same bits, and the same finite-input check and
-    LinAlgError on a singular matrix. Arrays the caller allows to be
-    overwritten are used as LAPACK's workspace instead of being copied.
+    LinAlgError on a singular matrix.
     """
-    if not (_ALL(np.isfinite(lower), axis=None) and _ALL(np.isfinite(diag), axis=None)
-            and _ALL(np.isfinite(upper), axis=None) and _ALL(np.isfinite(rhs), axis=None)):
+    if not (np.isfinite(lower).all() and np.isfinite(diag).all()
+            and np.isfinite(upper).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    _, _, _, x, info = _GTSV(lower, diag, upper, rhs, overwrite_bands, overwrite_bands,
-                             overwrite_bands, overwrite_rhs)
+    _, _, _, x, info = _GTSV(lower, diag, upper, rhs)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
@@ -141,30 +137,25 @@ def _identity(k):
 def _solve_linear(jac, rhs):
     """Newton updates for the lines of rhs, shaped (lines, n).
 
-    A Tridiagonal is one gtsv over every line laid end to end (a single
-    line passes its bands as they are). A TridiagonalLowRank A + U V^T (one
-    line, from a quadratic kernel) is solved by the Woodbury identity: one
-    gtsv of A against [rhs, U], then a rank-sized capacitance system
-    I + V^T A^-1 U. Any other Jacobian is a dense matrix, solved by LU.
+    A Tridiagonal is one gtsv over every line laid end to end. A
+    TridiagonalLowRank A + U V^T (one line, from a quadratic kernel) is
+    solved by the Woodbury identity: one gtsv of A against [rhs, U], then a
+    rank-sized capacitance system I + V^T A^-1 U. Any other Jacobian is a
+    dense matrix, solved by LU.
     """
     if isinstance(jac, Tridiagonal):
-        if rhs.shape[0] == 1:  # one line: its bands as they are
-            bands, scratch = [band.reshape(-1) for band in jac], False
-        else:  # every line end to end, in a copy LAPACK may overwrite
-            ab = jac.to_banded()
-            bands, scratch = (ab[2, :-1], ab[1], ab[0, 1:]), True
-        x = _solve_tridiagonal(*bands, rhs.reshape(-1), overwrite_bands=scratch)
-        return x.reshape(rhs.shape)
+        ab = jac.to_banded()
+        return _solve_tridiagonal(ab[2, :-1], ab[1], ab[0, 1:], rhs.ravel()).reshape(rhs.shape)
     if isinstance(jac, TridiagonalLowRank):
         tri, left, right = jac
         stacked = np.empty((left.shape[0], 1 + left.shape[1]), order="F")
         stacked[:, 0] = rhs.reshape(-1)
         stacked[:, 1:] = left
-        solved = _solve_tridiagonal(tri.lower, tri.diag, tri.upper, stacked, overwrite_rhs=True)
+        solved = _solve_tridiagonal(tri.lower, tri.diag, tri.upper, stacked)
         y, z = solved[:, 0], solved[:, 1:]
         across = right.T
         capacitance = _identity(left.shape[1]) + across @ z
-        _, _, w, info = _GESV(capacitance, across @ y, 1, 1)
+        _, _, w, info = _GESV(capacitance, across @ y)
         if info > 0:
             raise LinAlgError("singular matrix")
         return (y - z @ w).reshape(rhs.shape)
@@ -250,8 +241,8 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
                        dtype=float)
         if r.shape != z.shape:
             r = r.reshape(z.shape)
-        norm = _MAX(np.abs(r), axis=1)
-        worst = _MAX(norm)
+        norm = np.abs(r).max(axis=1)
+        worst = norm.max()
         if not math.isfinite(worst):  # NaN propagates through the max
             raise NumericalError("residual returned a non-finite value")
         return r, norm, worst
@@ -283,7 +274,7 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
         r_new, norm_new, worst_new = evaluate(step_x, lines)
         worse = norm_new > na
         halvings = 0
-        while halvings < MAX_LINE_SEARCH_HALVINGS and _ANY(worse):
+        while halvings < MAX_LINE_SEARCH_HALVINGS and worse.any():
             h = np.flatnonzero(worse)
             delta[h] *= 0.5
             step_x[h] = xa[h] + delta[h]
@@ -291,13 +282,13 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
             r_new[h], norm_new[h], _ = evaluate(step_x[h], sub)
             worse = norm_new > na
             halvings += 1
-            worst_new = _MAX(norm_new)
+            worst_new = norm_new.max()
         # Still worse after every halving: the Newton step is no descent direction.
-        if halvings < MAX_LINE_SEARCH_HALVINGS or not _ANY(worse):
+        if halvings < MAX_LINE_SEARCH_HALVINGS or not worse.any():
             stalled = None
         else:
             rows = slice(None) if active is None else active
-            if stalled is not None and _ANY(worse & stalled[rows]):
+            if stalled is not None and (worse & stalled[rows]).any():
                 raise NewtonError(
                     f"Newton line search found no decrease in {halvings} halvings "
                     f"on two iterations in a row (best norm {worst:g})",
@@ -310,7 +301,7 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
             x, r, norm, worst = step_x, r_new, norm_new, worst_new
         else:
             x[lines], r[lines], norm[lines] = step_x, r_new, norm_new
-            worst = _MAX(norm)
+            worst = norm.max()
     root = shaped(x)
     worst = float(worst)
     if worst > tol:

@@ -6,7 +6,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 
 from aggdiff import solver
 from aggdiff.kernels import IMPLICIT, MIDPOINT, make_kernel_1d
@@ -271,7 +271,7 @@ class TestStructuredSolve:
     @given(
         old=hnp.arrays(float, n, elements=density),
         change=hnp.arrays(float, n, elements=st.floats(-0.5, 0.5)),
-        rhs=hnp.arrays(float, n, elements=st.floats(-1.0, 1.0, allow_subnormal=False)),
+        rhs=hnp.arrays(float, n, elements=st.floats(-1.0, 1.0)),
         kind=st.sampled_from([S1, S2]),
         stage=st.sampled_from([IMPLICIT, MIDPOINT]),
         strength=st.sampled_from([1.0, -1.0]),
@@ -292,10 +292,25 @@ class TestStructuredSolve:
         dense = problem(make_kernel_1d(values, self.dx)).jacobian(at)
         assert isinstance(structured, TridiagonalLowRank) and isinstance(dense, np.ndarray)
         assert np.abs(structured.to_dense() - dense).max() <= 1e-12 * np.abs(dense).max()
-        # A Jacobian singular to working precision (e.g. S1 with one occupied
-        # cell at dt = 2) leaves the two solves nothing to agree on.
-        assume(np.linalg.cond(dense) < 1e12)
+        # LU is the reference where the answer is well determined. A Jacobian
+        # singular to working precision (e.g. S1 with one occupied cell at
+        # dt = 2) or a subnormal right-hand side (whose solution rounds to the
+        # absolute grid of gradual underflow) leaves two solvers free to
+        # differ; there the Woodbury solve must raise LinAlgError or have a
+        # small backward error, up to that grid's spacing.
+        subnormal = (rhs != 0) & (np.abs(rhs) < np.finfo(float).tiny)
+        well_posed = np.linalg.cond(dense) < 1e12 and not subnormal.any()
         for j, scale in ((structured, 1.0), (quadratic.update_jacobian(at), dt)):
-            expected = np.linalg.solve(scale * dense, rhs)
-            got = solver._solve_linear(j, rhs[None])[0]
-            assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+            if well_posed:
+                expected = np.linalg.solve(scale * dense, rhs)
+                got = solver._solve_linear(j, rhs[None])[0]
+                assert np.abs(got - expected).max() <= 1e-10 * np.abs(expected).max()
+                continue
+            try:
+                got = solver._solve_linear(j, rhs[None])[0]
+            except np.linalg.LinAlgError:
+                continue
+            norm = np.abs(scale * dense).sum(axis=1).max()
+            grid = self.n * norm * np.finfo(float).smallest_subnormal
+            backward = np.abs(scale * dense @ got - rhs).max()
+            assert backward <= 1e-10 * norm * np.abs(got).max() + grid
