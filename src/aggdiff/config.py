@@ -38,7 +38,7 @@ _KNOWN_KEYS = {
     "time": {"t_initial", "t_final", "dt"},
     "initial": {
         "kind", "mass", "time", "center", "width",
-        "centers", "widths", "weights", "path", "exponent", "diffusion",
+        "centers", "widths", "weights",
     },
     "solver": {"tolerance", "max_iterations", "jacobian"},
     "output": {"directory", "snapshots", "cadence"},
@@ -154,8 +154,7 @@ def parse_config(path: str) -> ExperimentConfig:
             _load_table(init_kind.split(":", 1)[1], base_dir)).ravel())
         init_kind = "table"
     elif init_kind == "table":
-        values = tuple(np.atleast_1d(
-            _load_table(init_sec.get("path", ""), base_dir)).ravel())
+        raise ConfigurationError("initial kind 'table' needs a file: kind = table:FILE")
     center = _floats(str(init_sec.get("center", "0.0")))
     if len(center) == 1:
         center = (center[0], 0.0)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import analysis, scheme1d
 from .analysis import ReferenceSolution, convergence_order, l1_error, sample_reference
-from .errors import ConfigurationError, StepError
+from .errors import ConfigurationError, NewtonError, StepError
 from .model import DensityField, Grid, ModelSpec, field_values
 from .presets import (
     heat,
@@ -83,9 +83,10 @@ def write_snapshot(path, grid: Grid, values):
 class InitialSpec:
     """Declarative initial condition.
 
-    kinds: heat_kernel | barenblatt | fp_transient | fp_steady (reference
-    solutions sampled at ``time``), gaussian (one normalized bump), mixture
-    (sum of bumps with given weights), uniform, zero, table (explicit values).
+    kinds: heat_kernel | barenblatt | fp_transient | fp_steady (the model's
+    reference solutions sampled at ``time``), gaussian (one normalized bump),
+    mixture (sum of bumps with given weights), uniform, zero, table
+    (explicit values).
     """
 
     kind: str
@@ -97,8 +98,6 @@ class InitialSpec:
     widths: tuple = ()
     weights: tuple = ()
     values: tuple = ()
-    exponent: float = 2.0
-    diffusion: float = 1.0
 
 
 def _gaussian_bump(grid: Grid, center, width, weight):
@@ -116,13 +115,10 @@ def build_initial(spec: InitialSpec, grid: Grid, t_initial: float,
                   model: ModelSpec | None = None) -> np.ndarray:
     kind = spec.kind
     if kind in ("heat_kernel", "barenblatt", "fp_transient", "fp_steady"):
-        diffusion = spec.diffusion
-        exponent = spec.exponent
-        if model is not None:
-            diffusion = model.energy.diffusion
-            exponent = model.energy.exponent
-        ref = ReferenceSolution(kind, grid.dimension, diffusion=diffusion,
-                                exponent=exponent, mass=spec.mass)
+        if model is None:
+            raise ConfigurationError(f"initial condition {kind!r} needs the model")
+        ref = ReferenceSolution(kind, grid.dimension, diffusion=model.energy.diffusion,
+                                exponent=model.energy.exponent, mass=spec.mass)
         t0 = spec.time if spec.time is not None else t_initial
         return sample_reference(ref, t0, grid)
     if kind == "gaussian":
@@ -194,39 +190,33 @@ class RunRecord:
         return not self.violations
 
 
-def step(rho, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
-         compute_energy: bool = True, energy_before: float | None = None) -> StepOutcome:
+def step(rho, dt, setup: SchemeSetup, config: NewtonConfig | None = None) -> StepOutcome:
     """One time step of the setup's model, 1D or 2D (see drive_step)."""
     advance = advance_step_1d if setup.model.grid.dimension == 1 else advance_step_2d
-    return advance(rho, dt, setup, config, compute_energy, energy_before)
+    return advance(rho, dt, setup, config)
 
 
 SLIVER_SHARE = 1e-9  # a last step this close to until absorbs the remainder
 
 
-def march(setup: SchemeSetup, rho, t, until, dt, config: NewtonConfig | None = None,
-          observer=None, compute_energy: bool = True):
-    """Step rho from time t toward ``until``; returns (rho, t).
+def march(setup: SchemeSetup, rho, t, until, dt, config: NewtonConfig | None = None):
+    """Step rho from time t toward ``until``, yielding (t, outcome) after each step.
 
     Each step requests min(dt, until - t), where ``dt`` is a number or a
     callable of the current density; a step that would leave a remainder
     within roundoff of until (at most SLIVER_SHARE of dt) runs to until
-    instead. Each step's energy_after is the next step's energy_before. The
-    loop stops once t >= until - 1e-12, or after a step for which
-    ``observer(t, outcome)`` returns True. A StepError propagates to the
-    caller.
+    instead. The loop ends once t >= until - 1e-12; a caller stops it
+    earlier with ``break``. The latest state is the last outcome's
+    ``field.values``. A StepError or NewtonError propagates to the caller.
     """
-    energy = None
     while t < until - 1e-12:
         h = dt(rho) if callable(dt) else dt
         if until - t - h <= SLIVER_SHARE * h:
             h = until - t
-        out = step(rho, h, setup, config, compute_energy, energy)
-        rho, energy = out.field.values, out.energy_after
+        out = step(rho, h, setup, config)
+        rho = out.field.values
         t += out.dt_used
-        if observer is not None and observer(t, out):
-            break
-    return rho, t
+        yield t, out
 
 
 def _auto_dt(values, setup: SchemeSetup) -> float:
@@ -246,9 +236,10 @@ def _auto_dt(values, setup: SchemeSetup) -> float:
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Time-step a configured model, recording telemetry and snapshots.
 
-    The energy column must be non-increasing within solver tolerance; any
-    breach (or a failed step) is recorded as a violation rather than raised,
-    so partial outputs survive for inspection.
+    The energy column is the clipped discrete energy of each recorded state
+    and must be non-increasing within solver tolerance; any breach, or a
+    failed step (StepError or NewtonError), is recorded as a violation
+    rather than raised, so the rows so far are still written.
     """
     model = config.model
     grid = model.grid
@@ -258,50 +249,40 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     rho = np.maximum(rho, 0.0)
 
     t = config.t_initial
-    energy0 = clipped_energy(setup, rho)
-    rows = [(t, energy0, rho.sum() * grid.cell_measure, float(rho.min()), 0, 0.0, 0)]
+    prev_energy = clipped_energy(setup, rho)
+    rows = [(t, prev_energy, rho.sum() * grid.cell_measure, float(rho.min()), 0, 0.0, 0)]
     violations: list = []
     snapshots_pending = sorted(config.snapshots)
     snapshot_paths = []
 
-    def maybe_snapshot(current_t, values):
-        nonlocal snapshots_pending
-        taken = []
+    def take_snapshots(current_t, values):
         while snapshots_pending and current_t >= snapshots_pending[0] - 1e-12:
             target = snapshots_pending.pop(0)
             if config.output_dir:
                 path = os.path.join(config.output_dir, f"snapshot_t{target:g}.txt")
                 write_snapshot(path, grid, values)
-                taken.append(path)
-        return taken
+                snapshot_paths.append(path)
 
-    snapshot_paths += maybe_snapshot(t, rho)
-
-    prev_energy = energy0
-    step_index = 0
-
-    def record(t_now, out):
-        nonlocal t, rho, prev_energy, step_index, snapshot_paths
-        t, rho = t_now, out.field.values
-        step_index += 1
-        energy = out.energy_after
-        tol = 100.0 * cfg.tolerance * (1.0 + abs(prev_energy))
-        if energy > prev_energy + tol:
-            violations.append(
-                f"energy increased by {energy - prev_energy:.3g} at t={t:.6g}"
-            )
-        prev_energy = energy
-        if step_index % max(config.cadence, 1) == 0 or t >= config.t_final - 1e-12:
-            rows.append(
-                (t, energy, out.field.mass, float(rho.min()),
-                 out.iterations, out.dt_used, out.cfl_retries)
-            )
-        snapshot_paths += maybe_snapshot(t, rho)
-
+    take_snapshots(t, rho)
     dt = (lambda values: _auto_dt(values, setup)) if config.dt == "auto" else float(config.dt)
+    cadence = max(config.cadence, 1)
     try:
-        march(setup, rho, t, config.t_final, dt, cfg, record)
-    except StepError as exc:
+        for step_index, (t, out) in enumerate(march(setup, rho, t, config.t_final, dt, cfg), 1):
+            rho = out.field.values
+            energy = clipped_energy(setup, rho)
+            tol = 100.0 * cfg.tolerance * (1.0 + abs(prev_energy))
+            if energy > prev_energy + tol:
+                violations.append(
+                    f"energy increased by {energy - prev_energy:.3g} at t={t:.6g}"
+                )
+            prev_energy = energy
+            if step_index % cadence == 0 or t >= config.t_final - 1e-12:
+                rows.append(
+                    (t, energy, out.field.mass, float(rho.min()),
+                     out.iterations, out.dt_used, out.cfl_retries)
+                )
+            take_snapshots(t, rho)
+    except (StepError, NewtonError) as exc:
         violations.append(f"step failed at t={t:.6g}: {exc}")
 
     csv_path = None
@@ -369,7 +350,7 @@ class StudyResult:
         return header + ("order",), [row + (o,) for row, o in zip(self.rows, orders)]
 
 
-def run_level(case: StudyCase, scheme_kind: str, level: int, exponent=None,
+def run_level(case: StudyCase, scheme_kind: str, level: int,
               solver: NewtonConfig | None = None) -> tuple:
     """One refinement level; returns (dt, dx, error)."""
     dx = case.dx0 * 0.5**level
@@ -384,7 +365,8 @@ def run_level(case: StudyCase, scheme_kind: str, level: int, exponent=None,
     )
     setup = build_setup(model, scheme_kind, stage="midpoint")
     rho = sample_reference(ref, case.t_initial, grid)
-    rho, _ = march(setup, rho, case.t_initial, case.t_final, dt, solver, compute_energy=False)
+    for _, out in march(setup, rho, case.t_initial, case.t_final, dt, solver):
+        rho = out.field.values
     error = l1_error(rho, ref, case.t_final, grid)
     return dt, dx, error
 
@@ -404,7 +386,7 @@ def convergence_study(case_name: str, scheme_kind: str, levels: int, exponent=No
     rows = []
     errors = []
     for level in range(levels):
-        dt, dx, error = run_level(case, scheme_kind, level, exponent, solver)
+        dt, dx, error = run_level(case, scheme_kind, level, solver)
         errors.append(error)
         if case.dimension == 1:
             rows.append((dt, dx, error))
@@ -429,24 +411,21 @@ def run_to_steady(setup: SchemeSetup, rho0, dt, t_max, cfg: NewtonConfig | None 
                   l1_tol: float = STEADY_L1_TOL, record_energy: bool = False):
     """March S1/S2 until the L1 increment per step drops below tolerance.
 
-    Returns (rho, t_reached, converged, history) where history holds
-    (t, energy) pairs when requested.
+    Returns (rho, t_reached, converged, history) where history holds the
+    (t, clipped energy) of the start and of every step when requested.
     """
     grid = setup.model.grid
     rho = field_values(rho0).copy()
     history = [(0.0, clipped_energy(setup, rho))] if record_energy else []
-    last, converged = rho, False
-
-    def settled(t, out):
-        nonlocal last, converged
+    t, converged = 0.0, False
+    for t, out in march(setup, rho, 0.0, t_max, dt, cfg):
         if record_energy:
-            history.append((t, out.energy_after))
-        increment = np.abs(out.field.values - last).sum() * grid.cell_measure
-        last = out.field.values
-        converged = bool(increment <= l1_tol)
-        return converged
-
-    rho, t = march(setup, rho, 0.0, t_max, dt, cfg, settled, compute_energy=record_energy)
+            history.append((t, clipped_energy(setup, out.field.values)))
+        increment = np.abs(out.field.values - rho).sum() * grid.cell_measure
+        rho = out.field.values
+        if increment <= l1_tol:
+            converged = True
+            break
     return rho, t, converged, history
 
 

@@ -54,8 +54,6 @@ class StepOutcome:
     residual_norm: float
     dt_used: float
     cfl_retries: int
-    energy_before: float | None = None
-    energy_after: float | None = None
     row_solves: int = 1
 
 
@@ -80,8 +78,11 @@ class SchemeSetup:
 def build_setup(model: ModelSpec, scheme, stage: str = "auto", theta: float = 2.0) -> SchemeSetup:
     """Tabulate V and W once and resolve the convolution stage rule.
 
-    ``scheme`` is a SchemeConfig (used as-is) or a kind string, in which case
-    ``stage`` may be "auto" to pick the rule from the kernel's definiteness.
+    ``scheme`` is a SchemeConfig (used as-is) or a kind string. With a
+    kernel, ``stage`` goes through select_stage_rule: "auto" picks the rule
+    from the kernel's definiteness, and any other rule is honored but warns
+    when it voids the dissipation guarantee. Without a kernel, "auto" means
+    midpoint.
     """
     v_table = sample_confinement(model.potentials, model.grid)
     if model.interaction is None:
@@ -95,14 +96,12 @@ def build_setup(model: ModelSpec, scheme, stage: str = "auto", theta: float = 2.
     if isinstance(scheme, SchemeConfig):
         cfg = scheme
     else:
-        if stage == "auto":
-            if kernel is None:
-                stage_rule = "midpoint"
-            else:
-                stage_rule = select_stage_rule(classify_definiteness(kernel))
-        else:
-            stage_rule = stage
-        cfg = SchemeConfig(scheme, stage_rule, theta)
+        if kernel is not None:
+            stage = select_stage_rule(classify_definiteness(kernel),
+                                      None if stage == "auto" else stage)
+        elif stage == "auto":
+            stage = "midpoint"
+        cfg = SchemeConfig(scheme, stage, theta)
     return SchemeSetup(cfg, model, v_table, kernel)
 
 
@@ -269,7 +268,14 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
             jac = jacobian(shaped(xa))
         else:
             jac = jacobian(xa, lines)
-        delta = _solve_linear(jac, -ra)
+        try:
+            delta = _solve_linear(jac, -ra)
+        except LinAlgError as exc:
+            raise NewtonError(
+                f"Newton system is singular to working precision (norm {worst:g})",
+                best_iterate=shaped(x),
+                best_norm=float(worst),
+            ) from exc
         step_x = xa + delta
         r_new, norm_new, worst_new = evaluate(step_x, lines)
         worse = norm_new > na
@@ -318,16 +324,16 @@ _UNSET = object()
 
 
 def line_problem(setup: SchemeSetup, rho_old, dt, v_table=None, kernel=_UNSET,
-                 dx=None, faces=None) -> LineProblem:
+                 faces=None) -> LineProblem:
     """The setup's implicit step as a LineProblem on rho_old, shaped (..., n).
 
-    ``v_table``/``kernel``/``dx`` override the setup's tables (``kernel=None``
+    ``v_table``/``kernel`` override the setup's tables (``kernel=None``
     disables the interaction); the 2D passes give their per-line tables here.
     ``faces`` is rho_old's S1 (east, west) face values, when already known.
     """
     sch = setup.scheme
     return LineProblem(
-        sch.kind, rho_old, dt, setup.dx if dx is None else dx, setup.energy,
+        sch.kind, rho_old, dt, setup.dx, setup.energy,
         setup.v_table if v_table is None else v_table,
         setup.kernel if kernel is _UNSET else kernel, sch.stage_rule, sch.theta, faces,
     )
@@ -364,19 +370,19 @@ def solve_lines(problem: LineProblem, config: NewtonConfig | None = None, *, _de
 
 
 def implicit_step_1d(rho_old, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
-                     v_table=None, kernel=_UNSET, dx=None):
+                     v_table=None, kernel=_UNSET):
     """One implicit solve of the scheme (no CFL retry logic); see line_problem.
 
     Returns (rho_new, iterations, norm).
     """
-    return solve_lines(line_problem(setup, rho_old, dt, v_table, kernel, dx), config)
+    return solve_lines(line_problem(setup, rho_old, dt, v_table, kernel), config)
 
 
 MAX_CFL_HALVINGS = 20
 
 
-def drive_step(attempt, rho, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
-               compute_energy: bool = True, energy_before: float | None = None) -> StepOutcome:
+def drive_step(attempt, rho, dt, setup: SchemeSetup,
+               config: NewtonConfig | None = None) -> StepOutcome:
     """One time step around ``attempt``, the only part that depends on dimension.
 
     ``attempt(values, dt, cfg) -> (new, iterations, worst_norm, row_solves,
@@ -385,10 +391,10 @@ def drive_step(attempt, rho, dt, setup: SchemeSetup, config: NewtonConfig | None
     DomainError. S1's CFL bound references the converged velocities, so a
     violation halves dt and re-solves; S1's implicit system may also be
     unsolvable well above the bound, so a NewtonError is retried smaller too.
+    A Newton system singular to working precision counts as a NewtonError.
     S2 reports non-convergence instead of guessing. At most MAX_CFL_HALVINGS
     retries. The accepted field must conserve mass and stay above -10*tol.
-    ``energy_before``, when given, is the input's clipped energy (the
-    previous step's ``energy_after``) and is not computed again.
+    The step computes no energy; callers that report one use clipped_energy.
     """
     cfg = config or NewtonConfig()
     b = field_values(rho)
@@ -401,8 +407,6 @@ def drive_step(attempt, rho, dt, setup: SchemeSetup, config: NewtonConfig | None
     if b.min() < -10.0 * tol:
         raise DomainError(f"density dips to {b.min():g}, below -10*tol")
 
-    if energy_before is None:
-        energy_before = clipped_energy(setup, b, compute_energy)
     dt = float(dt)
     retries = 0
     while True:
@@ -429,13 +433,11 @@ def drive_step(attempt, rho, dt, setup: SchemeSetup, config: NewtonConfig | None
         raise StepError(f"mass drifted by {mass_new - mass_old:g} over one step")
 
     field = DensityField(a, grid, min_allowed=10.0 * tol)
-    return StepOutcome(field, iters, norm, dt, retries, energy_before,
-                       clipped_energy(setup, a, compute_energy), row_solves)
+    return StepOutcome(field, iters, norm, dt, retries, row_solves)
 
 
-def advance_step_1d(rho_old, dt_request, setup: SchemeSetup, config: NewtonConfig | None = None,
-                    compute_energy: bool = True,
-                    energy_before: float | None = None) -> StepOutcome:
+def advance_step_1d(rho_old, dt_request, setup: SchemeSetup,
+                    config: NewtonConfig | None = None) -> StepOutcome:
     """Advance one 1D time step (see drive_step); S2 accepts any dt."""
 
     def attempt(values, dt, cfg):
@@ -446,11 +448,9 @@ def advance_step_1d(rho_old, dt_request, setup: SchemeSetup, config: NewtonConfi
             problem.kind, problem.velocity(a), setup.dx, order=2)
         return a, iters, norm, 1, bound
 
-    return drive_step(attempt, rho_old, dt_request, setup, config, compute_energy, energy_before)
+    return drive_step(attempt, rho_old, dt_request, setup, config)
 
 
-def clipped_energy(setup: SchemeSetup, values, compute: bool = True):
-    """Discrete energy of max(values, 0), or None when not computed."""
-    if not compute:
-        return None
+def clipped_energy(setup: SchemeSetup, values) -> float:
+    """Discrete energy of max(values, 0) under the setup's model and kernel table."""
     return analysis.discrete_energy(np.maximum(values, 0.0), setup.model, setup.kernel).total

@@ -226,9 +226,8 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
     return field
 
 
-def advance_step_2d(rho, dt_request, setup: SchemeSetup, config: NewtonConfig | None = None,
-                    compute_energy: bool = True,
-                    energy_before: float | None = None) -> StepOutcome:
+def advance_step_2d(rho, dt_request, setup: SchemeSetup,
+                    config: NewtonConfig | None = None) -> StepOutcome:
     """One full 2D step (see drive_step): x-pass then y-pass, routed to split or sweep.
 
     S1's bound is the split CFL bound: the smallest of the passes'
@@ -244,4 +243,4 @@ def advance_step_2d(rho, dt_request, setup: SchemeSetup, config: NewtonConfig | 
         bound = max_stable_dt(setup.scheme.kind, np.array([tel.max_velocity]), setup.dx)
         return full, tel.newton_iterations, tel.worst_norm, tel.row_solves, bound
 
-    return drive_step(attempt, rho, dt_request, setup, config, compute_energy, energy_before)
+    return drive_step(attempt, rho, dt_request, setup, config)

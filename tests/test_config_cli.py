@@ -3,12 +3,15 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from aggdiff.cli import main
 from aggdiff.config import parse_config
 from aggdiff.errors import ConfigurationError
+from aggdiff.experiments import run_experiment
 from aggdiff.model import Bistable, Gaussian, Quadratic
 
 HEAT_CONFIG = """
@@ -140,6 +143,19 @@ class TestParsing:
         assert cfg.initial.kind == "table"
         assert len(cfg.initial.values) == 8
 
+    @pytest.mark.parametrize("key", ["exponent = 3.0", "diffusion = 0.5", "path = rho.txt"])
+    def test_initial_keys_that_do_nothing_rejected(self, tmp_path, key):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[initial]\nkind = barenblatt\n{key}\n")
+        with pytest.raises(ConfigurationError, match="unknown keys in \\[initial\\]"):
+            parse_config(str(path))
+
+    def test_table_initial_needs_a_file(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[initial]\nkind = table\n")
+        with pytest.raises(ConfigurationError, match="table:FILE"):
+            parse_config(str(path))
+
 
 def run_cli(*args, env=None):
     cmd = [sys.executable, "-m", "aggdiff.cli", *args]
@@ -190,9 +206,42 @@ class TestCli:
         assert "criterion 8" in proc.stdout
         assert "PASS" in proc.stdout
 
+    def test_failed_step_exits_one_with_series_written(self, tmp_path, capsys):
+        # One Newton iteration cannot solve a dt = 1 heat step.
+        path = tmp_path / "c.ini"
+        path.write_text(
+            "[grid]\nhalf_width = 3.0\ncells_per_half_axis = 12\n"
+            "[scheme]\nkind = s2\nstage = midpoint\n"
+            "[time]\nt_final = 1.0\ndt = 1.0\n"
+            "[solver]\nmax_iterations = 1\n"
+            f"[output]\ndirectory = {tmp_path / 'out'}\n"
+        )
+        assert main(["run", "--config", str(path)]) == 1
+        assert "VIOLATION: step failed at t=0" in capsys.readouterr().err
+        assert len((tmp_path / "out" / "series.csv").read_text().splitlines()) == 2
+
     def test_bad_config_exits_nonzero(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[model]\nenergy = prime_rib\n")
         proc = run_cli("run", "--config", str(path))
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_runs_clean(path, tmp_path, monkeypatch):
+    """Each configs/*.ini runs to t_final and keeps the scheme's invariants."""
+    monkeypatch.setenv("AGGDIFF_OUTPUT_ROOT", str(tmp_path))
+    config = parse_config(str(path))
+    record = run_experiment(config)
+    tol = config.solver.tolerance
+    t, energy, mass, min_rho = (np.array(column) for column in list(zip(*record.rows))[:4])
+    assert record.violations == []
+    assert (np.diff(t) > 0).all() and t[-1] == pytest.approx(config.t_final, abs=1e-12)
+    assert np.abs(mass - mass[0]).max() <= 10 * tol * (1 + abs(mass[0]))
+    assert (np.diff(energy) <= 100 * tol * (1 + np.abs(energy[:-1]))).all()
+    assert min_rho.min() >= -10 * tol
+    assert record.csv_path.startswith(str(tmp_path))

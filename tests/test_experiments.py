@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from aggdiff import analysis
+from aggdiff import analysis, experiments
 from aggdiff.analysis import first_moment
 from aggdiff.errors import ConfigurationError
 from aggdiff.experiments import (
@@ -25,7 +25,7 @@ from aggdiff.experiments import (
 from aggdiff.kernels import convolve
 from aggdiff.presets import flocking, grid_1d, grid_2d, heat, linear_fokker_planck
 from aggdiff.scheme1d import face_data
-from aggdiff.solver import NewtonConfig, advance_step_1d, build_setup
+from aggdiff.solver import NewtonConfig, advance_step_1d, build_setup, clipped_energy
 from aggdiff.split2d import advance_step_2d
 
 
@@ -72,6 +72,11 @@ class TestInitialConditions:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
             build_initial(InitialSpec("bananas"), grid_1d(1.0, 0.5), 0.0)
+
+    @pytest.mark.parametrize("kind", ["heat_kernel", "barenblatt", "fp_transient", "fp_steady"])
+    def test_reference_kind_needs_the_model(self, kind):
+        with pytest.raises(ConfigurationError, match="needs the model"):
+            build_initial(InitialSpec(kind), grid_1d(2.0, 0.5), 1.0)
 
 
 class TestRunExperiment:
@@ -176,6 +181,11 @@ class TestRunExperiment:
         record = run_experiment(self._config(dt=0.4, t_final=0.5))
         assert record.rows[-1][0] == pytest.approx(0.5)
 
+    def test_energy_column_is_the_clipped_energy(self):
+        record = run_experiment(self._config(t_final=0.3))
+        setup = build_setup(heat(grid_1d(4.0, 0.25)), "s2", "midpoint")
+        assert record.rows[-1][1] == clipped_energy(setup, record.final.values)
+
 
 def _flocking_setup(dimension, kind, stage):
     g = grid_1d(4.0, 0.25) if dimension == 1 else grid_2d(4.0, 0.5)
@@ -213,44 +223,56 @@ class TestStepAndMarch:
         driver = advance_step_1d if dimension == 1 else advance_step_2d
         ours, theirs = step(rho, 0.05, setup), driver(rho, 0.05, setup)
         assert np.array_equal(ours.field.values, theirs.field.values)
-        fields = ("iterations", "residual_norm", "dt_used", "cfl_retries",
-                  "energy_before", "energy_after", "row_solves")
+        fields = ("iterations", "residual_norm", "dt_used", "cfl_retries", "row_solves")
         assert [getattr(ours, f) for f in fields] == [getattr(theirs, f) for f in fields]
 
     def test_last_step_clamped_to_until(self):
         setup, rho0 = _flocking_setup(1, "s2", "midpoint")
-        seen = []
-        rho, t = march(setup, rho0, 0.0, 0.5, lambda values: 0.2,
-                       observer=lambda t, out: seen.append((t, out)))
+        seen = list(march(setup, rho0, 0.0, 0.5, lambda values: 0.2))
         assert [out.dt_used for _, out in seen[:2]] == [0.2, 0.2]
         assert len(seen) == 3 and seen[2][1].dt_used == 0.5 - seen[1][0]
-        assert t == seen[-1][0] == pytest.approx(0.5)
-        assert rho is seen[-1][1].field.values
+        assert seen[-1][0] == pytest.approx(0.5)
 
-    def test_observer_stops_the_loop(self):
+    def test_each_step_starts_from_the_last_yielded_field(self):
         setup, rho0 = _flocking_setup(1, "s2", "midpoint")
+        seen = list(march(setup, rho0, 0.0, 0.3, 0.1))
+        inputs = [rho0] + [out.field.values for _, out in seen[:-1]]
+        for values, (_, out) in zip(inputs, seen):
+            again = step(values, out.dt_used, setup).field.values
+            assert np.array_equal(out.field.values, again)
+
+    def test_break_stops_the_loop(self, monkeypatch):
+        setup, rho0 = _flocking_setup(1, "s2", "midpoint")
+        taken = []
+
+        def counted(*args, **kwargs):
+            taken.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "step", counted)
         times = []
-
-        def stop_after_two(t, out):
+        for t, _ in march(setup, rho0, 0.0, 10.0, 0.1):
             times.append(t)
-            return len(times) == 2
-
-        _, t = march(setup, rho0, 0.0, 10.0, 0.1, observer=stop_after_two)
-        assert times == [0.1, 0.2] and t == 0.2
+            if len(times) == 2:
+                break
+        assert times == [0.1, 0.2] and len(taken) == 2
 
     def test_no_sliver_step_at_the_end(self):
         # 1500 additions of 0.1 stop just short of 150; the last step absorbs
         # the roundoff remainder instead of leaving a ~4e-12 step behind it.
         g = grid_1d(1.0, 0.5)
         setup = build_setup(heat(g), "s2", stage="midpoint")
-        steps = []
-        _, t = march(setup, np.full(g.n_cells, 0.5), 0.0, 150.0, 0.1,
-                       observer=lambda t, out: steps.append(out.dt_used),
-                       compute_energy=False)
-        assert len(steps) == 1500 and t == pytest.approx(150.0, abs=1e-12)
-        assert min(steps) == pytest.approx(0.1, rel=1e-9)
+        steps = [(t, out.dt_used) for t, out in
+                 march(setup, np.full(g.n_cells, 0.5), 0.0, 150.0, 0.1)]
+        assert len(steps) == 1500 and steps[-1][0] == pytest.approx(150.0, abs=1e-12)
+        assert min(dt for _, dt in steps) == pytest.approx(0.1, rel=1e-9)
 
-    def test_energy_handed_from_step_to_step(self, monkeypatch):
+
+class TestEnergyEvaluations:
+    """A run evaluates the discrete energy once per state: N + 1 for N steps."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = []
         energy = analysis.discrete_energy
 
@@ -259,16 +281,23 @@ class TestStepAndMarch:
             return energy(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "discrete_energy", counted)
+        return calls
+
+    def test_run_experiment(self, calls):
+        g = grid_1d(4.0, 0.25)
+        record = run_experiment(ExperimentConfig(
+            model=flocking(g, noise=0.5), scheme_kind="s2", stage="midpoint",
+            t_final=1.0, dt=0.1, initial=InitialSpec("gaussian", width=0.6),
+        ))
+        assert record.ok and len(record.rows) == 11
+        assert len(calls) == 11
+
+    def test_run_to_steady(self, calls):
         setup, rho0 = _flocking_setup(1, "s2", "midpoint")
-        outcomes = []
-        march(setup, rho0, 0.0, 0.5, 0.1, observer=lambda t, out: outcomes.append(out))
-        assert len(outcomes) == 5 and len(calls) == len(outcomes) + 1
-        for previous, out in zip(outcomes, outcomes[1:]):
-            assert out.energy_before == previous.energy_after
-        # Each handed-on energy equals the one computed afresh, bit for bit.
-        inputs = [rho0] + [out.field.values for out in outcomes[:-1]]
-        for values, out in zip(inputs, outcomes):
-            assert out.energy_before == step(values, 0.1, setup).energy_before
+        _, t, converged, history = run_to_steady(setup, rho0, 0.1, 0.6, record_energy=True)
+        assert not converged and t == pytest.approx(0.6)
+        assert len(history) == 7 and len(calls) == 7
+        assert history[0] == (0.0, clipped_energy(setup, rho0))
 
 
 class TestConvergenceStudy:

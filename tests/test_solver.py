@@ -8,18 +8,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from aggdiff import solver
+from aggdiff import analysis, solver
 from aggdiff.kernels import IMPLICIT, MIDPOINT, make_kernel_1d
 from aggdiff.model import InternalEnergy
 from aggdiff.scheme1d import S1, S2, LineProblem, TridiagonalLowRank
 from aggdiff.errors import DomainError, NewtonError, NumericalError
-from aggdiff.presets import grid_1d, heat, linear_fokker_planck, porous_medium
+from aggdiff.presets import (
+    grid_1d,
+    heat,
+    linear_fokker_planck,
+    nonlocal_fokker_planck,
+    porous_medium,
+)
 from aggdiff.analysis import ReferenceSolution, sample_reference
 from aggdiff.solver import (
     NewtonConfig,
     advance_step_1d,
     assemble_jacobian,
     build_setup,
+    clipped_energy,
     implicit_step_1d,
     newton_solve,
 )
@@ -146,7 +153,7 @@ class TestAdvanceStep:
         ref = ReferenceSolution("heat_kernel", 1)
         rho = sample_reference(ref, 0.5, g)
         out = advance_step_1d(rho, g.dx**2, setup, NewtonConfig())
-        assert out.energy_after <= out.energy_before + 1e-12
+        assert clipped_energy(setup, out.field.values) <= clipped_energy(setup, rho) + 1e-12
 
     def test_mass_conserved_per_step(self):
         g = grid_1d(3.0, 0.25)
@@ -225,13 +232,60 @@ class TestAdvanceStep:
         out = advance_step_1d(rho, 0.1, setup, NewtonConfig())
         assert out.field.values.min() >= -10 * NewtonConfig().tolerance
 
-    def test_energy_can_be_skipped(self):
+    def test_step_computes_no_energy(self, monkeypatch):
+        monkeypatch.setattr(analysis, "discrete_energy", _no_solve)
         g = grid_1d(2.0, 0.5)
         setup = build_setup(heat(g), "s2", stage="midpoint")
-        out = advance_step_1d(
-            np.full(g.n_cells, 1.0), 0.1, setup, NewtonConfig(), compute_energy=False
-        )
-        assert out.energy_before is None and out.energy_after is None
+        out = advance_step_1d(np.full(g.n_cells, 1.0), 0.1, setup, NewtonConfig())
+        assert out.dt_used == 0.1
+
+    @pytest.mark.parametrize("dt", [2.0, 1.0, 0.5])
+    def test_singular_newton_system_halves_dt(self, dt):
+        # One occupied cell under an implicit |x|^2/2 stage: at dt = 1 a
+        # Woodbury system is singular to working precision (a step from 2
+        # halves into it). The failed solve is a NewtonError, so S1 halves dt
+        # on until a step is accepted.
+        g = grid_1d(4.0, 0.5)
+        with pytest.warns(UserWarning, match="voids the energy-dissipation guarantee"):
+            setup = build_setup(nonlocal_fokker_planck(g), "s1", stage="implicit")
+        rho = np.zeros(g.n_cells)
+        rho[7] = 1.0
+        if dt == 1.0:
+            with pytest.raises(NewtonError, match="singular"):
+                solver.solve_lines(solver.line_problem(setup, rho, dt))
+        out = advance_step_1d(rho, dt, setup, NewtonConfig())
+        assert out.cfl_retries >= 1 and out.dt_used < dt
+        assert out.field.mass == pytest.approx(g.dx)
+
+    def test_singular_newton_system_carries_the_iterate(self):
+        def residual(x):
+            return x - np.array([1.0, 2.0])
+
+        guess = np.array([0.0, 0.0])
+        with pytest.raises(NewtonError, match="singular") as info:
+            newton_solve(residual, guess, jacobian=lambda x: np.zeros((2, 2)))
+        assert np.array_equal(info.value.best_iterate, guess)
+        assert info.value.best_norm == 2.0
+
+
+class TestStageOverride:
+    def test_override_that_voids_the_guarantee_warns(self):
+        g = grid_1d(4.0, 0.5)
+        with pytest.warns(UserWarning, match="voids the energy-dissipation guarantee"):
+            setup = build_setup(nonlocal_fokker_planck(g), "s2", stage="implicit")
+        assert setup.scheme.stage_rule == IMPLICIT
+
+    def test_guaranteed_override_is_silent(self):
+        g = grid_1d(4.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            setup = build_setup(nonlocal_fokker_planck(g), "s2", stage="midpoint")
+        assert setup.scheme.stage_rule == MIDPOINT
+
+    def test_unknown_stage_rejected(self):
+        g = grid_1d(4.0, 0.5)
+        with pytest.raises(DomainError):
+            build_setup(nonlocal_fokker_planck(g), "s2", stage="sideways")
 
 
 class TestEnergyMonotonicityMatrix:
@@ -255,8 +309,9 @@ class TestEnergyMonotonicityMatrix:
         dt = 0.5 if kind == "s2" else g.dx**2 / 4
         for _ in range(3):
             out = advance_step_1d(rho, dt, setup, cfg)
-            tol = 100 * cfg.tolerance * (1 + abs(out.energy_before))
-            assert out.energy_after <= out.energy_before + tol
+            before, after = clipped_energy(setup, rho), clipped_energy(setup, out.field.values)
+            tol = 100 * cfg.tolerance * (1 + abs(before))
+            assert after <= before + tol
             rho = out.field.values
 
 
