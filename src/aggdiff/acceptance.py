@@ -404,7 +404,7 @@ def criterion_8() -> CriterionResult:
             setup.kernel, setup.scheme.stage_rule,
         )
         exact = dt * (exact if isinstance(exact, np.ndarray) else exact.to_dense())
-        approx = assemble_jacobian(f, rho_at, mode="fd")
+        approx = assemble_jacobian(f, rho_at)
         scale = np.abs(exact).max()
         err = float(np.abs(exact - approx).max() / scale)
         res.add(

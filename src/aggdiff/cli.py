@@ -12,11 +12,10 @@ Output paths resolve under $AGGDIFF_OUTPUT_ROOT when set.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import acceptance
-from .config import parse_config
+from .config import parse_config, resolve_output
 from .errors import AggDiffError
 from .experiments import (
     STUDY_CASE_NAMES,
@@ -27,19 +26,10 @@ from .experiments import (
 )
 
 
-def _resolve_output(path):
-    if path is None:
-        return None
-    root = os.environ.get("AGGDIFF_OUTPUT_ROOT", "")
-    if root and not os.path.isabs(path):
-        return os.path.join(root, path)
-    return path
-
-
 def _cmd_run(args):
     config = parse_config(args.config)
     if args.output is not None:
-        config.output_dir = _resolve_output(args.output)
+        config.output_dir = resolve_output(args.output)
     record = run_experiment(config)
     last = record.rows[-1]
     print(f"steps recorded: {len(record.rows) - 1}")
@@ -59,7 +49,7 @@ def _cmd_run(args):
 def _cmd_convergence(args):
     result = convergence_study(
         args.case, args.scheme, args.levels, exponent=args.exponent,
-        output_dir=_resolve_output(args.output),
+        output_dir=resolve_output(args.output),
     )
     header, rows = result.table()
     print(",".join(header))
@@ -74,7 +64,7 @@ def _cmd_sweep(args):
     config = parse_config(args.config)
     values = [float(v) for v in args.values.split(",") if v.strip()]
     record = bifurcation_sweep(
-        config, args.param, values, output_dir=_resolve_output(args.output)
+        config, args.param, values, output_dir=resolve_output(args.output)
     )
     print(",".join(record.HEADER))
     for row in record.rows:

@@ -89,6 +89,14 @@ def _build_interaction(section, base_dir):
     raise ConfigurationError(f"unknown interaction kind {kind!r}")
 
 
+def resolve_output(path):
+    """``path`` under $AGGDIFF_OUTPUT_ROOT when that is set and path is relative."""
+    root = os.environ.get("AGGDIFF_OUTPUT_ROOT", "")
+    if path is not None and root and not os.path.isabs(path):
+        return os.path.join(root, path)
+    return path
+
+
 def parse_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(path)
@@ -178,10 +186,6 @@ def parse_config(path: str) -> ExperimentConfig:
     )
 
     out_sec = parser["output"] if parser.has_section("output") else {}
-    directory = out_sec.get("directory", None)
-    if directory is not None and not os.path.isabs(directory):
-        root = os.environ.get("AGGDIFF_OUTPUT_ROOT", "")
-        directory = os.path.join(root, directory) if root else directory
     snapshots = _floats(str(out_sec.get("snapshots", "")))
 
     return ExperimentConfig(
@@ -194,7 +198,7 @@ def parse_config(path: str) -> ExperimentConfig:
         dt=dt,
         initial=initial,
         solver=solver,
-        output_dir=directory,
+        output_dir=resolve_output(out_sec.get("directory", None)),
         snapshots=snapshots,
         cadence=int(out_sec.get("cadence", 1)),
     )

@@ -233,6 +233,11 @@ def _auto_dt(values, setup: SchemeSetup) -> float:
     return 0.9 * dx / (2.0 * peak)
 
 
+def _dt_rule(dt, setup: SchemeSetup):
+    """A configured dt as march takes it: a number, or _auto_dt's rule for "auto"."""
+    return (lambda values: _auto_dt(values, setup)) if dt == "auto" else float(dt)
+
+
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Time-step a configured model, recording telemetry and snapshots.
 
@@ -264,7 +269,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                 snapshot_paths.append(path)
 
     take_snapshots(t, rho)
-    dt = (lambda values: _auto_dt(values, setup)) if config.dt == "auto" else float(config.dt)
+    dt = _dt_rule(config.dt, setup)
     cadence = max(config.cadence, 1)
     try:
         for step_index, (t, out) in enumerate(march(setup, rho, t, config.t_final, dt, cfg), 1):
@@ -474,8 +479,9 @@ def bifurcation_sweep(config: ExperimentConfig, parameter: str, values,
     """Steady states across a parameter range, from an x-shifted start.
 
     Each value runs to the steady state (L1 increment <= 1e-10 per step) or
-    to t_final; a row that fails to settle is flagged, not fatal. Recorded
-    per value: |<x>| of the final state and its discrete energy.
+    to t_final, stepping as a run does (dt = "auto" is _auto_dt); a row
+    that fails to settle is flagged, not fatal. Recorded per value: |<x>| of
+    the final state and its discrete energy.
     """
     rows = []
     for value in values:
@@ -487,9 +493,9 @@ def bifurcation_sweep(config: ExperimentConfig, parameter: str, values,
             center=(init.center[0] + SWEEP_SHIFT,) + tuple(init.center[1:]),
         )
         rho0 = np.maximum(build_initial(shifted, model.grid, config.t_initial, model), 0.0)
-        dt = config.dt if config.dt != "auto" else model.grid.dx
         rho, t_reached, converged, _ = run_to_steady(
-            setup, rho0, float(dt), config.t_final - config.t_initial, config.solver
+            setup, rho0, _dt_rule(config.dt, setup), config.t_final - config.t_initial,
+            config.solver
         )
         moment = analysis.first_moment(rho, model.grid)
         energy = clipped_energy(setup, rho)

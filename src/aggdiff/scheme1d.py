@@ -38,6 +38,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise DomainError(f"unknown scheme kind {self.kind!r}")
+        if self.stage_rule not in STAGE_RULES:
+            raise DomainError(f"unknown stage rule {self.stage_rule!r}")
         if not 1.0 <= self.theta <= 2.0:
             raise DomainError("limiter parameter theta must lie in [1, 2]")
 
@@ -373,30 +375,3 @@ def residual_jacobian(kind, rho_new, rho_old, dt, dx, energy, v_table, kernel,
     """
     problem = LineProblem(kind, rho_old, dt, dx, energy, v_table, kernel, stage_rule, theta)
     return problem.jacobian(field_values(rho_new))
-
-
-def max_stable_dt(kind, velocity, dx, order: int = 2) -> float:
-    """Largest dt guaranteeing positivity for the given face velocities.
-
-    S2 is unconditional (+inf). For S1 the second-order bound is
-    dx / (2 max_faces max(u^+, -u^-)); the first-order variant uses the
-    per-cell spread (u_{i+1/2})^+ - (u_{i-1/2})^-.
-    """
-    if kind == S2:
-        return np.inf
-    u = np.asarray(velocity, dtype=float)
-    if u.size == 0:
-        return np.inf
-    if order == 2:
-        peak = np.max(np.maximum(np.maximum(u, 0.0), np.maximum(-u, 0.0)))
-        if peak == 0.0:
-            return np.inf
-        return dx / (2.0 * peak)
-    if order == 1:
-        up = np.concatenate((np.maximum(u, 0.0), [0.0]))   # right face of each cell
-        um = np.concatenate(([0.0], np.minimum(u, 0.0)))   # left face of each cell
-        spread = np.max(up - um)
-        if spread == 0.0:
-            return np.inf
-        return dx / spread
-    raise DomainError("order must be 1 or 2")

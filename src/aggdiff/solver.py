@@ -1,9 +1,10 @@
 """Newton solution of the implicit systems and the time step driver.
 
 The schemes' updates are roots of a nonlinear residual. A damped Newton
-iteration with vacuum regularization solves them; the second-order scheme's
-CFL bound references the *converged* velocities, so it is enforced a
-posteriori with time-step halving and re-solves.
+iteration with vacuum regularization solves them. The step driver owns the
+second-order scheme's CFL bound, dt <= dx / (2 max|u|): it references the
+*converged* face velocities, so it is enforced a posteriori with time-step
+halving and re-solves.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
 
-from . import analysis, scheme1d
+from . import analysis
 from .errors import DomainError, NewtonError, NumericalError, StepError
 from .kernels import (
     KernelTable,
@@ -24,7 +25,7 @@ from .kernels import (
     tabulate_kernel,
 )
 from .model import DensityField, ModelSpec, field_values, sample_confinement
-from .scheme1d import S2, LineProblem, SchemeConfig, Tridiagonal, TridiagonalLowRank
+from .scheme1d import S1, S2, LineProblem, SchemeConfig, Tridiagonal, TridiagonalLowRank
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class StepOutcome:
     residual_norm: float
     dt_used: float
     cfl_retries: int
-    row_solves: int = 1
+    row_solves: int
 
 
 @dataclass(frozen=True)
@@ -75,14 +76,15 @@ class SchemeSetup:
         return self.model.energy
 
 
-def build_setup(model: ModelSpec, scheme, stage: str = "auto", theta: float = 2.0) -> SchemeSetup:
+def build_setup(model: ModelSpec, scheme: str, stage: str = "auto",
+                theta: float = 2.0) -> SchemeSetup:
     """Tabulate V and W once and resolve the convolution stage rule.
 
-    ``scheme`` is a SchemeConfig (used as-is) or a kind string. With a
-    kernel, ``stage`` goes through select_stage_rule: "auto" picks the rule
-    from the kernel's definiteness, and any other rule is honored but warns
-    when it voids the dissipation guarantee. Without a kernel, "auto" means
-    midpoint.
+    ``scheme`` is the scheme kind, S1 or S2. With a kernel, ``stage`` goes
+    through select_stage_rule: "auto" picks the rule from the kernel's
+    definiteness, and any other rule is honored but warns when it voids the
+    dissipation guarantee. Without a kernel, "auto" means midpoint. An
+    unknown kind, stage rule or theta raises DomainError here, before any step.
     """
     v_table = sample_confinement(model.potentials, model.grid)
     if model.interaction is None:
@@ -93,16 +95,12 @@ def build_setup(model: ModelSpec, scheme, stage: str = "auto", theta: float = 2.
         )
         if kernel.is_zero:
             kernel = None
-    if isinstance(scheme, SchemeConfig):
-        cfg = scheme
-    else:
-        if kernel is not None:
-            stage = select_stage_rule(classify_definiteness(kernel),
-                                      None if stage == "auto" else stage)
-        elif stage == "auto":
-            stage = "midpoint"
-        cfg = SchemeConfig(scheme, stage, theta)
-    return SchemeSetup(cfg, model, v_table, kernel)
+    if kernel is not None:
+        stage = select_stage_rule(classify_definiteness(kernel),
+                                  None if stage == "auto" else stage)
+    elif stage == "auto":
+        stage = "midpoint"
+    return SchemeSetup(SchemeConfig(scheme, stage, theta), model, v_table, kernel)
 
 
 _GTSV, _GESV = get_lapack_funcs(("gtsv", "gesv"), dtype=np.float64)
@@ -161,18 +159,13 @@ def _solve_linear(jac, rhs):
     return np.linalg.solve(np.atleast_2d(jac), rhs[..., None])[..., 0]
 
 
-def assemble_jacobian(residual_fn, rho, mode: str = "fd", analytic_fn=None, step: float = 1e-7):
-    """Jacobian of residual_fn at rho.
+def assemble_jacobian(residual_fn, rho, step: float = 1e-7):
+    """Finite-difference Jacobian of residual_fn at rho.
 
-    Finite-difference mode uses column-wise forward differences with
-    increment step*max(|rho_j|, 1); on (..., n) lines the column is
-    perturbed on every line at once, giving one (n, n) block per line.
-    Analytic mode delegates to the scheme's exact assembly.
+    Column-wise forward differences with increment step*max(|rho_j|, 1); on
+    (..., n) lines the column is perturbed on every line at once, giving one
+    (n, n) block per line.
     """
-    if mode == "analytic":
-        if analytic_fn is None:
-            raise DomainError("analytic jacobian requested but none provided")
-        return analytic_fn(rho)
     x = np.asarray(rho, dtype=float)
     f0 = np.asarray(residual_fn(x), dtype=float)
     n = x.shape[-1]
@@ -378,6 +371,25 @@ def implicit_step_1d(rho_old, dt, setup: SchemeSetup, config: NewtonConfig | Non
     return solve_lines(line_problem(setup, rho_old, dt, v_table, kernel), config)
 
 
+class PassTelemetry:
+    """Counters accumulated over the line solves of one step attempt."""
+
+    def __init__(self):
+        self.row_solves = 0
+        self.newton_iterations = 0
+        self.max_velocity = 0.0
+        self.worst_norm = 0.0
+
+    def absorb(self, problem, new_lines, iters, norm):
+        """Count one solve of ``problem``; S1 also records the converged |u|."""
+        self.row_solves += new_lines.size // new_lines.shape[-1]
+        self.newton_iterations += iters
+        self.worst_norm = max(self.worst_norm, norm)
+        if problem.kind == S1:
+            speed = float(np.abs(problem.velocity(new_lines)).max(initial=0.0))
+            self.max_velocity = max(self.max_velocity, speed)
+
+
 MAX_CFL_HALVINGS = 20
 
 
@@ -385,16 +397,20 @@ def drive_step(attempt, rho, dt, setup: SchemeSetup,
                config: NewtonConfig | None = None) -> StepOutcome:
     """One time step around ``attempt``, the only part that depends on dimension.
 
-    ``attempt(values, dt, cfg) -> (new, iterations, worst_norm, row_solves,
-    cfl_bound)`` solves the step. The input density is checked before any
-    solve: a wrong shape, a non-finite value or a value below -10*tol raises
-    DomainError. S1's CFL bound references the converged velocities, so a
-    violation halves dt and re-solves; S1's implicit system may also be
-    unsolvable well above the bound, so a NewtonError is retried smaller too.
-    A Newton system singular to working precision counts as a NewtonError.
-    S2 reports non-convergence instead of guessing. At most MAX_CFL_HALVINGS
-    retries. The accepted field must conserve mass and stay above -10*tol.
-    The step computes no energy; callers that report one use clipped_energy.
+    ``attempt(values, dt, cfg, tel) -> new`` solves the step: its passes
+    over the lines, each solve absorbed into ``tel``, a fresh PassTelemetry
+    per attempt. The input density is checked before any solve: a wrong
+    shape, a non-finite value or a value below -10*tol raises DomainError.
+    S1's CFL bound dt <= dx / (2 max|u|) references the converged face
+    velocities of every pass (``tel.max_velocity``; infinite when it is 0,
+    as under S2, whose telemetry records none), so a violation halves dt and
+    re-solves; S1's implicit system may also be unsolvable well above the
+    bound, so a NewtonError is retried smaller too. A Newton system singular
+    to working precision counts as a NewtonError. S2 reports
+    non-convergence instead of guessing. At most MAX_CFL_HALVINGS retries.
+    The accepted field must conserve mass and stay above -10*tol. The
+    StepOutcome reports the accepted attempt's telemetry. The step computes
+    no energy; callers that report one use clipped_energy.
     """
     cfg = config or NewtonConfig()
     b = field_values(rho)
@@ -410,12 +426,15 @@ def drive_step(attempt, rho, dt, setup: SchemeSetup,
     dt = float(dt)
     retries = 0
     while True:
+        tel = PassTelemetry()
         try:
-            a, iters, norm, row_solves, bound = attempt(b, dt, cfg)
+            a = attempt(b, dt, cfg, tel)
         except NewtonError:
             if setup.scheme.kind == S2 or retries >= MAX_CFL_HALVINGS:
                 raise
         else:
+            peak = tel.max_velocity
+            bound = math.inf if peak == 0.0 else setup.dx / (2.0 * peak)
             if dt <= bound * (1.0 + 1e-12):
                 break
             if retries >= MAX_CFL_HALVINGS:
@@ -433,20 +452,18 @@ def drive_step(attempt, rho, dt, setup: SchemeSetup,
         raise StepError(f"mass drifted by {mass_new - mass_old:g} over one step")
 
     field = DensityField(a, grid, min_allowed=10.0 * tol)
-    return StepOutcome(field, iters, norm, dt, retries, row_solves)
+    return StepOutcome(field, tel.newton_iterations, tel.worst_norm, dt, retries, tel.row_solves)
 
 
 def advance_step_1d(rho_old, dt_request, setup: SchemeSetup,
                     config: NewtonConfig | None = None) -> StepOutcome:
-    """Advance one 1D time step (see drive_step); S2 accepts any dt."""
+    """Advance one 1D time step (see drive_step): one pass, a single line solve."""
 
-    def attempt(values, dt, cfg):
+    def attempt(values, dt, cfg, tel):
         problem = line_problem(setup, values, dt)
-        a, iters, norm = solve_lines(problem, cfg)
-        # S2 has no bound; skipping it saves one potential evaluation per step.
-        bound = np.inf if problem.kind == S2 else scheme1d.max_stable_dt(
-            problem.kind, problem.velocity(a), setup.dx, order=2)
-        return a, iters, norm, 1, bound
+        new, iters, norm = solve_lines(problem, cfg)
+        tel.absorb(problem, new, iters, norm)
+        return new
 
     return drive_step(attempt, rho_old, dt_request, setup, config)
 

@@ -28,34 +28,16 @@ from scipy.fft import irfft, next_fast_len, rfft
 from .errors import RoutingError
 from .kernels import EXPLICIT, QUADRATIC_FORMS, convolve, make_kernel_1d
 from .model import field_values
-from .scheme1d import S1, max_stable_dt, reconstruct_faces
+from .scheme1d import S1, reconstruct_faces
 from .solver import (
     NewtonConfig,
+    PassTelemetry,
     SchemeSetup,
     StepOutcome,
     drive_step,
     line_problem,
     solve_lines,
 )
-
-
-class PassTelemetry:
-    """Counters accumulated over one directional pass."""
-
-    def __init__(self):
-        self.row_solves = 0
-        self.newton_iterations = 0
-        self.max_velocity = 0.0
-        self.worst_norm = 0.0
-
-    def absorb(self, problem, new_lines, iters, norm):
-        """Count one solve of ``problem``; S1 also records the converged |u|."""
-        self.row_solves += new_lines.size // new_lines.shape[-1]
-        self.newton_iterations += iters
-        self.worst_norm = max(self.worst_norm, norm)
-        if problem.kind == S1:
-            speed = float(np.abs(problem.velocity(new_lines)).max(initial=0.0))
-            self.max_velocity = max(self.max_velocity, speed)
 
 
 def _lines(field, axis):
@@ -230,17 +212,14 @@ def advance_step_2d(rho, dt_request, setup: SchemeSetup,
                     config: NewtonConfig | None = None) -> StepOutcome:
     """One full 2D step (see drive_step): x-pass then y-pass, routed to split or sweep.
 
-    S1's bound is the split CFL bound: the smallest of the passes'
-    face-velocity bounds.
+    Both passes absorb their solves into the attempt's one telemetry, so
+    drive_step's S1 bound takes the largest converged face speed of either.
     """
     decoupled = setup.kernel is None or setup.scheme.stage_rule == EXPLICIT
     advance = advance_split_axis if decoupled else advance_sweep_axis
 
-    def attempt(field, dt, cfg):
-        tel = PassTelemetry()
+    def attempt(field, dt, cfg, tel):
         half = advance(field, 0, dt, setup, cfg, tel)
-        full = advance(half, 1, dt, setup, cfg, tel)
-        bound = max_stable_dt(setup.scheme.kind, np.array([tel.max_velocity]), setup.dx)
-        return full, tel.newton_iterations, tel.worst_norm, tel.row_solves, bound
+        return advance(half, 1, dt, setup, cfg, tel)
 
     return drive_step(attempt, rho, dt_request, setup, config)

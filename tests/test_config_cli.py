@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aggdiff import experiments
 from aggdiff.cli import main
 from aggdiff.config import parse_config
-from aggdiff.errors import ConfigurationError
+from aggdiff.errors import ConfigurationError, DomainError
 from aggdiff.experiments import run_experiment
 from aggdiff.model import Bistable, Gaussian, Quadratic
 
@@ -156,6 +157,30 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="table:FILE"):
             parse_config(str(path))
 
+    def test_relative_output_directory_lands_under_the_root(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("AGGDIFF_OUTPUT_ROOT", str(tmp_path / "root"))
+        path = tmp_path / "c.ini"
+        path.write_text("[output]\ndirectory = rel/out\n")
+        assert parse_config(str(path)).output_dir == str(tmp_path / "root" / "rel" / "out")
+        path.write_text(f"[output]\ndirectory = {tmp_path / 'abs'}\n")
+        assert parse_config(str(path)).output_dir == str(tmp_path / "abs")
+
+    def test_unknown_stage_rule_fails_at_set_up(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.ini"
+        path.write_text(
+            "[grid]\nhalf_width = 2.0\ncells_per_half_axis = 4\n"
+            "[scheme]\nkind = s2\nstage = sideways\n"
+            "[time]\nt_final = 0.1\ndt = 0.1\n"
+        )
+        config = parse_config(str(path))  # no interaction: no kernel to check it against
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("stepping started")
+
+        monkeypatch.setattr(experiments, "march", no_march)
+        with pytest.raises(DomainError, match="unknown stage rule 'sideways'"):
+            run_experiment(config)
+
 
 def run_cli(*args, env=None):
     cmd = [sys.executable, "-m", "aggdiff.cli", *args]
@@ -181,6 +206,13 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert (root / "rel" / "run1" / "series.csv").exists()
+
+    def test_convergence_respects_output_root_env(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("AGGDIFF_OUTPUT_ROOT", str(tmp_path))
+        assert main(["convergence", "--case", "heat1d", "--scheme", "s2", "--levels", "1",
+                     "--output", "rel/conv"]) == 0
+        assert (tmp_path / "rel" / "conv" / "convergence_heat1d_s2.csv").exists()
+        assert f"written: {tmp_path / 'rel' / 'conv'}" in capsys.readouterr().err
 
     def test_convergence_command(self, tmp_path):
         proc = run_cli("convergence", "--case", "heat1d", "--scheme", "s2",

@@ -351,30 +351,33 @@ class TestReferenceAnchors:
 
 
 class TestSweep:
-    def test_single_value_matches_composed_run(self):
+    @pytest.mark.parametrize("kind, dt, t_final", [("s2", 0.25, 200.0), ("s1", "auto", 0.5)])
+    def test_single_value_matches_composed_run(self, kind, dt, t_final):
+        # A sweep steps as a run does: dt = auto is _auto_dt's rule, not dx.
         g = grid_1d(4.0, 1.0 / 16.0)
         config = ExperimentConfig(
             model=flocking(g, noise=1.0),
-            scheme_kind="s2",
+            scheme_kind=kind,
             stage="auto",
             t_initial=0.0,
-            t_final=200.0,
-            dt=0.25,
+            t_final=t_final,
+            dt=dt,
             initial=InitialSpec("gaussian", mass=1.0, width=0.5, center=(0.0, 0.0)),
             solver=NewtonConfig(),
         )
         record = bifurcation_sweep(config, "sigma", [0.8])
-        value, moment, energy, converged, _ = record.rows[0]
-        assert converged
+        _, moment, energy, converged, t_reached = record.rows[0]
+        assert converged == (kind == "s2")
         # compose the same run by hand: shifted start, steady march
         model = flocking(g, noise=0.8)
-        setup = build_setup(model, "s2", "auto")
+        setup = build_setup(model, kind, "auto")
         rho0 = build_initial(
             InitialSpec("gaussian", mass=1.0, width=0.5, center=(0.5, 0.0)), g, 0.0, model
         )
-        rho, _, conv, _ = run_to_steady(setup, np.maximum(rho0, 0), 0.25, 200.0)
-        assert conv
-        assert moment == pytest.approx(abs(first_moment(rho, g)[0]), abs=1e-9)
+        rule = dt if dt != "auto" else (lambda values: _auto_dt(values, setup))
+        rho, t, conv, _ = run_to_steady(setup, np.maximum(rho0, 0), rule, t_final)
+        assert (moment, energy, converged, t_reached) == (
+            abs(first_moment(rho, g)[0]), clipped_energy(setup, rho), conv, t)
 
     def test_unknown_parameter(self):
         g = grid_1d(2.0, 0.5)

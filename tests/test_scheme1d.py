@@ -1,4 +1,4 @@
-"""Reconstruction, fluxes, residual assembly, and CFL bounds in 1D."""
+"""Reconstruction, fluxes, residual assembly, and the scheme configuration in 1D."""
 
 import itertools
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from aggdiff.errors import DomainError
 from aggdiff.kernels import EXPLICIT, IMPLICIT, MIDPOINT, make_kernel_1d
 from aggdiff.model import InternalEnergy
 from aggdiff.scheme1d import (
@@ -15,7 +16,6 @@ from aggdiff.scheme1d import (
     SchemeConfig,
     chemical_potential,
     face_velocities,
-    max_stable_dt,
     minmod,
     reconstruct_faces,
     residual,
@@ -496,25 +496,13 @@ class TestTridiagonalBatch:
             assert np.array_equal(line.to_dense(), expected)
 
 
-class TestCFLBound:
-    def test_second_order_bound(self):
-        assert max_stable_dt(S1, np.array([2.0, -2.0]), 0.5, order=2) == pytest.approx(0.125)
-
-    def test_zero_velocities_unlimited(self):
-        assert max_stable_dt(S1, np.zeros(5), 0.5) == np.inf
-
-    def test_s2_unconditional(self):
-        assert max_stable_dt(S2, np.array([100.0]), 0.1) == np.inf
-
-    def test_first_order_variant(self):
-        # Each cell sees (right face u)^+ - (left face u)^-, walls at zero.
-        # Outflow from both faces of the middle cell doubles the spread.
-        assert max_stable_dt(S1, np.array([-1.0, 1.0]), 1.0, order=1) == pytest.approx(0.5)
-        # One-sided flow never exceeds a single face's magnitude.
-        assert max_stable_dt(S1, np.array([1.0, -1.0]), 1.0, order=1) == pytest.approx(1.0)
-
+class TestSchemeConfig:
     def test_config_validation(self):
         with pytest.raises(Exception):
             SchemeConfig("s3")
         with pytest.raises(Exception):
             SchemeConfig(S1, theta=2.5)
+
+    def test_unknown_stage_rule_rejected(self):
+        with pytest.raises(DomainError, match="unknown stage rule 'sideways'"):
+            SchemeConfig(S2, "sideways")

@@ -23,10 +23,12 @@ from aggdiff.presets import (
 from aggdiff.analysis import ReferenceSolution, sample_reference
 from aggdiff.solver import (
     NewtonConfig,
+    PassTelemetry,
     advance_step_1d,
     assemble_jacobian,
     build_setup,
     clipped_energy,
+    drive_step,
     implicit_step_1d,
     newton_solve,
 )
@@ -123,10 +125,6 @@ class TestAssembleJacobian:
         jac = assemble_jacobian(lambda x: a @ x, rng.random(5))
         assert np.abs(jac - a).max() <= 1e-6 * np.abs(a).max()
 
-    def test_analytic_mode_requires_callable(self):
-        with pytest.raises(Exception):
-            assemble_jacobian(lambda x: x, np.ones(2), mode="analytic")
-
 
 class TestAdvanceStep:
     def test_uniform_state_is_stationary(self):
@@ -183,6 +181,19 @@ class TestAdvanceStep:
         assert out.cfl_retries >= 1
         assert out.dt_used < 5.0
         assert out.field.values.min() >= -1e-9
+
+        # One pass, a single line solve, at the last halving that meets
+        # dx / (2 max|u|) on its converged velocities; the one before missed it.
+        def solve(dt):
+            problem = solver.line_problem(setup, rho, dt)
+            new, iters, norm = solver.solve_lines(problem)
+            return new, iters, norm, g.dx / (2.0 * np.abs(problem.velocity(new)).max())
+
+        new, iters, norm, bound = solve(out.dt_used)
+        assert np.array_equal(out.field.values, new) and out.row_solves == 1
+        assert (out.iterations, out.residual_norm) == (iters, norm)
+        assert out.dt_used <= bound * (1 + 1e-12)
+        assert 2.0 * out.dt_used > solve(2.0 * out.dt_used)[3] * (1 + 1e-12)
 
     def test_fd_and_analytic_jacobians_reach_same_root(self):
         g = grid_1d(3.0, 0.25)
@@ -268,6 +279,42 @@ class TestAdvanceStep:
         assert info.value.best_norm == 2.0
 
 
+def _fixed_speed_attempt(speed):
+    """An attempt that keeps the field and reports ``speed`` as its peak |u|."""
+
+    def attempt(values, dt, cfg, tel):
+        tel.max_velocity = speed
+        return values.copy()
+
+    return attempt
+
+
+class TestCFLBound:
+    """S1's bound dt <= dx / (2 max|u|), owned by the step driver."""
+
+    def test_s1_halves_down_to_the_bound(self):
+        g = grid_1d(2.0, 0.5)
+        setup = build_setup(heat(g), "s1", stage="midpoint")
+        out = drive_step(_fixed_speed_attempt(2.0), np.ones(g.n_cells), 1.0, setup)
+        assert (out.dt_used, out.cfl_retries) == (0.125, 3)  # 0.5 / (2 * 2)
+
+    def test_zero_velocity_is_unlimited(self):
+        g = grid_1d(2.0, 0.5)
+        setup = build_setup(heat(g), "s1", stage="midpoint")
+        out = drive_step(_fixed_speed_attempt(0.0), np.ones(g.n_cells), 1e6, setup)
+        assert (out.dt_used, out.cfl_retries) == (1e6, 0)
+
+    def test_s2_records_no_velocity(self):
+        # So S2's bound is infinite, at any dt.
+        g = grid_1d(5.0, 0.25)
+        setup = build_setup(linear_fokker_planck(g), "s2", stage="midpoint")
+        rho = sample_reference(ReferenceSolution("heat_kernel", 1), 0.5, g)
+        problem = solver.line_problem(setup, rho, 5.0)
+        tel = PassTelemetry()
+        tel.absorb(problem, solver.solve_lines(problem)[0], 3, 1e-12)
+        assert (tel.max_velocity, tel.row_solves, tel.newton_iterations) == (0.0, 1, 3)
+
+
 class TestStageOverride:
     def test_override_that_voids_the_guarantee_warns(self):
         g = grid_1d(4.0, 0.5)
@@ -286,6 +333,11 @@ class TestStageOverride:
         g = grid_1d(4.0, 0.5)
         with pytest.raises(DomainError):
             build_setup(nonlocal_fokker_planck(g), "s2", stage="sideways")
+
+    def test_unknown_stage_rejected_without_a_kernel(self):
+        g = grid_1d(4.0, 0.5)
+        with pytest.raises(DomainError, match="unknown stage rule 'sideways'"):
+            build_setup(heat(g), "s2", stage="sideways")
 
 
 class TestEnergyMonotonicityMatrix:

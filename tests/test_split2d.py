@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from aggdiff import split2d
+from aggdiff import solver, split2d
 from aggdiff.analysis import ReferenceSolution, discrete_energy, sample_reference
 from aggdiff.errors import DomainError, RoutingError
 from aggdiff.kernels import MIDPOINT, KernelTable, convolve, make_kernel_1d, tabulate_kernel
@@ -154,6 +154,24 @@ class TestBatchedPassMatchesPerLineSolves:
         assert out.row_solves == 2 * g.n_cells
         assert out.iterations == sum(first) + sum(second)
         assert np.abs(out.field.values - full).max() <= 1e-12
+
+    def test_s1_bound_covers_both_passes(self):
+        # The step's one telemetry absorbs both passes; the driver's bound
+        # is dx over twice the largest converged face speed of either.
+        assert PassTelemetry is solver.PassTelemetry
+        g = grid_2d(3.0, 0.5)
+        setup = build_setup(linear_fokker_planck(g), "s1", stage="midpoint")
+        field = smooth_field(g, shift=0.3)
+        cfg = NewtonConfig()
+        out = advance_step_2d(field, 1.0, setup, cfg)
+        assert out.cfl_retries >= 1
+        tel = PassTelemetry()
+        half = advance_split_axis(field, 0, out.dt_used, setup, cfg, tel)
+        full = advance_split_axis(half, 1, out.dt_used, setup, cfg, tel)
+        assert np.array_equal(out.field.values, full)
+        assert (out.iterations, out.residual_norm, out.row_solves) == (
+            tel.newton_iterations, tel.worst_norm, tel.row_solves)
+        assert out.dt_used <= g.dx / (2.0 * tel.max_velocity) * (1 + 1e-12)
 
 
 class TestSweepPass:
