@@ -40,7 +40,7 @@ _KNOWN_KEYS = {
         "kind", "mass", "time", "center", "width",
         "centers", "widths", "weights",
     },
-    "solver": {"tolerance", "max_iterations", "jacobian"},
+    "solver": {"tolerance", "max_iterations"},
     "output": {"directory", "snapshots", "cadence"},
 }
 
@@ -182,7 +182,6 @@ def parse_config(path: str) -> ExperimentConfig:
     solver = NewtonConfig(
         tolerance=float(solver_sec.get("tolerance", 1e-10)),
         max_iterations=int(solver_sec.get("max_iterations", 50)),
-        jacobian_mode=solver_sec.get("jacobian", "analytic").strip().lower(),
     )
 
     out_sec = parser["output"] if parser.has_section("output") else {}

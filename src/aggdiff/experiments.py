@@ -99,6 +99,10 @@ class InitialSpec:
     weights: tuple = ()
     values: tuple = ()
 
+    def __post_init__(self):
+        if not self.mass >= 0:
+            raise ConfigurationError(f"initial mass must be non-negative, got {self.mass!r}")
+
 
 def _gaussian_bump(grid: Grid, center, width, weight):
     xs = grid.axis_centers()
@@ -133,10 +137,9 @@ def build_initial(spec: InitialSpec, grid: Grid, t_initial: float,
         for c, w, a in zip(spec.centers, widths, weights):
             center = c if grid.dimension == 2 else (c,)
             out += _gaussian_bump(grid, center, w, a)
-        if spec.mass is not None:
-            total = out.sum() * grid.cell_measure
-            if total > 0:
-                out *= spec.mass / total
+        total = out.sum() * grid.cell_measure
+        if total > 0:
+            out *= spec.mass / total
         return out
     if kind == "uniform":
         volume = (2.0 * grid.half_width) ** grid.dimension
@@ -144,8 +147,12 @@ def build_initial(spec: InitialSpec, grid: Grid, t_initial: float,
     if kind == "zero":
         return np.zeros(grid.shape)
     if kind == "table":
-        arr = np.asarray(spec.values, dtype=float).reshape(grid.shape)
-        return arr.copy()
+        arr = np.asarray(spec.values, dtype=float)
+        cells = grid.n_cells**grid.dimension
+        if arr.size != cells:
+            raise ConfigurationError(
+                f"initial table has {arr.size} values, not the grid's {cells}")
+        return arr.reshape(grid.shape).copy()
     raise ConfigurationError(f"unknown initial condition kind {kind!r}")
 
 
@@ -171,6 +178,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.t_final > self.t_initial:
             raise ConfigurationError("t_final must exceed t_initial")
+        if self.cadence < 1:
+            raise ConfigurationError(f"output cadence must be at least 1, got {self.cadence}")
 
 
 @dataclass
@@ -270,7 +279,6 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 
     take_snapshots(t, rho)
     dt = _dt_rule(config.dt, setup)
-    cadence = max(config.cadence, 1)
     try:
         for step_index, (t, out) in enumerate(march(setup, rho, t, config.t_final, dt, cfg), 1):
             rho = out.field.values
@@ -281,7 +289,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                     f"energy increased by {energy - prev_energy:.3g} at t={t:.6g}"
                 )
             prev_energy = energy
-            if step_index % cadence == 0 or t >= config.t_final - 1e-12:
+            if step_index % config.cadence == 0 or t >= config.t_final - 1e-12:
                 rows.append(
                     (t, energy, out.field.mass, float(rho.min()),
                      out.iterations, out.dt_used, out.cfl_retries)
@@ -303,36 +311,33 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
 # Convergence studies
 
 
+# The refinement schedule every study case shares (see run_level).
+STUDY_T_INITIAL = 2.0
+STUDY_T_FINAL = 3.0
+STUDY_DX0 = 0.5
+S1_DT_SCALING = 0.25
+
+
 @dataclass(frozen=True)
 class StudyCase:
-    """One validation family: model builder, reference, and dt schedules."""
+    """One validation family: model builder, reference and S1's level-0 dt."""
 
     dimension: int
     half_width: float
     build_model: callable
     reference_kind: str
-    t_initial: float
-    t_final: float
-    dx0: float
-    dt0: dict  # scheme kind -> dt at level 0
-    dt_scaling: dict  # scheme kind -> per-level factor
+    s1_dt0: float
 
 
 def _study_cases(exponent: float | None):
     m = exponent if exponent is not None else 2.0
     return {
-        "heat1d": StudyCase(1, 15.0, heat, "heat_kernel", 2.0, 3.0, 0.5,
-                            {S1: 2.0**-4, S2: 2.0**-1}, {S1: 0.25, S2: 0.5}),
-        "heat2d": StudyCase(2, 15.0, heat, "heat_kernel", 2.0, 3.0, 0.5,
-                            {S1: 2.0**-9, S2: 2.0**-1}, {S1: 0.25, S2: 0.5}),
-        "pme1d": StudyCase(1, 6.0, lambda g: porous_medium(g, m), "barenblatt",
-                           2.0, 3.0, 0.5, {S1: 2.0**-2, S2: 2.0**-1}, {S1: 0.25, S2: 0.5}),
-        "pme2d": StudyCase(2, 6.0, lambda g: porous_medium(g, m), "barenblatt",
-                           2.0, 3.0, 0.5, {S1: 2.0**-2, S2: 2.0**-1}, {S1: 0.25, S2: 0.5}),
-        "linfp2d": StudyCase(2, 5.0, linear_fokker_planck, "fp_transient", 2.0, 3.0,
-                             0.5, {S1: 2.0**-4, S2: 2.0**-1}, {S1: 0.25, S2: 0.5}),
-        "nonlocfp2d": StudyCase(2, 5.0, nonlocal_fokker_planck, "fp_transient", 2.0,
-                                3.0, 0.5, {S1: 2.0**-6, S2: 2.0**-1}, {S1: 0.25, S2: 0.5}),
+        "heat1d": StudyCase(1, 15.0, heat, "heat_kernel", 2.0**-4),
+        "heat2d": StudyCase(2, 15.0, heat, "heat_kernel", 2.0**-9),
+        "pme1d": StudyCase(1, 6.0, lambda g: porous_medium(g, m), "barenblatt", 2.0**-2),
+        "pme2d": StudyCase(2, 6.0, lambda g: porous_medium(g, m), "barenblatt", 2.0**-2),
+        "linfp2d": StudyCase(2, 5.0, linear_fokker_planck, "fp_transient", 2.0**-4),
+        "nonlocfp2d": StudyCase(2, 5.0, nonlocal_fokker_planck, "fp_transient", 2.0**-6),
     }
 
 
@@ -355,11 +360,10 @@ class StudyResult:
         return header + ("order",), [row + (o,) for row, o in zip(self.rows, orders)]
 
 
-def run_level(case: StudyCase, scheme_kind: str, level: int,
-              solver: NewtonConfig | None = None) -> tuple:
+def run_level(case: StudyCase, scheme_kind: str, level: int) -> tuple:
     """One refinement level; returns (dt, dx, error)."""
-    dx = case.dx0 * 0.5**level
-    dt = case.dt0[scheme_kind] * case.dt_scaling[scheme_kind] ** level
+    dx = STUDY_DX0 * 0.5**level
+    dt = case.s1_dt0 * S1_DT_SCALING**level if scheme_kind == S1 else dx
     m = round(case.half_width / dx)
     grid = Grid(case.dimension, case.half_width, m)
     model = case.build_model(grid)
@@ -369,16 +373,15 @@ def run_level(case: StudyCase, scheme_kind: str, level: int,
         exponent=model.energy.exponent, mass=1.0,
     )
     setup = build_setup(model, scheme_kind, stage="midpoint")
-    rho = sample_reference(ref, case.t_initial, grid)
-    for _, out in march(setup, rho, case.t_initial, case.t_final, dt, solver):
+    rho = sample_reference(ref, STUDY_T_INITIAL, grid)
+    for _, out in march(setup, rho, STUDY_T_INITIAL, STUDY_T_FINAL, dt):
         rho = out.field.values
-    error = l1_error(rho, ref, case.t_final, grid)
+    error = l1_error(rho, ref, STUDY_T_FINAL, grid)
     return dt, dx, error
 
 
 def convergence_study(case_name: str, scheme_kind: str, levels: int, exponent=None,
-                      output_dir: str | None = None,
-                      solver: NewtonConfig | None = None) -> StudyResult:
+                      output_dir: str | None = None) -> StudyResult:
     """Reproduce one validation table's schedule for the requested levels."""
     cases = _study_cases(exponent)
     if case_name not in cases:
@@ -391,7 +394,7 @@ def convergence_study(case_name: str, scheme_kind: str, levels: int, exponent=No
     rows = []
     errors = []
     for level in range(levels):
-        dt, dx, error = run_level(case, scheme_kind, level, solver)
+        dt, dx, error = run_level(case, scheme_kind, level)
         errors.append(error)
         if case.dimension == 1:
             rows.append((dt, dx, error))

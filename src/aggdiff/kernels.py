@@ -50,7 +50,6 @@ class KernelTable:
     dimension: int
     values: np.ndarray
     cell_measure: float
-    singular: bool = False
     exact_form: str | None = None
     _zero: bool = field(init=False, repr=False, compare=False)
 
@@ -183,7 +182,7 @@ def tabulate_kernel(interaction, grid: Grid, singular: bool = False) -> KernelTa
 
     if interaction is None:
         shape = (length,) * grid.dimension
-        return KernelTable(grid.dimension, np.zeros(shape), measure, singular=False)
+        return KernelTable(grid.dimension, np.zeros(shape), measure)
 
     exact_form = None
     if isinstance(interaction, Quadratic):
@@ -196,7 +195,7 @@ def tabulate_kernel(interaction, grid: Grid, singular: bool = False) -> KernelTa
                 f"tabulated interaction shape {table.shape} does not match "
                 f"{(length,) * grid.dimension}"
             )
-        return KernelTable(grid.dimension, table.copy(), measure, singular=singular)
+        return KernelTable(grid.dimension, table.copy(), measure)
 
     offsets = dx * np.arange(-(n - 1), n)
     if grid.dimension == 1:
@@ -217,7 +216,7 @@ def tabulate_kernel(interaction, grid: Grid, singular: bool = False) -> KernelTa
             ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
             vals = np.asarray(_eval_radial(interaction, ox, oy, dimension=2), dtype=float)
 
-    return KernelTable(grid.dimension, vals, measure, singular=singular, exact_form=exact_form)
+    return KernelTable(grid.dimension, vals, measure, exact_form=exact_form)
 
 
 def make_kernel_1d(values, cell_measure, exact_form=None) -> KernelTable:
@@ -228,7 +227,8 @@ def make_kernel_1d(values, cell_measure, exact_form=None) -> KernelTable:
 def convolve(kernel: KernelTable, rho, method: str = "auto") -> np.ndarray:
     """(W * rho)_i = sum_k W_{i-k} rho_k * cell_measure, full non-circular sum.
 
-    ``method`` is "direct", "fft", or "auto" (direct below 64 cells per axis).
+    ``method`` is "direct", "fft", or "auto": direct for every 1D table and
+    for 2D tables of up to 16 cells per axis, FFT above that.
     Both paths agree to roundoff; the direct sum is the defining one.
     """
     vals = field_values(rho)
@@ -290,13 +290,14 @@ def _circulant_spectrum(kernel: KernelTable) -> np.ndarray:
     return spec.real
 
 
-def classify_definiteness(kernel: KernelTable, grid: Grid | None = None) -> DefinitenessClass:
+def classify_definiteness(kernel: KernelTable) -> DefinitenessClass:
     """Classify the kernel as negative/positive definite or indeterminate.
 
-    Quadratic potentials are recognized syntactically (their definiteness is
-    proven through mass conservation, and their truncated spectra generally
-    carry mixed signs); everything else goes through the circulant DFT sign
-    test, which is sufficient-only.
+    The table alone decides: its offsets already span the grid. Quadratic
+    potentials are recognized syntactically (their definiteness is proven
+    through mass conservation, and their truncated spectra generally carry
+    mixed signs); everything else goes through the circulant DFT sign test,
+    which is sufficient-only.
     """
     if kernel.is_zero:
         return DefinitenessClass(NEGATIVE_DEFINITE, ("zero",))

@@ -345,9 +345,9 @@ class ModelSpec:
         return self.potentials.interaction
 
 
-def sample_confinement(potentials, grid: Grid) -> np.ndarray:
+def sample_confinement(potentials: PotentialSpec, grid: Grid) -> np.ndarray:
     """Pointwise V at cell centers; an absent V yields an all-zero table."""
-    conf = potentials.confinement if isinstance(potentials, PotentialSpec) else potentials
+    conf = potentials.confinement
     if conf is None:
         return np.zeros(grid.shape)
     if isinstance(conf, TabulatedConfinement):

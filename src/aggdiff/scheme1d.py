@@ -167,28 +167,26 @@ class LineProblem:
     solves, scaled as they are assembled and equal bit for bit to dt times
     the unscaled forms. All four take the candidate state and optionally
     ``lines``, the first-axis indices of the lines that state holds.
+    ``scheme`` is a SchemeConfig, which checks kind, stage rule and theta;
+    only dt, set per call, is checked here.
     """
 
-    def __init__(self, kind, rho_old, dt, dx, energy, v_table, kernel, stage_rule,
-                 theta: float = 2.0, faces=None):
-        if kind not in SCHEME_KINDS:
-            raise DomainError(f"unknown scheme kind {kind!r}")
-        if stage_rule not in STAGE_RULES:
-            raise DomainError(f"unknown stage rule {stage_rule!r}")
+    def __init__(self, scheme: SchemeConfig, rho_old, dt, dx, energy, v_table, kernel,
+                 faces=None):
         if not (math.isfinite(dt) and dt > 0):
             raise DomainError(f"time step must be positive and finite, got {dt!r}")
-        self.kind, self.dt, self.dx, self.energy = kind, dt, dx, energy
+        self.kind, self.stage_rule = scheme.kind, scheme.stage_rule
+        self.dt, self.dx, self.energy = dt, dx, energy
         self.old = field_values(rho_old)
         self.v = np.asarray(v_table, dtype=float)
         self.kernel = None if kernel is None or kernel.is_zero else kernel
-        self.coupled = self.kernel is not None and stage_rule != EXPLICIT
-        self.stage_rule = stage_rule
+        self.coupled = self.kernel is not None and self.stage_rule != EXPLICIT
         self.conv = None
         if self.kernel is not None and not self.coupled:
             self.conv = convolve(self.kernel, self.old)
-        if kind == S1:
+        if self.kind == S1:
             self.east, self.west = faces if faces is not None else reconstruct_faces(
-                self.old, theta)
+                self.old, scheme.theta)
             # What a face upwinds when u > 0 and when u < 0.
             self._upwind = (self.east[..., :-1], self.west[..., 1:])
         self._last = (None, None, None)
@@ -348,7 +346,8 @@ class LineProblem:
 def face_data(kind, rho_new, rho_old, dx, energy, v_table, kernel, stage_rule,
               theta: float = 2.0) -> FaceData:
     """Velocities, fluxes and xi for a candidate new state."""
-    problem = LineProblem(kind, rho_old, 1.0, dx, energy, v_table, kernel, stage_rule, theta)
+    problem = LineProblem(SchemeConfig(kind, stage_rule, theta), rho_old, 1.0, dx, energy,
+                          v_table, kernel)
     a = field_values(rho_new)
     xi, u = problem.potential(a)  # dt enters neither xi, u nor F
     return FaceData(u, problem.flux(a), xi)
@@ -360,7 +359,8 @@ def residual(kind, rho_new, rho_old, dt, dx, energy, v_table, kernel, stage_rule
 
     R = 0 characterizes the scheme's update; see LineProblem.
     """
-    problem = LineProblem(kind, rho_old, dt, dx, energy, v_table, kernel, stage_rule, theta)
+    problem = LineProblem(SchemeConfig(kind, stage_rule, theta), rho_old, dt, dx, energy,
+                          v_table, kernel)
     return problem.residual(field_values(rho_new))
 
 
@@ -373,5 +373,6 @@ def residual_jacobian(kind, rho_new, rho_old, dt, dx, energy, v_table, kernel,
     makes every cell feel every other, and it returns a TridiagonalLowRank
     for a quadratic kernel or a dense matrix (see LineProblem.jacobian).
     """
-    problem = LineProblem(kind, rho_old, dt, dx, energy, v_table, kernel, stage_rule, theta)
+    problem = LineProblem(SchemeConfig(kind, stage_rule, theta), rho_old, dt, dx, energy,
+                          v_table, kernel)
     return problem.jacobian(field_values(rho_new))

@@ -30,20 +30,19 @@ from .scheme1d import S1, S2, LineProblem, SchemeConfig, Tridiagonal, Tridiagona
 
 @dataclass(frozen=True)
 class NewtonConfig:
-    """Newton controls. The tolerance is absolute on the max norm of R*dt."""
+    """Newton controls. The tolerance is absolute on the max norm of R*dt.
+
+    Scheme solves always use the exact Jacobian (see solve_lines).
+    """
 
     tolerance: float = 1e-10
     max_iterations: int = 50
-    jacobian_mode: str = "analytic"  # "analytic" | "fd"
-    fd_step: float = 1e-7
 
     def __post_init__(self):
         if not self.tolerance > 0:
             raise DomainError("Newton tolerance must be positive")
         if self.max_iterations < 1:
             raise DomainError("Newton needs at least one iteration")
-        if self.jacobian_mode not in ("analytic", "fd"):
-            raise DomainError(f"unknown jacobian mode {self.jacobian_mode!r}")
 
 
 @dataclass
@@ -256,7 +255,7 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
             lines = np.flatnonzero(active)
             xa, ra, na = x[lines], r[lines], norm[lines]
         if jacobian is None:
-            jac = assemble_jacobian(lambda w: evaluate(w, lines)[0], xa, step=cfg.fd_step)
+            jac = assemble_jacobian(lambda w: evaluate(w, lines)[0], xa)
         elif lines is None:
             jac = jacobian(shaped(xa))
         else:
@@ -324,12 +323,9 @@ def line_problem(setup: SchemeSetup, rho_old, dt, v_table=None, kernel=_UNSET,
     disables the interaction); the 2D passes give their per-line tables here.
     ``faces`` is rho_old's S1 (east, west) face values, when already known.
     """
-    sch = setup.scheme
-    return LineProblem(
-        sch.kind, rho_old, dt, setup.dx, setup.energy,
-        setup.v_table if v_table is None else v_table,
-        setup.kernel if kernel is _UNSET else kernel, sch.stage_rule, sch.theta, faces,
-    )
+    v_table = setup.v_table if v_table is None else v_table
+    kernel = setup.kernel if kernel is _UNSET else kernel
+    return LineProblem(setup.scheme, rho_old, dt, setup.dx, setup.energy, v_table, kernel, faces)
 
 
 MAX_CONTINUATION_HALVINGS = 10
@@ -338,9 +334,8 @@ MAX_CONTINUATION_HALVINGS = 10
 def solve_lines(problem: LineProblem, config: NewtonConfig | None = None, *, _depth: int = 0):
     """Newton on the update-form residual R*dt of every line of ``problem`` at once.
 
-    The problem's ``update_residual`` and ``update_jacobian`` (or, with
-    ``jacobian_mode = "fd"``, finite differences of the former) go to
-    ``newton_solve`` as they are.
+    The problem's ``update_residual`` and its exact Jacobian
+    ``update_jacobian`` go to ``newton_solve`` as they are.
 
     Newton from the old state can miss the root of a long S2 step, e.g. under
     strong aggregation next to a vacuum cell. S2 then solves the step over
@@ -351,14 +346,14 @@ def solve_lines(problem: LineProblem, config: NewtonConfig | None = None, *, _de
     Returns (rho_new, iterations summed over lines, worst norm).
     """
     cfg = config or NewtonConfig()
-    jac = problem.update_jacobian if cfg.jacobian_mode == "analytic" else None
+    residual, jacobian = problem.update_residual, problem.update_jacobian
     try:
-        return newton_solve(problem.update_residual, problem.old, cfg, jacobian=jac)
+        return newton_solve(residual, problem.old, cfg, jacobian)
     except NewtonError:
         if problem.kind != S2 or _depth >= MAX_CONTINUATION_HALVINGS:
             raise
     start, iters, _ = solve_lines(problem.with_dt(0.5 * problem.dt), cfg, _depth=_depth + 1)
-    root, more, norm = newton_solve(problem.update_residual, start, cfg, jacobian=jac)
+    root, more, norm = newton_solve(residual, start, cfg, jacobian)
     return root, iters + more, norm
 
 

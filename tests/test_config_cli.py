@@ -1,6 +1,7 @@
 """Config parsing and the command-line interface."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from aggdiff import experiments
 from aggdiff.cli import main
-from aggdiff.config import parse_config
+from aggdiff.config import _KNOWN_KEYS, parse_config
 from aggdiff.errors import ConfigurationError, DomainError
 from aggdiff.experiments import run_experiment
 from aggdiff.model import Bistable, Gaussian, Quadratic
@@ -157,6 +158,26 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="table:FILE"):
             parse_config(str(path))
 
+    def test_solver_jacobian_key_is_unknown(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[solver]\njacobian = analytic\n")
+        with pytest.raises(ConfigurationError, match="unknown keys in \\[solver\\]"):
+            parse_config(str(path))
+
+    @pytest.mark.parametrize("cadence", [0, -2])
+    def test_cadence_below_one_rejected(self, tmp_path, cadence):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[output]\ncadence = {cadence}\n")
+        with pytest.raises(ConfigurationError, match="cadence"):
+            parse_config(str(path))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
+    def test_negative_initial_mass_rejected(self, tmp_path, kind):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[initial]\nkind = {kind}\nmass = -1\n")
+        with pytest.raises(ConfigurationError, match="mass"):
+            parse_config(str(path))
+
     def test_relative_output_directory_lands_under_the_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AGGDIFF_OUTPUT_ROOT", str(tmp_path / "root"))
         path = tmp_path / "c.ini"
@@ -252,6 +273,18 @@ class TestCli:
         assert "VIOLATION: step failed at t=0" in capsys.readouterr().err
         assert len((tmp_path / "out" / "series.csv").read_text().splitlines()) == 2
 
+    def test_table_initial_of_wrong_length_exits_two(self, tmp_path, capsys):
+        table = tmp_path / "rho.txt"
+        np.savetxt(table, np.full(3, 0.25))
+        path = tmp_path / "c.ini"
+        path.write_text(
+            "[grid]\nhalf_width = 2.0\ncells_per_half_axis = 4\n"
+            "[time]\nt_final = 0.1\ndt = 0.1\n"
+            f"[initial]\nkind = table:{table.name}\n"
+        )
+        assert main(["run", "--config", str(path)]) == 2
+        assert "error: initial table has 3 values, not the grid's 8" in capsys.readouterr().err
+
     def test_bad_config_exits_nonzero(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[model]\nenergy = prime_rib\n")
@@ -277,3 +310,19 @@ def test_shipped_config_runs_clean(path, tmp_path, monkeypatch):
     assert (np.diff(energy) <= 100 * tol * (1 + np.abs(energy[:-1]))).all()
     assert min_rho.min() >= -10 * tol
     assert record.csv_path.startswith(str(tmp_path))
+
+
+def test_readme_grammar_lists_the_known_keys():
+    """The README's config grammar names exactly the keys parse_config accepts."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    listed, section = set(), None
+    for line in block.splitlines():
+        header = re.match(r"\[(\w+)\]", line)
+        key = re.match(r"(\w+)\s*=", line)
+        if header:
+            section = header.group(1)
+        elif key and section is not None:
+            listed.add((section, key.group(1)))
+    known = {(sec, key) for sec, keys in _KNOWN_KEYS.items() for key in keys}
+    assert listed == known

@@ -15,6 +15,7 @@ from aggdiff.scheme1d import (
     LineProblem,
     SchemeConfig,
     chemical_potential,
+    face_data,
     face_velocities,
     minmod,
     reconstruct_faces,
@@ -49,7 +50,8 @@ def line_flux(kind, velocity, a, faces=None):
     energy = InternalEnergy.entropy(1.0)
     xi = np.concatenate(([0.0], -np.cumsum(velocity)))
     v = xi - energy.slope_regularized(a)
-    return LineProblem(kind, a, 1.0, 1.0, energy, v, None, IMPLICIT, faces=faces).flux(a)
+    scheme = SchemeConfig(kind, IMPLICIT)
+    return LineProblem(scheme, a, 1.0, 1.0, energy, v, None, faces=faces).flux(a)
 
 
 class TestMinmod:
@@ -263,7 +265,7 @@ class TestSliceDifferencesMatchNpDiff:
         at[0] = old[0]  # a line at its old state
         v = rng.random((lines, n))
         for energy in (InternalEnergy.entropy(1.0), InternalEnergy.power(1.0, 2.0)):
-            problem = LineProblem(kind, old, dt, dx, energy, v, None, MIDPOINT)
+            problem = LineProblem(SchemeConfig(kind, MIDPOINT), old, dt, dx, energy, v, None)
             xi = chemical_potential(at, None, energy, v, None)
             u = -np.diff(xi) / dx
             assert same_bits(face_velocities(xi, dx), u)
@@ -375,11 +377,12 @@ class TestUpdateJacobianBits:
         at[0] = old[0]  # a line at its old state: zero velocities where xi is flat
         v = rng.random((lines, n))
         kernel = self._kernels()[kernel_name]
+        scheme = SchemeConfig(kind, stage)
         if kernel is not None:  # a kernel convolves one line per problem
-            cases = [(LineProblem(kind, old[k], dt, self.dx, energy, v[k], kernel, stage),
+            cases = [(LineProblem(scheme, old[k], dt, self.dx, energy, v[k], kernel),
                       at[k], None) for k in range(lines)]
         else:
-            batch = LineProblem(kind, old, dt, self.dx, energy, v, kernel, stage)
+            batch = LineProblem(scheme, old, dt, self.dx, energy, v, kernel)
             subset = np.array([1, 3, 4])
             cases = [(batch, at, None), (batch, at[subset], subset)]
         for problem, a, rows in cases:
@@ -506,3 +509,17 @@ class TestSchemeConfig:
     def test_unknown_stage_rule_rejected(self):
         with pytest.raises(DomainError, match="unknown stage rule 'sideways'"):
             SchemeConfig(S2, "sideways")
+
+    @pytest.mark.parametrize("kind", [S1, S2])
+    @pytest.mark.parametrize("theta", [5.0, -3.0])
+    def test_theta_outside_its_range_rejected_on_every_path(self, kind, theta):
+        energy = InternalEnergy.entropy(1.0)
+        rho, v = np.full(4, 0.5), np.zeros(4)
+        with pytest.raises(DomainError, match="theta"):
+            LineProblem(SchemeConfig(kind, MIDPOINT, theta), rho, 0.1, 0.5, energy, v, None)
+        with pytest.raises(DomainError, match="theta"):
+            residual(kind, rho, rho, 0.1, 0.5, energy, v, None, MIDPOINT, theta)
+        with pytest.raises(DomainError, match="theta"):
+            residual_jacobian(kind, rho, rho, 0.1, 0.5, energy, v, None, MIDPOINT, theta)
+        with pytest.raises(DomainError, match="theta"):
+            face_data(kind, rho, rho, 0.5, energy, v, None, MIDPOINT, theta)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from aggdiff import analysis, solver
 from aggdiff.kernels import IMPLICIT, MIDPOINT, make_kernel_1d
 from aggdiff.model import InternalEnergy
-from aggdiff.scheme1d import S1, S2, LineProblem, TridiagonalLowRank
+from aggdiff.scheme1d import S1, S2, LineProblem, SchemeConfig, TridiagonalLowRank
 from aggdiff.errors import DomainError, NewtonError, NumericalError
 from aggdiff.presets import (
     grid_1d,
@@ -113,6 +113,10 @@ class TestNewton:
         root, iters, _ = newton_solve(lambda x: a @ x - rhs, np.zeros(2))
         assert np.allclose(root, np.linalg.solve(a, rhs), atol=1e-10)
 
+    def test_scheme_solves_have_no_jacobian_mode(self):
+        with pytest.raises(TypeError):
+            NewtonConfig(jacobian_mode="fd")
+
 
 class TestAssembleJacobian:
     def test_identity_residual(self):
@@ -194,18 +198,6 @@ class TestAdvanceStep:
         assert (out.iterations, out.residual_norm) == (iters, norm)
         assert out.dt_used <= bound * (1 + 1e-12)
         assert 2.0 * out.dt_used > solve(2.0 * out.dt_used)[3] * (1 + 1e-12)
-
-    def test_fd_and_analytic_jacobians_reach_same_root(self):
-        g = grid_1d(3.0, 0.25)
-        ref = ReferenceSolution("heat_kernel", 1)
-        rho = sample_reference(ref, 0.5, g)
-        roots = []
-        for mode in ("analytic", "fd"):
-            setup = build_setup(heat(g), "s2", stage="midpoint")
-            cfg = NewtonConfig(jacobian_mode=mode)
-            out = advance_step_1d(rho, 0.1, setup, cfg)
-            roots.append(out.field.values)
-        assert np.abs(roots[0] - roots[1]).max() <= 1e-9
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, np.nan, np.inf])
     def test_bad_dt_fails_fast(self, dt):
@@ -392,7 +384,7 @@ class TestStructuredSolve:
         v = 0.1 * np.arange(self.n)
 
         def problem(kernel):
-            return LineProblem(kind, old, dt, self.dx, energy, v, kernel, stage)
+            return LineProblem(SchemeConfig(kind, stage), old, dt, self.dx, energy, v, kernel)
 
         quadratic = problem(make_kernel_1d(values, self.dx, form))
         structured = quadratic.jacobian(at)
