@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .analysis import ReferenceSolution, sample_reference
 from .experiments import (
@@ -63,10 +64,10 @@ from .solver import (
     assemble_jacobian,
     build_setup,
     clipped_energy,
-    implicit_step_1d,
+    line_problem,
+    solve_lines,
 )
 from .split2d import advance_sweep_axis
-from . import scheme1d
 
 
 @dataclass
@@ -352,10 +353,8 @@ def criterion_8() -> CriterionResult:
         swept = advance_sweep_axis(rho0, 0, dt, forced, tight)
         rowwise = rho0.copy()
         for j in range(grid.n_cells):
-            line, _, _ = implicit_step_1d(
-                rho0[:, j], dt, base, tight, v_table=base.v_table[:, j], kernel=None
-            )
-            rowwise[:, j] = line
+            row = line_problem(base, rho0[:, j], dt, v_table=base.v_table[:, j], kernel=None)
+            rowwise[:, j] = solve_lines(row, tight)[0]
         diff = float(np.abs(swept - rowwise).max())
         res.add(
             f"sweep (W=None) equals per-row 1D stepping, {kind}",
@@ -363,15 +362,18 @@ def criterion_8() -> CriterionResult:
             f"max abs difference {diff:.2e}",
         )
 
-    # (b) FFT convolution equals the direct sum.
+    # (b) FFT convolution, as scipy.signal.fftconvolve computes it, equals the direct sum.
     for m in (8, 32):
         g1 = Grid(1, 2.0, m)
         kernel = tabulate_kernel(Gaussian(0.5, -1.0), g1)
+        n = g1.n_cells
+        nfft = next_fast_len(3 * n - 2, True)
         worst = 0.0
         for _ in range(100):
-            rho = rng.random(g1.n_cells)
-            direct = convolve(kernel, rho, method="direct")
-            fast = convolve(kernel, rho, method="fft")
+            rho = rng.random(n)
+            direct = convolve(kernel, rho)
+            full = irfft(rfft(kernel.values, nfft) * rfft(rho, nfft), nfft)
+            fast = full[n - 1 : 2 * n - 1] * kernel.cell_measure
             scale = np.abs(direct).max()
             worst = max(worst, float(np.abs(direct - fast).max() / scale))
         res.add(
@@ -392,19 +394,10 @@ def criterion_8() -> CriterionResult:
         rho_old = 0.5 + 0.3 * np.sin(np.linspace(0, np.pi, n))
         rho_at = rho_old * (1 + 0.05 * np.cos(np.arange(n)))
         dt = 0.1
-
-        def f(a):
-            return dt * scheme1d.residual(
-                S2, a, rho_old, dt, setup.dx, setup.energy, setup.v_table,
-                setup.kernel, setup.scheme.stage_rule,
-            )
-
-        exact = scheme1d.residual_jacobian(
-            S2, rho_at, rho_old, dt, setup.dx, setup.energy, setup.v_table,
-            setup.kernel, setup.scheme.stage_rule,
-        )
+        problem = line_problem(setup, rho_old, dt)
+        exact = problem.jacobian(rho_at)
         exact = dt * (exact if isinstance(exact, np.ndarray) else exact.to_dense())
-        approx = assemble_jacobian(f, rho_at)
+        approx = assemble_jacobian(lambda a: dt * problem.residual(a), rho_at)
         scale = np.abs(exact).max()
         err = float(np.abs(exact - approx).max() / scale)
         res.add(
@@ -419,12 +412,10 @@ def criterion_8() -> CriterionResult:
     setup2 = build_setup(model2, S2, stage="midpoint")
     b = np.array([1.5, 0.5])
     dt = 0.1
+    problem = line_problem(setup2, b, dt)
 
     def scalar_residual(a0):
-        a = np.array([a0, 2.0 - a0])
-        return scheme1d.residual(
-            S2, a, b, dt, 1.0, model2.energy, np.zeros(2), None, "midpoint"
-        )[0]
+        return problem.residual(np.array([a0, 2.0 - a0]))[0]
 
     lo, hi = 0.5, 1.5
     for _ in range(200):
@@ -434,7 +425,7 @@ def criterion_8() -> CriterionResult:
         else:
             lo = mid
     root = 0.5 * (lo + hi)
-    solved, _, _ = implicit_step_1d(b, dt, setup2, NewtonConfig())
+    solved, _, _ = solve_lines(problem, NewtonConfig())
     res.add(
         "2-cell implicit step matches bisection oracle",
         abs(solved[0] - root) <= 1e-9,

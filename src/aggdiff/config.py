@@ -134,12 +134,13 @@ def parse_config(path: str) -> ExperimentConfig:
     else:
         raise ConfigurationError(f"unknown energy kind {energy_kind!r}")
 
+    singular = str(model_sec.get("interaction_singular", "false")).strip().lower()
+    if singular not in parser.BOOLEAN_STATES:
+        raise ConfigurationError(f"interaction_singular must be a boolean, got {singular!r}")
     potentials = PotentialSpec(
         confinement=_build_confinement(model_sec, base_dir),
         interaction=_build_interaction(model_sec, base_dir),
-        interaction_singular=str(
-            model_sec.get("interaction_singular", "false")).strip().lower()
-        in ("1", "true", "yes"),
+        interaction_singular=parser.BOOLEAN_STATES[singular],
     )
     model = ModelSpec(energy, potentials, grid)
 

@@ -180,6 +180,9 @@ class ExperimentConfig:
             raise ConfigurationError("t_final must exceed t_initial")
         if self.cadence < 1:
             raise ConfigurationError(f"output cadence must be at least 1, got {self.cadence}")
+        outside = [t for t in self.snapshots if not self.t_initial <= t <= self.t_final + 1e-12]
+        if outside:
+            raise ConfigurationError(f"snapshot times {outside} lie outside [t_initial, t_final]")
 
 
 @dataclass

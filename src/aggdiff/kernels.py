@@ -2,7 +2,8 @@
 
 The interaction enters the schemes only through the offset table
 W_{i-k} = W(x_i - x_k) (cell-averaged instead for singular kernels) and the
-discrete convolution (W * rho)_i = sum_k W_{i-k} rho_k dx. Whether the
+discrete convolution (W * rho)_i = sum_k W_{i-k} rho_k dx, taken as the
+direct sum in 1D and through the table's cached spectrum in 2D. Whether the
 convolution may be staged explicitly or implicitly while keeping the energy
 dissipation guarantee depends on the sign-definiteness of the kernel's
 quadratic form on mass-neutral differences, classified here.
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate, linalg, signal
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import DomainError, KernelError, ShapeError
 from .model import Grid, Quadratic, TabulatedInteraction, field_values
@@ -89,15 +90,22 @@ class KernelTable:
     def toeplitz(self) -> np.ndarray:
         """1D only: the (n, n) matrix T[i, k] = W_{i-k}, so W * rho = T @ rho * cell_measure.
 
-        Built from the column (offsets 0..n-1) and the row (offsets 0..-(n-1))
-        separately, so an asymmetric table keeps its orientation.
+        Gathered entry by entry from the offset i - k, so an asymmetric table
+        keeps its orientation.
         """
         if self.dimension != 1:
             raise ShapeError("the Toeplitz operator is only defined for 1D kernels")
-        n = self.n_cells
-        t = linalg.toeplitz(self.values[n - 1 :], self.values[n - 1 :: -1])
+        i = np.arange(self.n_cells)
+        t = self.values[self.center + i[:, None] - i[None, :]]
         t.setflags(write=False)  # shared by every caller
         return t
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """rfftn of the table on fftconvolve's padded shape, next_fast_len(3n - 2) per axis."""
+        spec = rfftn(self.values, (next_fast_len(3 * self.n_cells - 2, True),) * self.dimension)
+        spec.setflags(write=False)  # shared by every caller
+        return spec
 
     @cached_property
     def toeplitz_difference(self) -> np.ndarray:
@@ -133,6 +141,8 @@ def _eval_radial(interaction, x, y=None, dimension=1):
 
 
 def _cell_average_1d(interaction, offset_x, dx):
+    from scipy import integrate  # only singular tabulation integrates
+
     def f(s):
         return _eval_radial(interaction, offset_x - s, dimension=1)
 
@@ -149,6 +159,8 @@ def _cell_average_1d(interaction, offset_x, dx):
 
 
 def _cell_average_2d(interaction, offset_x, offset_y, dx, dy):
+    from scipy import integrate
+
     def f(t, s):  # dblquad integrates f(y, x)
         return _eval_radial(interaction, offset_x - s, offset_y - t, dimension=2)
 
@@ -224,12 +236,14 @@ def make_kernel_1d(values, cell_measure, exact_form=None) -> KernelTable:
     return KernelTable(1, np.asarray(values, dtype=float), cell_measure, exact_form=exact_form)
 
 
-def convolve(kernel: KernelTable, rho, method: str = "auto") -> np.ndarray:
+def convolve(kernel: KernelTable, rho) -> np.ndarray:
     """(W * rho)_i = sum_k W_{i-k} rho_k * cell_measure, full non-circular sum.
 
-    ``method`` is "direct", "fft", or "auto": direct for every 1D table and
-    for 2D tables of up to 16 cells per axis, FFT above that.
-    Both paths agree to roundoff; the direct sum is the defining one.
+    1D takes the direct sum, np.convolve. 2D multiplies the field's rfftn by
+    ``kernel.spectrum`` on the same padded shape and inverts: the bits of
+    scipy.signal.fftconvolve, in this form only (kernel on the left, product
+    written over the field's spectrum; numpy's complex multiply rounds
+    differently for another operand order or output buffer).
     """
     vals = field_values(rho)
     n = kernel.n_cells
@@ -237,22 +251,13 @@ def convolve(kernel: KernelTable, rho, method: str = "auto") -> np.ndarray:
         raise ShapeError(f"field shape {vals.shape} does not match kernel for {n} cells")
     if kernel.is_zero:
         return np.zeros_like(vals)
-    if method == "auto":
-        if kernel.dimension == 1:
-            method = "direct"
-        else:
-            method = "direct" if n <= 16 else "fft"
     lo = n - 1
     if kernel.dimension == 1:
-        if method == "fft":
-            full = signal.fftconvolve(kernel.values, vals)
-        else:
-            full = np.convolve(kernel.values, vals)
-        return full[lo : lo + n] * kernel.cell_measure
-    if method == "fft":
-        full = signal.fftconvolve(kernel.values, vals)
-    else:
-        full = signal.convolve(kernel.values, vals, method="direct")
+        return np.convolve(kernel.values, vals)[lo : lo + n] * kernel.cell_measure
+    shape = (kernel.spectrum.shape[0],) * 2  # the padded real shape
+    field_hat = rfftn(vals, shape)
+    np.multiply(kernel.spectrum, field_hat, out=field_hat)
+    full = irfftn(field_hat, shape)
     return full[lo : lo + n, lo : lo + n] * kernel.cell_measure
 
 

@@ -171,6 +171,33 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="cadence"):
             parse_config(str(path))
 
+    @pytest.mark.parametrize("word, singular", [("on", True), ("Yes", True), ("0", False),
+                                                ("off", False)])
+    def test_interaction_singular_reads_boolean_words(self, tmp_path, word, singular):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[model]\ninteraction_singular = {word}\n")
+        assert parse_config(str(path)).model.potentials.interaction_singular is singular
+
+    @pytest.mark.parametrize("word", ["ture", "2", "y"])
+    def test_interaction_singular_rejects_other_words(self, tmp_path, word):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[model]\ninteraction_singular = {word}\n")
+        with pytest.raises(ConfigurationError, match="interaction_singular"):
+            parse_config(str(path))
+
+    @pytest.mark.parametrize("times", ["0.1, 5.0", "-0.5", "1.000001"])
+    def test_snapshot_outside_the_run_rejected(self, tmp_path, times):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[time]\nt_final = 1.0\n[output]\nsnapshots = {times}\n")
+        with pytest.raises(ConfigurationError, match="snapshot times"):
+            parse_config(str(path))
+
+    def test_snapshots_at_both_ends_accepted(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[time]\nt_initial = 0.5\nt_final = 1.0\n"
+                        "[output]\nsnapshots = 0.5, 1.0, 1.0000000000001\n")
+        assert parse_config(str(path)).snapshots == (0.5, 1.0, 1.0000000000001)
+
     @pytest.mark.parametrize("kind", ["gaussian", "uniform"])
     def test_negative_initial_mass_rejected(self, tmp_path, kind):
         path = tmp_path / "c.ini"
@@ -326,3 +353,32 @@ def test_readme_grammar_lists_the_known_keys():
             listed.add((section, key.group(1)))
     known = {(sec, key) for sec, keys in _KNOWN_KEYS.items() for key in keys}
     assert listed == known
+
+
+STEP_IMPORTS = """
+import sys
+import numpy as np
+import aggdiff.cli
+from aggdiff.experiments import step
+from aggdiff.presets import aggregation_diffusion, grid_2d
+from aggdiff.solver import build_setup, clipped_energy
+
+model = aggregation_diffusion(grid_2d(2.5, 0.25))  # 20 x 20 cells, attractive Gaussian
+x, y = model.grid.cell_centers()
+rho = np.exp(-(x**2 + y**2))
+for stage in ("midpoint", "explicit"):  # a sweep step, then a split step
+    setup = build_setup(model, "s2", stage)
+    clipped_energy(setup, step(rho, 0.01, setup).field.values)
+print(" ".join(m for m in ("scipy.signal", "scipy.stats", "scipy.integrate") if m in sys.modules))
+"""
+
+
+def test_stepping_imports_no_signal_stats_or_integrate():
+    """The CLI and a 2D step run without the slow-to-import scipy subpackages."""
+    src = str(Path(experiments.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", STEP_IMPORTS], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
