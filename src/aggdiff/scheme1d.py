@@ -134,33 +134,62 @@ class Tridiagonal(NamedTuple):
 
 
 class TridiagonalLowRank(NamedTuple):
-    """One line's tri + left @ right.T, with left and right shaped (n, rank)."""
+    """One line's tri + left @ right.T, with left and right shaped (n, rank).
+
+    With ``below`` set, the block lower-triangular matrix of the L coupled
+    lines of a sweep pass (see LineProblem): ``tri`` holds L lines, ``left``
+    is (L, n, rank) and ``right`` (n, rank) is shared; diagonal block r is
+    tri_r + left_r @ right.T and block (r, s) with s < r is
+    below * left_r @ right.T.
+    """
 
     tri: Tridiagonal
     left: np.ndarray
     right: np.ndarray
+    below: float | None = None
 
     def to_dense(self) -> np.ndarray:
-        return self.tri.to_dense() + self.left @ self.right.T
+        """(n, n), or (L*n, L*n) with the lines laid end to end."""
+        if self.below is None:
+            return self.tri.to_dense() + self.left @ self.right.T
+        blocks = self.left @ self.right.T  # (L, n, n)
+        lines, n = self.tri.diag.shape
+        scale = np.tril(np.full((lines, lines), self.below), -1) + np.eye(lines)
+        dense = np.einsum("rij,rs->risj", blocks, scale)
+        dense[np.arange(lines), :, np.arange(lines), :] += self.tri.to_dense()
+        return dense.reshape(lines * n, lines * n)
 
 
 class LineProblem:
-    """The implicit system of one time step on a batch of independent lines.
+    """The implicit system of one time step on a batch of lines.
 
     R(a) = (a - rho_old)/dt + (F_{i+1/2} - F_{i-1/2})/dx, with ``rho_old``
     and ``v_table`` shaped (..., n), lines on the leading axes. What stays
     fixed over a solve is computed once here: the old state's S1 face
     values (or ``faces``, the (east, west) pair a caller reconstructed for
     many lines at once) and, under the explicit stage rule, the convolution
-    W * rho_old. An implicitly or midpoint staged interaction couples every
-    cell of a line to every other and is defined on a single line only.
+    W * rho_old. Without ``across`` the lines are independent, and an
+    implicitly or midpoint staged interaction, which couples every cell of
+    a line to every other, is defined on a single line only.
+
+    ``across`` makes the (L, n) lines one sweep pass of a quadratic kernel
+    (``exact_form``) under a coupling stage rule: ``across(a)`` is the
+    (L, n) interaction of the other lines at state a, line r seeing lines
+    s < r at a and lines s > r at rho_old, with a 1D kernel's convolution
+    of line s at coefficient 1 plus a constant per line pair. Line r's
+    residual is then stage r's of the sweep. The state is the (L*n,) lines
+    laid end to end, the form Newton solves them in (see ``solve_lines``);
+    the Jacobian is block lower triangular (see TridiagonalLowRank).
 
     Each candidate state a gets one record, computed on first use: xi, the
     face velocities u, u+ = max(u, 0), u- = min(u, 0), and the two values
     each face upwinds (the old S1 face values, or a's own cells under S2).
-    The residual's flux, the Jacobian's bands and ``velocity`` all read it;
-    a call at the same state object as the previous one reuses it, so the
-    state must not be modified in place between calls.
+    The residual's flux, the Jacobian's bands and ``velocity`` all read it.
+    A call at the same state object as the previous one reuses it, and a
+    Jacobian for some lines at a copy of their rows of the previous full
+    state reads those rows; the state must not be modified in place between
+    calls. Under S1 every record also keeps its lines' largest |u| for
+    ``peak_speed``.
 
     ``residual`` and ``jacobian`` give R and dR/da; ``update_residual`` and
     ``update_jacobian`` give R*dt and dR/da*dt, the update form Newton
@@ -172,7 +201,7 @@ class LineProblem:
     """
 
     def __init__(self, scheme: SchemeConfig, rho_old, dt, dx, energy, v_table, kernel,
-                 faces=None):
+                 faces=None, across=None):
         if not (math.isfinite(dt) and dt > 0):
             raise DomainError(f"time step must be positive and finite, got {dt!r}")
         self.kind, self.stage_rule = scheme.kind, scheme.stage_rule
@@ -181,6 +210,9 @@ class LineProblem:
         self.v = np.asarray(v_table, dtype=float)
         self.kernel = None if kernel is None or kernel.is_zero else kernel
         self.coupled = self.kernel is not None and self.stage_rule != EXPLICIT
+        if across is not None and not (self.coupled and self.kernel.exact_form in QUADRATIC_FORMS):
+            raise DomainError("lines couple across a pass only through a staged quadratic kernel")
+        self.across = across
         self.conv = None
         if self.kernel is not None and not self.coupled:
             self.conv = convolve(self.kernel, self.old)
@@ -190,45 +222,79 @@ class LineProblem:
             # What a face upwinds when u > 0 and when u < 0.
             self._upwind = (self.east[..., :-1], self.west[..., 1:])
         self._last = (None, None, None)
+        self._speeds = None
 
     def with_dt(self, dt) -> "LineProblem":
         """The same step over another time step, sharing what was precomputed."""
         other = copy.copy(self)
-        other.dt, other._last = dt, (None, None, None)
+        other.dt, other._last, other._speeds = dt, (None, None, None), None
         return other
 
-    def _state(self, a, lines):
-        """(xi, u, u+, u-, upwinded left, upwinded right) at state a; see the class."""
-        last = self._last
-        if last[0] is a and last[1] is lines:
-            return last[2]
+    def _state(self, a, lines, rows_of_last=False):
+        """(a, xi, u, u+, u-, upwinded left, upwinded right) at state a; see the class.
+
+        The record's a is the state shaped as the lines, (L, n) under
+        ``across``. With ``rows_of_last`` (the Jacobian, which Newton asks for
+        only at an iterate it has evaluated), a copy of some rows of the last
+        record, when that covers every line, is served from them, without
+        xi, which the Jacobian does not read; the last record stays cached.
+        """
+        last_a, last_lines, last = self._last
+        if last_a is a and last_lines is lines:
+            return last
+        key = a
+        if self.across is not None:
+            a = a.reshape(self.old.shape)
+        # Compared bit for bit, so that the rows served are the record a would get.
+        if (rows_of_last and lines is not None and last is not None and last_lines is None
+                and np.array_equal(last[0][lines].view(np.int64), a.view(np.int64))):
+            return (a, None) + tuple(part[lines] for part in last[2:])
         xi = self.energy.slope_regularized(a)
         xi += self.v if lines is None else self.v[lines]
         if self.coupled:  # the density the convolution sees under the stage rule
             stage = a if self.stage_rule == IMPLICIT else 0.5 * (a + self.old)
-            xi += self.kernel.cell_measure * (self.kernel.toeplitz @ stage)
+            toeplitz = self.kernel.toeplitz
+            xi += self.kernel.cell_measure * (
+                toeplitz @ stage if stage.ndim == 1 else stage @ toeplitz.T)
+            if self.across is not None:
+                xi += self.across(a)
         elif self.conv is not None:
             xi += self.conv if lines is None else self.conv[lines]
         u = face_velocities(xi, self.dx)
         if self.kind == S1:
             left, right = self._upwind if lines is None else (
                 self._upwind[0][lines], self._upwind[1][lines])
+            peak = np.abs(u).max(axis=-1, initial=0.0)
+            if lines is None:
+                self._speeds = peak
+            else:
+                if self._speeds is None:
+                    self._speeds = np.zeros(self.old.shape[:-1])
+                self._speeds[lines] = peak
         else:
             left, right = a[..., :-1], a[..., 1:]
-        state = (xi, u, np.maximum(u, 0.0), np.minimum(u, 0.0), left, right)
-        self._last = (a, lines, state)
+        state = (a, xi, u, np.maximum(u, 0.0), np.minimum(u, 0.0), left, right)
+        self._last = (key, lines, state)
         return state
 
     def potential(self, a, lines=None):
         """(xi, u): the cell potential and the face velocities at state a."""
-        return self._state(a, lines)[:2]
+        return self._state(a, lines)[1:3]
 
     def velocity(self, a) -> np.ndarray:
-        return self._state(a, None)[1]
+        return self._state(a, None)[2]
 
-    def _walled_flux(self, a, lines):
-        """The upwind fluxes at state a between the two zero wall fluxes, (..., n+1)."""
-        _, _, up, um, left, right = self._state(a, lines)
+    def peak_speed(self) -> float:
+        """S1 only: max |u| over the lines, each at the last state a record was made for.
+
+        After a solve that is the root (newton_solve evaluates each line last
+        at its accepted iterate), read from records already made; 0 before any.
+        """
+        return 0.0 if self._speeds is None else float(self._speeds.max(initial=0.0))
+
+    def _walled_flux(self, state):
+        """The upwind fluxes of a record between the two zero wall fluxes, (..., n+1)."""
+        a, _, _, up, um, left, right = state
         walled = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
         flux = walled[..., 1:-1]
         np.multiply(left, up, out=flux)
@@ -237,7 +303,7 @@ class LineProblem:
 
     def flux(self, a, lines=None) -> np.ndarray:
         """Upwind flux on the interior faces at state a; walls carry none."""
-        return self._walled_flux(a, lines)[..., 1:-1]
+        return self._walled_flux(self._state(a, lines))[..., 1:-1]
 
     def residual(self, a, lines=None) -> np.ndarray:
         """R(a); defined for any real a (H' is evaluated above the vacuum floor)."""
@@ -248,10 +314,11 @@ class LineProblem:
         return self._residual(a, lines, True)
 
     def _residual(self, a, lines, update):
-        walled = self._walled_flux(a, lines)
+        state = self._state(a, lines)
+        walled = self._walled_flux(state)
         divergence = walled[..., 1:] - walled[..., :-1]
         divergence /= self.dx
-        r = a - (self.old if lines is None else self.old[lines])
+        r = state[0] - (self.old if lines is None else self.old[lines])
         r /= self.dt
         r += divergence
         if update:
@@ -267,8 +334,11 @@ class LineProblem:
         (``KernelTable.difference_factors``), and the Jacobian is a
         TridiagonalLowRank: the tridiagonal part of the decoupled case at the
         coupled u, plus diag(m_face) times the two factors, pushed through
-        the divergence. Any other coupled kernel gives the dense (n, n)
-        matrix.
+        the divergence. Under ``across`` it has one such block per line on
+        its diagonal, and line s < r enters line r through the same factors
+        at coefficient 1 (``below``): the constant per line pair drops out of
+        the face differences. Any other coupled kernel gives the dense
+        (n, n) matrix.
         """
         return self._jacobian(a, lines, 1.0)
 
@@ -282,7 +352,7 @@ class LineProblem:
 
     def _jacobian(self, a, lines, c):
         dx = self.dx
-        _, u, up, um, left, right = self._state(a, lines)
+        a, _, u, up, um, left, right = self._state(a, lines, rows_of_last=True)
         # d xi_i / d a_i from the diffusion term (vacuum-floored).
         g = self.energy.curvature_regularized(a)
         m_face = np.where(u > 0, left, 0.0) + np.where(u < 0, right, 0.0)
@@ -314,13 +384,14 @@ class LineProblem:
 
         c_rule = 1.0 if self.stage_rule == IMPLICIT else 0.5
         faces, cells = self.kernel.difference_factors
-        dF = faces * ((c_rule * self.kernel.cell_measure / dx) * m_face)[:, None]
+        dF = faces * ((c_rule * self.kernel.cell_measure / dx) * m_face)[..., None]
         dF /= dx
-        low = np.zeros(cells.shape)
-        low[:-1] += dF
-        low[1:] -= dF
+        low = np.zeros(a.shape + cells.shape[1:])
+        low[..., :-1, :] += dF
+        low[..., 1:, :] -= dF
         low *= c
-        return TridiagonalLowRank(tri, low, cells)
+        # Earlier lines enter at coefficient 1, not c_rule: 1/c_rule is a power of two.
+        return TridiagonalLowRank(tri, low, cells, None if self.across is None else 1.0 / c_rule)
 
     def _dense_jacobian(self, a, up, um, g, m_face, c):
         dx = self.dx

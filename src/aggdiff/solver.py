@@ -136,14 +136,17 @@ def _solve_linear(jac, rhs):
     A Tridiagonal is one gtsv over every line laid end to end. A
     TridiagonalLowRank A + U V^T (one line, from a quadratic kernel) is
     solved by the Woodbury identity: one gtsv of A against [rhs, U], then a
-    rank-sized capacitance system I + V^T A^-1 U. Any other Jacobian is a
-    dense matrix, solved by LU.
+    rank-sized capacitance system I + V^T A^-1 U. A sweep pass's block
+    lower-triangular one goes to _solve_pass. Any other Jacobian is a dense
+    matrix, solved by LU.
     """
     if isinstance(jac, Tridiagonal):
         ab = jac.to_banded()
         return _solve_tridiagonal(ab[2, :-1], ab[1], ab[0, 1:], rhs.ravel()).reshape(rhs.shape)
     if isinstance(jac, TridiagonalLowRank):
-        tri, left, right = jac
+        if jac.below is not None:
+            return _solve_pass(jac, rhs)
+        tri, left, right, _ = jac
         stacked = np.empty((left.shape[0], 1 + left.shape[1]), order="F")
         stacked[:, 0] = rhs.reshape(-1)
         stacked[:, 1:] = left
@@ -156,6 +159,42 @@ def _solve_linear(jac, rhs):
             raise LinAlgError("singular matrix")
         return (y - z @ w).reshape(rhs.shape)
     return np.linalg.solve(np.atleast_2d(jac), rhs[..., None])[..., 0]
+
+
+def _solve_pass(jac, rhs):
+    """Block forward substitution for a sweep pass's L coupled lines of n cells.
+
+    Line r's block row reads D_r d_r + below * U_r mu_r = b_r, with the
+    diagonal block D_r = A_r + U_r V^T and mu_r = V^T (d_0 + ... + d_{r-1}).
+    One gtsv over every line laid end to end gives A_r^-1 [b_r, U_r]; the
+    Woodbury identity then gives y_r = D_r^-1 b_r and Z_r = D_r^-1 U_r
+    through L batched rank-sized capacitance solves. Only the rank-2 vector
+    mu carries the coupling, in Python floats from mu_0 = 0:
+    d_r = y_r - below * Z_r mu_r and mu_{r+1} = mu_r + V^T d_r.
+    """
+    tri, left, right, below = jac
+    lines, n, rank = left.shape
+    ab = tri.to_banded()
+    stacked = np.empty((1 + rank, lines, n))
+    stacked[0] = rhs.reshape(lines, n)
+    stacked[1:] = left.transpose(2, 0, 1)
+    solved = _solve_tridiagonal(ab[2, :-1], ab[1], ab[0, 1:], stacked.reshape(1 + rank, -1).T)
+    solved = solved.T.reshape(1 + rank, lines, n).transpose(1, 2, 0)  # (L, n, 1 + rank)
+    z = solved[..., 1:]
+    vt_solved = right.T @ solved  # (L, rank, 1 + rank)
+    capacitance = _identity(rank) + vt_solved[..., 1:]
+    w = np.linalg.solve(capacitance, vt_solved)  # LinAlgError when singular
+    solved -= z @ w
+    y, z = solved[..., 0], solved[..., 1:]
+    mu0 = mu1 = 0.0
+    mu = []
+    # V^T y_r and below * V^T Z_r, line by line.
+    for (c0, c1), ((p00, p01), (p10, p11)) in zip((y @ right).tolist(),
+                                                  (below * (right.T @ z)).tolist()):
+        mu.append((mu0, mu1))
+        mu0, mu1 = mu0 + c0 - (p00 * mu0 + p01 * mu1), mu1 + c1 - (p10 * mu0 + p11 * mu1)
+    delta = y - below * (z @ np.array(mu)[:, :, None])[..., 0]
+    return delta.reshape(rhs.shape)
 
 
 def assemble_jacobian(residual_fn, rho, step: float = 1e-7):
@@ -194,7 +233,8 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
     at tolerance drop out; while some do, the callables get ``(z, lines)``:
     the remaining lines and their batch indices. ``jacobian`` returns a
     Tridiagonal (one banded solve for every line) or, for one line, a
-    TridiagonalLowRank or a dense matrix (see _solve_linear); when absent,
+    TridiagonalLowRank (a sweep pass's block one among them) or a dense
+    matrix (see _solve_linear); when absent,
     finite differences of residual_fn are used. Raises
     NewtonError if any line misses the tolerance. Returns (root, iterations
     summed over lines, worst norm).
@@ -316,16 +356,18 @@ _UNSET = object()
 
 
 def line_problem(setup: SchemeSetup, rho_old, dt, v_table=None, kernel=_UNSET,
-                 faces=None) -> LineProblem:
+                 faces=None, across=None) -> LineProblem:
     """The setup's implicit step as a LineProblem on rho_old, shaped (..., n).
 
     ``v_table``/``kernel`` override the setup's tables (``kernel=None``
     disables the interaction); the 2D passes give their per-line tables here.
-    ``faces`` is rho_old's S1 (east, west) face values, when already known.
+    ``faces`` is rho_old's S1 (east, west) face values, when already known;
+    ``across`` couples the lines into a sweep pass (see LineProblem).
     """
     v_table = setup.v_table if v_table is None else v_table
     kernel = setup.kernel if kernel is _UNSET else kernel
-    return LineProblem(setup.scheme, rho_old, dt, setup.dx, setup.energy, v_table, kernel, faces)
+    return LineProblem(setup.scheme, rho_old, dt, setup.dx, setup.energy, v_table, kernel,
+                       faces, across)
 
 
 MAX_CONTINUATION_HALVINGS = 10
@@ -335,7 +377,10 @@ def solve_lines(problem: LineProblem, config: NewtonConfig | None = None, *, _de
     """Newton on the update-form residual R*dt of every line of ``problem`` at once.
 
     The problem's ``update_residual`` and its exact Jacobian
-    ``update_jacobian`` go to ``newton_solve`` as they are.
+    ``update_jacobian`` go to ``newton_solve`` as they are. Independent
+    lines keep their own convergence tests; the coupled lines of a sweep
+    pass (``problem.across``) are one state, laid end to end, so the test
+    is their worst line's and the line search scales the whole step.
 
     Newton from the old state can miss the root of a long S2 step, e.g. under
     strong aggregation next to a vacuum cell. S2 then solves the step over
@@ -343,12 +388,14 @@ def solve_lines(problem: LineProblem, config: NewtonConfig | None = None, *, _de
     Newton from that root; the root moves continuously with dt. S1 halves
     the step itself instead (see ``drive_step``).
 
-    Returns (rho_new, iterations summed over lines, worst norm).
+    Returns (rho_new, iterations summed over lines, worst norm); a pass's
+    rho_new is its lines laid end to end, and it counts as one line.
     """
     cfg = config or NewtonConfig()
     residual, jacobian = problem.update_residual, problem.update_jacobian
+    start = problem.old if problem.across is None else problem.old.reshape(-1)
     try:
-        return newton_solve(residual, problem.old, cfg, jacobian)
+        return newton_solve(residual, start, cfg, jacobian)
     except NewtonError:
         if problem.kind != S2 or _depth >= MAX_CONTINUATION_HALVINGS:
             raise
@@ -381,8 +428,7 @@ class PassTelemetry:
         self.newton_iterations += iters
         self.worst_norm = max(self.worst_norm, norm)
         if problem.kind == S1:
-            speed = float(np.abs(problem.velocity(new_lines)).max(initial=0.0))
-            self.max_velocity = max(self.max_velocity, speed)
+            self.max_velocity = max(self.max_velocity, problem.peak_speed())
 
 
 MAX_CFL_HALVINGS = 20

@@ -7,17 +7,21 @@ leading axis, solved by one batched Newton iteration in which every line
 keeps its own convergence test and line search. When the interaction is
 staged implicitly or at the midpoint, lines do not decouple; the sweeping
 form restores tractability by updating one line at a time, the convolution
-seeing the stage-rule value on the active line and the latest frozen values
-elsewhere. Each sweep stage is then exactly a 1D implicit solve with an
+seeing the stage-rule value on the active line and the latest values
+elsewhere. Stage r's residual is then a 1D implicit residual with an
 effective confinement table: V plus the stage's background, the
-convolution of every other line. For a general kernel a sweep pass
-convolves the whole field once, and a stage then costs one 1D FFT of its
-line's change and one inverse FFT of its own line's background
-(SpectralBackground); its coupled solve uses the row kernel's Toeplitz
-matrix and a dense LU. For a quadratic kernel (``KernelTable.exact_form``)
-the background follows from three moments per line, updated in O(n) per
-stage (MomentBackground), and the coupled Jacobian is tridiagonal plus
-rank 2, solved by Woodbury.
+convolution of every other line, new before r and old after it.
+
+For a quadratic kernel (``KernelTable.exact_form``) the pass is solved as
+that one system of L stage residuals: the backgrounds follow from prefix
+sums of three moments per line (PassMomentBackground), the Jacobian is
+block lower triangular with tridiagonal-plus-rank-2 blocks, and a Newton
+step is one banded solve over every line, L rank-2 capacitance solves and
+a recurrence of a 2-vector over the lines. Any other kernel solves stage by
+stage: the pass convolves the whole field once, a stage costs one 1D FFT
+of its line's change and one inverse FFT of its own line's background
+(SpectralBackground), and its coupled solve uses the row kernel's Toeplitz
+matrix and a dense LU.
 """
 
 from __future__ import annotations
@@ -108,70 +112,70 @@ class SpectralBackground:
         self.acc[r + 1 :] += rfft(new_line - old_line, self.nfft) * self.w_hat[n : 2 * n - 1 - r]
 
 
-class MomentBackground:
-    """Stage backgrounds of a sweep pass for a quadratic kernel, by moments.
+class PassMomentBackground:
+    """The stage backgrounds of a whole sweep pass for a quadratic kernel, by moments.
 
     For W_(o, q) = alpha*o^2 + beta*q^2 (o along the line, q across it), the
     contribution of line q to cell i of line r is
     measure*(alpha*(p_i^2 M_q - 2 p_i m1_q + m2_q) + beta*(p_r - p_q)^2 M_q),
     with p the centred cell positions and M_q, m1_q, m2_q line q's mass and
-    first and second moments along the line. Stage r's background is the
-    sum over every line but r: totals minus line r's own row. After a stage
-    only line r's three moments change.
+    first and second moments along the line. Called at a pass state a, it
+    gives every line r the sum over lines s < r at a (prefix sums of a's
+    moments) and s > r in the old field (suffix sums, taken once): the
+    ``across`` term of the pass's LineProblem.
     """
 
     def __init__(self, kernel, field, axis):
         n, c = field.shape[0], kernel.center
         along, across = kernel.axis_slice(axis), kernel.axis_slice(1 - axis)
-        # The scalars live as Python floats: the same IEEE doubles, without
-        # the per-operation cost of numpy scalars.
-        self.alpha = float(along[c + 1] - along[c])
-        self.beta = float(across[c + 1] - across[c])
-        self.measure = float(kernel.cell_measure)
         p = np.arange(n) - 0.5 * (n - 1)
-        self.p_squared, self.p_twice, self.p = p * p, 2.0 * p, p.tolist()
-        basis = np.stack((np.ones(n), p, p**2), axis=1)
-        self.basis_t, self.basis = basis.T, basis.tolist()
-        moments = _lines(field, axis) @ basis  # (n, 3): M, m1, m2 of every line
-        self.totals = moments.sum(axis=0).tolist()
-        # Across the lines: sum_q M_q, p_q M_q and p_q^2 M_q.
-        self.across = (self.basis_t @ moments[:, 0]).tolist()
-        self.moments = moments.tolist()
+        self.basis = np.stack((np.ones(n), p, p * p), axis=1)
+        # Cell i of line r reads the along sums through alpha*[p_i^2, -2 p_i, 1]
+        # and the across sums through beta*[p_r^2, -2 p_r, 1].
+        weights = np.stack((p * p, -2.0 * p, np.ones(n)), axis=1)
+        self.along_weights = (along[c + 1] - along[c]) * weights.T
+        self.across_weights = (across[c + 1] - across[c]) * weights
+        self.measure = kernel.cell_measure
+        old = self._moments(_lines(field, axis))
+        self.later = np.zeros_like(old)  # sums over the old lines s > r
+        np.cumsum(old[:0:-1], axis=0, out=self.later[-2::-1])
 
-    def __call__(self, r, old_line):
-        mass, m1, m2 = (t - m for t, m in zip(self.totals, self.moments[r]))
-        pr = self.p[r]
-        total_mass, q1, q2 = self.across
-        between = self.beta * (pr * pr * total_mass - 2.0 * pr * q1 + q2)
-        background = self.p_squared * mass
-        background -= self.p_twice * m1
-        background += m2
-        background *= self.alpha
-        background += between
+    def _moments(self, lines):
+        """(L, 6): each line's M, m1, m2 along it, then M * [1, p_q, p_q^2] across."""
+        along = lines @ self.basis
+        return np.concatenate((along, along[:, :1] * self.basis), axis=1)
+
+    def __call__(self, a):
+        sums = self.later.copy()
+        sums[1:] += np.cumsum(self._moments(a)[:-1], axis=0)  # lines s < r at a
+        background = sums[:, :3] @ self.along_weights
+        background += (sums[:, 3:] * self.across_weights).sum(axis=1)[:, None]
         background *= self.measure
         return background
-
-    def update(self, r, old_line, new_line):
-        new = (self.basis_t @ new_line).tolist()
-        change = [b - a for a, b in zip(self.moments[r], new)]
-        self.moments[r] = new
-        self.totals = [t + d for t, d in zip(self.totals, change)]
-        self.across = [q + b * change[0] for q, b in zip(self.across, self.basis[r])]
 
 
 def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
                        telemetry: PassTelemetry | None = None, stage_hook=None) -> np.ndarray:
     """One sweeping directional pass: lines update sequentially.
 
-    At stage r only line r changes; its implicit 1D solve sees the
+    Stage r changes only line r; its implicit 1D residual sees the
     interaction of the whole field through an effective confinement, the
-    background: every other line's convolution at its latest value, with
-    the stage rule applied to line r's own contribution. A quadratic kernel
-    (``exact_form``) takes its backgrounds from per-line moments
-    (MomentBackground, O(n) per stage); any other kernel from one 2D
-    convolution per pass and a spectral accumulator (SpectralBackground).
-    Both match a full re-convolution at every stage to roundoff. Under S1
-    the old lines' reconstructed face values are computed once per pass.
+    background: every other line's convolution at its latest value (new
+    before r, old after r), with the stage rule applied to line r's own
+    contribution. Under S1 the old lines' reconstructed face values are
+    computed once per pass.
+
+    A quadratic kernel (``exact_form``) solves the pass as the one system it
+    is: the L stage residuals, each reading the new lines before it, by one
+    Newton solve on all lines at once (a LineProblem with ``across``,
+    backgrounds from PassMomentBackground, a block lower-triangular Jacobian
+    solved by forward substitution). It stops when every stage residual is
+    within tolerance, the test each stage's own solve would apply, and
+    counts L Newton iterations per pass iteration. Any other kernel solves
+    stage by stage, its backgrounds from one 2D convolution per pass and a
+    spectral accumulator (SpectralBackground), its coupled solves by dense
+    LU. ``stage_hook(axis, r, field)``, when given, sees each stage's field
+    in order: lines up to r new, the rest old.
     """
     field = field_values(rho).copy()
     cfg = config or NewtonConfig()
@@ -184,21 +188,33 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
     # The 1D kernel slice that couples the cells of one line.
     row_kernel = make_kernel_1d(kernel.axis_slice(axis), kernel.cell_measure, kernel.exact_form)
     lines, v_lines = _lines(field, axis), _lines(setup.v_table, axis)
-    if kernel.exact_form in QUADRATIC_FORMS:
-        background = MomentBackground(kernel, field, axis)
-    else:
-        background = SpectralBackground(kernel, field, axis, row_kernel)
     # Only stage r writes line r, so every stage's old line is its line at
     # the start of the pass, and reconstruct_faces works line by line.
-    east = west = None
+    faces = None
     if setup.scheme.kind == S1:
-        east, west = reconstruct_faces(lines, setup.scheme.theta)
+        faces = reconstruct_faces(lines, setup.scheme.theta)
+    if kernel.exact_form in QUADRATIC_FORMS:
+        old = lines.copy()
+        problem = line_problem(setup, old, dt, v_lines, row_kernel, faces=faces,
+                               across=PassMomentBackground(kernel, field, axis))
+        new_lines, iters, norm = solve_lines(problem, cfg)
+        new_lines = new_lines.reshape(old.shape)
+        tel.absorb(problem, new_lines, iters * len(old), norm)
+        if stage_hook is None:
+            lines[:] = new_lines
+        else:
+            for r, new_line in enumerate(new_lines):
+                lines[r] = new_line
+                stage_hook(axis, r, field)
+        return field
+
+    background = SpectralBackground(kernel, field, axis, row_kernel)
     for r in range(lines.shape[0]):
         old_line = lines[r].copy()
         v_eff = background(r, old_line)
         v_eff += v_lines[r]
-        faces = None if east is None else (east[r], west[r])
-        problem = line_problem(setup, old_line, dt, v_eff, row_kernel, faces=faces)
+        problem = line_problem(setup, old_line, dt, v_eff, row_kernel,
+                               faces=None if faces is None else (faces[0][r], faces[1][r]))
         new_line, iters, norm = solve_lines(problem, cfg)
         tel.absorb(problem, new_line, iters, norm)
         lines[r] = new_line

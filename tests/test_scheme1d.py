@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from aggdiff import scheme1d
 from aggdiff.errors import DomainError
 from aggdiff.kernels import EXPLICIT, IMPLICIT, MIDPOINT, make_kernel_1d
 from aggdiff.model import InternalEnergy
@@ -24,7 +25,7 @@ from aggdiff.scheme1d import (
     TridiagonalLowRank,
     residual_jacobian,
 )
-from aggdiff.solver import _solve_linear, newton_solve, NewtonConfig
+from aggdiff.solver import _solve_linear, newton_solve, NewtonConfig, solve_lines
 
 
 def same_bits(x, y):
@@ -278,6 +279,53 @@ class TestSliceDifferencesMatchNpDiff:
                 subset = at[lines]
                 assert same_bits(problem.residual(subset, lines), expected[lines])
                 assert same_bits(problem.update_residual(subset, lines), dt * expected[lines])
+
+
+class TestRecordReuse:
+    """A subset's Jacobian from the rows of the full record; S1's speeds from records made."""
+
+    @staticmethod
+    def _problem(kind, seed, dt=0.07):
+        rng = np.random.default_rng(seed)
+        old = rng.random((6, 11))
+        old[rng.random(old.shape) < 0.2] = 0.0
+        v = 3.0 * rng.random((6, 11))
+
+        def make():
+            return LineProblem(SchemeConfig(kind, MIDPOINT), old, dt, 0.25,
+                               InternalEnergy.entropy(1.0), v, None)
+
+        return make, old + 0.1 * rng.standard_normal(old.shape)
+
+    @pytest.mark.parametrize("kind", [S1, S2])
+    def test_subset_jacobian_reads_the_full_record(self, kind, monkeypatch):
+        make, at = self._problem(kind, 0)
+        lines = np.array([1, 2, 5])
+        fresh = make().update_jacobian(at[lines], lines)
+        problem = make()
+        problem.update_residual(at)
+        made = []  # a record computes the face velocities once
+        monkeypatch.setattr(scheme1d, "face_velocities",
+                            lambda xi, dx: made.append(xi.shape) or face_velocities(xi, dx))
+        served = problem.update_jacobian(at[lines], lines)
+        assert made == [] and all(same_bits(x, y) for x, y in zip(served, fresh))
+        # Rows that differ from the record's by one bit get a record of their own.
+        other = at[lines]
+        other[0, 3] = np.nextafter(other[0, 3], np.inf)
+        problem.update_jacobian(other, lines)
+        assert made == [other.shape]
+
+    def test_peak_speed_is_the_roots(self, monkeypatch):
+        # Lines converge after different numbers of iterations, so their
+        # last records come from different iterates.
+        make, _ = self._problem(S1, 1, dt=0.005)
+        problem = make()
+        made = []  # a record computes the face velocities once
+        monkeypatch.setattr(scheme1d, "face_velocities",
+                            lambda xi, dx: made.append(len(xi)) or face_velocities(xi, dx))
+        root, _, _ = solve_lines(problem)
+        assert min(made) < len(problem.old)  # some records hold only the active lines
+        assert problem.peak_speed() == np.abs(make().velocity(root)).max() > 0.0
 
 
 def reference_update_jacobian(problem, a, lines=None):

@@ -23,13 +23,14 @@ from aggdiff.scheme1d import SchemeConfig, reconstruct_faces
 from aggdiff.solver import (
     NewtonConfig,
     SchemeSetup,
+    assemble_jacobian,
     build_setup,
     clipped_energy,
     implicit_step_1d,
     line_problem,
 )
 from aggdiff.split2d import (
-    MomentBackground,
+    PassMomentBackground,
     SpectralBackground,
     advance_split_axis,
     advance_step_2d,
@@ -259,40 +260,48 @@ class TestS1FacesOncePerPass:
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_sweep_hands_each_stage_its_old_lines_faces(self, axis, monkeypatch):
+        # A quadratic kernel's pass is one problem on every line; line r of
+        # its faces is line r's own reconstruction, byte for byte.
         g = grid_2d(2.0, 0.5)
         setup = build_setup(nonlocal_fokker_planck(g), "s1", stage="midpoint")
         seen = []
         original = split2d.line_problem
 
-        def spy(setup_, old_line, dt, v_eff, kernel, faces=None):
-            seen.append((old_line.copy(), faces))
-            return original(setup_, old_line, dt, v_eff, kernel, faces=faces)
+        def spy(setup_, old, dt, v_eff, kernel, faces=None, across=None):
+            seen.append((old.copy(), faces))
+            return original(setup_, old, dt, v_eff, kernel, faces=faces, across=across)
 
         monkeypatch.setattr(split2d, "line_problem", spy)
         advance_sweep_axis(smooth_field(g, 0.3), axis, g.dx**2 / 8, setup, NewtonConfig())
-        assert len(seen) == g.n_cells
-        for old_line, (east, west) in seen:
+        assert len(seen) == 1
+        old, (east, west) = seen[0]
+        assert old.shape == east.shape == west.shape == (g.n_cells, g.n_cells)
+        for r, old_line in enumerate(old):
             own_east, own_west = reconstruct_faces(old_line, setup.scheme.theta)
-            assert east.tobytes() == own_east.tobytes() and west.tobytes() == own_west.tobytes()
+            assert east[r].tobytes() == own_east.tobytes()
+            assert west[r].tobytes() == own_west.tobytes()
 
 
 class TestSweepMatchesFullReconvolution:
     """The sweep pass against a reference that re-convolves the whole field at every stage."""
 
     @staticmethod
-    def _reference_sweep(field, axis, dt, setup, cfg):
-        field = field.copy()
+    def _stage_problem(field, r, axis, dt, setup):
+        """Stage r's 1D problem, its background re-convolved from ``field``."""
         row_kernel = make_kernel_1d(setup.kernel.axis_slice(axis), setup.kernel.cell_measure)
+        index = (slice(None), r) if axis == 0 else (r, slice(None))
+        old_line = field[index].copy()
+        background = convolve(setup.kernel, field)[index] - convolve(row_kernel, old_line)
+        return index, line_problem(setup, old_line, dt, setup.v_table[index] + background,
+                                   row_kernel)
+
+    @classmethod
+    def _reference_sweep(cls, field, axis, dt, setup, cfg):
+        field = field.copy()
         total = 0
         for r in range(field.shape[0]):
-            index = (slice(None), r) if axis == 0 else (r, slice(None))
-            old_line = field[index].copy()
-            conv = convolve(setup.kernel, field)[index]
-            background = conv - convolve(row_kernel, old_line)
-            field[index], iters, _ = implicit_step_1d(
-                old_line, dt, setup, cfg, v_table=setup.v_table[index] + background,
-                kernel=row_kernel,
-            )
+            index, problem = cls._stage_problem(field, r, axis, dt, setup)
+            field[index], iters, _ = solver.solve_lines(problem, cfg)
             total += iters
         return field, total
 
@@ -316,18 +325,30 @@ class TestSweepMatchesFullReconvolution:
         rng = np.random.default_rng(10 * axis + (kind == "s2"))
         cfg = NewtonConfig()
         dt = g.dx**2 / 8 if kind == "s1" else 0.05
-        for setup in self._setups(g, kind):
+        setups = self._setups(g, kind)
+        gaussian = setups[0]
+        for setup in setups:
             field = 0.2 + rng.random(g.shape)
             tel = PassTelemetry()
             swept = advance_sweep_axis(field, axis, dt, setup, cfg, tel)
-            expected, iterations = self._reference_sweep(field, axis, dt, setup, cfg)
-            assert np.abs(swept - expected).max() <= 1e-12
-            assert tel.newton_iterations == iterations
             assert tel.row_solves == g.n_cells
+            if setup is gaussian:  # stage by stage, as the reference
+                expected, iterations = self._reference_sweep(field, axis, dt, setup, cfg)
+                assert np.abs(swept - expected).max() <= 1e-12
+                assert tel.newton_iterations == iterations
+                continue
+            # One system for the pass: at the swept field, every stage's own
+            # residual (new lines before it, old after) is within tolerance.
+            assert tel.newton_iterations % g.n_cells == 0
+            staged = field.copy()
+            for r in range(g.n_cells):
+                index, problem = self._stage_problem(staged, r, axis, dt, setup)
+                assert np.abs(problem.update_residual(swept[index])).max() <= cfg.tolerance
+                staged[index] = swept[index]
 
 
 class TestMomentBackground:
-    """Stage backgrounds from line moments against the spectral accumulator."""
+    """A pass's backgrounds from line moments against the stage-by-stage spectral accumulator."""
 
     g = grid_2d(2.0, 0.5)
     n = g.n_cells
@@ -343,17 +364,107 @@ class TestMomentBackground:
     def test_every_stage_matches(self, field, changes, axis, strength):
         kernel = tabulate_kernel(Quadratic(strength), self.g)
         row_kernel = make_kernel_1d(kernel.axis_slice(axis), kernel.cell_measure)
-        moments = MomentBackground(kernel, field, axis)
         spectral = SpectralBackground(kernel, field, axis, row_kernel)
         lines = split2d._lines(field.copy(), axis)
+        new = np.maximum(lines + changes, 0.0)  # every stage's new line
+        got = PassMomentBackground(kernel, field, axis)(new)
         for r in range(self.n):
             old_line = lines[r].copy()
             expected = spectral(r, old_line)
-            got = moments(r, old_line)
-            assert np.abs(got - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
-            lines[r] = np.maximum(old_line + changes[r], 0.0)  # the stage's new line
-            moments.update(r, old_line, lines[r])
+            assert np.abs(got[r] - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+            lines[r] = new[r]
             spectral.update(r, old_line, lines[r])
+
+
+class TestPassSystem:
+    """A quadratic kernel's sweep pass as one block lower-triangular Newton system."""
+
+    g = grid_2d(2.0, 0.5)
+
+    def _problem(self, kind, stage, axis, strength, seed):
+        g = self.g
+        fp = nonlocal_fokker_planck(g)
+        kernel = tabulate_kernel(Quadratic(strength), g)
+        setup = SchemeSetup(SchemeConfig(kind, stage), fp, build_setup(fp, kind).v_table, kernel)
+        rng = np.random.default_rng(seed)
+        x, y = g.cell_centers()
+        # Off centre along both axes, so that every line's first moment is
+        # far from 0 and the earlier lines' term carries weight.
+        field = (0.2 + rng.random(g.shape)) * np.exp(0.8 * x + 0.5 * y)
+        lines = split2d._lines(field, axis).copy()
+        faces = reconstruct_faces(lines, setup.scheme.theta) if kind == "s1" else None
+        row_kernel = make_kernel_1d(kernel.axis_slice(axis), kernel.cell_measure, kernel.exact_form)
+        dt = g.dx**2 / 8 if kind == "s1" else 0.2
+        problem = line_problem(setup, lines, dt, split2d._lines(setup.v_table, axis), row_kernel,
+                               faces=faces, across=PassMomentBackground(kernel, field, axis))
+        state = lines * (1.0 + 0.1 * rng.standard_normal(lines.shape))
+        return problem, state.ravel(), rng
+
+    @pytest.mark.parametrize("kind", ["s1", "s2"])
+    @pytest.mark.parametrize("stage", ["implicit", "midpoint"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("strength", [1.0, -1.0])
+    def test_jacobian_matches_finite_differences(self, kind, stage, axis, strength):
+        problem, a, _ = self._problem(kind, stage, axis, strength, seed=axis + 2)
+        jac = problem.jacobian(a)
+        assert jac.below == (1.0 if stage == "implicit" else 2.0)
+        exact = jac.to_dense()
+        fd = assemble_jacobian(lambda z: problem.residual(z).ravel(), a)
+        scale = np.abs(exact).max()
+        assert np.abs(exact - fd).max() <= 1e-5 * scale
+        n = self.g.n_cells
+        blocks = exact.reshape(n, n, n, n)
+        earlier = np.tril(np.ones((n, n), dtype=bool), -1)
+        later = np.triu(np.ones((n, n), dtype=bool), 1)
+        assert not blocks.transpose(0, 2, 1, 3)[later].any()  # later lines: old values
+        assert np.abs(blocks.transpose(0, 2, 1, 3)[earlier]).max() >= 1e-3 * scale
+
+    @pytest.mark.parametrize("kind", ["s1", "s2"])
+    @pytest.mark.parametrize("stage", ["implicit", "midpoint"])
+    def test_forward_substitution_equals_dense_solve(self, kind, stage):
+        for axis, strength in ((0, 1.0), (1, -1.0)):
+            problem, a, rng = self._problem(kind, stage, axis, strength, seed=7)
+            jac = problem.update_jacobian(a)
+            rhs = rng.standard_normal(a.size)
+            got = solver._solve_linear(jac, rhs[None, :])[0]
+            expected = np.linalg.solve(jac.to_dense(), rhs)
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("kernel", ["quadratic", "gaussian"])
+    def test_newton_solves_per_pass(self, kernel, monkeypatch):
+        # A quadratic pass is one Newton solve (plus any continuation in dt,
+        # none at this step); a general kernel's pass solves stage by stage.
+        g = grid_2d(2.0, 0.25)
+        base = build_setup(nonlocal_fokker_planck(g), "s2", stage="midpoint")
+        if kernel == "gaussian":
+            base = SchemeSetup(base.scheme, base.model, base.v_table,
+                               tabulate_kernel(Gaussian(0.5, -1.0), g))
+        calls = []
+        original = solver.newton_solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "newton_solve", counting)
+        out = advance_step_2d(smooth_field(g, 0.3), 0.1, base, NewtonConfig())
+        assert len(calls) == (2 if kernel == "quadratic" else 2 * g.n_cells)
+        assert out.row_solves == 2 * g.n_cells
+
+    def test_s1_peak_speed_covers_every_line(self):
+        g = grid_2d(3.0, 0.25)
+        setup = build_setup(nonlocal_fokker_planck(g), "s1", stage="midpoint")
+        field = smooth_field(g, shift=0.6)
+        dt = g.dx**2 / 8
+        tel = PassTelemetry()
+        swept = advance_sweep_axis(field, 0, dt, setup, NewtonConfig(), tel)
+        # A fresh pass problem's face velocities at the swept lines.
+        kernel = setup.kernel
+        row_kernel = make_kernel_1d(kernel.axis_slice(0), kernel.cell_measure, kernel.exact_form)
+        problem = line_problem(setup, field.T.copy(), dt, setup.v_table.T, row_kernel,
+                               across=PassMomentBackground(kernel, field, 0))
+        u = problem.velocity(swept.T.ravel())
+        assert tel.max_velocity == np.abs(u).max() > 0.0
 
 
 class TestSweepProperties:
