@@ -11,7 +11,6 @@ from .model import (
     Quadratic,
     TabulatedConfinement,
     TabulatedInteraction,
-    eval_internal_energy,
     sample_confinement,
 )
 from .kernels import (

@@ -214,28 +214,6 @@ class InternalEnergy:
         return np.where(rho > EPS_VACUUM, curv, 0.0)
 
 
-def eval_internal_energy(energy: InternalEnergy, rho):
-    """Return (H, H', H'') at a non-negative density value.
-
-    At rho = 0 the entropy-bearing kinds return H = 0 with H', H'' flagged
-    as NaN: callers inside the schemes must go through the vacuum
-    regularization instead of using these values.
-    """
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr < 0):
-        raise DomainError("internal energy is only defined for rho >= 0")
-    h = energy.value(rho_arr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hp = energy.slope(rho_arr)
-        hpp = energy.curvature(rho_arr)
-    undefined = np.isinf(hp) | np.isinf(hpp)
-    hp = np.where(undefined, np.nan, hp)
-    hpp = np.where(undefined, np.nan, hpp)
-    if np.isscalar(rho) or np.ndim(rho) == 0:
-        return float(h), float(hp), float(hpp)
-    return h, hp, hpp
-
-
 # ---------------------------------------------------------------------------
 # Confinement and interaction potentials
 

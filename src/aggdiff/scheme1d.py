@@ -253,9 +253,7 @@ class LineProblem:
         xi += self.v if lines is None else self.v[lines]
         if self.coupled:  # the density the convolution sees under the stage rule
             stage = a if self.stage_rule == IMPLICIT else 0.5 * (a + self.old)
-            toeplitz = self.kernel.toeplitz
-            xi += self.kernel.cell_measure * (
-                toeplitz @ stage if stage.ndim == 1 else stage @ toeplitz.T)
+            xi += self.kernel.cell_measure * (stage @ self.kernel.toeplitz.T)
             if self.across is not None:
                 xi += self.across(a)
         elif self.conv is not None:
@@ -338,7 +336,8 @@ class LineProblem:
         its diagonal, and line s < r enters line r through the same factors
         at coefficient 1 (``below``): the constant per line pair drops out of
         the face differences. Any other coupled kernel gives the dense
-        (n, n) matrix.
+        (n, n) matrix: the same tridiagonal part plus diag(m_face) times the
+        full face differences, pushed through the divergence.
         """
         return self._jacobian(a, lines, 1.0)
 
@@ -356,8 +355,8 @@ class LineProblem:
         # d xi_i / d a_i from the diffusion term (vacuum-floored).
         g = self.energy.curvature_regularized(a)
         m_face = np.where(u > 0, left, 0.0) + np.where(u < 0, right, 0.0)
-        if self.coupled and self.kernel.exact_form not in QUADRATIC_FORMS:
-            return self._dense_jacobian(a, up, um, g, m_face, c)
+        dense = self.coupled and self.kernel.exact_form not in QUADRATIC_FORMS
+        scale = 1.0 if dense else c  # a dense sum is scaled once, at the end
 
         # dF_j/da_j = m_j g_j/dx [+ u_j^+] and dF_j/da_{j+1} = -m_j g_{j+1}/dx [+ u_j^-],
         # the bracketed terms under S2 only; dleft and dright end as these over dx.
@@ -376,42 +375,29 @@ class LineProblem:
         diag.fill(1.0 / self.dt)
         diag[..., :-1] += dleft   # +dF_i/da_i from the right face of cell i
         diag[..., 1:] -= dright   # -dF_{i-1}/da_i from the left face
-        diag *= c
+        diag *= scale
         # lower: -dF_{i-1}/da_{i-1}; upper: +dF_i/da_{i+1}
-        tri = Tridiagonal(dleft * -c, diag, dright * c)
+        tri = Tridiagonal(dleft * -scale, diag, dright * scale)
         if not self.coupled:
             return tri
 
+        # The convolution's face differences times m_face, through the divergence:
+        # dense for a general kernel, the rank-2 left factor for a quadratic one.
         c_rule = 1.0 if self.stage_rule == IMPLICIT else 0.5
-        faces, cells = self.kernel.difference_factors
+        faces, cells = ((self.kernel.toeplitz_difference, None) if dense
+                        else self.kernel.difference_factors)
         dF = faces * ((c_rule * self.kernel.cell_measure / dx) * m_face)[..., None]
         dF /= dx
-        low = np.zeros(a.shape + cells.shape[1:])
+        low = np.zeros(a.shape + faces.shape[-1:])
         low[..., :-1, :] += dF
         low[..., 1:, :] -= dF
+        if dense:
+            low += tri.to_dense()
+            low *= c
+            return low
         low *= c
         # Earlier lines enter at coefficient 1, not c_rule: 1/c_rule is a power of two.
         return TridiagonalLowRank(tri, low, cells, None if self.across is None else 1.0 / c_rule)
-
-    def _dense_jacobian(self, a, up, um, g, m_face, c):
-        dx = self.dx
-        n = a.size
-        c_rule = 1.0 if self.stage_rule == IMPLICIT else 0.5
-        # du_j/da = -(dxi_{j+1} - dxi_j)/dx, dxi = c_rule*cell_measure*T + diag(g).
-        du = (c_rule * self.kernel.cell_measure / dx) * self.kernel.toeplitz_difference
-        idx = np.arange(n - 1)
-        du[idx, idx] += g[:-1] / dx
-        du[idx, idx + 1] -= g[1:] / dx
-        dF = m_face[:, None] * du
-        if self.kind == S2:
-            dF[idx, idx] += up
-            dF[idx, idx + 1] += um
-        jac = np.zeros((n, n))
-        jac[:-1, :] += dF / dx
-        jac[1:, :] -= dF / dx
-        jac[np.diag_indices(n)] += 1.0 / self.dt
-        jac *= c
-        return jac
 
 
 def face_data(kind, rho_new, rho_old, dx, energy, v_table, kernel, stage_rule,

@@ -158,7 +158,7 @@ def _solve_linear(jac, rhs):
         if info > 0:
             raise LinAlgError("singular matrix")
         return (y - z @ w).reshape(rhs.shape)
-    return np.linalg.solve(np.atleast_2d(jac), rhs[..., None])[..., 0]
+    return np.linalg.solve(jac, rhs[..., None])[..., 0]
 
 
 def _solve_pass(jac, rhs):
@@ -219,10 +219,10 @@ def assemble_jacobian(residual_fn, rho, step: float = 1e-7):
 MAX_LINE_SEARCH_HALVINGS = 30
 
 
-def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobian=None):
+def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, *, jacobian):
     """Damped Newton iteration to max-norm tolerance, line by line.
 
-    ``guess`` is a scalar, one line (n,) or a batch of independent lines
+    ``guess`` is an array: one line (n,) or a batch of independent lines
     (L, n). Each line has its own norm, convergence test, iteration count
     and line search: a step that increases the line's residual norm is
     halved, up to 30 times per iteration. A line whose last halving still
@@ -231,17 +231,18 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
     one-sided Jacobian points the wrong way). If its next line search runs
     out too, NewtonError is raised with the iterate before that step. Lines
     at tolerance drop out; while some do, the callables get ``(z, lines)``:
-    the remaining lines and their batch indices. ``jacobian`` returns a
-    Tridiagonal (one banded solve for every line) or, for one line, a
-    TridiagonalLowRank (a sweep pass's block one among them) or a dense
-    matrix (see _solve_linear); when absent,
-    finite differences of residual_fn are used. Raises
-    NewtonError if any line misses the tolerance. Returns (root, iterations
-    summed over lines, worst norm).
+    the remaining lines and their batch indices. ``jacobian``, the exact
+    dR/dx, returns a Tridiagonal (one banded solve for every line) or, for
+    one line, a TridiagonalLowRank (a sweep pass's block one among them) or
+    a dense matrix (see _solve_linear). Raises NewtonError if any line
+    misses the tolerance. Returns (root, iterations summed over lines, worst
+    norm).
 
     The callables see the state in the guess's shape, and a repeated state
     as the same object (the iterate a residual was evaluated at is the one
     the next Jacobian gets), so they may cache per state (see LineProblem).
+    No state is modified after a callable has seen it: each trial step and
+    each update of some lines is written into a fresh array.
     The path nearly every solve takes (every line active, the first trial
     step accepted) costs a handful of small array operations per iteration
     besides the residual, the Jacobian and the solve.
@@ -252,10 +253,7 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
     x = np.array(guess, dtype=float, order="C", ndmin=2)
     batch = len(x)
 
-    if not shape:
-        def shaped(z):
-            return float(z[0, 0])
-    elif x.shape == shape:
+    if x.shape == shape:
         def shaped(z):
             return z
     else:
@@ -294,9 +292,7 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
         else:
             lines = np.flatnonzero(active)
             xa, ra, na = x[lines], r[lines], norm[lines]
-        if jacobian is None:
-            jac = assemble_jacobian(lambda w: evaluate(w, lines)[0], xa)
-        elif lines is None:
+        if lines is None:
             jac = jacobian(shaped(xa))
         else:
             jac = jacobian(xa, lines)
@@ -315,6 +311,7 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
         while halvings < MAX_LINE_SEARCH_HALVINGS and worse.any():
             h = np.flatnonzero(worse)
             delta[h] *= 0.5
+            step_x = step_x.copy()
             step_x[h] = xa[h] + delta[h]
             sub = lines if len(h) == len(worse) else h if lines is None else lines[h]
             r_new[h], norm_new[h], _ = evaluate(step_x[h], sub)
@@ -338,6 +335,7 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, jacobia
         if lines is None:
             x, r, norm, worst = step_x, r_new, norm_new, worst_new
         else:
+            x = x.copy()
             x[lines], r[lines], norm[lines] = step_x, r_new, norm_new
             worst = norm.max()
     root = shaped(x)
@@ -370,7 +368,9 @@ def line_problem(setup: SchemeSetup, rho_old, dt, v_table=None, kernel=_UNSET,
                        faces, across)
 
 
-MAX_CONTINUATION_HALVINGS = 10
+# A long S2 step next to near-vacuum cells (a cell at 1e-11 amid density 7,
+# dt from 38 to 94) has needed Newton from the old state at dt/2^11 to dt/2^14.
+MAX_CONTINUATION_HALVINGS = 16
 
 
 def solve_lines(problem: LineProblem, config: NewtonConfig | None = None, *, _depth: int = 0):
@@ -395,12 +395,12 @@ def solve_lines(problem: LineProblem, config: NewtonConfig | None = None, *, _de
     residual, jacobian = problem.update_residual, problem.update_jacobian
     start = problem.old if problem.across is None else problem.old.reshape(-1)
     try:
-        return newton_solve(residual, start, cfg, jacobian)
+        return newton_solve(residual, start, cfg, jacobian=jacobian)
     except NewtonError:
         if problem.kind != S2 or _depth >= MAX_CONTINUATION_HALVINGS:
             raise
     start, iters, _ = solve_lines(problem.with_dt(0.5 * problem.dt), cfg, _depth=_depth + 1)
-    root, more, norm = newton_solve(residual, start, cfg, jacobian)
+    root, more, norm = newton_solve(residual, start, cfg, jacobian=jacobian)
     return root, iters + more, norm
 
 

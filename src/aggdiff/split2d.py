@@ -17,7 +17,8 @@ that one system of L stage residuals: the backgrounds follow from prefix
 sums of three moments per line (PassMomentBackground), the Jacobian is
 block lower triangular with tridiagonal-plus-rank-2 blocks, and a Newton
 step is one banded solve over every line, L rank-2 capacitance solves and
-a recurrence of a 2-vector over the lines. Any other kernel solves stage by
+a recurrence of a 2-vector over the lines; should that Newton solve fail,
+the pass falls back to the stage loop. Any other kernel solves stage by
 stage: the pass convolves the whole field once, a stage costs one 1D FFT
 of its line's change and one inverse FFT of its own line's background
 (SpectralBackground), and its coupled solve uses the row kernel's Toeplitz
@@ -29,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .errors import RoutingError
+from .errors import NewtonError, RoutingError
 from .kernels import EXPLICIT, QUADRATIC_FORMS, convolve, make_kernel_1d
 from .model import field_values
 from .scheme1d import S1, reconstruct_faces
@@ -171,7 +172,8 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
     backgrounds from PassMomentBackground, a block lower-triangular Jacobian
     solved by forward substitution). It stops when every stage residual is
     within tolerance, the test each stage's own solve would apply, and
-    counts L Newton iterations per pass iteration. Any other kernel solves
+    counts L Newton iterations per pass iteration; should it raise
+    NewtonError, the pass is solved stage by stage. Any other kernel solves
     stage by stage, its backgrounds from one 2D convolution per pass and a
     spectral accumulator (SpectralBackground), its coupled solves by dense
     LU. ``stage_hook(axis, r, field)``, when given, sees each stage's field
@@ -197,16 +199,20 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
         old = lines.copy()
         problem = line_problem(setup, old, dt, v_lines, row_kernel, faces=faces,
                                across=PassMomentBackground(kernel, field, axis))
-        new_lines, iters, norm = solve_lines(problem, cfg)
-        new_lines = new_lines.reshape(old.shape)
-        tel.absorb(problem, new_lines, iters * len(old), norm)
-        if stage_hook is None:
-            lines[:] = new_lines
+        try:
+            new_lines, iters, norm = solve_lines(problem, cfg)
+        except NewtonError:
+            pass  # solved by the stage loop below, each stage to its own tolerance
         else:
-            for r, new_line in enumerate(new_lines):
-                lines[r] = new_line
-                stage_hook(axis, r, field)
-        return field
+            new_lines = new_lines.reshape(old.shape)
+            tel.absorb(problem, new_lines, iters * len(old), norm)
+            if stage_hook is None:
+                lines[:] = new_lines
+            else:
+                for r, new_line in enumerate(new_lines):
+                    lines[r] = new_line
+                    stage_hook(axis, r, field)
+            return field
 
     background = SpectralBackground(kernel, field, axis, row_kernel)
     for r in range(lines.shape[0]):

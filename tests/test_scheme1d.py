@@ -243,11 +243,10 @@ class TestResidual:
         root = 0.5 * (lo + hi)
         assert abs(scalar(root)) <= 1e-12
 
-        def f(state):
-            return dt * residual(S2, state, old, dt, dx, self.energy,
-                                 np.zeros(2), None, MIDPOINT)
-
-        solved, _, _ = newton_solve(f, old.copy(), NewtonConfig())
+        problem = LineProblem(SchemeConfig(S2, MIDPOINT), old, dt, dx, self.energy,
+                              np.zeros(2), None)
+        solved, _, _ = newton_solve(problem.update_residual, old.copy(), NewtonConfig(),
+                                    jacobian=problem.update_jacobian)
         assert abs(solved[0] - root) <= 1e-9
 
 
@@ -328,15 +327,9 @@ class TestRecordReuse:
         assert problem.peak_speed() == np.abs(make().velocity(root)).max() > 0.0
 
 
-def reference_update_jacobian(problem, a, lines=None):
-    """dt times the Jacobian as assembled before the update form, kept as the oracle.
-
-    The potential is rebuilt from public pieces; the bands, the rank-2 factors
-    and the dense matrix follow the unscaled assembly term by term and are
-    then multiplied by dt, as the removed ``scaled`` methods did.
-    """
-    rows = (lambda values: values) if lines is None else (lambda values: values[lines])
-    dx, dt = problem.dx, problem.dt
+def _upwind_terms(problem, a, rows):
+    """(u, m_face, g): face velocities, upwinded face masses and H'' at state a."""
+    dx = problem.dx
     xi = chemical_potential(a, None, problem.energy, rows(problem.v), None)
     if problem.coupled:
         stage = a if problem.stage_rule == IMPLICIT else 0.5 * (a + problem.old)
@@ -351,22 +344,47 @@ def reference_update_jacobian(problem, a, lines=None):
         m_face = np.where(pos, east[..., :-1], 0.0) + np.where(neg, west[..., 1:], 0.0)
     else:
         m_face = np.where(pos, a[..., :-1], 0.0) + np.where(neg, a[..., 1:], 0.0)
+    return u, m_face, g
+
+
+def old_order_dense_jacobian(problem, a):
+    """dt times the dense Jacobian in the earlier term order, one line.
+
+    The diffusion and upwind terms enter the face derivatives first, which
+    then go through the divergence, and 1/dt is added last.
+    """
+    dx, dt = problem.dx, problem.dt
+    u, m_face, g = _upwind_terms(problem, a, lambda values: values)
+    n = a.size
     c_rule = 1.0 if problem.stage_rule == IMPLICIT else 0.5
-    if problem.coupled and problem.kernel.exact_form is None:
-        n = a.size
-        du = (c_rule * problem.kernel.cell_measure / dx) * problem.kernel.toeplitz_difference
-        idx = np.arange(n - 1)
-        du[idx, idx] += g[:-1] / dx
-        du[idx, idx + 1] -= g[1:] / dx
-        dF = m_face[:, None] * du
-        if problem.kind == S2:
-            dF[idx, idx] += np.maximum(u, 0.0)
-            dF[idx, idx + 1] += np.minimum(u, 0.0)
-        jac = np.zeros((n, n))
-        jac[:-1, :] += dF / dx
-        jac[1:, :] -= dF / dx
-        jac[np.diag_indices(n)] += 1.0 / dt
-        return dt * jac
+    du = (c_rule * problem.kernel.cell_measure / dx) * problem.kernel.toeplitz_difference
+    idx = np.arange(n - 1)
+    du[idx, idx] += g[:-1] / dx
+    du[idx, idx + 1] -= g[1:] / dx
+    dF = m_face[:, None] * du
+    if problem.kind == S2:
+        dF[idx, idx] += np.maximum(u, 0.0)
+        dF[idx, idx + 1] += np.minimum(u, 0.0)
+    jac = np.zeros((n, n))
+    jac[:-1, :] += dF / dx
+    jac[1:, :] -= dF / dx
+    jac[np.diag_indices(n)] += 1.0 / dt
+    return dt * jac
+
+
+def reference_update_jacobian(problem, a, lines=None):
+    """dt times the Jacobian as assembled before the update form, kept as the oracle.
+
+    The potential is rebuilt from public pieces; the bands and the rank-2
+    factors follow the unscaled assembly term by term and are then
+    multiplied by dt, as the removed ``scaled`` methods did. A dense Jacobian
+    is the dense tridiagonal part plus the coupling through the face
+    differences, summed unscaled and then multiplied by dt.
+    """
+    rows = (lambda values: values) if lines is None else (lambda values: values[lines])
+    dx, dt = problem.dx, problem.dt
+    u, m_face, g = _upwind_terms(problem, a, rows)
+    c_rule = 1.0 if problem.stage_rule == IMPLICIT else 0.5
     dF_dleft = m_face * g[..., :-1] / dx
     dF_dright = -m_face * g[..., 1:] / dx
     if problem.kind == S2:
@@ -375,6 +393,15 @@ def reference_update_jacobian(problem, a, lines=None):
     diag = np.full(a.shape, 1.0 / dt)
     diag[..., :-1] += dF_dleft / dx
     diag[..., 1:] += -dF_dright / dx
+    if problem.coupled and problem.kernel.exact_form is None:
+        n = a.size
+        dF = ((c_rule * problem.kernel.cell_measure / dx) * m_face[:, None]
+              * problem.kernel.toeplitz_difference / dx)
+        coupling = np.zeros((n, n))
+        coupling[:-1] += dF
+        coupling[1:] -= dF
+        banded = Tridiagonal(-dF_dleft / dx, diag, dF_dright / dx).to_dense()
+        return dt * (banded + coupling)
     tri = Tridiagonal(dt * (-dF_dleft / dx), dt * diag, dt * (dF_dright / dx))
     if not problem.coupled:
         return tri
@@ -435,9 +462,13 @@ class TestUpdateJacobianBits:
             cases = [(batch, at, None), (batch, at[subset], subset)]
         for problem, a, rows in cases:
             expected = jacobian_parts(reference_update_jacobian(problem, a, rows))
-            got = jacobian_parts(problem.update_jacobian(a, rows))
+            jac = problem.update_jacobian(a, rows)
+            got = jacobian_parts(jac)
             assert len(got) == len(expected)
             assert all(same_bits(x, y) for x, y in zip(got, expected))
+            if isinstance(jac, np.ndarray):  # the earlier term order agrees to roundoff
+                before = old_order_dense_jacobian(problem, a)
+                assert np.abs(jac - before).max() <= 1e-15 * np.abs(before).max()
             unscaled = problem.with_dt(1.0).jacobian(a, rows)
             # With dt = 1 the unscaled assembly and the reference coincide too.
             assert all(same_bits(x, y) for x, y in zip(

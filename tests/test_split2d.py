@@ -6,7 +6,7 @@ import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from aggdiff import solver, split2d
 from aggdiff.analysis import ReferenceSolution, discrete_energy, sample_reference
@@ -467,6 +467,30 @@ class TestPassSystem:
         assert tel.max_velocity == np.abs(u).max() > 0.0
 
 
+def _stalled_pass_field():
+    """8x8 data on which an S2 midpoint pass along axis 0 under W = |x|^2/2, dt = 98,
+    stalls as one Newton system (just above tolerance at every continuation
+    level) while the stage loop converges."""
+    field = np.zeros((8, 8))
+    for (i, j), value in {
+        (0, 0): 9.01796819, (1, 1): 3.00858032, (2, 1): 7.06213723, (2, 3): 10.0,
+        (2, 4): 5.34828049, (2, 5): 4.2118446, (4, 1): 1.0424265, (4, 3): 6.438797,
+        (5, 2): 7.81681288, (5, 4): 1.0, (5, 6): 10.0, (6, 3): 3.78125, (6, 4): 8.5,
+    }.items():
+        field[i, j] = value
+    return field
+
+
+def _near_vacuum_field():
+    """8x8 data at density 7.1 with two empty cells and one at 1e-11, on which the
+    stage of an S2 midpoint pass along axis 0 under W = |x|^2/2, dt = 38, needs
+    continuation in dt below dt/2^10."""
+    field = np.full((8, 8), 7.10108853)
+    field[0, 0] = field[0, 1] = 0.0
+    field[5, 1] = 1.09407142e-11
+    return field
+
+
 class TestSweepProperties:
     """S2 with a midpoint-staged interaction: guarantees for any data and any dt."""
 
@@ -480,6 +504,8 @@ class TestSweepProperties:
         axis=st.sampled_from([0, 1]),
         attractive=st.booleans(),
     )
+    @example(field=_stalled_pass_field(), dt=98.0, axis=0, attractive=False)
+    @example(field=_near_vacuum_field(), dt=38.0, axis=0, attractive=False)
     def test_each_stage_conserves_mass_and_dissipates(self, field, dt, axis, attractive):
         g = self.g
         model = nonlocal_fokker_planck(g)

@@ -63,7 +63,8 @@ def _step_2d():
 
 
 def _newton():
-    result = newton_solve(lambda x: x * x - 2.0, 1.0)
+    result = newton_solve(lambda x: x * x - 2.0, np.array([1.0]),
+                          jacobian=lambda x: np.diag(2.0 * x))
     _, iterations, _ = result
     assert iterations >= 1
     return [(result, (iterations,))]
