@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
-from .kernels import KernelTable, convolve
+from .errors import ConfigurationError, DomainError, ShapeError
+from .kernels import QUADRATIC_FORMS, KernelTable, convolve
 from .model import Grid, ModelSpec, field_values, sample_confinement
 
 
@@ -36,8 +36,23 @@ def discrete_energy(rho, model: ModelSpec, kernel: KernelTable | None = None) ->
 
     The interaction term must use the same kernel table as the scheme, so
     callers pass the tabulated kernel through rather than re-deriving it.
+    It is measure/2 * sum_i rho_i (W * rho)_i, the paper's double sum
+    measure^2/2 * sum_{i,k} W_{i-k} rho_i rho_k. For a quadratic table
+    (``kernel.exact_form in QUADRATIC_FORMS``, W = +-|x|^2/2 pointwise or
+    cell-averaged), W_o = W_0 + sum_a alpha_a o_a^2 turns that sum into
+    W_0 M^2 + sum_a 2 alpha_a (M S2_a - S1_a^2), with M the total of rho
+    and S1_a, S2_a the first and second moments of its margin along axis a
+    in centred index units; no convolution is taken. Every other kernel
+    convolves (``convolve``).
+
+    Raises ShapeError for a density not shaped like ``model.grid`` and
+    DomainError for a negative or non-finite one.
     """
     vals = field_values(rho)
+    if vals.shape != model.grid.shape:
+        raise ShapeError(f"density shape {vals.shape} does not match the grid's {model.grid.shape}")
+    if not np.isfinite(vals).all():
+        raise DomainError("discrete energy is defined for finite densities")
     if np.any(vals < 0):
         raise DomainError("discrete energy is defined for non-negative densities")
     measure = model.grid.cell_measure
@@ -46,9 +61,25 @@ def discrete_energy(rho, model: ModelSpec, kernel: KernelTable | None = None) ->
     confinement = float((v * vals).sum() * measure)
     if kernel is None or kernel.is_zero:
         interaction = 0.0
+    elif kernel.exact_form in QUADRATIC_FORMS:
+        interaction = _quadratic_interaction(vals, kernel, measure)
     else:
         interaction = float(0.5 * (vals * convolve(kernel, vals)).sum() * measure)
     return EnergyBreakdown(internal, confinement, interaction)
+
+
+def _quadratic_interaction(vals, kernel: KernelTable, measure) -> float:
+    """The interaction energy of a quadratic table from three moments per axis."""
+    w0, alphas = kernel.quadratic_coefficients
+    total = vals.sum()
+    n = vals.shape[0]
+    p = np.arange(n) - 0.5 * (n - 1)
+    form = w0 * total * total
+    for axis, alpha in enumerate(alphas):
+        margin = vals if vals.ndim == 1 else vals.sum(axis=1 - axis)
+        s1, s2 = p @ margin, (p * p) @ margin
+        form += 2.0 * alpha * (total * s2 - s1 * s1)
+    return float(0.5 * measure * kernel.cell_measure * form)
 
 
 # ---------------------------------------------------------------------------

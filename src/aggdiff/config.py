@@ -74,7 +74,13 @@ def _build_confinement(section, base_dir):
 
 def _build_interaction(section, base_dir):
     kind = section.get("interaction", "none").strip().lower()
-    sign = float(section.get("interaction_sign", 1.0))
+    sign_text = str(section.get("interaction_sign", "1")).strip()
+    try:
+        sign = float(sign_text)
+    except ValueError:
+        sign = None
+    if sign not in (1.0, -1.0):
+        raise ConfigurationError(f"interaction_sign must be +1 or -1, got {sign_text!r}")
     if kind == "none":
         return None
     if kind == "quadratic":

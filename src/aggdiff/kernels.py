@@ -87,6 +87,33 @@ class KernelTable:
         return self.values[:, self.center] if axis == 0 else self.values[self.center, :]
 
     @cached_property
+    def row_kernels(self) -> tuple[KernelTable, KernelTable]:
+        """2D only: the 1D tables of ``axis_slice(0)`` and ``axis_slice(1)``.
+
+        Each couples the cells of one line of that axis's sweep pass; built
+        once per table, so their own cached operators are too.
+        """
+        return tuple(
+            KernelTable(1, self.axis_slice(axis), self.cell_measure, self.exact_form)
+            for axis in (0, 1)
+        )
+
+    @cached_property
+    def quadratic_coefficients(self) -> tuple[float, tuple[float, ...]]:
+        """Quadratic tables only: (W_0, alpha per axis), W_o = W_0 + sum_a alpha_a*o_a^2.
+
+        alpha_a is the table one offset along axis a minus the table at offset 0.
+        """
+        if self.exact_form not in QUADRATIC_FORMS:
+            raise KernelError("quadratic coefficients need a quadratic kernel table")
+        c = self.center
+        centre = (c,) * self.dimension
+        w0 = self.values[centre]
+        alphas = tuple(float(self.values[centre[:axis] + (c + 1,) + centre[axis + 1:]] - w0)
+                       for axis in range(self.dimension))
+        return float(w0), alphas
+
+    @cached_property
     def toeplitz(self) -> np.ndarray:
         """1D only: the (n, n) matrix T[i, k] = W_{i-k}, so W * rho = T @ rho * cell_measure.
 
@@ -125,8 +152,8 @@ class KernelTable:
         """
         if self.dimension != 1 or self.exact_form not in QUADRATIC_FORMS:
             raise ShapeError("rank-2 face differences need a 1D quadratic kernel")
-        n, c = self.n_cells, self.center
-        alpha = self.values[c + 1] - self.values[c]
+        n = self.n_cells
+        (alpha,) = self.quadratic_coefficients[1]
         p = np.arange(n) - 0.5 * (n - 1)
         faces = 2.0 * alpha * np.stack((-(p[:-1] + 0.5), np.ones(n - 1)), axis=1)
         cells = np.stack((np.ones(n), p), axis=1)
@@ -229,11 +256,6 @@ def tabulate_kernel(interaction, grid: Grid, singular: bool = False) -> KernelTa
             vals = np.asarray(_eval_radial(interaction, ox, oy, dimension=2), dtype=float)
 
     return KernelTable(grid.dimension, vals, measure, exact_form=exact_form)
-
-
-def make_kernel_1d(values, cell_measure, exact_form=None) -> KernelTable:
-    """Wrap a raw offset array (used for the per-row slices in 2D sweeps)."""
-    return KernelTable(1, np.asarray(values, dtype=float), cell_measure, exact_form=exact_form)
 
 
 def convolve(kernel: KernelTable, rho) -> np.ndarray:

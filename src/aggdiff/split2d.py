@@ -31,7 +31,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import NewtonError, RoutingError
-from .kernels import EXPLICIT, QUADRATIC_FORMS, convolve, make_kernel_1d
+from .kernels import EXPLICIT, QUADRATIC_FORMS, convolve
 from .model import field_values
 from .scheme1d import S1, reconstruct_faces
 from .solver import (
@@ -127,15 +127,15 @@ class PassMomentBackground:
     """
 
     def __init__(self, kernel, field, axis):
-        n, c = field.shape[0], kernel.center
-        along, across = kernel.axis_slice(axis), kernel.axis_slice(1 - axis)
+        n = field.shape[0]
+        alphas = kernel.quadratic_coefficients[1]
         p = np.arange(n) - 0.5 * (n - 1)
         self.basis = np.stack((np.ones(n), p, p * p), axis=1)
         # Cell i of line r reads the along sums through alpha*[p_i^2, -2 p_i, 1]
         # and the across sums through beta*[p_r^2, -2 p_r, 1].
         weights = np.stack((p * p, -2.0 * p, np.ones(n)), axis=1)
-        self.along_weights = (along[c + 1] - along[c]) * weights.T
-        self.across_weights = (across[c + 1] - across[c]) * weights
+        self.along_weights = alphas[axis] * weights.T
+        self.across_weights = alphas[1 - axis] * weights
         self.measure = kernel.cell_measure
         old = self._moments(_lines(field, axis))
         self.later = np.zeros_like(old)  # sums over the old lines s > r
@@ -187,8 +187,7 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
         return advance_split_axis(field, axis, dt, setup, cfg, tel)
 
     kernel = setup.kernel
-    # The 1D kernel slice that couples the cells of one line.
-    row_kernel = make_kernel_1d(kernel.axis_slice(axis), kernel.cell_measure, kernel.exact_form)
+    row_kernel = kernel.row_kernels[axis]  # couples the cells of one line
     lines, v_lines = _lines(field, axis), _lines(setup.v_table, axis)
     # Only stage r writes line r, so every stage's old line is its line at
     # the start of the pass, and reconstruct_faces works line by line.

@@ -1,5 +1,7 @@
 """Energy diagnostics, reference solutions, error norms, moments."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,9 +15,11 @@ from aggdiff.analysis import (
     reference_eval,
     sample_reference,
 )
-from aggdiff.errors import ConfigurationError, DomainError
-from aggdiff.kernels import make_kernel_1d, tabulate_kernel
+from aggdiff import kernels
+from aggdiff.errors import ConfigurationError, DomainError, ShapeError
+from aggdiff.kernels import KernelTable, tabulate_kernel
 from aggdiff.model import (
+    Gaussian,
     Grid,
     InternalEnergy,
     ModelSpec,
@@ -53,7 +57,7 @@ class TestDiscreteEnergy:
         g = Grid(1, 2.0, 2)
         vals = np.ones(7)
         vals[3] = 0.0  # W at offset 0 vanishes
-        kernel = make_kernel_1d(vals, g.dx)
+        kernel = KernelTable(1, vals, g.dx)
         model = heat(g)
         rho = np.zeros(4)
         rho[2] = 1.0
@@ -68,19 +72,65 @@ class TestDiscreteEnergy:
         e = discrete_energy(rho, model, kernel)
         assert e.total == e.internal + e.confinement + e.interaction
 
-    def test_matches_paper_double_sum_form(self):
-        # interaction = (dx^2/2) * sum_{i,k} W_{i-k} rho_i rho_k
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("strength", [1.0, -1.0])
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_matches_paper_double_sum_form(self, dimension, strength, singular):
+        # interaction = (measure^2/2) * sum_{i,k} W_{i-k} rho_i rho_k; a
+        # quadratic table takes it from moments, so an off-centre, lopsided
+        # density checks the moment form against the sum itself.
         rng = np.random.default_rng(12)
-        g = Grid(1, 2.0, 4)
-        kernel = tabulate_kernel(Quadratic(1.0), g)
-        rho = rng.random(g.n_cells)
-        e = discrete_energy(rho, heat(g), kernel)
+        g = Grid(dimension, 2.0, 3)
+        kernel = tabulate_kernel(Quadratic(strength), g, singular=singular)
         n, c = g.n_cells, g.n_cells - 1
-        double_sum = sum(
-            kernel.values[i - k + c] * rho[i] * rho[k]
-            for i in range(n) for k in range(n)
-        )
-        assert e.interaction == pytest.approx(0.5 * g.dx**2 * double_sum, rel=1e-12)
+        idx = np.arange(n)
+        offsets = c + idx[:, None] - idx[None, :]  # offsets[i, k] = i - k + c
+        for _ in range(5):
+            rho = rng.random(g.shape) ** 4
+            rho[(slice(0, 2),) * dimension] *= 50.0  # heavy corner, off-centre
+            e = discrete_energy(rho, heat(g), kernel)
+            if dimension == 1:
+                double_sum = rho @ kernel.values[offsets] @ rho
+            else:
+                table = kernel.values[offsets[:, None, :, None], offsets[None, :, None, :]]
+                double_sum = np.einsum("ijkl,ij,kl->", table, rho, rho)
+            expected = 0.5 * g.cell_measure**2 * double_sum
+            assert abs(e.interaction - expected) <= 1e-12 * abs(expected)
+
+    def test_quadratic_interaction_takes_no_fft(self, monkeypatch):
+        g = Grid(2, 2.0, 4)
+        kernel = tabulate_kernel(Quadratic(1.0), g)
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("a quadratic table's energy must not convolve")
+
+        monkeypatch.setattr(kernels, "rfftn", no_fft)
+        monkeypatch.setattr(kernels, "irfftn", no_fft)
+        rho = np.random.default_rng(5).random(g.shape)
+        assert discrete_energy(rho, heat(g), kernel).interaction > 0.0
+
+    @pytest.mark.parametrize("kind", ["none", "quadratic", "gaussian"])
+    @pytest.mark.parametrize("shape", [(7,), (8, 8), (4, 2)])
+    def test_density_of_another_shape_rejected(self, kind, shape):
+        g = Grid(1, 2.0, 4)
+        interaction = {"none": None, "quadratic": Quadratic(1.0),
+                       "gaussian": Gaussian(0.5, 1.0)}[kind]
+        kernel = tabulate_kernel(interaction, g)
+        with pytest.raises(ShapeError):
+            discrete_energy(np.ones(shape), heat(g), kernel)
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("bad", [(np.nan,), (np.inf,), (-np.inf,), (np.inf, -np.inf)])
+    def test_non_finite_density_rejected(self, dimension, bad):
+        g = Grid(dimension, 2.0, 2)
+        kernel = tabulate_kernel(Quadratic(1.0), g)
+        rho = np.ones(g.shape)
+        for cell, value in enumerate(bad, 1):
+            rho[(cell,) * dimension] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                discrete_energy(rho, linear_fokker_planck(g), kernel)
 
     def test_negative_density_rejected(self):
         g = Grid(1, 1.0, 2)

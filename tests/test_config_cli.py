@@ -185,6 +185,20 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="interaction_singular"):
             parse_config(str(path))
 
+    @pytest.mark.parametrize("kind", ["quadratic", "gaussian"])
+    @pytest.mark.parametrize("sign", ["0.3", "0", "nan", "-2", "plus"])
+    def test_interaction_sign_other_than_one_rejected(self, tmp_path, kind, sign):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[model]\ninteraction = {kind}\ninteraction_sign = {sign}\n")
+        with pytest.raises(ConfigurationError, match="interaction_sign"):
+            parse_config(str(path))
+
+    @pytest.mark.parametrize("sign, strength", [("1", 1.0), ("-1", -1.0), ("+1.0", 1.0)])
+    def test_interaction_sign_sets_the_quadratic_strength(self, tmp_path, sign, strength):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[model]\ninteraction = quadratic\ninteraction_sign = {sign}\n")
+        assert parse_config(str(path)).model.potentials.interaction == Quadratic(strength)
+
     @pytest.mark.parametrize("times", ["0.1, 5.0", "-0.5", "1.000001"])
     def test_snapshot_outside_the_run_rejected(self, tmp_path, times):
         path = tmp_path / "c.ini"

@@ -15,11 +15,10 @@ from aggdiff.kernels import (
     KernelTable,
     classify_definiteness,
     convolve,
-    make_kernel_1d,
     select_stage_rule,
     tabulate_kernel,
 )
-from aggdiff.errors import ShapeError
+from aggdiff.errors import KernelError, ShapeError
 from aggdiff.model import Gaussian, Grid, Quadratic, TabulatedInteraction
 
 
@@ -76,6 +75,33 @@ class TestTabulate:
         # cell average of x^2/2 over the origin cell is dx^2/24
         assert kt.at_offset(0) == pytest.approx(g.dx**2 / 24, rel=1e-9)
 
+    @pytest.mark.parametrize("dimension", [1, 2])
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_quadratic_coefficients_reproduce_the_table(self, dimension, singular):
+        g = Grid(dimension, 2.0, 2)
+        kt = tabulate_kernel(Quadratic(-1.0), g, singular=singular)
+        w0, alphas = kt.quadratic_coefficients
+        assert kt.quadratic_coefficients is kt.quadratic_coefficients  # built once
+        assert len(alphas) == dimension
+        offsets = np.meshgrid(*[np.arange(-kt.center, kt.center + 1)] * dimension,
+                              indexing="ij")
+        rebuilt = w0 + sum(a * o**2 for a, o in zip(alphas, offsets))
+        assert np.allclose(rebuilt, kt.values, rtol=1e-12, atol=1e-15)
+
+    def test_quadratic_coefficients_need_a_quadratic_table(self):
+        with pytest.raises(KernelError):
+            tabulate_kernel(Gaussian(0.7, 1.0), Grid(1, 1.0, 2)).quadratic_coefficients
+
+    def test_row_kernels_are_the_axis_slices_built_once(self):
+        kt = tabulate_kernel(Quadratic(1.0), Grid(2, 2.0, 3))
+        rows = kt.row_kernels
+        assert rows is kt.row_kernels
+        for axis, row in enumerate(rows):
+            assert row.dimension == 1 and row.exact_form == kt.exact_form
+            assert row.cell_measure == kt.cell_measure
+            assert np.array_equal(row.values, kt.axis_slice(axis))
+            assert row.quadratic_coefficients[1] == (kt.quadratic_coefficients[1][axis],)
+
     def test_tabulated_wrong_length_rejected(self):
         g = Grid(1, 1.0, 2)
         with pytest.raises(ShapeError):
@@ -116,9 +142,7 @@ class TestConvolve:
         g = Grid(1, 2.0, 2)
         vals = np.zeros(7)
         vals[3] = 2.5
-        from aggdiff.kernels import make_kernel_1d
-
-        kt = make_kernel_1d(vals, g.dx)
+        kt = KernelTable(1, vals, g.dx)
         rho = np.array([1.0, 2.0, 3.0, 4.0])
         assert np.allclose(convolve(kt, rho), 2.5 * rho * g.dx)
 
@@ -129,10 +153,8 @@ class TestConvolve:
 
     def test_three_cell_hand_sum(self):
         # dx=1, W(x)=x^2/2, rho=(1,1,1): row sums of W over offsets
-        from aggdiff.kernels import make_kernel_1d
-
         offsets = np.arange(-2, 3)
-        kt = make_kernel_1d(0.5 * offsets.astype(float) ** 2, 1.0)
+        kt = KernelTable(1, 0.5 * offsets.astype(float) ** 2, 1.0)
         out = convolve(kt, np.ones(3))
         assert np.allclose(out, [2.5, 1.0, 2.5])
         assert np.allclose(out, brute_force_convolution(kt.values, np.ones(3), 1.0))
@@ -200,7 +222,7 @@ class TestConvolve:
         # asymmetric one is wrapped directly.
         rng = np.random.default_rng(4)
         n = 7
-        kt = make_kernel_1d(rng.standard_normal(2 * n - 1), 0.3)
+        kt = KernelTable(1, rng.standard_normal(2 * n - 1), 0.3)
         col = kt.values[n - 1 :]            # offsets 0..n-1
         row = kt.values[n - 1 :: -1]        # offsets 0..-(n-1)
         assert np.array_equal(kt.toeplitz, scipy.linalg.toeplitz(col, row))
@@ -276,9 +298,7 @@ class TestClassification:
         vals = np.zeros(2 * 8 - 1)
         vals[7] = 1.0
         vals[6] = vals[8] = -1.0
-        from aggdiff.kernels import make_kernel_1d
-
-        dc = classify_definiteness(make_kernel_1d(vals, 0.25))
+        dc = classify_definiteness(KernelTable(1, vals, 0.25))
         assert dc.label == INDETERMINATE
 
 

@@ -8,7 +8,7 @@ from scipy.linalg import solve_banded
 
 from aggdiff import scheme1d
 from aggdiff.errors import DomainError
-from aggdiff.kernels import EXPLICIT, IMPLICIT, MIDPOINT, make_kernel_1d
+from aggdiff.kernels import EXPLICIT, IMPLICIT, MIDPOINT, KernelTable
 from aggdiff.model import InternalEnergy
 from aggdiff.scheme1d import (
     S1,
@@ -431,9 +431,9 @@ class TestUpdateJacobianBits:
         gaussian = -np.exp(-0.5 * (offsets / 0.6) ** 2)
         return {
             "none": None,
-            "gaussian": make_kernel_1d(gaussian, self.dx),
-            "quadratic+": make_kernel_1d(0.5 * offsets**2, self.dx, "quadratic+"),
-            "quadratic-": make_kernel_1d(-0.5 * offsets**2, self.dx, "quadratic-"),
+            "gaussian": KernelTable(1, gaussian, self.dx),
+            "quadratic+": KernelTable(1, 0.5 * offsets**2, self.dx, "quadratic+"),
+            "quadratic-": KernelTable(1, -0.5 * offsets**2, self.dx, "quadratic-"),
         }
 
     @pytest.mark.parametrize("kind", [S1, S2])
@@ -490,7 +490,7 @@ class TestJacobian:
         symmetric = np.exp(-0.5 * (0.3 * offsets) ** 2)
         dt, dx = 0.03, 0.25
         for values in (symmetric, symmetric * (1.0 + 0.5 * np.sin(offsets))):
-            kernel = make_kernel_1d(values, 0.25)
+            kernel = KernelTable(1, values, 0.25)
 
             def f(a):
                 return residual(kind, a, old, dt, dx, energy, v, kernel, stage)
@@ -528,7 +528,7 @@ class TestJacobian:
         energy = InternalEnergy.entropy(1.0)
         n = 8
         offsets = np.arange(-(n - 1), n)
-        kernel = make_kernel_1d(np.exp(-np.abs(offsets) * 0.2), 0.5)
+        kernel = KernelTable(1, np.exp(-np.abs(offsets) * 0.2), 0.5)
         rho = np.linspace(0.2, 1.0, n)
         jac = residual_jacobian(S2, rho, rho, 0.1, 0.5, energy, np.zeros(n), kernel, MIDPOINT)
         assert isinstance(jac, np.ndarray)

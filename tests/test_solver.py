@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from aggdiff import analysis, solver
-from aggdiff.kernels import IMPLICIT, MIDPOINT, make_kernel_1d
+from aggdiff.kernels import IMPLICIT, MIDPOINT, KernelTable
 from aggdiff.model import InternalEnergy
 from aggdiff.scheme1d import S1, S2, LineProblem, SchemeConfig, TridiagonalLowRank
 from aggdiff.errors import DomainError, NewtonError, NumericalError
@@ -422,9 +422,9 @@ class TestStructuredSolve:
         def problem(kernel):
             return LineProblem(SchemeConfig(kind, stage), old, dt, self.dx, energy, v, kernel)
 
-        quadratic = problem(make_kernel_1d(values, self.dx, form))
+        quadratic = problem(KernelTable(1, values, self.dx, form))
         structured = quadratic.jacobian(at)
-        dense = problem(make_kernel_1d(values, self.dx)).jacobian(at)
+        dense = problem(KernelTable(1, values, self.dx)).jacobian(at)
         assert isinstance(structured, TridiagonalLowRank) and isinstance(dense, np.ndarray)
         assert np.abs(structured.to_dense() - dense).max() <= 1e-12 * np.abs(dense).max()
         # LU is the reference where the answer is well determined. A Jacobian

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from aggdiff import solver, split2d
 from aggdiff.analysis import ReferenceSolution, discrete_energy, sample_reference
 from aggdiff.errors import DomainError, RoutingError
-from aggdiff.kernels import MIDPOINT, KernelTable, convolve, make_kernel_1d, tabulate_kernel
+from aggdiff.kernels import MIDPOINT, KernelTable, convolve, tabulate_kernel
 from aggdiff.model import Gaussian, Quadratic
 from aggdiff.presets import (
     grid_2d,
@@ -244,8 +244,7 @@ class TestS1FacesOncePerPass:
         rng = np.random.default_rng(3)
         lines = rng.random(g.shape)
         lines[rng.random(g.shape) < 0.2] = 0.0
-        row_kernel = make_kernel_1d(setup.kernel.axis_slice(0), setup.kernel.cell_measure,
-                                    setup.kernel.exact_form)
+        row_kernel = setup.kernel.row_kernels[0]
         east, west = reconstruct_faces(lines, setup.scheme.theta)
         dt = g.dx**2 / 8
         for r in range(g.n_cells):
@@ -282,13 +281,42 @@ class TestS1FacesOncePerPass:
             assert west[r].tobytes() == own_west.tobytes()
 
 
+@pytest.mark.parametrize("kernel", ["quadratic", "gaussian"])
+def test_sweep_passes_reuse_the_tables_row_kernels(kernel, monkeypatch):
+    # Each axis's row kernel (and so its cached Toeplitz matrix and factors)
+    # is built once per table: every pass of every step gets the same object.
+    g = grid_2d(2.0, 0.5)
+    setup = build_setup(nonlocal_fokker_planck(g), "s2", stage="midpoint")
+    if kernel == "gaussian":
+        setup = SchemeSetup(setup.scheme, setup.model, setup.v_table,
+                            tabulate_kernel(Gaussian(0.5, -1.0), g))
+    seen = []
+    original = split2d.line_problem
+
+    def spy(setup_, old, dt, v_eff, row_kernel, faces=None, across=None):
+        seen.append(row_kernel)
+        return original(setup_, old, dt, v_eff, row_kernel, faces=faces, across=across)
+
+    monkeypatch.setattr(split2d, "line_problem", spy)
+    rho = smooth_field(g, 0.3)
+    for _ in range(2):
+        rho = advance_step_2d(rho, 0.1, setup, NewtonConfig()).field.values
+    per_pass = len(seen) // 4  # two steps of an x-pass and a y-pass
+    assert len(seen) == 4 * per_pass
+    x_rows, y_rows = setup.kernel.row_kernels
+    assert all(k is x_rows for k in seen[:per_pass] + seen[2 * per_pass:3 * per_pass])
+    assert all(k is y_rows for k in seen[per_pass:2 * per_pass] + seen[3 * per_pass:])
+    assert x_rows.values.tobytes() == setup.kernel.axis_slice(0).tobytes()
+    assert y_rows.values.tobytes() == setup.kernel.axis_slice(1).tobytes()
+
+
 class TestSweepMatchesFullReconvolution:
     """The sweep pass against a reference that re-convolves the whole field at every stage."""
 
     @staticmethod
     def _stage_problem(field, r, axis, dt, setup):
         """Stage r's 1D problem, its background re-convolved from ``field``."""
-        row_kernel = make_kernel_1d(setup.kernel.axis_slice(axis), setup.kernel.cell_measure)
+        row_kernel = KernelTable(1, setup.kernel.axis_slice(axis), setup.kernel.cell_measure)
         index = (slice(None), r) if axis == 0 else (r, slice(None))
         old_line = field[index].copy()
         background = convolve(setup.kernel, field)[index] - convolve(row_kernel, old_line)
@@ -363,7 +391,7 @@ class TestMomentBackground:
     )
     def test_every_stage_matches(self, field, changes, axis, strength):
         kernel = tabulate_kernel(Quadratic(strength), self.g)
-        row_kernel = make_kernel_1d(kernel.axis_slice(axis), kernel.cell_measure)
+        row_kernel = KernelTable(1, kernel.axis_slice(axis), kernel.cell_measure)
         spectral = SpectralBackground(kernel, field, axis, row_kernel)
         lines = split2d._lines(field.copy(), axis)
         new = np.maximum(lines + changes, 0.0)  # every stage's new line
@@ -393,7 +421,7 @@ class TestPassSystem:
         field = (0.2 + rng.random(g.shape)) * np.exp(0.8 * x + 0.5 * y)
         lines = split2d._lines(field, axis).copy()
         faces = reconstruct_faces(lines, setup.scheme.theta) if kind == "s1" else None
-        row_kernel = make_kernel_1d(kernel.axis_slice(axis), kernel.cell_measure, kernel.exact_form)
+        row_kernel = kernel.row_kernels[axis]
         dt = g.dx**2 / 8 if kind == "s1" else 0.2
         problem = line_problem(setup, lines, dt, split2d._lines(setup.v_table, axis), row_kernel,
                                faces=faces, across=PassMomentBackground(kernel, field, axis))
@@ -460,7 +488,7 @@ class TestPassSystem:
         swept = advance_sweep_axis(field, 0, dt, setup, NewtonConfig(), tel)
         # A fresh pass problem's face velocities at the swept lines.
         kernel = setup.kernel
-        row_kernel = make_kernel_1d(kernel.axis_slice(0), kernel.cell_measure, kernel.exact_form)
+        row_kernel = kernel.row_kernels[0]
         problem = line_problem(setup, field.T.copy(), dt, setup.v_table.T, row_kernel,
                                across=PassMomentBackground(kernel, field, 0))
         u = problem.velocity(swept.T.ravel())
