@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, ShapeError
 from .kernels import QUADRATIC_FORMS, KernelTable, convolve
-from .model import Grid, ModelSpec, field_values, sample_confinement
+from .model import Grid, ModelSpec, field_values
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,10 @@ def discrete_energy(rho, model: ModelSpec, kernel: KernelTable | None = None) ->
         raise DomainError("discrete energy is defined for non-negative densities")
     measure = model.grid.cell_measure
     internal = float(model.energy.value(vals).sum() * measure)
-    v = sample_confinement(model.potentials, model.grid)
-    confinement = float((v * vals).sum() * measure)
+    if model.confinement is None:
+        confinement = 0.0
+    else:
+        confinement = float((model.v_table * vals).sum() * measure)
     if kernel is None or kernel.is_zero:
         interaction = 0.0
     elif kernel.exact_form in QUADRATIC_FORMS:

@@ -45,7 +45,7 @@ class KernelTable:
     P = 2M-1 is the center index. ``cell_measure`` is the convolution weight
     (dx in 1D, dx*dy in 2D). ``exact_form`` records a syntactically known
     shape ("quadratic+" / "quadratic-") so definiteness can be certified
-    without the DFT test.
+    without the DFT test. ``values`` is a read-only copy of the array given.
     """
 
     dimension: int
@@ -55,13 +55,15 @@ class KernelTable:
     _zero: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)  # a copy: the caller's array stays theirs
         if vals.ndim != self.dimension:
             raise ShapeError("kernel table dimensionality mismatch")
         if any(s % 2 == 0 for s in vals.shape):
             raise ShapeError("kernel table must have odd length per axis")
+        # Read-only: the cached operators and _zero below are taken from it once.
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        # The table is fixed from here on, and steps read this on every solve.
+        # Steps read this on every solve.
         object.__setattr__(self, "_zero", not np.any(vals))
 
     @property

@@ -145,15 +145,29 @@ class InternalEnergy:
         return 0.0
 
     def value(self, rho):
-        """H(rho), vectorized, with the limit convention H(0) = 0."""
+        """H(rho), vectorized, with the limit convention H(0) = 0.
+
+        The terms add up as a sum started from 0.0 does: the first gets
+        + 0.0, which turns a -0.0 into 0.0 and leaves every other value.
+        """
         rho = np.asarray(rho, dtype=float)
-        out = np.zeros_like(rho)
+        out = None
         ce = self._entropy_coeff
         if ce:
-            out = out + ce * (xlogy(rho, rho) - rho)
+            out = xlogy(rho, rho)
+            out -= rho
+            if ce != 1.0:  # 1.0 * x is x
+                out *= ce
+            out += 0.0
         cp = self._power_coeff
         if cp:
-            out = out + cp * rho**self.exponent
+            power = rho**self.exponent
+            power *= cp
+            if out is None:
+                out = power
+                out += 0.0
+            else:
+                out += power
         return out
 
     def slope(self, rho):
@@ -203,15 +217,18 @@ class InternalEnergy:
     def curvature_regularized(self, rho):
         """d/drho of slope_regularized: H''(rho) above the floor, 0 below."""
         rho = np.asarray(rho, dtype=float)
-        floored = np.maximum(rho, EPS_VACUUM)
+        curv = np.maximum(rho, EPS_VACUUM, out=np.empty(rho.shape))  # the floored density
         ce, cp, m = self._entropy_coeff, self._power_coeff, self.exponent
         if not cp:
-            curv = ce / floored
+            np.divide(ce, curv, out=curv)
         else:
-            curv = cp * m * (m - 1.0) * floored ** (m - 2.0)
+            entropy = ce / curv if ce else None
+            curv **= m - 2.0
+            curv *= cp * m * (m - 1.0)
             if ce:
-                curv = ce / floored + curv
-        return np.where(rho > EPS_VACUUM, curv, 0.0)
+                curv += entropy
+        np.copyto(curv, 0.0, where=~(rho > EPS_VACUUM))
+        return curv
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +338,13 @@ class ModelSpec:
     @property
     def interaction(self):
         return self.potentials.interaction
+
+    @cached_property
+    def v_table(self) -> np.ndarray:
+        """V at the cell centres (``sample_confinement``), tabulated once and read-only."""
+        table = sample_confinement(self.potentials, self.grid)
+        table.setflags(write=False)
+        return table
 
 
 def sample_confinement(potentials: PotentialSpec, grid: Grid) -> np.ndarray:

@@ -56,16 +56,29 @@ class FaceData(NamedTuple):
     xi: np.ndarray
 
 
+def _limit(mn, mx):
+    """In place into mn, the minmod of arguments whose smallest is mn and largest mx.
+
+    That is mn where mn > 0, mx where mx < 0 and +0.0 otherwise. A NaN
+    argument makes both NaN, which fmax and fmin skip, so it gives 0 as the
+    sign tests do; the last + 0.0 turns a -0.0 left by zero arguments into 0.0.
+    """
+    np.fmax(mn, 0.0, out=mn)
+    np.fmin(mn, mx, out=mn)
+    mn += 0.0
+    return mn
+
+
 def minmod(z1, z2, z3):
     """Smallest-magnitude slope when all arguments agree in sign, else 0."""
     z1, z2, z3 = np.broadcast_arrays(
         np.asarray(z1, dtype=float), np.asarray(z2, dtype=float), np.asarray(z3, dtype=float)
     )
-    mn = np.minimum(np.minimum(z1, z2), z3)
-    mx = np.maximum(np.maximum(z1, z2), z3)
-    # All three are positive exactly when the smallest is (a NaN fails both
-    # tests either way), and all negative exactly when the largest is.
-    out = np.where(mn > 0, mn, np.where(mx < 0, mx, 0.0))
+    mn = np.minimum(z1, z2, out=np.empty(z1.shape))
+    np.minimum(mn, z3, out=mn)
+    mx = np.maximum(z1, z2, out=np.empty(z1.shape))
+    np.maximum(mx, z3, out=mx)
+    out = _limit(mn, mx)
     if out.ndim == 0:
         return float(out)
     return out
@@ -76,16 +89,32 @@ def reconstruct_faces(rho, theta: float = 2.0):
 
     Works line by line on (..., n) arrays. The two wall cells get zero slope
     (first order at the walls), which keeps the no-flux boundary exact and
-    positivity trivial there.
+    positivity trivial there. Face values are r +- slope*dx/2, the slope*dx
+    being minmod(theta*fwd, (fwd + bwd)/2, theta*bwd) of the forward and
+    backward differences.
     """
     r = field_values(rho)
-    slopes_dx = np.zeros(r.shape)  # slope * dx
-    if r.shape[-1] >= 3:
-        fwd = r[..., 2:] - r[..., 1:-1]
-        bwd = r[..., 1:-1] - r[..., :-2]
-        slopes_dx[..., 1:-1] = minmod(theta * fwd, 0.5 * (fwd + bwd), theta * bwd)
-    east = r + 0.5 * slopes_dx
-    west = r - 0.5 * slopes_dx
+    n = r.shape[-1]
+    east, west = np.empty(r.shape), np.empty(r.shape)
+    walls = (Ellipsis, slice(None, None, max(n - 1, 1)))
+    np.add(r[walls], 0.0, out=east[walls])  # r +- 0.5 * 0.0
+    np.subtract(r[walls], 0.0, out=west[walls])
+    if n >= 3:
+        # The work follows r's layout (the x-pass hands a transposed view).
+        fwd = np.subtract(r[..., 2:], r[..., 1:-1])
+        bwd = np.subtract(r[..., 1:-1], r[..., :-2])
+        centred = np.add(fwd, bwd)
+        centred *= 0.5
+        fwd *= theta
+        bwd *= theta
+        mn = np.minimum(fwd, bwd)
+        mx = np.maximum(fwd, bwd, out=fwd)
+        np.minimum(mn, centred, out=mn)
+        np.maximum(mx, centred, out=mx)
+        half = _limit(mn, mx)
+        half *= 0.5
+        np.add(r[..., 1:-1], half, out=east[..., 1:-1])
+        np.subtract(r[..., 1:-1], half, out=west[..., 1:-1])
     return east, west
 
 
@@ -109,18 +138,6 @@ class Tridiagonal(NamedTuple):
     lower: np.ndarray  # sub-diagonal
     diag: np.ndarray
     upper: np.ndarray  # super-diagonal
-
-    def to_banded(self) -> np.ndarray:
-        """scipy.linalg.solve_banded layout of all lines laid end to end.
-
-        The entries that would couple the last cell of one line to the first
-        of the next are zero, so one banded solve treats every line alone.
-        """
-        ab = np.zeros((3,) + self.diag.shape)
-        ab[0, ..., 1:] = self.upper
-        ab[1] = self.diag
-        ab[2, ..., :-1] = self.lower
-        return ab.reshape(3, -1)
 
     def to_dense(self) -> np.ndarray:
         """(..., n, n) dense matrices."""
@@ -181,14 +198,15 @@ class LineProblem:
     laid end to end, the form Newton solves them in (see ``solve_lines``);
     the Jacobian is block lower triangular (see TridiagonalLowRank).
 
-    Each candidate state a gets one record, computed on first use: xi, the
-    face velocities u, u+ = max(u, 0), u- = min(u, 0), and the two values
-    each face upwinds (the old S1 face values, or a's own cells under S2).
-    The residual's flux, the Jacobian's bands and ``velocity`` all read it.
-    A call at the same state object as the previous one reuses it, and a
-    Jacobian for some lines at a copy of their rows of the previous full
-    state reads those rows; the state must not be modified in place between
-    calls. Under S1 every record also keeps its lines' largest |u| for
+    Each candidate state a gets one record, computed on first use: the face
+    velocities u, which the residual's upwind flux (each face upwinds the
+    old S1 face values, or a's own cells under S2), the Jacobian's bands and
+    ``velocity`` read. Every call returns arrays of its own, never written
+    by a later call. A call at the same state object as the previous one
+    reuses the record, and a Jacobian for some lines at a copy of their rows
+    of the previous full state reads those rows; the state must not be
+    modified in place between calls. Under S1 every record also keeps its
+    lines' largest |u| for
     ``peak_speed``.
 
     ``residual`` and ``jacobian`` give R and dR/da; ``update_residual`` and
@@ -219,8 +237,6 @@ class LineProblem:
         if self.kind == S1:
             self.east, self.west = faces if faces is not None else reconstruct_faces(
                 self.old, scheme.theta)
-            # What a face upwinds when u > 0 and when u < 0.
-            self._upwind = (self.east[..., :-1], self.west[..., 1:])
         self._last = (None, None, None)
         self._speeds = None
 
@@ -231,13 +247,13 @@ class LineProblem:
         return other
 
     def _state(self, a, lines, rows_of_last=False):
-        """(a, xi, u, u+, u-, upwinded left, upwinded right) at state a; see the class.
+        """The record (a, u) of state a; see the class.
 
         The record's a is the state shaped as the lines, (L, n) under
-        ``across``. With ``rows_of_last`` (the Jacobian, which Newton asks for
-        only at an iterate it has evaluated), a copy of some rows of the last
-        record, when that covers every line, is served from them, without
-        xi, which the Jacobian does not read; the last record stays cached.
+        ``across``. With ``rows_of_last`` (the Jacobian, which Newton asks
+        for only at an iterate it has evaluated), a copy of some rows of the
+        last record, when that covers every line, is served as a record of
+        those rows, and the last record is let go.
         """
         last_a, last_lines, last = self._last
         if last_a is a and last_lines is lines:
@@ -248,7 +264,26 @@ class LineProblem:
         # Compared bit for bit, so that the rows served are the record a would get.
         if (rows_of_last and lines is not None and last is not None and last_lines is None
                 and np.array_equal(last[0][lines].view(np.int64), a.view(np.int64))):
-            return (a, None) + tuple(part[lines] for part in last[2:])
+            self._last = (None, None, None)  # Newton asks for no other state's rows
+            return a, last[1][lines]
+        # The new record replaces the last: let that go before making this one.
+        self._last, last = (None, None, None), None
+        xi = self._potential(a, lines)
+        u = face_velocities(xi, self.dx)
+        if self.kind == S1:
+            peak = np.abs(u, out=xi[..., :-1]).max(axis=-1, initial=0.0)
+            if lines is None:
+                self._speeds = peak
+            else:
+                if self._speeds is None:
+                    self._speeds = np.zeros(self.old.shape[:-1])
+                self._speeds[lines] = peak
+        state = (a, u)
+        self._last = (key, lines, state)
+        return state
+
+    def _potential(self, a, lines):
+        """xi at state a, whose lines are ``lines`` (all when None)."""
         xi = self.energy.slope_regularized(a)
         xi += self.v if lines is None else self.v[lines]
         if self.coupled:  # the density the convolution sees under the stage rule
@@ -258,29 +293,25 @@ class LineProblem:
                 xi += self.across(a)
         elif self.conv is not None:
             xi += self.conv if lines is None else self.conv[lines]
-        u = face_velocities(xi, self.dx)
-        if self.kind == S1:
-            left, right = self._upwind if lines is None else (
-                self._upwind[0][lines], self._upwind[1][lines])
-            peak = np.abs(u).max(axis=-1, initial=0.0)
-            if lines is None:
-                self._speeds = peak
-            else:
-                if self._speeds is None:
-                    self._speeds = np.zeros(self.old.shape[:-1])
-                self._speeds[lines] = peak
-        else:
-            left, right = a[..., :-1], a[..., 1:]
-        state = (a, xi, u, np.maximum(u, 0.0), np.minimum(u, 0.0), left, right)
-        self._last = (key, lines, state)
-        return state
+        return xi
+
+    def _upwinded(self, a, lines):
+        """The values the faces of a's lines upwind when u > 0 and when u < 0."""
+        if self.kind == S2:
+            return a[..., :-1], a[..., 1:]
+        if lines is None:
+            return self.east[..., :-1], self.west[..., 1:]
+        return self.east[lines, ..., :-1], self.west[lines, ..., 1:]
 
     def potential(self, a, lines=None):
         """(xi, u): the cell potential and the face velocities at state a."""
-        return self._state(a, lines)[1:3]
+        if self.across is not None:
+            a = a.reshape(self.old.shape)
+        xi = self._potential(a, lines)
+        return xi, face_velocities(xi, self.dx)
 
     def velocity(self, a) -> np.ndarray:
-        return self._state(a, None)[2]
+        return self._state(a, None)[1]
 
     def peak_speed(self) -> float:
         """S1 only: max |u| over the lines, each at the last state a record was made for.
@@ -290,18 +321,30 @@ class LineProblem:
         """
         return 0.0 if self._speeds is None else float(self._speeds.max(initial=0.0))
 
-    def _walled_flux(self, state):
-        """The upwind fluxes of a record between the two zero wall fluxes, (..., n+1)."""
-        a, _, _, up, um, left, right = state
-        walled = np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
-        flux = walled[..., 1:-1]
-        np.multiply(left, up, out=flux)
-        flux += right * um
-        return walled
-
     def flux(self, a, lines=None) -> np.ndarray:
         """Upwind flux on the interior faces at state a; walls carry none."""
-        return self._walled_flux(self._state(a, lines))[..., 1:-1]
+        return self._flux(*self._state(a, lines), lines)
+
+    def _upwinded_mass(self, a, u, lines):
+        """What each face upwinds at u: left where u > 0, right where u < 0, else 0.
+
+        Each gets + 0.0, as the sum with the other side's 0.0 that it is.
+        """
+        left, right = self._upwinded(a, lines)
+        m_face = np.where(u < 0, right, 0.0)
+        np.copyto(m_face, left, where=u > 0)
+        m_face += 0.0
+        return m_face
+
+    def _flux(self, a, u, lines):
+        """The upwind flux at a record (a, u) on the interior faces."""
+        left, right = self._upwinded(a, lines)
+        flux = np.maximum(u, 0.0)
+        flux *= left
+        downwind = np.minimum(u, 0.0)
+        downwind *= right
+        flux += downwind
+        return flux
 
     def residual(self, a, lines=None) -> np.ndarray:
         """R(a); defined for any real a (H' is evaluated above the vacuum floor)."""
@@ -312,13 +355,22 @@ class LineProblem:
         return self._residual(a, lines, True)
 
     def _residual(self, a, lines, update):
-        state = self._state(a, lines)
-        walled = self._walled_flux(state)
-        divergence = walled[..., 1:] - walled[..., :-1]
-        divergence /= self.dx
-        r = state[0] - (self.old if lines is None else self.old[lines])
-        r /= self.dt
-        r += divergence
+        a, u = self._state(a, lines)
+        flux = self._flux(a, u, lines)
+        # F_{i+1/2} - F_{i-1/2}, the wall fluxes being 0.0.
+        r = np.empty(a.shape)
+        r[..., :-1] = flux
+        r[..., -1] = 0.0
+        r[..., 1:] -= flux
+        del flux  # freed before the next array is made
+        r /= self.dx
+        if lines is None:
+            change = np.subtract(a, self.old)
+        else:
+            change = self.old[lines]
+            np.subtract(a, change, out=change)
+        change /= self.dt
+        r += change  # the divergence plus (a - old)/dt
         if update:
             r *= self.dt
         return r
@@ -351,46 +403,53 @@ class LineProblem:
 
     def _jacobian(self, a, lines, c):
         dx = self.dx
-        a, _, u, up, um, left, right = self._state(a, lines, rows_of_last=True)
-        # d xi_i / d a_i from the diffusion term (vacuum-floored).
-        g = self.energy.curvature_regularized(a)
-        m_face = np.where(u > 0, left, 0.0) + np.where(u < 0, right, 0.0)
+        a, u = self._state(a, lines, rows_of_last=True)
+        m_face = self._upwinded_mass(a, u, lines)
         dense = self.coupled and self.kernel.exact_form not in QUADRATIC_FORMS
         scale = 1.0 if dense else c  # a dense sum is scaled once, at the end
 
+        if self.coupled:
+            # The convolution's face differences times m_face, through the divergence:
+            # dense for a general kernel, the rank-2 left factor for a quadratic one.
+            c_rule = 1.0 if self.stage_rule == IMPLICIT else 0.5
+            faces, cells = ((self.kernel.toeplitz_difference, None) if dense
+                            else self.kernel.difference_factors)
+            dF = faces * ((c_rule * self.kernel.cell_measure / dx) * m_face)[..., None]
+            dF /= dx
+            low = np.zeros(a.shape + faces.shape[-1:])
+            low[..., :-1, :] += dF
+            low[..., 1:, :] -= dF
+
+        # d xi_i / d a_i from the diffusion term (vacuum-floored).
+        g = self.energy.curvature_regularized(a)
         # dF_j/da_j = m_j g_j/dx [+ u_j^+] and dF_j/da_{j+1} = -m_j g_{j+1}/dx [+ u_j^-],
-        # the bracketed terms under S2 only; dleft and dright end as these over dx.
+        # the bracketed terms under S2 only; dleft ends as the first over dx and
+        # dright as the second over dx, negated under S1. Both, and the diagonal
+        # in g's buffer, become the bands.
         dleft = m_face * g[..., :-1]
         dleft /= dx
-        dright = m_face * g[..., 1:]
+        dright = np.multiply(m_face, g[..., 1:], out=m_face)
         dright /= dx
         if self.kind == S2:
-            dleft += up
-            np.subtract(um, dright, out=dright)
-        else:
-            np.negative(dright, out=dright)
+            upwind = np.maximum(u, 0.0)
+            dleft += upwind
+            np.subtract(np.minimum(u, 0.0, out=upwind), dright, out=dright)
         dleft /= dx
         dright /= dx
-        diag = np.empty(a.shape)
+        diag = g
         diag.fill(1.0 / self.dt)
         diag[..., :-1] += dleft   # +dF_i/da_i from the right face of cell i
-        diag[..., 1:] -= dright   # -dF_{i-1}/da_i from the left face
+        if self.kind == S2:       # -dF_{i-1}/da_i from the left face
+            diag[..., 1:] -= dright
+        else:
+            diag[..., 1:] += dright
         diag *= scale
         # lower: -dF_{i-1}/da_{i-1}; upper: +dF_i/da_{i+1}
-        tri = Tridiagonal(dleft * -scale, diag, dright * scale)
+        dleft *= -scale
+        dright *= scale if self.kind == S2 else -scale
+        tri = Tridiagonal(dleft, diag, dright)
         if not self.coupled:
             return tri
-
-        # The convolution's face differences times m_face, through the divergence:
-        # dense for a general kernel, the rank-2 left factor for a quadratic one.
-        c_rule = 1.0 if self.stage_rule == IMPLICIT else 0.5
-        faces, cells = ((self.kernel.toeplitz_difference, None) if dense
-                        else self.kernel.difference_factors)
-        dF = faces * ((c_rule * self.kernel.cell_measure / dx) * m_face)[..., None]
-        dF /= dx
-        low = np.zeros(a.shape + faces.shape[-1:])
-        low[..., :-1, :] += dF
-        low[..., 1:, :] -= dF
         if dense:
             low += tri.to_dense()
             low *= c

@@ -24,7 +24,7 @@ from .kernels import (
     select_stage_rule,
     tabulate_kernel,
 )
-from .model import DensityField, ModelSpec, field_values, sample_confinement
+from .model import DensityField, ModelSpec, field_values
 from .scheme1d import S1, S2, LineProblem, SchemeConfig, Tridiagonal, TridiagonalLowRank
 
 
@@ -85,7 +85,7 @@ def build_setup(model: ModelSpec, scheme: str, stage: str = "auto",
     dissipation guarantee. Without a kernel, "auto" means midpoint. An
     unknown kind, stage rule or theta raises DomainError here, before any step.
     """
-    v_table = sample_confinement(model.potentials, model.grid)
+    v_table = model.v_table
     if model.interaction is None:
         kernel = None
     else:
@@ -105,17 +105,19 @@ def build_setup(model: ModelSpec, scheme: str, stage: str = "auto",
 _GTSV, _GESV = get_lapack_funcs(("gtsv", "gesv"), dtype=np.float64)
 
 
-def _solve_tridiagonal(lower, diag, upper, rhs):
+def _solve_tridiagonal(lower, diag, upper, rhs, own_bands=False):
     """LAPACK gtsv on one tridiagonal system of n >= 2 cells, rhs shaped (n,) or (n, k).
 
     The routine scipy.linalg.solve_banded calls for (1, 1) bands, without
     its per-call wrapper: the same bits, and the same finite-input check and
-    LinAlgError on a singular matrix.
+    LinAlgError on a singular matrix. With ``own_bands`` gtsv may overwrite
+    ``lower`` and ``upper``, arrays the caller made for this solve alone.
     """
     if not (np.isfinite(lower).all() and np.isfinite(diag).all()
             and np.isfinite(upper).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    _, _, _, x, info = _GTSV(lower, diag, upper, rhs)
+    _, _, _, x, info = _GTSV(lower, diag, upper, rhs,
+                             overwrite_dl=own_bands, overwrite_du=own_bands)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:
@@ -130,6 +132,26 @@ def _identity(k):
     return eye
 
 
+def _solve_lines_tridiagonal(tri, rhs):
+    """One gtsv for the Tridiagonal lines of ``tri`` laid end to end, rhs shaped (N,) or (N, k).
+
+    The band entries that would couple the last cell of one line to the first
+    of the next are zero, so the one solve treats every line alone.
+    """
+    n = tri.diag.shape[-1]
+    diag = tri.diag.reshape(-1)
+    if diag.size == n:
+        return _solve_tridiagonal(tri.lower.reshape(-1), diag, tri.upper.reshape(-1), rhs)
+    lower, upper = np.empty(diag.size), np.empty(diag.size)
+    rows = lower.reshape(-1, n)
+    rows[:, :-1] = tri.lower.reshape(-1, n - 1)
+    rows[:, -1] = 0.0
+    rows = upper.reshape(-1, n)
+    rows[:, 1:] = tri.upper.reshape(-1, n - 1)
+    rows[:, 0] = 0.0
+    return _solve_tridiagonal(lower[:-1], diag, upper[1:], rhs, own_bands=True)
+
+
 def _solve_linear(jac, rhs):
     """Newton updates for the lines of rhs, shaped (lines, n).
 
@@ -141,8 +163,7 @@ def _solve_linear(jac, rhs):
     matrix, solved by LU.
     """
     if isinstance(jac, Tridiagonal):
-        ab = jac.to_banded()
-        return _solve_tridiagonal(ab[2, :-1], ab[1], ab[0, 1:], rhs.ravel()).reshape(rhs.shape)
+        return _solve_lines_tridiagonal(jac, rhs.ravel()).reshape(rhs.shape)
     if isinstance(jac, TridiagonalLowRank):
         if jac.below is not None:
             return _solve_pass(jac, rhs)
@@ -174,11 +195,10 @@ def _solve_pass(jac, rhs):
     """
     tri, left, right, below = jac
     lines, n, rank = left.shape
-    ab = tri.to_banded()
     stacked = np.empty((1 + rank, lines, n))
     stacked[0] = rhs.reshape(lines, n)
     stacked[1:] = left.transpose(2, 0, 1)
-    solved = _solve_tridiagonal(ab[2, :-1], ab[1], ab[0, 1:], stacked.reshape(1 + rank, -1).T)
+    solved = _solve_lines_tridiagonal(tri, stacked.reshape(1 + rank, -1).T)
     solved = solved.T.reshape(1 + rank, lines, n).transpose(1, 2, 0)  # (L, n, 1 + rank)
     z = solved[..., 1:]
     vt_solved = right.T @ solved  # (L, rank, 1 + rank)
@@ -288,22 +308,23 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, *, jaco
         count = batch if active is None else np.count_nonzero(active)
         iterations += count
         if count == batch:
-            lines, xa, ra, na = None, x, r, norm
+            lines, xa, na = None, x, norm
         else:
             lines = np.flatnonzero(active)
-            xa, ra, na = x[lines], r[lines], norm[lines]
+            xa, na = x[lines], norm[lines]
         if lines is None:
             jac = jacobian(shaped(xa))
         else:
             jac = jacobian(xa, lines)
         try:
-            delta = _solve_linear(jac, -ra)
+            delta = _solve_linear(jac, -(r if lines is None else r[lines]))
         except LinAlgError as exc:
             raise NewtonError(
                 f"Newton system is singular to working precision (norm {worst:g})",
                 best_iterate=shaped(x),
                 best_norm=float(worst),
             ) from exc
+        del jac  # its bands are not needed for the trial steps
         step_x = xa + delta
         r_new, norm_new, worst_new = evaluate(step_x, lines)
         worse = norm_new > na

@@ -31,6 +31,27 @@ from aggdiff.presets import heat, linear_fokker_planck
 
 
 class TestDiscreteEnergy:
+    def test_energy_checks_reuse_the_setup_table(self, monkeypatch):
+        """V is tabulated once per model, and an absent V is skipped, with the same bits."""
+        from aggdiff import model as model_module
+        from aggdiff.solver import build_setup, clipped_energy
+
+        g = Grid(2, 3.0, 6)
+        rho = np.random.default_rng(3).random(g.shape)
+        for model in (heat(g), linear_fokker_planck(g)):
+            v = model_module.sample_confinement(model.potentials, g)
+            expected = float((v * rho).sum() * g.cell_measure)
+            tabulated = []
+            monkeypatch.setattr(model_module, "sample_confinement",
+                                lambda *args: tabulated.append(1) or v.copy())
+            setup = build_setup(model, "s1")
+            energies = [clipped_energy(setup, rho) for _ in range(3)]
+            assert len(tabulated) == 1 and setup.v_table is model.v_table
+            assert not model.v_table.flags.writeable
+            assert discrete_energy(rho, model).confinement == expected
+            assert energies[0] == discrete_energy(rho, model).total
+            monkeypatch.undo()
+
     def test_zero_field(self):
         g = Grid(1, 1.0, 2)
         e = discrete_energy(np.zeros(4), heat(g), None)

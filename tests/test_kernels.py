@@ -55,6 +55,16 @@ class TestTabulate:
             assert table.is_zero is expected
             assert table.is_zero == (not np.any(table.values))
 
+    def test_values_are_a_read_only_copy(self):
+        given = 0.5 * np.arange(-3.0, 4.0) ** 2
+        table = KernelTable(1, given, 0.5, "quadratic+")
+        with pytest.raises(ValueError):
+            table.values[0] = 1.0
+        with pytest.raises(ValueError):
+            table.values *= 2.0
+        given[3] = 7.0  # the caller's array stays writeable and apart from the table
+        assert given.flags.writeable and table.values[3] == 0.0
+
     def test_singular_cell_average_of_abs(self):
         # W(x) = |x| has (1/dx) * integral over the origin cell = dx/4.
         class AbsPotential:

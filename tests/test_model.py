@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.special import xlogy
 
 from aggdiff.errors import DomainError, ShapeError
 from aggdiff.model import (
@@ -148,6 +149,23 @@ class TestRegularizedDerivatives:
         assert same_bits(energy.slope_regularized(rho), energy.slope(floored))
         assert same_bits(energy.curvature_regularized(rho),
                          np.where(rho > EPS_VACUUM, energy.curvature(floored), 0.0))
+
+
+class TestEnergyValue:
+    @pytest.mark.parametrize("energy", [
+        InternalEnergy.entropy(1.0), InternalEnergy.entropy(0.3), InternalEnergy.power(2.0, 3.0),
+        InternalEnergy.power_plus_entropy(0.5, 2.5, 1.0),
+    ])
+    def test_equals_the_sum_from_zero(self, energy):
+        """H term by term on a zero start, byte for byte, signed zeros and subnormals included."""
+        rng = np.random.default_rng(4)
+        rho = np.concatenate(([0.0, -0.0, 5e-324, 1e-310, 1.0], rng.random(40) * 5.0))
+        expected = np.zeros_like(rho)
+        if energy._entropy_coeff:
+            expected = expected + energy._entropy_coeff * (xlogy(rho, rho) - rho)
+        if energy._power_coeff:
+            expected = expected + energy._power_coeff * rho**energy.exponent
+        assert same_bits(energy.value(rho), expected)
 
 
 class TestPotentials:

@@ -34,6 +34,28 @@ def same_bits(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
+def slope_formula_faces(rho, theta=2.0):
+    """reconstruct_faces as first written: minmod by sign tests, r +- 0.5 * slope."""
+    r = np.asarray(rho, dtype=float)
+    slopes = np.zeros(r.shape)
+    if r.shape[-1] >= 3:
+        fwd, bwd = r[..., 2:] - r[..., 1:-1], r[..., 1:-1] - r[..., :-2]
+        z1, z2, z3 = theta * fwd, 0.5 * (fwd + bwd), theta * bwd
+        mn = np.minimum(np.minimum(z1, z2), z3)
+        mx = np.maximum(np.maximum(z1, z2), z3)
+        slopes[..., 1:-1] = np.where(mn > 0, mn, np.where(mx < 0, mx, 0.0))
+    return r + 0.5 * slopes, r - 0.5 * slopes
+
+
+def banded(tri):
+    """scipy.linalg.solve_banded's (3, N) layout of a Tridiagonal's lines laid end to end."""
+    ab = np.zeros((3,) + tri.diag.shape)
+    ab[0, ..., 1:] = tri.upper
+    ab[1] = tri.diag
+    ab[2, ..., :-1] = tri.lower
+    return ab.reshape(3, -1)
+
+
 def assemble_flux(kind, velocity, rho_new, east=None, west=None):
     """Reference upwind flux per interior face: S1 upwinds the reconstructed
     old-state face values, S2 the state itself."""
@@ -101,6 +123,26 @@ class TestReconstruction:
         east, west = reconstruct_faces(np.array([1.0, 2.0, 3.0, 4.0]))
         assert east[0] == west[0] == 1.0
         assert east[-1] == west[-1] == 4.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_slope_formula_bit_for_bit(self, seed):
+        """Lines with signed zeros, the smallest subnormal and flat runs, in every layout."""
+        rng = np.random.default_rng(seed)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, 0.25, 3.0])
+        for _ in range(200):
+            lines, n = rng.integers(1, 6), rng.integers(1, 10)
+            if rng.random() < 0.5:
+                field = rng.choice(special, size=(lines, n))
+            else:
+                field = rng.random((lines, n)) * rng.choice([1e-310, 1.0, 1e3])
+            if n > 3:  # a flat run
+                start = rng.integers(0, n - 2)
+                field[:, start : start + 3] = field[:, start : start + 1]
+            theta = rng.choice([1.0, 1.3, 2.0])
+            transposed = np.ascontiguousarray(field.T).T  # the x-pass hands field.T
+            for rho in (field, transposed, field[0], field[:, ::-1]):
+                got = reconstruct_faces(rho, theta)
+                assert all(same_bits(x, y) for x, y in zip(got, slope_formula_faces(rho, theta)))
 
     def test_positivity_preserved(self):
         rng = np.random.default_rng(2)
@@ -327,6 +369,51 @@ class TestRecordReuse:
         assert problem.peak_speed() == np.abs(make().velocity(root)).max() > 0.0
 
 
+class TestCallsOwnTheirResults:
+    """What a LineProblem returned is never written by a later call."""
+
+    @staticmethod
+    def _make(kind):
+        rng = np.random.default_rng(5)
+        old = rng.random((5, 9))
+        old[rng.random(old.shape) < 0.2] = 0.0
+        v = rng.random((5, 9))
+
+        def make(dt=0.05):
+            return LineProblem(SchemeConfig(kind, MIDPOINT), old, dt, 0.25,
+                               InternalEnergy.entropy(1.0), v, None)
+
+        x0 = old + 0.05 * rng.standard_normal(old.shape)
+        return make, x0, x0 + 0.05 * rng.standard_normal(old.shape)
+
+    @pytest.mark.parametrize("kind", [S1, S2])
+    def test_results_survive_later_calls(self, kind):
+        make, x0, x1 = self._make(kind)
+        problem = make()
+        r0 = problem.update_residual(x0)
+        kept = r0.copy()
+        jac0 = problem.update_jacobian(x0)
+        bands = [band.copy() for band in jac0]
+        problem.update_residual(x1)
+        problem.update_jacobian(x1)
+        assert same_bits(r0, kept)
+        assert all(same_bits(x, y) for x, y in zip(jac0, bands))
+        # Asked for again after those calls, x0's Jacobian is a fresh problem's.
+        fresh = make().update_jacobian(x0)
+        assert all(same_bits(x, y) for x, y in zip(problem.update_jacobian(x0), fresh))
+
+    @pytest.mark.parametrize("kind", [S1, S2])
+    def test_update_forms_are_dt_times_the_unscaled(self, kind):
+        make, x0, _ = self._make(kind)
+        lines = np.array([0, 2, 3])
+        for at, rows in ((x0, None), (x0[lines], lines)):
+            problem = make()
+            dt = problem.dt
+            assert same_bits(problem.update_residual(at, rows), dt * problem.residual(at, rows))
+            scaled, unscaled = problem.update_jacobian(at, rows), problem.jacobian(at, rows)
+            assert all(same_bits(x, dt * y) for x, y in zip(scaled, unscaled))
+
+
 def _upwind_terms(problem, a, rows):
     """(u, m_face, g): face velocities, upwinded face masses and H'' at state a."""
     dx = problem.dx
@@ -543,17 +630,17 @@ class TestTridiagonalBatch:
     def test_one_concatenated_solve_equals_per_line_solves(self):
         jac = self._bands(7, 9, 0)
         rhs = np.random.default_rng(1).random((7, 9))
-        together = solve_banded((1, 1), jac.to_banded(), rhs.ravel()).reshape(rhs.shape)
+        together = solve_banded((1, 1), banded(jac), rhs.ravel()).reshape(rhs.shape)
         for k in range(7):
             line = Tridiagonal(jac.lower[k], jac.diag[k], jac.upper[k])
-            alone = solve_banded((1, 1), line.to_banded(), rhs[k])
+            alone = solve_banded((1, 1), banded(line), rhs[k])
             assert np.array_equal(together[k], alone)
 
     @pytest.mark.parametrize("lines, n", [(1, 2), (7, 9), (3, 80), (2, 240)])
     def test_newton_solve_equals_solve_banded(self, lines, n):
         jac = self._bands(lines, n, n)
         rhs = np.random.default_rng(n + 1).standard_normal((lines, n))
-        expected = solve_banded((1, 1), jac.to_banded(), rhs.ravel()).reshape(rhs.shape)
+        expected = solve_banded((1, 1), banded(jac), rhs.ravel()).reshape(rhs.shape)
         assert same_bits(_solve_linear(jac, rhs), expected)
 
     def test_bad_bands_fail_like_solve_banded(self):
