@@ -60,7 +60,7 @@ class KernelTable:
             raise ShapeError("kernel table dimensionality mismatch")
         if any(s % 2 == 0 for s in vals.shape):
             raise ShapeError("kernel table must have odd length per axis")
-        # Read-only: the cached operators and _zero below are taken from it once.
+        # Read-only, so that what is cached from it below and on first use stays true.
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         # Steps read this on every solve.
