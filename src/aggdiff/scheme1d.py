@@ -74,10 +74,9 @@ def minmod(z1, z2, z3):
     z1, z2, z3 = np.broadcast_arrays(
         np.asarray(z1, dtype=float), np.asarray(z2, dtype=float), np.asarray(z3, dtype=float)
     )
-    mn = np.minimum(z1, z2, out=np.empty(z1.shape))
-    np.minimum(mn, z3, out=mn)
-    mx = np.maximum(z1, z2, out=np.empty(z1.shape))
-    np.maximum(mx, z3, out=mx)
+    # Arrays even for scalar arguments, which _limit writes in place.
+    mn = np.minimum(np.minimum(z1, z2), z3, out=np.empty(z1.shape))
+    mx = np.maximum(np.maximum(z1, z2), z3, out=np.empty(z1.shape))
     out = _limit(mn, mx)
     if out.ndim == 0:
         return float(out)
@@ -206,8 +205,7 @@ class LineProblem:
     reuses the record, and a Jacobian for some lines at a copy of their rows
     of the previous full state reads those rows; the state must not be
     modified in place between calls. Under S1 every record also keeps its
-    lines' largest |u| for
-    ``peak_speed``.
+    lines' largest |u| for ``peak_speed``.
 
     ``residual`` and ``jacobian`` give R and dR/da; ``update_residual`` and
     ``update_jacobian`` give R*dt and dR/da*dt, the update form Newton
@@ -325,17 +323,6 @@ class LineProblem:
         """Upwind flux on the interior faces at state a; walls carry none."""
         return self._flux(*self._state(a, lines), lines)
 
-    def _upwinded_mass(self, a, u, lines):
-        """What each face upwinds at u: left where u > 0, right where u < 0, else 0.
-
-        Each gets + 0.0, as the sum with the other side's 0.0 that it is.
-        """
-        left, right = self._upwinded(a, lines)
-        m_face = np.where(u < 0, right, 0.0)
-        np.copyto(m_face, left, where=u > 0)
-        m_face += 0.0
-        return m_face
-
     def _flux(self, a, u, lines):
         """The upwind flux at a record (a, u) on the interior faces."""
         left, right = self._upwinded(a, lines)
@@ -404,7 +391,13 @@ class LineProblem:
     def _jacobian(self, a, lines, c):
         dx = self.dx
         a, u = self._state(a, lines, rows_of_last=True)
-        m_face = self._upwinded_mass(a, u, lines)
+        # What each face upwinds at u: left where u > 0, right where u < 0, else 0,
+        # each + 0.0 as the sum with the other side's 0.0 that it is.
+        left, right = self._upwinded(a, lines)
+        m_face = np.where(u < 0, right, 0.0)
+        np.copyto(m_face, left, where=u > 0)
+        m_face += 0.0
+        del left, right  # gathered rows under S1, not needed again
         dense = self.coupled and self.kernel.exact_form not in QUADRATIC_FORMS
         scale = 1.0 if dense else c  # a dense sum is scaled once, at the end
 
