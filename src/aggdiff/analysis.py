@@ -193,12 +193,8 @@ def sample_reference(ref: ReferenceSolution, t: float, grid: Grid) -> np.ndarray
     return reference_eval(ref, t, x, y)
 
 
-def l1_error(rho, ref: ReferenceSolution, t: float, grid: Grid | None = None) -> float:
+def l1_error(rho, ref: ReferenceSolution, t: float, grid: Grid) -> float:
     """Cell-weighted L1 distance to the reference sampled at cell centers."""
-    if grid is None:
-        if not hasattr(rho, "grid"):
-            raise DomainError("l1_error needs a DensityField or an explicit grid")
-        grid = rho.grid
     vals = field_values(rho)
     exact = sample_reference(ref, t, grid)
     return float(np.abs(vals - exact).sum() * grid.cell_measure)
@@ -222,12 +218,8 @@ def convergence_order(errors) -> list:
     return orders
 
 
-def first_moment(rho, grid: Grid | None = None) -> np.ndarray:
+def first_moment(rho, grid: Grid) -> np.ndarray:
     """Unnormalized first moment sum x_i rho_i * measure, per component."""
-    if grid is None:
-        if not hasattr(rho, "grid"):
-            raise DomainError("first_moment needs a DensityField or an explicit grid")
-        grid = rho.grid
     vals = field_values(rho)
     measure = grid.cell_measure
     if grid.dimension == 1:

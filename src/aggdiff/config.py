@@ -46,34 +46,53 @@ _KNOWN_KEYS = {
 
 
 def _floats(text: str) -> tuple:
-    parts = text.replace(",", " ").split()
-    return tuple(float(p) for p in parts)
+    return tuple(float(p) for p in text.replace(",", " ").split())
 
 
-def _load_table(value: str, base_dir: str) -> np.ndarray:
-    path = value
-    if not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
-    return np.loadtxt(path)
+def _number(section, key, default, kind=float):
+    """``[section] key`` read by ``kind``; text it cannot read is a ConfigurationError."""
+    text = section.get(key, default)
+    try:
+        return kind(text)
+    except ValueError:
+        what = {int: "an integer", float: "a number"}.get(kind, "a list of numbers")
+        raise ConfigurationError(f"[{section.name}] {key} must be {what}, got {text!r}") from None
+
+
+def _kind(section, key, default):
+    """(kind, FILE): ``[section] key`` lowercased, except FILE in table:FILE (else None)."""
+    text = section.get(key, default).strip()
+    head, sep, path = text.partition(":")
+    if sep and head.strip().lower() == "table":
+        return "table", path.strip()
+    return text.lower(), None
+
+
+def _load_table(path: str, base_dir: str) -> np.ndarray:
+    """The numbers in a text file, a relative path being relative to base_dir."""
+    path = os.path.join(base_dir, path)  # an absolute path stays as it is
+    try:
+        return np.loadtxt(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read table {path!r}: {exc}") from None
 
 
 def _build_confinement(section, base_dir):
-    kind = section.get("confinement", "none").strip().lower()
-    strength = float(section.get("confinement_strength", 1.0))
+    kind, path = _kind(section, "confinement", "none")
+    strength = _number(section, "confinement_strength", 1.0)
     if kind == "none":
         return None
     if kind == "quadratic":
         return Quadratic(strength)
     if kind == "bistable":
         return Bistable(strength)
-    if kind.startswith("table:"):
-        return TabulatedConfinement(tuple(np.atleast_1d(
-            _load_table(kind.split(":", 1)[1], base_dir)).ravel()))
+    if path is not None:
+        return TabulatedConfinement(tuple(np.atleast_1d(_load_table(path, base_dir)).ravel()))
     raise ConfigurationError(f"unknown confinement kind {kind!r}")
 
 
 def _build_interaction(section, base_dir):
-    kind = section.get("interaction", "none").strip().lower()
+    kind, path = _kind(section, "interaction", "none")
     sign_text = str(section.get("interaction_sign", "1")).strip()
     try:
         sign = float(sign_text)
@@ -86,10 +105,9 @@ def _build_interaction(section, base_dir):
     if kind == "quadratic":
         return Quadratic(sign)
     if kind == "gaussian":
-        width = float(section.get("interaction_width", 1.0))
-        return Gaussian(width, sign)
-    if kind.startswith("table:"):
-        table = _load_table(kind.split(":", 1)[1], base_dir)
+        return Gaussian(_number(section, "interaction_width", 1.0), sign)
+    if path is not None:
+        table = _load_table(path, base_dir)
         return TabulatedInteraction(tuple(map(tuple, table)) if table.ndim == 2
                                     else tuple(table))
     raise ConfigurationError(f"unknown interaction kind {kind!r}")
@@ -119,18 +137,22 @@ def parse_config(path: str) -> ExperimentConfig:
                 f"unknown keys in [{section}]: {sorted(unknown)}"
             )
 
-    grid_sec = parser["grid"] if parser.has_section("grid") else {}
+    for name in _KNOWN_KEYS:  # an absent section reads as an empty one
+        if not parser.has_section(name):
+            parser.add_section(name)
+
+    grid_sec = parser["grid"]
     grid = Grid(
-        int(grid_sec.get("dimension", 1)),
-        float(grid_sec.get("half_width", 1.0)),
-        int(grid_sec.get("cells_per_half_axis", 16)),
+        _number(grid_sec, "dimension", 1, int),
+        _number(grid_sec, "half_width", 1.0),
+        _number(grid_sec, "cells_per_half_axis", 16, int),
     )
 
-    model_sec = parser["model"] if parser.has_section("model") else {}
+    model_sec = parser["model"]
     energy_kind = model_sec.get("energy", "entropy").strip().lower()
-    diffusion = float(model_sec.get("diffusion", 1.0))
-    exponent = float(model_sec.get("exponent", 2.0))
-    eps_reg = float(model_sec.get("entropy_weight", 0.0))
+    diffusion = _number(model_sec, "diffusion", 1.0)
+    exponent = _number(model_sec, "exponent", 2.0)
+    eps_reg = _number(model_sec, "entropy_weight", 0.0)
     if energy_kind == "entropy":
         energy = InternalEnergy.entropy(diffusion)
     elif energy_kind == "power":
@@ -150,50 +172,46 @@ def parse_config(path: str) -> ExperimentConfig:
     )
     model = ModelSpec(energy, potentials, grid)
 
-    scheme_sec = parser["scheme"] if parser.has_section("scheme") else {}
+    scheme_sec = parser["scheme"]
     kind = scheme_sec.get("kind", "s2").strip().lower()
     stage = scheme_sec.get("stage", "auto").strip().lower()
-    theta = float(scheme_sec.get("theta", 2.0))
+    theta = _number(scheme_sec, "theta", 2.0)
 
-    time_sec = parser["time"] if parser.has_section("time") else {}
-    t_initial = float(time_sec.get("t_initial", 0.0))
-    t_final = float(time_sec.get("t_final", 1.0))
-    dt_raw = str(time_sec.get("dt", "auto")).strip().lower()
-    dt = "auto" if dt_raw in ("auto", "cfl:auto") else float(dt_raw)
+    time_sec = parser["time"]
+    t_initial = _number(time_sec, "t_initial", 0.0)
+    t_final = _number(time_sec, "t_final", 1.0)
+    dt_raw = time_sec.get("dt", "auto").strip().lower()
+    dt = "auto" if dt_raw in ("auto", "cfl:auto") else _number(time_sec, "dt", None)
 
-    init_sec = parser["initial"] if parser.has_section("initial") else {}
-    init_kind = init_sec.get("kind", "gaussian").strip().lower()
+    init_sec = parser["initial"]
+    init_kind, table_path = _kind(init_sec, "kind", "gaussian")
     values: tuple = ()
-    if init_kind.startswith("table:"):
-        values = tuple(np.atleast_1d(
-            _load_table(init_kind.split(":", 1)[1], base_dir)).ravel())
-        init_kind = "table"
+    if table_path is not None:
+        values = tuple(np.atleast_1d(_load_table(table_path, base_dir)).ravel())
     elif init_kind == "table":
         raise ConfigurationError("initial kind 'table' needs a file: kind = table:FILE")
-    center = _floats(str(init_sec.get("center", "0.0")))
+    center = _number(init_sec, "center", "0.0", _floats)
     if len(center) == 1:
         center = (center[0], 0.0)
     initial = InitialSpec(
         kind=init_kind,
-        mass=float(init_sec.get("mass", 1.0)),
-        time=(float(init_sec["time"]) if "time" in init_sec else None),
+        mass=_number(init_sec, "mass", 1.0),
+        time=(_number(init_sec, "time", None) if "time" in init_sec else None),
         center=center,
-        width=float(init_sec.get("width", 1.0)),
-        centers=_floats(str(init_sec.get("centers", ""))),
-        widths=_floats(str(init_sec.get("widths", ""))),
-        weights=_floats(str(init_sec.get("weights", ""))),
+        width=_number(init_sec, "width", 1.0),
+        centers=_number(init_sec, "centers", "", _floats),
+        widths=_number(init_sec, "widths", "", _floats),
+        weights=_number(init_sec, "weights", "", _floats),
         values=values,
     )
 
-    solver_sec = parser["solver"] if parser.has_section("solver") else {}
+    solver_sec = parser["solver"]
     solver = NewtonConfig(
-        tolerance=float(solver_sec.get("tolerance", 1e-10)),
-        max_iterations=int(solver_sec.get("max_iterations", 50)),
+        tolerance=_number(solver_sec, "tolerance", 1e-10),
+        max_iterations=_number(solver_sec, "max_iterations", 50, int),
     )
 
-    out_sec = parser["output"] if parser.has_section("output") else {}
-    snapshots = _floats(str(out_sec.get("snapshots", "")))
-
+    out_sec = parser["output"]
     return ExperimentConfig(
         model=model,
         scheme_kind=kind,
@@ -205,6 +223,6 @@ def parse_config(path: str) -> ExperimentConfig:
         initial=initial,
         solver=solver,
         output_dir=resolve_output(out_sec.get("directory", None)),
-        snapshots=snapshots,
-        cadence=int(out_sec.get("cadence", 1)),
+        snapshots=_number(out_sec, "snapshots", "", _floats),
+        cadence=_number(out_sec, "cadence", 1, int),
     )

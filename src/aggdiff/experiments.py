@@ -178,6 +178,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.t_final > self.t_initial:
             raise ConfigurationError("t_final must exceed t_initial")
+        if self.dt != "auto" and not (isinstance(self.dt, (int, float)) and self.dt > 0):
+            raise ConfigurationError(f"dt must be 'auto' or a positive number, got {self.dt!r}")
         if self.cadence < 1:
             raise ConfigurationError(f"output cadence must be at least 1, got {self.cadence}")
         outside = [t for t in self.snapshots if not self.t_initial <= t <= self.t_final + 1e-12]

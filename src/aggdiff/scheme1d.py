@@ -150,11 +150,11 @@ class Tridiagonal(NamedTuple):
 
 
 class TridiagonalLowRank(NamedTuple):
-    """One line's tri + left @ right.T, with left and right shaped (n, rank).
+    """The block lower-triangular matrix of L coupled lines of n cells.
 
-    With ``below`` set, the block lower-triangular matrix of the L coupled
-    lines of a sweep pass (see LineProblem): ``tri`` holds L lines, ``left``
-    is (L, n, rank) and ``right`` (n, rank) is shared; diagonal block r is
+    The lines of a sweep pass (see LineProblem), or L = 1 for a single
+    coupled line: ``tri`` holds L lines, ``left`` is (L, n, rank) and
+    ``right`` (n, rank) is shared; diagonal block r is
     tri_r + left_r @ right.T and block (r, s) with s < r is
     below * left_r @ right.T.
     """
@@ -162,12 +162,10 @@ class TridiagonalLowRank(NamedTuple):
     tri: Tridiagonal
     left: np.ndarray
     right: np.ndarray
-    below: float | None = None
+    below: float
 
     def to_dense(self) -> np.ndarray:
-        """(n, n), or (L*n, L*n) with the lines laid end to end."""
-        if self.below is None:
-            return self.tri.to_dense() + self.left @ self.right.T
+        """(L*n, L*n), with the lines laid end to end."""
         blocks = self.left @ self.right.T  # (L, n, n)
         lines, n = self.tri.diag.shape
         scale = np.tril(np.full((lines, lines), self.below), -1) + np.eye(lines)
@@ -448,8 +446,11 @@ class LineProblem:
             low *= c
             return low
         low *= c
+        if self.across is None:  # a single line, the pass of L = 1
+            tri = Tridiagonal(*(band.reshape(1, -1) for band in tri))
+            low = low.reshape(1, *low.shape[-2:])
         # Earlier lines enter at coefficient 1, not c_rule: 1/c_rule is a power of two.
-        return TridiagonalLowRank(tri, low, cells, None if self.across is None else 1.0 / c_rule)
+        return TridiagonalLowRank(tri, low, cells, 1.0 / c_rule)
 
 
 def face_data(kind, rho_new, rho_old, dx, energy, v_table, kernel, stage_rule,

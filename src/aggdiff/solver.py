@@ -102,27 +102,7 @@ def build_setup(model: ModelSpec, scheme: str, stage: str = "auto",
     return SchemeSetup(SchemeConfig(scheme, stage, theta), model, v_table, kernel)
 
 
-_GTSV, _GESV = get_lapack_funcs(("gtsv", "gesv"), dtype=np.float64)
-
-
-def _solve_tridiagonal(lower, diag, upper, rhs, own_bands=False):
-    """LAPACK gtsv on one tridiagonal system of n >= 2 cells, rhs shaped (n,) or (n, k).
-
-    The routine scipy.linalg.solve_banded calls for (1, 1) bands, without
-    its per-call wrapper: the same bits, and the same finite-input check and
-    LinAlgError on a singular matrix. With ``own_bands`` gtsv may overwrite
-    ``lower`` and ``upper``, arrays the caller made for this solve alone.
-    """
-    if not (np.isfinite(lower).all() and np.isfinite(diag).all()
-            and np.isfinite(upper).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    _, _, _, x, info = _GTSV(lower, diag, upper, rhs,
-                             overwrite_dl=own_bands, overwrite_du=own_bands)
-    if info > 0:
-        raise LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of gtsv")
-    return x
+_GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
 
 @functools.cache
@@ -136,54 +116,53 @@ def _solve_lines_tridiagonal(tri, rhs):
     """One gtsv for the Tridiagonal lines of ``tri`` laid end to end, rhs shaped (N,) or (N, k).
 
     The band entries that would couple the last cell of one line to the first
-    of the next are zero, so the one solve treats every line alone.
+    of the next are zero, so the one solve treats every line alone. This is
+    the LAPACK routine scipy.linalg.solve_banded calls for (1, 1) bands,
+    without its per-call wrapper: the same bits, and the same finite-input
+    check and LinAlgError on a singular matrix.
     """
     n = tri.diag.shape[-1]
     diag = tri.diag.reshape(-1)
-    if diag.size == n:
-        return _solve_tridiagonal(tri.lower.reshape(-1), diag, tri.upper.reshape(-1), rhs)
-    lower, upper = np.empty(diag.size), np.empty(diag.size)
-    rows = lower.reshape(-1, n)
-    rows[:, :-1] = tri.lower.reshape(-1, n - 1)
-    rows[:, -1] = 0.0
-    rows = upper.reshape(-1, n)
-    rows[:, 1:] = tri.upper.reshape(-1, n - 1)
-    rows[:, 0] = 0.0
-    return _solve_tridiagonal(lower[:-1], diag, upper[1:], rhs, own_bands=True)
+    own_bands = diag.size != n  # bands made here, which gtsv may overwrite
+    if own_bands:
+        lower, upper = np.empty(diag.size), np.empty(diag.size)
+        rows = lower.reshape(-1, n)
+        rows[:, :-1] = tri.lower.reshape(-1, n - 1)
+        rows[:, -1] = 0.0
+        rows = upper.reshape(-1, n)
+        rows[:, 1:] = tri.upper.reshape(-1, n - 1)
+        rows[:, 0] = 0.0
+        lower, upper = lower[:-1], upper[1:]
+    else:
+        lower, upper = tri.lower.reshape(-1), tri.upper.reshape(-1)
+    if not (np.isfinite(lower).all() and np.isfinite(diag).all()
+            and np.isfinite(upper).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, _, x, info = _GTSV(lower, diag, upper, rhs,
+                             overwrite_dl=own_bands, overwrite_du=own_bands)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of gtsv")
+    return x
 
 
 def _solve_linear(jac, rhs):
     """Newton updates for the lines of rhs, shaped (lines, n).
 
     A Tridiagonal is one gtsv over every line laid end to end. A
-    TridiagonalLowRank A + U V^T (one line, from a quadratic kernel) is
-    solved by the Woodbury identity: one gtsv of A against [rhs, U], then a
-    rank-sized capacitance system I + V^T A^-1 U. A sweep pass's block
-    lower-triangular one goes to _solve_pass. Any other Jacobian is a dense
-    matrix, solved by LU.
+    TridiagonalLowRank, a sweep pass's or a single coupled line's, goes to
+    _solve_pass. Any other Jacobian is a dense matrix, solved by LU.
     """
     if isinstance(jac, Tridiagonal):
         return _solve_lines_tridiagonal(jac, rhs.ravel()).reshape(rhs.shape)
     if isinstance(jac, TridiagonalLowRank):
-        if jac.below is not None:
-            return _solve_pass(jac, rhs)
-        tri, left, right, _ = jac
-        stacked = np.empty((left.shape[0], 1 + left.shape[1]), order="F")
-        stacked[:, 0] = rhs.reshape(-1)
-        stacked[:, 1:] = left
-        solved = _solve_tridiagonal(tri.lower, tri.diag, tri.upper, stacked)
-        y, z = solved[:, 0], solved[:, 1:]
-        across = right.T
-        capacitance = _identity(left.shape[1]) + across @ z
-        _, _, w, info = _GESV(capacitance, across @ y)
-        if info > 0:
-            raise LinAlgError("singular matrix")
-        return (y - z @ w).reshape(rhs.shape)
+        return _solve_pass(jac, rhs)
     return np.linalg.solve(jac, rhs[..., None])[..., 0]
 
 
 def _solve_pass(jac, rhs):
-    """Block forward substitution for a sweep pass's L coupled lines of n cells.
+    """Block forward substitution for L coupled lines of n cells (see TridiagonalLowRank).
 
     Line r's block row reads D_r d_r + below * U_r mu_r = b_r, with the
     diagonal block D_r = A_r + U_r V^T and mu_r = V^T (d_0 + ... + d_{r-1}).
@@ -253,8 +232,8 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, *, jaco
     at tolerance drop out; while some do, the callables get ``(z, lines)``:
     the remaining lines and their batch indices. ``jacobian``, the exact
     dR/dx, returns a Tridiagonal (one banded solve for every line) or, for
-    one line, a TridiagonalLowRank (a sweep pass's block one among them) or
-    a dense matrix (see _solve_linear). Raises NewtonError if any line
+    one line (a sweep pass's lines laid end to end among them), a
+    TridiagonalLowRank or a dense matrix (see _solve_linear). Raises NewtonError if any line
     misses the tolerance. Returns (root, iterations summed over lines, worst
     norm).
 

@@ -219,6 +219,55 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="mass"):
             parse_config(str(path))
 
+    @pytest.mark.parametrize("section, key, text", [
+        ("grid", "cells_per_half_axis", "abc"),
+        ("grid", "half_width", "wide"),
+        ("time", "dt", "fast"),
+        ("time", "t_final", "1.0s"),
+        ("output", "cadence", "1.5"),
+        ("solver", "tolerance", "x"),
+        ("solver", "max_iterations", "50.0"),
+        ("initial", "mass", "one"),
+        ("initial", "centers", "0.5, left"),
+        ("output", "snapshots", "0.5; 1"),
+    ])
+    def test_unparsable_number_names_its_key(self, tmp_path, section, key, text):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[{section}]\n{key} = {text}\n")
+        with pytest.raises(ConfigurationError, match=re.escape(f"[{section}] {key}")) as info:
+            parse_config(str(path))
+        assert repr(text) in str(info.value)
+
+    @pytest.mark.parametrize("dt", ["0", "-0.1", "nan"])
+    def test_dt_not_positive_rejected_at_parse(self, tmp_path, dt):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[time]\ndt = {dt}\n")
+        with pytest.raises(ConfigurationError, match="dt must be"):
+            parse_config(str(path))
+
+    @pytest.mark.parametrize("key", ["confinement", "interaction", "kind"])
+    def test_table_path_keeps_its_case(self, tmp_path, key):
+        count = 15 if key == "interaction" else 8  # an offset table or a cell table
+        table = tmp_path / "Rho_Table.TXT"
+        np.savetxt(table, np.full(count, 0.25))
+        section = "initial" if key == "kind" else "model"
+        path = tmp_path / "c.ini"
+        path.write_text(
+            "[grid]\nhalf_width = 2.0\ncells_per_half_axis = 4\n"
+            f"[{section}]\n{key} = Table:{table.name}\n"
+        )
+        cfg = parse_config(str(path))
+        if key == "kind":
+            assert cfg.initial.kind == "table" and cfg.initial.values == (0.25,) * count
+        else:
+            assert getattr(cfg.model.potentials, key).samples == (0.25,) * count
+
+    def test_missing_table_names_its_path(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[initial]\nkind = table:Absent.txt\n")
+        with pytest.raises(ConfigurationError, match=re.escape(str(tmp_path / "Absent.txt"))):
+            parse_config(str(path))
+
     def test_relative_output_directory_lands_under_the_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AGGDIFF_OUTPUT_ROOT", str(tmp_path / "root"))
         path = tmp_path / "c.ini"
@@ -325,6 +374,14 @@ class TestCli:
         )
         assert main(["run", "--config", str(path)]) == 2
         assert "error: initial table has 3 values, not the grid's 8" in capsys.readouterr().err
+
+    def test_unparsable_number_exits_two(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[grid]\ncells_per_half_axis = abc\n")
+        proc = run_cli("run", "--config", str(path))
+        assert proc.returncode == 2
+        assert "error: [grid] cells_per_half_axis must be an integer, got 'abc'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_bad_config_exits_nonzero(self, tmp_path):
         path = tmp_path / "bad.ini"

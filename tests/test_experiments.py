@@ -96,6 +96,11 @@ class TestRunExperiment:
         defaults.update(kwargs)
         return ExperimentConfig(**defaults)
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), "fast"])
+    def test_dt_not_positive_rejected(self, dt):
+        with pytest.raises(ConfigurationError, match="dt must be"):
+            self._config(dt=dt)
+
     def test_zero_initial_field_stays_zero(self):
         record = run_experiment(self._config(initial=InitialSpec("zero")))
         assert record.ok

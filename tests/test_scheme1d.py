@@ -497,14 +497,16 @@ def reference_update_jacobian(problem, a, lines=None):
     left = np.zeros(cells.shape)
     left[:-1] += dF / dx
     left[1:] -= dF / dx
-    return TridiagonalLowRank(tri, dt * left, cells)
+    # A single coupled line is the pass of one line.
+    one_line = Tridiagonal(*(band[None] for band in tri))
+    return TridiagonalLowRank(one_line, dt * left[None], cells, 1.0 / c_rule)
 
 
 def jacobian_parts(jac):
     if isinstance(jac, np.ndarray):
         return [jac]
     if isinstance(jac, TridiagonalLowRank):
-        return [*jac.tri, jac.left, jac.right]
+        return [*jac.tri, jac.left, jac.right, jac.below]
     return list(jac)
 
 

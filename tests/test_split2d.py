@@ -1,13 +1,12 @@
 """Dimensional splitting and sweeping splitting in two dimensions."""
 
+import itertools
 import warnings
 
-import hypothesis.extra.numpy as hnp
-import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
 
+import draws
 from aggdiff import solver, split2d
 from aggdiff.analysis import ReferenceSolution, discrete_energy, sample_reference
 from aggdiff.errors import DomainError, RoutingError
@@ -380,16 +379,15 @@ class TestMomentBackground:
 
     g = grid_2d(2.0, 0.5)
     n = g.n_cells
-    positive = st.floats(0.0, 10.0, allow_subnormal=False)
+    # Both axes and both kernel signs, in turn.
+    variants = list(itertools.product([0, 1], [1.0, -1.0]))
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(
-        field=hnp.arrays(float, (n, n), elements=positive),
-        changes=hnp.arrays(float, (n, n), elements=st.floats(-1.0, 1.0)),
-        axis=st.sampled_from([0, 1]),
-        strength=st.sampled_from([1.0, -1.0]),
-    )
-    def test_every_stage_matches(self, field, changes, axis, strength):
+    @pytest.mark.parametrize("seed", range(60))
+    def test_every_stage_matches(self, seed):
+        rng = np.random.default_rng(seed)
+        axis, strength = self.variants[seed % len(self.variants)]
+        field = draws.floats(rng, (self.n, self.n), 0.0, 10.0, subnormal=False)
+        changes = draws.floats(rng, (self.n, self.n), -1.0, 1.0)
         kernel = tabulate_kernel(Quadratic(strength), self.g)
         row_kernel = KernelTable(1, kernel.axis_slice(axis), kernel.cell_measure)
         spectral = SpectralBackground(kernel, field, axis, row_kernel)
@@ -523,22 +521,28 @@ class TestSweepProperties:
     """S2 with a midpoint-staged interaction: guarantees for any data and any dt."""
 
     g = grid_2d(2.0, 0.5)
-    positive = st.floats(0.0, 10.0, allow_subnormal=False)
+    # Both axes, and the model's quadratic kernel or a Gaussian well, in turn.
+    variants = list(itertools.product([0, 1], [False, True]))
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(
-        field=hnp.arrays(float, g.shape, elements=positive),
-        dt=st.floats(1e-4, 100.0),
-        axis=st.sampled_from([0, 1]),
-        attractive=st.booleans(),
-    )
-    @example(field=_stalled_pass_field(), dt=98.0, axis=0, attractive=False)
-    @example(field=_near_vacuum_field(), dt=38.0, axis=0, attractive=False)
-    def test_each_stage_conserves_mass_and_dissipates(self, field, dt, axis, attractive):
+    @pytest.mark.parametrize("seed", range(60))
+    def test_each_stage_conserves_mass_and_dissipates(self, seed):
+        rng = np.random.default_rng(seed)
+        axis, gaussian = self.variants[seed % len(self.variants)]
+        field = draws.floats(rng, self.g.shape, 0.0, 10.0, subnormal=False)
+        dt = draws.floats(rng, (), 1e-4, 100.0, log=True)
+        self._check_pass(field, dt, axis, gaussian)
+
+    @pytest.mark.parametrize("field, dt", [(_stalled_pass_field(), 98.0),
+                                           (_near_vacuum_field(), 38.0)],
+                             ids=["stalled_pass", "near_vacuum"])
+    def test_recorded_fields(self, field, dt):
+        self._check_pass(field, dt, 0, False)
+
+    def _check_pass(self, field, dt, axis, gaussian):
         g = self.g
         model = nonlocal_fokker_planck(g)
         base = build_setup(model, "s2", stage="midpoint")
-        kernel = tabulate_kernel(Gaussian(0.5, -1.0), g) if attractive else base.kernel
+        kernel = tabulate_kernel(Gaussian(0.5, -1.0), g) if gaussian else base.kernel
         setup = SchemeSetup(base.scheme, model, base.v_table, kernel)
         # The Newton tolerance is absolute on R*dt, whose roundoff floor is
         # about eps*dt*max(rho)*max|xi|/dx^2 (|H'| <= 40 above the vacuum
