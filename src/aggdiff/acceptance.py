@@ -46,7 +46,7 @@ from .experiments import (
     step,
 )
 from .kernels import KernelTable, convolve, tabulate_kernel
-from .model import Gaussian, Grid, field_values
+from .model import DensityField, Gaussian, Grid, field_values
 from .presets import (
     MODEL_MATRIX,
     aggregation_diffusion,
@@ -304,26 +304,25 @@ def criterion_7() -> CriterionResult:
                     if kind == S2
                     else [grid.dx**2 / 4.0] * 3
                 )
-                rho = rho0.copy()
+                rho = DensityField(rho0, grid)
                 ok = True
                 detail = ""
                 try:
                     e0 = clipped_energy(setup, rho)
                     for dt in dts:
                         out = step(rho, dt, setup, cfg)
-                        mass_old = rho.sum() * grid.cell_measure
-                        mass_new = out.field.mass
-                        e1 = clipped_energy(setup, out.field.values)
+                        mass_old, mass_new = rho.mass, out.field.mass
+                        e1 = clipped_energy(setup, out.field)
                         if abs(mass_new - mass_old) > 10 * tol * (1 + abs(mass_old)):
                             ok, detail = False, f"mass drift {mass_new - mass_old:.2e}"
                             break
                         if e1 > e0 + 100 * tol * (1 + abs(e0)):
                             ok, detail = False, f"energy rose by {e1 - e0:.2e}"
                             break
-                        if out.field.values.min() < -10 * tol:
-                            ok, detail = False, f"min rho {out.field.values.min():.2e}"
+                        if out.field.minimum < -10 * tol:
+                            ok, detail = False, f"min rho {out.field.minimum:.2e}"
                             break
-                        rho, e0 = out.field.values, e1
+                        rho, e0 = out.field, e1
                 except Exception as exc:  # noqa: BLE001 - reported, not raised
                     ok, detail = False, f"step failed: {exc}"
                 res.add(f"{name} {dim}D {kind}", ok, detail)
@@ -466,8 +465,8 @@ def criterion_9() -> CriterionResult:
     # Unclamped steps: the last one ends past t_max (at 150.1 after 1501 steps).
     for t, out in march(setup, rho, 0.0, math.inf, dt, cfg):
         ts.append(t)
-        energies.append(clipped_energy(setup, out.field.values))
-        components.append(_support_components(out.field.values))
+        energies.append(clipped_energy(setup, out.field))
+        components.append(_support_components(out.field))
         if t >= t_max - 1e-12:
             break
     ts = np.array(ts)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, ShapeError
 from .kernels import QUADRATIC_FORMS, KernelTable, convolve
-from .model import Grid, ModelSpec, field_values
+from .model import DensityField, Grid, ModelSpec, field_values
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,22 @@ def discrete_energy(rho, model: ModelSpec, kernel: KernelTable | None = None) ->
     in centred index units; no convolution is taken. Every other kernel
     convolves (``convolve``).
 
-    Raises ShapeError for a density not shaped like ``model.grid`` and
-    DomainError for a negative or non-finite one.
+    ``rho`` is an array or a DensityField, whose values are finite and whose
+    minimum it keeps, so a field is not scanned again; a field's convolution
+    is the one it keeps (see ``convolve``). Raises ShapeError for a density
+    not shaped like ``model.grid`` and DomainError for a negative or
+    non-finite one.
     """
     vals = field_values(rho)
     if vals.shape != model.grid.shape:
         raise ShapeError(f"density shape {vals.shape} does not match the grid's {model.grid.shape}")
-    if not np.isfinite(vals).all():
-        raise DomainError("discrete energy is defined for finite densities")
-    if np.any(vals < 0):
+    if isinstance(rho, DensityField):
+        negative = rho.minimum < 0.0
+    else:
+        if not np.isfinite(vals).all():
+            raise DomainError("discrete energy is defined for finite densities")
+        negative = np.any(vals < 0)
+    if negative:
         raise DomainError("discrete energy is defined for non-negative densities")
     measure = model.grid.cell_measure
     internal = float(model.energy.value(vals).sum() * measure)
@@ -66,7 +73,7 @@ def discrete_energy(rho, model: ModelSpec, kernel: KernelTable | None = None) ->
     elif kernel.exact_form in QUADRATIC_FORMS:
         interaction = _quadratic_interaction(vals, kernel, measure)
     else:
-        interaction = float(0.5 * (vals * convolve(kernel, vals)).sum() * measure)
+        interaction = float(0.5 * (vals * convolve(kernel, rho)).sum() * measure)
     return EnergyBreakdown(internal, confinement, interaction)
 
 

@@ -221,14 +221,16 @@ def march(setup: SchemeSetup, rho, t, until, dt, config: NewtonConfig | None = N
     within roundoff of until (at most SLIVER_SHARE of dt) runs to until
     instead. The loop ends once t >= until - 1e-12; a caller stops it
     earlier with ``break``. The latest state is the last outcome's
-    ``field.values``. A StepError or NewtonError propagates to the caller.
+    ``field``, which the next step starts from (and ``dt`` gets) as it is,
+    so what it keeps is computed once (see DensityField). A StepError or
+    NewtonError propagates to the caller.
     """
     while t < until - 1e-12:
         h = dt(rho) if callable(dt) else dt
         if until - t - h <= SLIVER_SHARE * h:
             h = until - t
         out = step(rho, h, setup, config)
-        rho = out.field.values
+        rho = out.field
         t += out.dt_used
         yield t, out
 
@@ -238,8 +240,7 @@ def _auto_dt(values, setup: SchemeSetup) -> float:
     dx = setup.dx
     if setup.scheme.kind == S2:
         return dx
-    vals = field_values(values)
-    xi = scheme1d.chemical_potential(vals, vals, setup.energy, setup.v_table, setup.kernel)
+    xi = scheme1d.chemical_potential(values, values, setup.energy, setup.v_table, setup.kernel)
     # The largest face velocity |u| = |xi_{i+1} - xi_i| / dx along any axis.
     peak = max(float(np.abs(np.diff(xi, axis=k)).max(initial=0.0)) for k in range(xi.ndim)) / dx
     if peak == 0.0:
@@ -265,11 +266,11 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
     setup = build_setup(model, config.scheme_kind, config.stage, config.theta)
     cfg = config.solver
     rho = build_initial(config.initial, grid, config.t_initial, model)
-    rho = np.maximum(rho, 0.0)
+    field = DensityField(np.maximum(rho, 0.0), grid)
 
     t = config.t_initial
-    prev_energy = clipped_energy(setup, rho)
-    rows = [(t, prev_energy, rho.sum() * grid.cell_measure, float(rho.min()), 0, 0.0, 0)]
+    prev_energy = clipped_energy(setup, field)
+    rows = [(t, prev_energy, field.mass, field.minimum, 0, 0.0, 0)]
     violations: list = []
     snapshots_pending = sorted(config.snapshots)
     snapshot_paths = []
@@ -282,12 +283,12 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
                 write_snapshot(path, grid, values)
                 snapshot_paths.append(path)
 
-    take_snapshots(t, rho)
+    take_snapshots(t, field)
     dt = _dt_rule(config.dt, setup)
     try:
-        for step_index, (t, out) in enumerate(march(setup, rho, t, config.t_final, dt, cfg), 1):
-            rho = out.field.values
-            energy = clipped_energy(setup, rho)
+        for step_index, (t, out) in enumerate(march(setup, field, t, config.t_final, dt, cfg), 1):
+            field = out.field
+            energy = clipped_energy(setup, field)
             tol = 100.0 * cfg.tolerance * (1.0 + abs(prev_energy))
             if energy > prev_energy + tol:
                 violations.append(
@@ -296,10 +297,10 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             prev_energy = energy
             if step_index % config.cadence == 0 or t >= config.t_final - 1e-12:
                 rows.append(
-                    (t, energy, out.field.mass, float(rho.min()),
+                    (t, energy, field.mass, field.minimum,
                      out.iterations, out.dt_used, out.cfl_retries)
                 )
-            take_snapshots(t, rho)
+            take_snapshots(t, field)
     except (StepError, NewtonError) as exc:
         violations.append(f"step failed at t={t:.6g}: {exc}")
 
@@ -308,8 +309,7 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
         csv_path = os.path.join(config.output_dir, "series.csv")
         write_csv(csv_path, RunRecord.HEADER, rows)
 
-    final = DensityField(rho, grid, min_allowed=10.0 * cfg.tolerance)
-    return RunRecord(rows, final, violations, csv_path, tuple(snapshot_paths))
+    return RunRecord(rows, field, violations, csv_path, tuple(snapshot_paths))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +380,7 @@ def run_level(case: StudyCase, scheme_kind: str, level: int) -> tuple:
     setup = build_setup(model, scheme_kind, stage="midpoint")
     rho = sample_reference(ref, STUDY_T_INITIAL, grid)
     for _, out in march(setup, rho, STUDY_T_INITIAL, STUDY_T_FINAL, dt):
-        rho = out.field.values
+        rho = out.field
     error = l1_error(rho, ref, STUDY_T_FINAL, grid)
     return dt, dx, error
 
@@ -424,8 +424,9 @@ def run_to_steady(setup: SchemeSetup, rho0, dt, t_max, cfg: NewtonConfig | None 
                   l1_tol: float = STEADY_L1_TOL, record_energy: bool = False):
     """March S1/S2 until the L1 increment per step drops below tolerance.
 
-    Returns (rho, t_reached, converged, history) where history holds the
-    (t, clipped energy) of the start and of every step when requested.
+    Returns (rho, t_reached, converged, history) where rho is the last
+    state's values and history holds the (t, clipped energy) of the start
+    and of every step when requested.
     """
     grid = setup.model.grid
     rho = field_values(rho0).copy()
@@ -433,7 +434,7 @@ def run_to_steady(setup: SchemeSetup, rho0, dt, t_max, cfg: NewtonConfig | None 
     t, converged = 0.0, False
     for t, out in march(setup, rho, 0.0, t_max, dt, cfg):
         if record_energy:
-            history.append((t, clipped_energy(setup, out.field.values)))
+            history.append((t, clipped_energy(setup, out.field)))
         increment = np.abs(out.field.values - rho).sum() * grid.cell_measure
         rho = out.field.values
         if increment <= l1_tol:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import DomainError, KernelError, ShapeError
-from .model import Grid, Quadratic, TabulatedInteraction, field_values
+from .model import DensityField, Grid, Quadratic, TabulatedInteraction, field_values
 
 # Stage rules for the convolution argument rho** inside the implicit solves.
 EXPLICIT = "explicit"   # rho** = old state
@@ -263,21 +263,33 @@ def tabulate_kernel(interaction, grid: Grid, singular: bool = False) -> KernelTa
 def convolve(kernel: KernelTable, rho) -> np.ndarray:
     """(W * rho)_i = sum_k W_{i-k} rho_k * cell_measure, full non-circular sum.
 
-    1D takes the direct sum, np.convolve. 2D multiplies the field's rfftn by
-    ``kernel.spectrum`` on the same padded shape and inverts: the bits of
-    scipy.signal.fftconvolve, in this form only (kernel on the left, product
-    written over the field's spectrum; numpy's complex multiply rounds
-    differently for another operand order or output buffer).
+    A DensityField is convolved once per table: it keeps the result
+    (``DensityField.convolved``). See ``convolve_values`` for the sums.
     """
-    vals = field_values(rho)
+    if isinstance(rho, DensityField):
+        return rho.convolved(kernel)
+    return convolve_values(kernel, field_values(rho))
+
+
+def convolve_values(kernel: KernelTable, vals: np.ndarray) -> np.ndarray:
+    """The convolution of a value array, computed afresh.
+
+    1D takes the direct sum, only the n outputs in which the field overlaps
+    the table whole: np.convolve's "valid" mode, the same dot products as
+    the middle n of the full sum, bit for bit. 2D multiplies the field's
+    rfftn by ``kernel.spectrum`` on the same padded shape and inverts: the
+    bits of scipy.signal.fftconvolve, in this form only (kernel on the left,
+    product written over the field's spectrum; numpy's complex multiply
+    rounds differently for another operand order or output buffer).
+    """
     n = kernel.n_cells
     if vals.shape != (n,) * kernel.dimension:
         raise ShapeError(f"field shape {vals.shape} does not match kernel for {n} cells")
     if kernel.is_zero:
         return np.zeros_like(vals)
-    lo = n - 1
     if kernel.dimension == 1:
-        return np.convolve(kernel.values, vals)[lo : lo + n] * kernel.cell_measure
+        return np.convolve(kernel.values, vals, "valid") * kernel.cell_measure
+    lo = n - 1
     shape = (kernel.spectrum.shape[0],) * 2  # the padded real shape
     field_hat = rfftn(vals, shape)
     np.multiply(kernel.spectrum, field_hat, out=field_hat)

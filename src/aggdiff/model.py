@@ -9,6 +9,7 @@ the uniform no-flux grid and the non-negative cell-average density field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -366,26 +367,65 @@ def sample_confinement(potentials: PotentialSpec, grid: Grid) -> np.ndarray:
 class DensityField:
     """Per-cell averages on a grid; non-negative up to a stated slack.
 
-    The value array is frozen after construction; fields are safe to share.
+    The value array is frozen after construction, so fields are safe to
+    share and nothing derived from the values can go stale. A field keeps
+    what its checks computed: ``minimum``, its smallest entry; ``slack``
+    (no entry lies below -slack); and ``mass``. Once computed, it also keeps
+    its convolution with the last kernel table it met (``convolved``, which
+    ``kernels.convolve`` returns for a field) and its energy under the last
+    setup (``priced``, which ``solver.clipped_energy`` keeps). So a state
+    that is stepped from and priced under one setup is convolved once and
+    priced once, and a field holds at most one array besides its values.
     """
 
     def __init__(self, values, grid: Grid, min_allowed: float = 0.0):
         arr = np.array(values, dtype=float)
         if arr.shape != grid.shape:
             raise ShapeError(f"field shape {arr.shape} does not match grid {grid.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DomainError("density field must be finite")
-        if arr.min(initial=0.0) < -abs(min_allowed):
-            raise DomainError(
-                f"density field has negative entries below {-abs(min_allowed):g}"
-            )
+        self._take(arr, grid, abs(min_allowed), arr.min(), arr.sum())
+
+    @classmethod
+    def adopt(cls, arr, grid: Grid, slack: float, minimum, total) -> "DensityField":
+        """A field that takes over ``arr``, a new float array shaped like ``grid``.
+
+        ``minimum`` and ``total`` are ``arr.min()`` and ``arr.sum()``, which
+        the caller has taken for checks of its own: they are not taken
+        again, and ``arr`` is frozen in place, not copied.
+        """
+        # A finite sum has finite terms only; any other is checked term by term.
+        if not math.isfinite(total) and not np.isfinite(arr).all():
+            raise DomainError("density field must be finite")
+        field = cls.__new__(cls)
+        field._take(arr, grid, slack, minimum, total)
+        return field
+
+    def _take(self, arr, grid, slack, minimum, total):
+        if minimum < -slack:
+            raise DomainError(f"density field dips to {minimum:g}, below -{slack:g}")
         arr.setflags(write=False)
         self.values = arr
         self.grid = grid
+        self.minimum = float(minimum)
+        self.slack = slack
+        self.mass = float(total * grid.cell_measure)
+        self.priced = (None, None)
+        self._convolution = (None, None)
 
-    @property
-    def mass(self) -> float:
-        return float(self.values.sum() * self.grid.cell_measure)
+    def convolved(self, kernel) -> np.ndarray:
+        """W * values for a kernel table (see ``kernels.convolve``), read-only.
+
+        Computed once and kept until the field is convolved with another table.
+        """
+        table, conv = self._convolution
+        if table is not kernel:
+            from .kernels import convolve_values  # kernels imports this module
+
+            conv = convolve_values(kernel, self.values)
+            conv.setflags(write=False)
+            self._convolution = (kernel, conv)
+        return conv
 
     def __repr__(self):
         return f"DensityField(shape={self.values.shape}, mass={self.mass:.6g})"

@@ -182,9 +182,10 @@ class LineProblem:
     fixed over a solve is computed once here: the old state's S1 face
     values (or ``faces``, the (east, west) pair a caller reconstructed for
     many lines at once) and, under the explicit stage rule, the convolution
-    W * rho_old. Without ``across`` the lines are independent, and an
-    implicitly or midpoint staged interaction, which couples every cell of
-    a line to every other, is defined on a single line only.
+    W * rho_old (the one a DensityField keeps, see ``convolve``). Without
+    ``across`` the lines are independent, and an implicitly or midpoint
+    staged interaction, which couples every cell of a line to every other,
+    is defined on a single line only.
 
     ``across`` makes the (L, n) lines one sweep pass of a quadratic kernel
     (``exact_form``) under a coupling stage rule: ``across(a)`` is the
@@ -229,7 +230,7 @@ class LineProblem:
         self.across = across
         self.conv = None
         if self.kernel is not None and not self.coupled:
-            self.conv = convolve(self.kernel, self.old)
+            self.conv = convolve(self.kernel, rho_old)
         if self.kind == S1:
             self.east, self.west = faces if faces is not None else reconstruct_faces(
                 self.old, scheme.theta)

@@ -438,38 +438,45 @@ def drive_step(attempt, rho, dt, setup: SchemeSetup,
                config: NewtonConfig | None = None) -> StepOutcome:
     """One time step around ``attempt``, the only part that depends on dimension.
 
-    ``attempt(values, dt, cfg, tel) -> new`` solves the step: its passes
-    over the lines, each solve absorbed into ``tel``, a fresh PassTelemetry
-    per attempt. The input density is checked before any solve: a wrong
-    shape, a non-finite value or a value below -10*tol raises DomainError.
-    S1's CFL bound dt <= dx / (2 max|u|) references the converged face
-    velocities of every pass (``tel.max_velocity``; infinite when it is 0,
-    as under S2, whose telemetry records none), so a violation halves dt and
-    re-solves; S1's implicit system may also be unsolvable well above the
-    bound, so a NewtonError is retried smaller too. A Newton system singular
-    to working precision counts as a NewtonError. S2 reports
-    non-convergence instead of guessing. At most MAX_CFL_HALVINGS retries.
-    The accepted field must conserve mass and stay above -10*tol. The
+    ``attempt(field, dt, cfg, tel) -> new`` solves the step from ``field``,
+    the input as a DensityField: its passes over the lines, each solve
+    absorbed into ``tel``, a fresh PassTelemetry per attempt. ``new`` is a
+    new array, which the accepted field takes over. The input density is
+    checked before any solve: a wrong shape, a non-finite value or a value
+    below -10*tol raises DomainError. A DensityField on the setup's grid
+    whose slack is at most 10*tol passed those checks when it was made, so
+    it is not checked again. S1's CFL bound dt <= dx / (2 max|u|)
+    references the converged face velocities of every pass
+    (``tel.max_velocity``; infinite when it is 0, as under S2, whose
+    telemetry records none), so a violation halves dt and re-solves; S1's
+    implicit system may also be unsolvable well above the bound, so a
+    NewtonError is retried smaller too. A Newton system singular to working
+    precision counts as a NewtonError. S2 reports non-convergence instead of
+    guessing. At most MAX_CFL_HALVINGS retries.
+
+    The accepted field must conserve mass and stay above -10*tol; it keeps
+    the minimum and mass those checks take (see DensityField). A step that
+    does not move (no Newton iteration, and the input's bits) accepts the
+    input field itself, so that nothing it keeps is computed again. The
     StepOutcome reports the accepted attempt's telemetry. The step computes
     no energy; callers that report one use clipped_energy.
     """
     cfg = config or NewtonConfig()
-    b = field_values(rho)
     grid = setup.model.grid
-    tol = cfg.tolerance
-    if b.shape != grid.shape:
-        raise DomainError(f"density shape {b.shape} does not match the grid's {grid.shape}")
-    if not np.all(np.isfinite(b)):
-        raise DomainError("density must be finite")
-    if b.min() < -10.0 * tol:
-        raise DomainError(f"density dips to {b.min():g}, below -10*tol")
+    slack = 10.0 * cfg.tolerance
+    field = rho
+    if not (isinstance(rho, DensityField) and rho.grid == grid and rho.slack <= slack):
+        b = field_values(rho)
+        if b.shape != grid.shape:
+            raise DomainError(f"density shape {b.shape} does not match the grid's {grid.shape}")
+        field = DensityField(b, grid, min_allowed=slack)
 
     dt = float(dt)
     retries = 0
     while True:
         tel = PassTelemetry()
         try:
-            a = attempt(b, dt, cfg, tel)
+            a = attempt(field, dt, cfg, tel)
         except NewtonError:
             if setup.scheme.kind == S2 or retries >= MAX_CFL_HALVINGS:
                 raise
@@ -485,23 +492,28 @@ def drive_step(attempt, rho, dt, setup: SchemeSetup,
         dt *= 0.5
         retries += 1
 
-    if a.min() < -10.0 * tol:
-        raise StepError(f"accepted field dips to {a.min():g}, below -10*tol")
-    mass_new = a.sum() * grid.cell_measure
-    mass_old = b.sum() * grid.cell_measure
-    if abs(mass_new - mass_old) > 10.0 * tol * (1.0 + abs(mass_old)):
-        raise StepError(f"mass drifted by {mass_new - mass_old:g} over one step")
-
-    field = DensityField(a, grid, min_allowed=10.0 * tol)
+    if not (tel.newton_iterations == 0 and _same_bits(a, field.values)):
+        low = a.min()
+        if low < -slack:
+            raise StepError(f"accepted field dips to {low:g}, below -10*tol")
+        total = a.sum()
+        mass_new, mass_old = total * grid.cell_measure, field.mass
+        if abs(mass_new - mass_old) > slack * (1.0 + abs(mass_old)):
+            raise StepError(f"mass drifted by {mass_new - mass_old:g} over one step")
+        field = DensityField.adopt(a, grid, slack, low, total)
     return StepOutcome(field, tel.newton_iterations, tel.worst_norm, dt, retries, tel.row_solves)
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def advance_step_1d(rho_old, dt_request, setup: SchemeSetup,
                     config: NewtonConfig | None = None) -> StepOutcome:
     """Advance one 1D time step (see drive_step): one pass, a single line solve."""
 
-    def attempt(values, dt, cfg, tel):
-        problem = line_problem(setup, values, dt)
+    def attempt(field, dt, cfg, tel):
+        problem = line_problem(setup, field, dt)
         new, iters, norm = solve_lines(problem, cfg)
         tel.absorb(problem, new, iters, norm)
         return new
@@ -509,6 +521,22 @@ def advance_step_1d(rho_old, dt_request, setup: SchemeSetup,
     return drive_step(attempt, rho_old, dt_request, setup, config)
 
 
-def clipped_energy(setup: SchemeSetup, values) -> float:
-    """Discrete energy of max(values, 0) under the setup's model and kernel table."""
-    return analysis.discrete_energy(np.maximum(values, 0.0), setup.model, setup.kernel).total
+def clipped_energy(setup: SchemeSetup, rho) -> float:
+    """Discrete energy of max(rho, 0) under the setup's model and kernel table.
+
+    ``rho`` is an array or a DensityField. A field is priced once per setup
+    (it keeps the last price, ``priced``). One with no negative entry and no
+    -0.0 (which the clip would turn into +0.0) is its own clip, so the
+    energy reads the convolution the field keeps, which the step that
+    starts from it reads too.
+    """
+    if not isinstance(rho, DensityField):
+        return analysis.discrete_energy(np.maximum(rho, 0.0), setup.model, setup.kernel).total
+    priced_under, energy = rho.priced
+    if priced_under is not setup:
+        low = rho.minimum
+        own_clip = low > 0.0 or (low == 0.0 and not np.signbit(rho.values).any())
+        clipped = rho if own_clip else np.maximum(rho.values, 0.0)
+        energy = analysis.discrete_energy(clipped, setup.model, setup.kernel).total
+        rho.priced = (setup, energy)
+    return energy

@@ -75,7 +75,7 @@ def advance_split_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
     tel = telemetry if telemetry is not None else PassTelemetry()
     v_eff = setup.v_table  # plus the convolution, frozen over the pass
     if setup.kernel is not None:
-        v_eff = v_eff + convolve(setup.kernel, field)
+        v_eff = v_eff + convolve(setup.kernel, rho)  # kept by a DensityField
     problem = line_problem(setup, _lines(field, axis), dt, _lines(v_eff, axis), kernel=None)
     new_lines, iters, norm = solve_lines(problem, config)
     tel.absorb(problem, new_lines, iters, norm)

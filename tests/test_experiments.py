@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from aggdiff import analysis, experiments
+from aggdiff import analysis, experiments, kernels
 from aggdiff.analysis import first_moment
 from aggdiff.errors import ConfigurationError
 from aggdiff.experiments import (
@@ -22,8 +22,15 @@ from aggdiff.experiments import (
     step,
     write_snapshot,
 )
-from aggdiff.kernels import convolve
-from aggdiff.presets import flocking, grid_1d, grid_2d, heat, linear_fokker_planck
+from aggdiff.kernels import EXPLICIT, convolve
+from aggdiff.presets import (
+    aggregation_diffusion,
+    flocking,
+    grid_1d,
+    grid_2d,
+    heat,
+    linear_fokker_planck,
+)
 from aggdiff.scheme1d import face_data
 from aggdiff.solver import NewtonConfig, advance_step_1d, build_setup, clipped_energy
 from aggdiff.split2d import advance_step_2d
@@ -274,7 +281,11 @@ class TestStepAndMarch:
 
 
 class TestEnergyEvaluations:
-    """A run evaluates the discrete energy once per state: N + 1 for N steps."""
+    """A run evaluates the discrete energy once per distinct state: at most N + 1 for N steps.
+
+    A step that takes no Newton iteration accepts its input field, whose
+    energy is known.
+    """
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -297,12 +308,54 @@ class TestEnergyEvaluations:
         assert record.ok and len(record.rows) == 11
         assert len(calls) == 11
 
+    def test_steps_that_do_not_move(self, calls):
+        # A uniform density is a steady state of the heat flow: every step's
+        # residual at its input is zero, so no step takes a Newton iteration.
+        g = grid_1d(2.0, 0.25)
+        record = run_experiment(ExperimentConfig(
+            model=heat(g), scheme_kind="s2", stage="midpoint",
+            t_final=1.0, dt=0.1, initial=InitialSpec("uniform"),
+        ))
+        steps = len(record.rows) - 1
+        assert record.ok and steps == 10
+        assert all(row[4] == 0 for row in record.rows)
+        assert len(calls) == 1 < steps + 1
+
     def test_run_to_steady(self, calls):
         setup, rho0 = _flocking_setup(1, "s2", "midpoint")
         _, t, converged, history = run_to_steady(setup, rho0, 0.1, 0.6, record_energy=True)
         assert not converged and t == pytest.approx(0.6)
         assert len(history) == 7 and len(calls) == 7
         assert history[0] == (0.0, clipped_energy(setup, rho0))
+
+
+class TestConvolutionCount:
+    """A 1D run under the explicit stage takes one direct sum per distinct accepted state.
+
+    The energy check of a state and the step that starts from it share the
+    state's convolution (DensityField.convolved).
+    """
+
+    def test_one_sum_per_state(self, monkeypatch):
+        g = grid_1d(4.0, 0.0625)
+        config = ExperimentConfig(
+            model=aggregation_diffusion(g), scheme_kind="s2", t_final=3.0, dt=0.1,
+            initial=InitialSpec("mixture", mass=0.4, centers=(-0.95, 0.95),
+                                widths=(0.3, 0.3), weights=(0.5, 0.5)),
+        )
+        assert build_setup(config.model, "s2").scheme.stage_rule == EXPLICIT
+        sums = []
+        direct = np.convolve
+
+        def counted(*args, **kwargs):
+            sums.append(1)
+            return direct(*args, **kwargs)
+
+        monkeypatch.setattr(kernels.np, "convolve", counted)
+        record = run_experiment(config)
+        moved = sum(1 for row in record.rows[1:] if row[4] > 0)
+        assert record.ok and len(record.rows) == 31 and moved >= 25
+        assert len(sums) == 1 + moved
 
 
 class TestConvergenceStudy:

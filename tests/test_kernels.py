@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import draws
 from aggdiff.kernels import (
     EXPLICIT,
     IMPLICIT,
@@ -178,6 +179,25 @@ class TestConvolve:
             rho = rng.random(g.n_cells)
             brute = brute_force_convolution(kt.values, rho, g.dx)
             assert np.allclose(convolve(kt, rho), brute, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_1d_valid_sum_equals_the_full_sum_slice(self, seed):
+        # convolve keeps the n full-overlap outputs of the direct sum and
+        # takes only those (np.convolve's "valid" mode): the same dot
+        # products, so the same bits, for zeros, subnormals and values
+        # spread over 300 orders of magnitude.
+        rng = np.random.default_rng(seed)
+
+        def spread(size, lo, hi):
+            return draws.floats(rng, size, lo, hi) * 10.0 ** rng.integers(-150, 150, size)
+
+        for n in range(1, 301):
+            kt = KernelTable(1, spread(2 * n - 1, -1.0, 1.0), 0.25)
+            rho = spread(n, 0.0, 5.0)
+            if kt.is_zero:
+                continue
+            full = np.convolve(kt.values, rho)[n - 1 : 2 * n - 1] * kt.cell_measure
+            assert np.array_equal(convolve(kt, rho).view(np.int64), full.view(np.int64))
 
     def test_2d_matches_brute_force(self):
         rng = np.random.default_rng(3)

@@ -9,7 +9,7 @@ import pytest
 import draws
 from aggdiff import solver, split2d
 from aggdiff.analysis import ReferenceSolution, discrete_energy, sample_reference
-from aggdiff.errors import DomainError, RoutingError
+from aggdiff.errors import DomainError, NewtonError, RoutingError
 from aggdiff.kernels import MIDPOINT, KernelTable, convolve, tabulate_kernel
 from aggdiff.model import Gaussian, Quadratic
 from aggdiff.presets import (
@@ -494,9 +494,9 @@ class TestPassSystem:
 
 
 def _stalled_pass_field():
-    """8x8 data on which an S2 midpoint pass along axis 0 under W = |x|^2/2, dt = 98,
-    stalls as one Newton system (just above tolerance at every continuation
-    level) while the stage loop converges."""
+    """8x8 data on which the one Newton system of an S2 midpoint pass along axis 0
+    under W = |x|^2/2, dt = 98, reaches its root only through continuation in
+    dt; test_stage_loop_fallback forces the pass's stage loop on it."""
     field = np.zeros((8, 8))
     for (i, j), value in {
         (0, 0): 9.01796819, (1, 1): 3.00858032, (2, 1): 7.06213723, (2, 3): 10.0,
@@ -538,6 +538,27 @@ class TestSweepProperties:
     def test_recorded_fields(self, field, dt):
         self._check_pass(field, dt, 0, False)
 
+    @pytest.mark.parametrize("field, dt", [(_stalled_pass_field(), 98.0),
+                                           (_near_vacuum_field(), 38.0)],
+                             ids=["stalled_pass", "near_vacuum"])
+    def test_stage_loop_fallback(self, field, dt, monkeypatch):
+        # Should the one Newton solve of a quadratic pass fail, the pass is
+        # solved stage by stage: each stage keeps the guarantees, and the
+        # pass reaches the root the one solve reaches.
+        unforced = self._check_pass(field, dt, 0, False)
+        original, stages = split2d.solve_lines, []
+
+        def pass_solve_fails(problem, config=None):
+            if problem.across is not None:
+                raise NewtonError("pass solve made to fail")
+            stages.append(1)
+            return original(problem, config)
+
+        monkeypatch.setattr(split2d, "solve_lines", pass_solve_fails)
+        forced = self._check_pass(field, dt, 0, False)
+        assert len(stages) == self.g.n_cells
+        assert np.abs(forced - unforced).max() <= 1e-12 * np.abs(unforced).max()
+
     def _check_pass(self, field, dt, axis, gaussian):
         g = self.g
         model = nonlocal_fokker_planck(g)
@@ -561,8 +582,9 @@ class TestSweepProperties:
             energies.append(discrete_energy(clipped, model, kernel).total)
             assert energies[-1] <= energies[-2] + 10 * slack * (1 + abs(energies[-2]))
 
-        advance_sweep_axis(field, axis, dt, setup, cfg, stage_hook=hook)
+        swept = advance_sweep_axis(field, axis, dt, setup, cfg, stage_hook=hook)
         assert len(energies) == g.n_cells + 1
+        return swept
 
     def test_long_step_next_to_vacuum(self):
         # Newton from the old state misses this stage's root; the S2 solve
