@@ -53,6 +53,7 @@ from .presets import (
     flocking,
     grid_1d,
     grid_2d,
+    heat,
     linear_fokker_planck,
     nonlinear_fokker_planck,
     nonlocal_fokker_planck,
@@ -343,8 +344,8 @@ def criterion_8() -> CriterionResult:
     tight = NewtonConfig(tolerance=1e-12)
     for kind in (S1, S2):
         base = build_setup(model, kind, stage="midpoint")
-        zero = KernelTable(2, np.zeros((2 * grid.n_cells - 1,) * 2), grid.cell_measure)
-        forced = SchemeSetup(base.scheme, base.model, base.v_table, zero)
+        zero = KernelTable(np.zeros((2 * grid.n_cells - 1,) * 2), grid.cell_measure)
+        forced = SchemeSetup(base.scheme, base.model, zero)
         rho0 = sample_reference(ReferenceSolution("fp_steady", 2), 1.0, grid) * (
             1.0 + 0.1 * np.cos(grid.cell_centers()[0])
         )
@@ -382,10 +383,8 @@ def criterion_8() -> CriterionResult:
         )
 
     # (c) analytic Jacobian matches finite differences.
-    from .presets import heat as heat_model
-
     for label, model1d, stage in (
-        ("heat", heat_model(grid_1d(4.0, 0.5)), "midpoint"),
+        ("heat", heat(grid_1d(4.0, 0.5)), "midpoint"),
         ("nonlocal FP", nonlocal_fokker_planck(grid_1d(4.0, 0.5)), "midpoint"),
     ):
         setup = build_setup(model1d, S2, stage=stage)
@@ -407,7 +406,7 @@ def criterion_8() -> CriterionResult:
 
     # (d) the 2-cell implicit step equals the scalar bisection oracle.
     g2 = Grid(1, 1.0, 1)
-    model2 = heat_model(g2)
+    model2 = heat(g2)
     setup2 = build_setup(model2, S2, stage="midpoint")
     b = np.array([1.5, 0.5])
     dt = 0.1

@@ -193,13 +193,19 @@ def parse_config(path: str) -> ExperimentConfig:
     center = _number(init_sec, "center", "0.0", _floats)
     if len(center) == 1:
         center = (center[0], 0.0)
+    centers = _number(init_sec, "centers", "", _floats)
+    if grid.dimension == 2:  # x, y pairs
+        if len(centers) % 2:
+            raise ConfigurationError(
+                f"[initial] centers must be x, y pairs on a 2D grid, got {len(centers)} numbers")
+        centers = tuple(zip(centers[::2], centers[1::2]))
     initial = InitialSpec(
         kind=init_kind,
         mass=_number(init_sec, "mass", 1.0),
         time=(_number(init_sec, "time", None) if "time" in init_sec else None),
         center=center,
         width=_number(init_sec, "width", 1.0),
-        centers=_number(init_sec, "centers", "", _floats),
+        centers=centers,
         widths=_number(init_sec, "widths", "", _floats),
         weights=_number(init_sec, "weights", "", _floats),
         values=values,

@@ -86,7 +86,10 @@ class InitialSpec:
     kinds: heat_kernel | barenblatt | fp_transient | fp_steady (the model's
     reference solutions sampled at ``time``), gaussian (one normalized bump),
     mixture (sum of bumps with given weights), uniform, zero, table
-    (explicit values).
+    (explicit values). A mixture has one bump per entry of ``centers`` (a
+    number in 1D, an (x, y) pair in 2D); ``widths`` and ``weights``, when
+    given, have one entry per bump. Widths are positive and weights are not
+    negative.
     """
 
     kind: str
@@ -102,6 +105,17 @@ class InitialSpec:
     def __post_init__(self):
         if not self.mass >= 0:
             raise ConfigurationError(f"initial mass must be non-negative, got {self.mass!r}")
+        for width in (self.width, *self.widths):
+            if not width > 0:
+                raise ConfigurationError(f"initial width must be positive, got {width!r}")
+        for weight in self.weights:
+            if not weight >= 0:
+                raise ConfigurationError(f"initial weight must be non-negative, got {weight!r}")
+        for name in ("widths", "weights"):
+            given = getattr(self, name)
+            if given and len(given) != len(self.centers):
+                raise ConfigurationError(f"initial {name} has {len(given)} entries "
+                                         f"for {len(self.centers)} centers")
 
 
 def _gaussian_bump(grid: Grid, center, width, weight):
@@ -140,6 +154,8 @@ def build_initial(spec: InitialSpec, grid: Grid, t_initial: float,
         total = out.sum() * grid.cell_measure
         if total > 0:
             out *= spec.mass / total
+        elif spec.mass > 0:
+            raise ConfigurationError("mixture bumps carry no mass on the grid")
         return out
     if kind == "uniform":
         volume = (2.0 * grid.half_width) ** grid.dimension

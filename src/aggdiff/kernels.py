@@ -48,7 +48,6 @@ class KernelTable:
     without the DFT test. ``values`` is a read-only copy of the array given.
     """
 
-    dimension: int
     values: np.ndarray
     cell_measure: float
     exact_form: str | None = None
@@ -56,10 +55,8 @@ class KernelTable:
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)  # a copy: the caller's array stays theirs
-        if vals.ndim != self.dimension:
-            raise ShapeError("kernel table dimensionality mismatch")
-        if any(s % 2 == 0 for s in vals.shape):
-            raise ShapeError("kernel table must have odd length per axis")
+        if vals.ndim not in (1, 2) or any(s % 2 == 0 for s in vals.shape):
+            raise ShapeError("kernel table must be 1D or 2D with odd length per axis")
         # Read-only, so that what is cached from it below and on first use stays true.
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -78,13 +75,9 @@ class KernelTable:
     def is_zero(self) -> bool:
         return self._zero
 
-    def at_offset(self, *offset):
-        idx = tuple(o + self.center for o in offset)
-        return self.values[idx]
-
     def axis_slice(self, axis: int) -> np.ndarray:
         """2D only: the 1D slice with zero offset along the other axis."""
-        if self.dimension != 2:
+        if self.values.ndim != 2:
             raise ShapeError("axis_slice is only defined for 2D kernels")
         return self.values[:, self.center] if axis == 0 else self.values[self.center, :]
 
@@ -96,7 +89,7 @@ class KernelTable:
         once per table, so their own cached operators are too.
         """
         return tuple(
-            KernelTable(1, self.axis_slice(axis), self.cell_measure, self.exact_form)
+            KernelTable(self.axis_slice(axis), self.cell_measure, self.exact_form)
             for axis in (0, 1)
         )
 
@@ -109,10 +102,10 @@ class KernelTable:
         if self.exact_form not in QUADRATIC_FORMS:
             raise KernelError("quadratic coefficients need a quadratic kernel table")
         c = self.center
-        centre = (c,) * self.dimension
+        centre = (c,) * self.values.ndim
         w0 = self.values[centre]
         alphas = tuple(float(self.values[centre[:axis] + (c + 1,) + centre[axis + 1:]] - w0)
-                       for axis in range(self.dimension))
+                       for axis in range(self.values.ndim))
         return float(w0), alphas
 
     @cached_property
@@ -122,7 +115,7 @@ class KernelTable:
         Gathered entry by entry from the offset i - k, so an asymmetric table
         keeps its orientation.
         """
-        if self.dimension != 1:
+        if self.values.ndim != 1:
             raise ShapeError("the Toeplitz operator is only defined for 1D kernels")
         i = np.arange(self.n_cells)
         t = self.values[self.center + i[:, None] - i[None, :]]
@@ -132,7 +125,7 @@ class KernelTable:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """rfftn of the table on fftconvolve's padded shape, next_fast_len(3n - 2) per axis."""
-        spec = rfftn(self.values, (next_fast_len(3 * self.n_cells - 2, True),) * self.dimension)
+        spec = rfftn(self.values, (next_fast_len(3 * self.n_cells - 2, True),) * self.values.ndim)
         spec.setflags(write=False)  # shared by every caller
         return spec
 
@@ -152,7 +145,7 @@ class KernelTable:
         T[j, k] - T[j+1, k] = 2*alpha*(p_k - (p_j + 1/2)): rank 2, with
         faces (n-1, 2) = 2*alpha*[-(p_j + 1/2), 1] and cells (n, 2) = [1, p_k].
         """
-        if self.dimension != 1 or self.exact_form not in QUADRATIC_FORMS:
+        if self.values.ndim != 1 or self.exact_form not in QUADRATIC_FORMS:
             raise ShapeError("rank-2 face differences need a 1D quadratic kernel")
         n = self.n_cells
         (alpha,) = self.quadratic_coefficients[1]
@@ -223,7 +216,7 @@ def tabulate_kernel(interaction, grid: Grid, singular: bool = False) -> KernelTa
 
     if interaction is None:
         shape = (length,) * grid.dimension
-        return KernelTable(grid.dimension, np.zeros(shape), measure)
+        return KernelTable(np.zeros(shape), measure)
 
     exact_form = None
     if isinstance(interaction, Quadratic):
@@ -236,7 +229,7 @@ def tabulate_kernel(interaction, grid: Grid, singular: bool = False) -> KernelTa
                 f"tabulated interaction shape {table.shape} does not match "
                 f"{(length,) * grid.dimension}"
             )
-        return KernelTable(grid.dimension, table.copy(), measure)
+        return KernelTable(table.copy(), measure)
 
     offsets = dx * np.arange(-(n - 1), n)
     if grid.dimension == 1:
@@ -257,21 +250,27 @@ def tabulate_kernel(interaction, grid: Grid, singular: bool = False) -> KernelTa
             ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
             vals = np.asarray(_eval_radial(interaction, ox, oy, dimension=2), dtype=float)
 
-    return KernelTable(grid.dimension, vals, measure, exact_form=exact_form)
+    return KernelTable(vals, measure, exact_form=exact_form)
 
 
 def convolve(kernel: KernelTable, rho) -> np.ndarray:
     """(W * rho)_i = sum_k W_{i-k} rho_k * cell_measure, full non-circular sum.
 
-    A DensityField is convolved once per table: it keeps the result
-    (``DensityField.convolved``). See ``convolve_values`` for the sums.
+    A DensityField is convolved once per table: the read-only result is
+    kept in its ``convolution`` slot, (table, W * values), until the field
+    is convolved with another table. See ``_convolve_values`` for the sums.
     """
-    if isinstance(rho, DensityField):
-        return rho.convolved(kernel)
-    return convolve_values(kernel, field_values(rho))
+    if not isinstance(rho, DensityField):
+        return _convolve_values(kernel, field_values(rho))
+    table, conv = rho.convolution
+    if table is not kernel:
+        conv = _convolve_values(kernel, rho.values)
+        conv.setflags(write=False)
+        rho.convolution = (kernel, conv)
+    return conv
 
 
-def convolve_values(kernel: KernelTable, vals: np.ndarray) -> np.ndarray:
+def _convolve_values(kernel: KernelTable, vals: np.ndarray) -> np.ndarray:
     """The convolution of a value array, computed afresh.
 
     1D takes the direct sum, only the n outputs in which the field overlaps
@@ -283,11 +282,11 @@ def convolve_values(kernel: KernelTable, vals: np.ndarray) -> np.ndarray:
     rounds differently for another operand order or output buffer).
     """
     n = kernel.n_cells
-    if vals.shape != (n,) * kernel.dimension:
+    if vals.shape != (n,) * kernel.values.ndim:
         raise ShapeError(f"field shape {vals.shape} does not match kernel for {n} cells")
     if kernel.is_zero:
         return np.zeros_like(vals)
-    if kernel.dimension == 1:
+    if kernel.values.ndim == 1:
         return np.convolve(kernel.values, vals, "valid") * kernel.cell_measure
     lo = n - 1
     shape = (kernel.spectrum.shape[0],) * 2  # the padded real shape
@@ -309,10 +308,6 @@ class DefinitenessClass:
     label: str
     evidence: tuple
 
-    @property
-    def used_dft(self) -> bool:
-        return self.evidence[0] == "dft"
-
 
 def _circulant_spectrum(kernel: KernelTable) -> np.ndarray:
     """Real spectrum of the circulant embedding of the tabulated offsets.
@@ -325,7 +320,7 @@ def _circulant_spectrum(kernel: KernelTable) -> np.ndarray:
     symmetric W the spectrum is real.
     """
     base = np.fft.ifftshift(kernel.values)
-    spec = np.fft.fft(base) if kernel.dimension == 1 else np.fft.fft2(base)
+    spec = np.fft.fft(base) if kernel.values.ndim == 1 else np.fft.fft2(base)
     if np.abs(spec.imag).max(initial=0.0) > 1e-9 * max(np.abs(spec.real).max(), 1e-300):
         raise DomainError("kernel spectrum is not real; the kernel is not symmetric")
     return spec.real

@@ -370,12 +370,13 @@ class DensityField:
     The value array is frozen after construction, so fields are safe to
     share and nothing derived from the values can go stale. A field keeps
     what its checks computed: ``minimum``, its smallest entry; ``slack``
-    (no entry lies below -slack); and ``mass``. Once computed, it also keeps
-    its convolution with the last kernel table it met (``convolved``, which
-    ``kernels.convolve`` returns for a field) and its energy under the last
-    setup (``priced``, which ``solver.clipped_energy`` keeps). So a state
-    that is stepped from and priced under one setup is convolved once and
-    priced once, and a field holds at most one array besides its values.
+    (no entry lies below -slack); and ``mass``. It also has two slots that
+    others fill on first use: ``convolution``, (table, W * values) for the
+    last kernel table it met, which ``kernels.convolve`` fills and reads,
+    and ``priced``, (setup, energy) for the last setup, which
+    ``solver.clipped_energy`` fills and reads. So a state that is stepped
+    from and priced under one setup is convolved once and priced once, and
+    a field holds at most one array besides its values.
     """
 
     def __init__(self, values, grid: Grid, min_allowed: float = 0.0):
@@ -411,21 +412,7 @@ class DensityField:
         self.slack = slack
         self.mass = float(total * grid.cell_measure)
         self.priced = (None, None)
-        self._convolution = (None, None)
-
-    def convolved(self, kernel) -> np.ndarray:
-        """W * values for a kernel table (see ``kernels.convolve``), read-only.
-
-        Computed once and kept until the field is convolved with another table.
-        """
-        table, conv = self._convolution
-        if table is not kernel:
-            from .kernels import convolve_values  # kernels imports this module
-
-            conv = convolve_values(kernel, self.values)
-            conv.setflags(write=False)
-            self._convolution = (kernel, conv)
-        return conv
+        self.convolution = (None, None)
 
     def __repr__(self):
         return f"DensityField(shape={self.values.shape}, mass={self.mass:.6g})"

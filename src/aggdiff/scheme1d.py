@@ -198,12 +198,12 @@ class LineProblem:
 
     Each candidate state a gets one record, computed on first use: the face
     velocities u, which the residual's upwind flux (each face upwinds the
-    old S1 face values, or a's own cells under S2), the Jacobian's bands and
-    ``velocity`` read. Every call returns arrays of its own, never written
-    by a later call. A call at the same state object as the previous one
-    reuses the record, and a Jacobian for some lines at a copy of their rows
-    of the previous full state reads those rows; the state must not be
-    modified in place between calls. Under S1 every record also keeps its
+    old S1 face values, or a's own cells under S2) and the Jacobian's bands
+    read. Every call returns arrays of its own, never written by a later
+    call. A call at the same state object as the previous one reuses the
+    record, and a Jacobian for some lines at a copy of their rows of the
+    previous full state reads those rows; the state must not be modified in
+    place between calls. Under S1 every record also keeps its
     lines' largest |u| for ``peak_speed``.
 
     ``residual`` and ``jacobian`` give R and dR/da; ``update_residual`` and
@@ -306,9 +306,6 @@ class LineProblem:
             a = a.reshape(self.old.shape)
         xi = self._potential(a, lines)
         return xi, face_velocities(xi, self.dx)
-
-    def velocity(self, a) -> np.ndarray:
-        return self._state(a, None)[1]
 
     def peak_speed(self) -> float:
         """S1 only: max |u| over the lines, each at the last state a record was made for.

@@ -59,12 +59,18 @@ class StepOutcome:
 
 @dataclass(frozen=True)
 class SchemeSetup:
-    """Pre-tabulated ingredients for stepping one model with one scheme."""
+    """Pre-tabulated ingredients for stepping one model with one scheme.
+
+    ``v_table`` is the model's V table; ``kernel`` is W's, None when W is absent or zero.
+    """
 
     scheme: SchemeConfig
     model: ModelSpec
-    v_table: np.ndarray
     kernel: KernelTable | None
+
+    @property
+    def v_table(self) -> np.ndarray:
+        return self.model.v_table
 
     @property
     def dx(self) -> float:
@@ -85,7 +91,7 @@ def build_setup(model: ModelSpec, scheme: str, stage: str = "auto",
     dissipation guarantee. Without a kernel, "auto" means midpoint. An
     unknown kind, stage rule or theta raises DomainError here, before any step.
     """
-    v_table = model.v_table
+    model.v_table  # V is tabulated here, once per model, so a misshapen one fails here too
     if model.interaction is None:
         kernel = None
     else:
@@ -99,7 +105,7 @@ def build_setup(model: ModelSpec, scheme: str, stage: str = "auto",
                                   None if stage == "auto" else stage)
     elif stage == "auto":
         stage = "midpoint"
-    return SchemeSetup(SchemeConfig(scheme, stage, theta), model, v_table, kernel)
+    return SchemeSetup(SchemeConfig(scheme, stage, theta), model, kernel)
 
 
 _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)

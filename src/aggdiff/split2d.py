@@ -156,7 +156,7 @@ class PassMomentBackground:
 
 
 def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig | None = None,
-                       telemetry: PassTelemetry | None = None, stage_hook=None) -> np.ndarray:
+                       telemetry: PassTelemetry | None = None) -> np.ndarray:
     """One sweeping directional pass: lines update sequentially.
 
     Stage r changes only line r; its implicit 1D residual sees the
@@ -176,8 +176,8 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
     NewtonError, the pass is solved stage by stage. Any other kernel solves
     stage by stage, its backgrounds from one 2D convolution per pass and a
     spectral accumulator (SpectralBackground), its coupled solves by dense
-    LU. ``stage_hook(axis, r, field)``, when given, sees each stage's field
-    in order: lines up to r new, the rest old.
+    LU. Either way stage r's field, which the paper's guarantees hold for,
+    is the pass's input with lines 0..r taken from its output.
     """
     field = field_values(rho).copy()
     cfg = config or NewtonConfig()
@@ -205,12 +205,7 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
         else:
             new_lines = new_lines.reshape(old.shape)
             tel.absorb(problem, new_lines, iters * len(old), norm)
-            if stage_hook is None:
-                lines[:] = new_lines
-            else:
-                for r, new_line in enumerate(new_lines):
-                    lines[r] = new_line
-                    stage_hook(axis, r, field)
+            lines[:] = new_lines
             return field
 
     background = SpectralBackground(kernel, field, axis, row_kernel)
@@ -224,8 +219,6 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
         tel.absorb(problem, new_line, iters, norm)
         lines[r] = new_line
         background.update(r, old_line, new_line)
-        if stage_hook is not None:
-            stage_hook(axis, r, field)
     return field
 
 

@@ -78,7 +78,7 @@ class TestDiscreteEnergy:
         g = Grid(1, 2.0, 2)
         vals = np.ones(7)
         vals[3] = 0.0  # W at offset 0 vanishes
-        kernel = KernelTable(1, vals, g.dx)
+        kernel = KernelTable(vals, g.dx)
         model = heat(g)
         rho = np.zeros(4)
         rho[2] = 1.0

@@ -1,5 +1,6 @@
 """Config parsing and the command-line interface."""
 
+import ast
 import os
 import re
 import subprocess
@@ -268,6 +269,43 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match=re.escape(str(tmp_path / "Absent.txt"))):
             parse_config(str(path))
 
+    @pytest.mark.parametrize("lines, match", [
+        ("kind = gaussian\nwidth = -0.5", "width must be positive, got -0.5"),
+        ("kind = mixture\ncenters = -1, 1\nwidth = 0", "width must be positive, got 0.0"),
+        ("kind = mixture\ncenters = -1, 1\nwidths = 0.3, -0.3", "width must be positive"),
+        ("kind = mixture\ncenters = -1, 1\nweights = 1, -1", "weight must be non-negative"),
+        ("kind = mixture\ncenters = -1, 0, 1\nwidths = 0.3, 0.3", "widths has 2 entries"),
+        ("kind = mixture\ncenters = -1, 1\nweights = 0.2, 0.3, 0.5", "weights has 3 entries"),
+    ], ids=["negative_width", "zero_width", "negative_widths", "negative_weight",
+            "widths_too_short", "weights_too_long"])
+    def test_malformed_bumps_rejected(self, tmp_path, lines, match):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[initial]\n{lines}\n")
+        with pytest.raises(ConfigurationError, match=match):
+            parse_config(str(path))
+
+    def test_2d_mixture_centers_are_pairs(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(
+            "[grid]\ndimension = 2\nhalf_width = 3.0\ncells_per_half_axis = 12\n"
+            "[initial]\nkind = mixture\ncenters = -1, 1, 1.5, 0\nwidths = 0.4, 0.4\n"
+            "weights = 1, 0\nmass = 2.0\n"
+        )
+        cfg = parse_config(str(path))
+        assert cfg.initial.centers == ((-1.0, 1.0), (1.5, 0.0))
+        grid = cfg.model.grid
+        rho = experiments.build_initial(cfg.initial, grid, 0.0)
+        x, y = grid.cell_centers()
+        peak = np.unravel_index(np.argmax(rho), rho.shape)
+        assert abs(x[peak] + 1.0) <= grid.dx and abs(y[peak] - 1.0) <= grid.dx
+        assert rho.sum() * grid.cell_measure == pytest.approx(2.0, rel=1e-12)
+
+    def test_2d_mixture_odd_centers_rejected(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[grid]\ndimension = 2\n[initial]\nkind = mixture\ncenters = -1, 1, 0\n")
+        with pytest.raises(ConfigurationError, match="x, y pairs"):
+            parse_config(str(path))
+
     def test_relative_output_directory_lands_under_the_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AGGDIFF_OUTPUT_ROOT", str(tmp_path / "root"))
         path = tmp_path / "c.ini"
@@ -453,3 +491,29 @@ def test_stepping_imports_no_signal_stats_or_integrate():
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
+
+
+def test_no_function_imports_a_package_module():
+    """Every src/aggdiff module imports the package's modules at its top.
+
+    An import inside a function would hide an import cycle between the
+    modules. Lazy imports of other packages stay allowed: scipy.integrate
+    is imported only where singular kernels are tabulated.
+    """
+    package = Path(experiments.__file__).resolve().parent
+    lazy = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.ImportFrom):
+                    modules = ["." * node.level + (node.module or "")]
+                elif isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                else:
+                    continue
+                lazy += [f"{path.name}:{node.lineno} {module}" for module in modules
+                         if module.split(".")[0] in ("", "aggdiff")]
+    assert lazy == []

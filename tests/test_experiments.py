@@ -51,6 +51,13 @@ class TestInitialConditions:
         rho = build_initial(spec, g, 0.0)
         assert rho.sum() * g.dx == pytest.approx(0.4, abs=1e-10)
 
+    @pytest.mark.parametrize("bumps", [dict(centers=(-1.0, 1.0), weights=(0.0, 0.0)),
+                                       dict(centers=(30.0,), widths=(0.01,))],
+                             ids=["zero_weights", "off_the_grid"])
+    def test_mixture_without_mass_on_the_grid_rejected(self, bumps):
+        with pytest.raises(ConfigurationError, match="no mass on the grid"):
+            build_initial(InitialSpec("mixture", mass=1.0, **bumps), grid_1d(4.0, 0.25), 0.0)
+
     def test_reference_kind_uses_model_parameters(self):
         from aggdiff.presets import porous_medium
 
@@ -333,7 +340,7 @@ class TestConvolutionCount:
     """A 1D run under the explicit stage takes one direct sum per distinct accepted state.
 
     The energy check of a state and the step that starts from it share the
-    state's convolution (DensityField.convolved).
+    state's convolution (the DensityField's ``convolution`` slot).
     """
 
     def test_one_sum_per_state(self, monkeypatch):

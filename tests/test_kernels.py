@@ -37,9 +37,9 @@ class TestTabulate:
     def test_quadratic_offsets(self):
         g = Grid(1, 4.0, 4)  # dx = 1
         kt = tabulate_kernel(Quadratic(1.0), g)
-        assert kt.at_offset(3) == pytest.approx(4.5)
-        assert kt.at_offset(0) == 0.0
-        assert kt.at_offset(-3) == kt.at_offset(3)
+        assert kt.values[kt.center + 3] == pytest.approx(4.5)
+        assert kt.values[kt.center] == 0.0
+        assert kt.values[kt.center - 3] == kt.values[kt.center + 3]
 
     def test_none_gives_zero_table(self):
         g = Grid(1, 1.0, 2)
@@ -49,16 +49,16 @@ class TestTabulate:
     def test_is_zero_fixed_at_construction_matches_a_scan(self):
         # is_zero is computed once; it must agree with a scan of the table.
         g = Grid(2, 2.0, 4)
-        zero = KernelTable(2, np.zeros((15, 15)), g.cell_measure)
+        zero = KernelTable(np.zeros((15, 15)), g.cell_measure)
         gaussian = tabulate_kernel(Gaussian(0.5, -1.0), g)
-        point = KernelTable(1, np.eye(1, 7, 3)[0], 0.5)
+        point = KernelTable(np.eye(1, 7, 3)[0], 0.5)
         for table, expected in ((zero, True), (gaussian, False), (point, False)):
             assert table.is_zero is expected
             assert table.is_zero == (not np.any(table.values))
 
     def test_values_are_a_read_only_copy(self):
         given = 0.5 * np.arange(-3.0, 4.0) ** 2
-        table = KernelTable(1, given, 0.5, "quadratic+")
+        table = KernelTable(given, 0.5, "quadratic+")
         with pytest.raises(ValueError):
             table.values[0] = 1.0
         with pytest.raises(ValueError):
@@ -75,16 +75,16 @@ class TestTabulate:
         for dx in (0.5, 0.25):
             g = Grid(1, 4 * dx, 4)
             kt = tabulate_kernel(AbsPotential(), g, singular=True)
-            assert kt.at_offset(0) == pytest.approx(dx / 4, rel=1e-9)
+            assert kt.values[kt.center] == pytest.approx(dx / 4, rel=1e-9)
             # away from the singularity the average of |x| over a cell is exact
-            assert kt.at_offset(2) == pytest.approx(2 * dx, rel=1e-9)
+            assert kt.values[kt.center + 2] == pytest.approx(2 * dx, rel=1e-9)
 
     def test_singular_quadratic_keeps_exact_tag(self):
         g = Grid(1, 2.0, 2)
         kt = tabulate_kernel(Quadratic(1.0), g, singular=True)
         assert kt.exact_form == "quadratic+"
         # cell average of x^2/2 over the origin cell is dx^2/24
-        assert kt.at_offset(0) == pytest.approx(g.dx**2 / 24, rel=1e-9)
+        assert kt.values[kt.center] == pytest.approx(g.dx**2 / 24, rel=1e-9)
 
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("singular", [False, True])
@@ -108,7 +108,7 @@ class TestTabulate:
         rows = kt.row_kernels
         assert rows is kt.row_kernels
         for axis, row in enumerate(rows):
-            assert row.dimension == 1 and row.exact_form == kt.exact_form
+            assert row.values.ndim == 1 and row.exact_form == kt.exact_form
             assert row.cell_measure == kt.cell_measure
             assert np.array_equal(row.values, kt.axis_slice(axis))
             assert row.quadratic_coefficients[1] == (kt.quadratic_coefficients[1][axis],)
@@ -121,7 +121,7 @@ class TestTabulate:
     def test_2d_pointwise_radial(self):
         g = Grid(2, 2.0, 2)
         kt = tabulate_kernel(Quadratic(1.0), g)
-        assert kt.at_offset(1, 2) == pytest.approx(0.5 * (1.0 + 4.0))
+        assert kt.values[kt.center + 1, kt.center + 2] == pytest.approx(0.5 * (1.0 + 4.0))
 
     def test_2d_singular_symmetry(self):
         class AbsPotential:
@@ -153,7 +153,7 @@ class TestConvolve:
         g = Grid(1, 2.0, 2)
         vals = np.zeros(7)
         vals[3] = 2.5
-        kt = KernelTable(1, vals, g.dx)
+        kt = KernelTable(vals, g.dx)
         rho = np.array([1.0, 2.0, 3.0, 4.0])
         assert np.allclose(convolve(kt, rho), 2.5 * rho * g.dx)
 
@@ -165,7 +165,7 @@ class TestConvolve:
     def test_three_cell_hand_sum(self):
         # dx=1, W(x)=x^2/2, rho=(1,1,1): row sums of W over offsets
         offsets = np.arange(-2, 3)
-        kt = KernelTable(1, 0.5 * offsets.astype(float) ** 2, 1.0)
+        kt = KernelTable(0.5 * offsets.astype(float) ** 2, 1.0)
         out = convolve(kt, np.ones(3))
         assert np.allclose(out, [2.5, 1.0, 2.5])
         assert np.allclose(out, brute_force_convolution(kt.values, np.ones(3), 1.0))
@@ -192,7 +192,7 @@ class TestConvolve:
             return draws.floats(rng, size, lo, hi) * 10.0 ** rng.integers(-150, 150, size)
 
         for n in range(1, 301):
-            kt = KernelTable(1, spread(2 * n - 1, -1.0, 1.0), 0.25)
+            kt = KernelTable(spread(2 * n - 1, -1.0, 1.0), 0.25)
             rho = spread(n, 0.0, 5.0)
             if kt.is_zero:
                 continue
@@ -252,7 +252,7 @@ class TestConvolve:
         # asymmetric one is wrapped directly.
         rng = np.random.default_rng(4)
         n = 7
-        kt = KernelTable(1, rng.standard_normal(2 * n - 1), 0.3)
+        kt = KernelTable(rng.standard_normal(2 * n - 1), 0.3)
         col = kt.values[n - 1 :]            # offsets 0..n-1
         row = kt.values[n - 1 :: -1]        # offsets 0..-(n-1)
         assert np.array_equal(kt.toeplitz, scipy.linalg.toeplitz(col, row))
@@ -279,19 +279,19 @@ class TestClassification:
         g = Grid(1, 2.0, 4)
         dc = classify_definiteness(tabulate_kernel(Quadratic(1.0), g))
         assert dc.label == NEGATIVE_DEFINITE
-        assert not dc.used_dft
+        assert dc.evidence[0] != "dft"
 
     def test_repulsive_quadratic_exact(self):
         g = Grid(1, 2.0, 4)
         dc = classify_definiteness(tabulate_kernel(Quadratic(-1.0), g))
         assert dc.label == POSITIVE_DEFINITE
-        assert not dc.used_dft
+        assert dc.evidence[0] != "dft"
 
     def test_attractive_gaussian_negative_definite(self):
         g = Grid(1, 5.0, 64)
         dc = classify_definiteness(tabulate_kernel(Gaussian(0.5, -1.0), g))
         assert dc.label == NEGATIVE_DEFINITE
-        assert dc.used_dft
+        assert dc.evidence[0] == "dft"
 
     def test_repulsive_gaussian_positive_definite(self):
         g = Grid(1, 5.0, 32)
@@ -328,7 +328,7 @@ class TestClassification:
         vals = np.zeros(2 * 8 - 1)
         vals[7] = 1.0
         vals[6] = vals[8] = -1.0
-        dc = classify_definiteness(KernelTable(1, vals, 0.25))
+        dc = classify_definiteness(KernelTable(vals, 0.25))
         assert dc.label == INDETERMINATE
 
 

@@ -366,7 +366,7 @@ class TestRecordReuse:
                             lambda xi, dx: made.append(len(xi)) or face_velocities(xi, dx))
         root, _, _ = solve_lines(problem)
         assert min(made) < len(problem.old)  # some records hold only the active lines
-        assert problem.peak_speed() == np.abs(make().velocity(root)).max() > 0.0
+        assert problem.peak_speed() == np.abs(make().potential(root)[1]).max() > 0.0
 
 
 class TestCallsOwnTheirResults:
@@ -520,9 +520,9 @@ class TestUpdateJacobianBits:
         gaussian = -np.exp(-0.5 * (offsets / 0.6) ** 2)
         return {
             "none": None,
-            "gaussian": KernelTable(1, gaussian, self.dx),
-            "quadratic+": KernelTable(1, 0.5 * offsets**2, self.dx, "quadratic+"),
-            "quadratic-": KernelTable(1, -0.5 * offsets**2, self.dx, "quadratic-"),
+            "gaussian": KernelTable(gaussian, self.dx),
+            "quadratic+": KernelTable(0.5 * offsets**2, self.dx, "quadratic+"),
+            "quadratic-": KernelTable(-0.5 * offsets**2, self.dx, "quadratic-"),
         }
 
     @pytest.mark.parametrize("kind", [S1, S2])
@@ -579,7 +579,7 @@ class TestJacobian:
         symmetric = np.exp(-0.5 * (0.3 * offsets) ** 2)
         dt, dx = 0.03, 0.25
         for values in (symmetric, symmetric * (1.0 + 0.5 * np.sin(offsets))):
-            kernel = KernelTable(1, values, 0.25)
+            kernel = KernelTable(values, 0.25)
 
             def f(a):
                 return residual(kind, a, old, dt, dx, energy, v, kernel, stage)
@@ -617,7 +617,7 @@ class TestJacobian:
         energy = InternalEnergy.entropy(1.0)
         n = 8
         offsets = np.arange(-(n - 1), n)
-        kernel = KernelTable(1, np.exp(-np.abs(offsets) * 0.2), 0.5)
+        kernel = KernelTable(np.exp(-np.abs(offsets) * 0.2), 0.5)
         rho = np.linspace(0.2, 1.0, n)
         jac = residual_jacobian(S2, rho, rho, 0.1, 0.5, energy, np.zeros(n), kernel, MIDPOINT)
         assert isinstance(jac, np.ndarray)

@@ -228,7 +228,7 @@ class TestAdvanceStep:
         def solve(dt):
             problem = solver.line_problem(setup, rho, dt)
             new, iters, norm = solver.solve_lines(problem)
-            return new, iters, norm, g.dx / (2.0 * np.abs(problem.velocity(new)).max())
+            return new, iters, norm, g.dx / (2.0 * np.abs(problem.potential(new)[1]).max())
 
         new, iters, norm, bound = solve(out.dt_used)
         assert np.array_equal(out.field.values, new) and out.row_solves == 1
@@ -462,9 +462,9 @@ class TestStructuredSolve:
         def problem(kernel):
             return LineProblem(SchemeConfig(kind, stage), old, dt, self.dx, energy, v, kernel)
 
-        quadratic = problem(KernelTable(1, values, self.dx, form))
+        quadratic = problem(KernelTable(values, self.dx, form))
         structured = quadratic.jacobian(at)
-        dense = problem(KernelTable(1, values, self.dx)).jacobian(at)
+        dense = problem(KernelTable(values, self.dx)).jacobian(at)
         assert isinstance(structured, TridiagonalLowRank) and isinstance(dense, np.ndarray)
         assert np.abs(structured.to_dense() - dense).max() <= 1e-12 * np.abs(dense).max()
         # LU is the reference where the answer is well determined. A Jacobian

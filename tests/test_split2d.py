@@ -11,8 +11,9 @@ from aggdiff import solver, split2d
 from aggdiff.analysis import ReferenceSolution, discrete_energy, sample_reference
 from aggdiff.errors import DomainError, NewtonError, RoutingError
 from aggdiff.kernels import MIDPOINT, KernelTable, convolve, tabulate_kernel
-from aggdiff.model import Gaussian, Quadratic
+from aggdiff.model import Gaussian, ModelSpec, PotentialSpec, Quadratic, TabulatedConfinement
 from aggdiff.presets import (
+    MODEL_MATRIX,
     grid_2d,
     heat,
     linear_fokker_planck,
@@ -42,6 +43,19 @@ def smooth_field(grid, shift=0.0):
     x, y = grid.cell_centers()
     f = np.exp(-((x - shift) ** 2 + y**2))
     return f / (f.sum() * grid.cell_measure)
+
+
+def stage_fields(before, after, axis):
+    """The field after each stage of an ``axis`` sweep pass from ``before`` to ``after``.
+
+    Stage r writes only line r, so its field is ``before`` with lines 0..r
+    taken from ``after`` (TestSweepPass.test_stage_locality checks the rule).
+    """
+    field = np.array(before, dtype=float)
+    lines, new = split2d._lines(field, axis), split2d._lines(after, axis)
+    for r in range(lines.shape[0]):
+        lines[r] = new[r]
+        yield field.copy()
 
 
 class TestSplitPass:
@@ -126,8 +140,8 @@ class TestBatchedPassMatchesPerLineSolves:
         cfg = NewtonConfig()
         cases = [
             # V varies per line and is unrelated to the grid.
-            SchemeSetup(build_setup(heat(g), kind, stage="midpoint").scheme,
-                        heat(g), 2.0 * rng.random(g.shape), None),
+            build_setup(ModelSpec(heat(g).energy, PotentialSpec(TabulatedConfinement(
+                tuple(map(tuple, 2.0 * rng.random(g.shape))))), g), kind, stage="midpoint"),
             # Explicit stage with a kernel: the convolution is frozen.
             build_setup(nonlocal_fokker_planck(g), kind, stage="explicit"),
         ]
@@ -178,8 +192,8 @@ class TestSweepPass:
     def _forced_zero_kernel_setup(self, model, kind):
         base = build_setup(model, kind, stage="midpoint")
         n = model.grid.n_cells
-        zero = KernelTable(2, np.zeros((2 * n - 1, 2 * n - 1)), model.grid.cell_measure)
-        return base, SchemeSetup(base.scheme, base.model, base.v_table, zero)
+        zero = KernelTable(np.zeros((2 * n - 1, 2 * n - 1)), model.grid.cell_measure)
+        return base, SchemeSetup(base.scheme, base.model, zero)
 
     @pytest.mark.parametrize("kind", ["s1", "s2"])
     def test_sweep_equals_split_without_interaction(self, kind):
@@ -193,22 +207,29 @@ class TestSweepPass:
         split = advance_split_axis(field, 0, dt, base, tight)
         assert np.abs(swept - split).max() <= 1e-8
 
-    def test_stage_locality(self):
+    def test_stage_locality(self, monkeypatch):
+        # A stage loop's r-th solve starts from the input's line r and gives
+        # the output's line r; a quadratic pass is one solve of every line.
         g = grid_2d(2.0, 0.5)
-        model = nonlocal_fokker_planck(g)
-        setup = build_setup(model, "s2", stage="midpoint")
-        field = smooth_field(g)
-        seen = []
+        quadratic = build_setup(nonlocal_fokker_planck(g), "s2", stage="midpoint")
+        gaussian = SchemeSetup(quadratic.scheme, quadratic.model,
+                               tabulate_kernel(Gaussian(0.5, -1.0), g))
+        field = smooth_field(g, shift=0.3)
+        solves, original = [], split2d.solve_lines
 
-        def hook(axis, r, working):
-            seen.append((r, working.copy()))
+        def spy(problem, config=None):
+            new, iters, norm = original(problem, config)
+            solves.append((problem.old, new.reshape(problem.old.shape)))
+            return new, iters, norm
 
-        advance_sweep_axis(field, 0, 0.05, setup, NewtonConfig(), stage_hook=hook)
-        previous = field
-        for r, working in seen:
-            untouched = [j for j in range(g.n_cells) if j != r]
-            assert np.array_equal(working[:, untouched], previous[:, untouched])
-            previous = working
+        monkeypatch.setattr(split2d, "solve_lines", spy)
+        for setup, axis in itertools.product((quadratic, gaussian), (0, 1)):
+            solves.clear()
+            out = advance_sweep_axis(field, axis, 0.05, setup, NewtonConfig())
+            assert len(solves) == (1 if setup is quadratic else g.n_cells)
+            old, new = (np.vstack(parts) for parts in zip(*solves))
+            assert np.array_equal(old, split2d._lines(field, axis))
+            assert np.array_equal(new, split2d._lines(out, axis))
 
     def test_per_stage_energy_monotone_and_mass_conserved(self):
         g = grid_2d(3.0, 0.5)
@@ -218,13 +239,11 @@ class TestSweepPass:
         field = smooth_field(g, shift=0.5)
         energies = [discrete_energy(field, model, setup.kernel).total]
         masses = [field.sum() * g.cell_measure]
-
-        def hook(axis, r, working):
+        out = advance_sweep_axis(field, 0, 0.25, setup, cfg)
+        for working in stage_fields(field, out, 0):
             clipped = np.maximum(working, 0.0)
             energies.append(discrete_energy(clipped, model, setup.kernel).total)
             masses.append(working.sum() * g.cell_measure)
-
-        advance_sweep_axis(field, 0, 0.25, setup, cfg, stage_hook=hook)
         for e0, e1 in zip(energies[:-1], energies[1:]):
             assert e1 <= e0 + 100 * cfg.tolerance * (1 + abs(e0))
         for m_val in masses[1:]:
@@ -287,8 +306,7 @@ def test_sweep_passes_reuse_the_tables_row_kernels(kernel, monkeypatch):
     g = grid_2d(2.0, 0.5)
     setup = build_setup(nonlocal_fokker_planck(g), "s2", stage="midpoint")
     if kernel == "gaussian":
-        setup = SchemeSetup(setup.scheme, setup.model, setup.v_table,
-                            tabulate_kernel(Gaussian(0.5, -1.0), g))
+        setup = SchemeSetup(setup.scheme, setup.model, tabulate_kernel(Gaussian(0.5, -1.0), g))
     seen = []
     original = split2d.line_problem
 
@@ -315,7 +333,7 @@ class TestSweepMatchesFullReconvolution:
     @staticmethod
     def _stage_problem(field, r, axis, dt, setup):
         """Stage r's 1D problem, its background re-convolved from ``field``."""
-        row_kernel = KernelTable(1, setup.kernel.axis_slice(axis), setup.kernel.cell_measure)
+        row_kernel = KernelTable(setup.kernel.axis_slice(axis), setup.kernel.cell_measure)
         index = (slice(None), r) if axis == 0 else (r, slice(None))
         old_line = field[index].copy()
         background = convolve(setup.kernel, field)[index] - convolve(row_kernel, old_line)
@@ -337,12 +355,11 @@ class TestSweepMatchesFullReconvolution:
         fp = nonlocal_fokker_planck(g)
         gaussian = tabulate_kernel(Gaussian(0.5, -1.0), g)  # attractive
         return [
-            SchemeSetup(SchemeConfig(kind, MIDPOINT), fp, build_setup(fp, kind).v_table, gaussian),
+            SchemeSetup(SchemeConfig(kind, MIDPOINT), fp, gaussian),
             build_setup(fp, kind, stage="implicit"),
             build_setup(fp, kind, stage="midpoint"),
             # W = -|x|^2/2 (exact_form "quadratic-"), positive definite: implicit.
-            SchemeSetup(SchemeConfig(kind, "implicit"), fp, build_setup(fp, kind).v_table,
-                        tabulate_kernel(Quadratic(-1.0), g)),
+            SchemeSetup(SchemeConfig(kind, "implicit"), fp, tabulate_kernel(Quadratic(-1.0), g)),
         ]
 
     @pytest.mark.parametrize("kind", ["s1", "s2"])
@@ -389,7 +406,7 @@ class TestMomentBackground:
         field = draws.floats(rng, (self.n, self.n), 0.0, 10.0, subnormal=False)
         changes = draws.floats(rng, (self.n, self.n), -1.0, 1.0)
         kernel = tabulate_kernel(Quadratic(strength), self.g)
-        row_kernel = KernelTable(1, kernel.axis_slice(axis), kernel.cell_measure)
+        row_kernel = KernelTable(kernel.axis_slice(axis), kernel.cell_measure)
         spectral = SpectralBackground(kernel, field, axis, row_kernel)
         lines = split2d._lines(field.copy(), axis)
         new = np.maximum(lines + changes, 0.0)  # every stage's new line
@@ -411,7 +428,7 @@ class TestPassSystem:
         g = self.g
         fp = nonlocal_fokker_planck(g)
         kernel = tabulate_kernel(Quadratic(strength), g)
-        setup = SchemeSetup(SchemeConfig(kind, stage), fp, build_setup(fp, kind).v_table, kernel)
+        setup = SchemeSetup(SchemeConfig(kind, stage), fp, kernel)
         rng = np.random.default_rng(seed)
         x, y = g.cell_centers()
         # Off centre along both axes, so that every line's first moment is
@@ -463,8 +480,7 @@ class TestPassSystem:
         g = grid_2d(2.0, 0.25)
         base = build_setup(nonlocal_fokker_planck(g), "s2", stage="midpoint")
         if kernel == "gaussian":
-            base = SchemeSetup(base.scheme, base.model, base.v_table,
-                               tabulate_kernel(Gaussian(0.5, -1.0), g))
+            base = SchemeSetup(base.scheme, base.model, tabulate_kernel(Gaussian(0.5, -1.0), g))
         calls = []
         original = solver.newton_solve
 
@@ -489,7 +505,7 @@ class TestPassSystem:
         row_kernel = kernel.row_kernels[0]
         problem = line_problem(setup, field.T.copy(), dt, setup.v_table.T, row_kernel,
                                across=PassMomentBackground(kernel, field, 0))
-        u = problem.velocity(swept.T.ravel())
+        u = problem.potential(swept.T.ravel())[1]
         assert tel.max_velocity == np.abs(u).max() > 0.0
 
 
@@ -564,7 +580,7 @@ class TestSweepProperties:
         model = nonlocal_fokker_planck(g)
         base = build_setup(model, "s2", stage="midpoint")
         kernel = tabulate_kernel(Gaussian(0.5, -1.0), g) if gaussian else base.kernel
-        setup = SchemeSetup(base.scheme, model, base.v_table, kernel)
+        setup = SchemeSetup(base.scheme, model, kernel)
         # The Newton tolerance is absolute on R*dt, whose roundoff floor is
         # about eps*dt*max(rho)*max|xi|/dx^2 (|H'| <= 40 above the vacuum
         # floor); it is set above that floor so that every example can converge.
@@ -574,15 +590,13 @@ class TestSweepProperties:
         slack = 10 * cfg.tolerance
         mass0 = field.sum() * g.cell_measure
         energies = [discrete_energy(field, model, kernel).total]
-
-        def hook(axis, r, working):
+        swept = advance_sweep_axis(field, axis, dt, setup, cfg)
+        for working in stage_fields(field, swept, axis):
             assert abs(working.sum() * g.cell_measure - mass0) <= slack * (1 + mass0)
             assert working.min() >= -slack
             clipped = np.maximum(working, 0.0)
             energies.append(discrete_energy(clipped, model, kernel).total)
             assert energies[-1] <= energies[-2] + 10 * slack * (1 + abs(energies[-2]))
-
-        swept = advance_sweep_axis(field, axis, dt, setup, cfg, stage_hook=hook)
         assert len(energies) == g.n_cells + 1
         return swept
 
@@ -592,13 +606,73 @@ class TestSweepProperties:
         g = self.g
         model = nonlocal_fokker_planck(g)
         base = build_setup(model, "s2", stage="midpoint")
-        setup = SchemeSetup(base.scheme, model, base.v_table,
-                            tabulate_kernel(Gaussian(0.5, -1.0), g))
+        setup = SchemeSetup(base.scheme, model, tabulate_kernel(Gaussian(0.5, -1.0), g))
         field = np.full(g.shape, 4.0)
         field[0, 0] = 0.0
         out = advance_sweep_axis(field, 0, 5.0, setup, NewtonConfig())
         assert abs(out.sum() - field.sum()) <= 1e-9 * field.sum()
         assert out.min() > 0.0
+
+
+class TestMatrixStepGuarantees:
+    """One 2D step of every MODEL_MATRIX model on seeded 8x8 data keeps the guarantees.
+
+    S2 takes the drawn dt; S1 keeps within its CFL bound by the step
+    driver's halving. Under stage=auto a model without W, or with a
+    negative definite W, takes split passes; under midpoint a model with W
+    takes sweep passes. Each pass of the accepted attempt, and each stage of
+    a sweep pass (``stage_fields``), conserves mass to 10*tol, stays above
+    -10*tol and does not raise the discrete energy of its clipped field.
+    """
+
+    g = grid_2d(2.0, 0.5)
+    SEEDS = range(4)
+
+    @staticmethod
+    def _record_passes(monkeypatch):
+        """(input values, axis, output, swept) of every pass advance_step_2d makes."""
+        passes = []
+        for name in ("advance_split_axis", "advance_sweep_axis"):
+            def recorded(rho, axis, *args, _pass=getattr(split2d, name),
+                         _swept=name == "advance_sweep_axis"):
+                out = _pass(rho, axis, *args)
+                passes.append((split2d.field_values(rho), axis, out, _swept))
+                return out
+
+            monkeypatch.setattr(split2d, name, recorded)
+        return passes
+
+    @pytest.mark.parametrize("stage", ["auto", "midpoint"])
+    @pytest.mark.parametrize("kind", ["s1", "s2"])
+    @pytest.mark.parametrize("name", sorted(MODEL_MATRIX))
+    def test_every_pass_and_stage(self, name, kind, stage, monkeypatch):
+        model = MODEL_MATRIX[name](self.g)
+        setup = build_setup(model, kind, stage=stage)
+        coupled = setup.kernel is not None and setup.scheme.stage_rule != "explicit"
+        cfg = NewtonConfig()
+        slack = 10 * cfg.tolerance
+        passes = self._record_passes(monkeypatch)
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            field = draws.floats(rng, self.g.shape, 0.0, 5.0)
+            dt = draws.floats(rng, (), 1e-3, 1.0, log=True)
+            passes.clear()
+            out = advance_step_2d(field, dt, setup, cfg)
+            accepted = passes[-2:]  # the attempts before it were retried at a smaller dt
+            assert [(axis, swept) for _, axis, _, swept in accepted] == [(0, coupled), (1, coupled)]
+            assert np.array_equal(accepted[0][0], field)
+            assert np.array_equal(accepted[1][2], out.field.values)
+            states = [field]
+            for before, axis, after, swept in accepted:
+                states += list(stage_fields(before, after, axis)) if swept else [after]
+            mass = field.sum() * self.g.cell_measure
+            energy = clipped_energy(setup, field)
+            for state in states[1:]:
+                assert abs(state.sum() * self.g.cell_measure - mass) <= slack * (1 + mass), seed
+                assert state.min() >= -slack, seed
+                after = clipped_energy(setup, state)
+                assert after <= energy + 100 * cfg.tolerance * (1 + abs(energy)), seed
+                energy = after
 
 
 class TestFullStep:
