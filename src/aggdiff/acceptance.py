@@ -35,6 +35,7 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
 from .analysis import ReferenceSolution, sample_reference
+from .errors import ConfigurationError
 from .experiments import (
     ExperimentConfig,
     InitialSpec,
@@ -565,7 +566,15 @@ ALL_CRITERIA = (
 )
 
 
+def _check_number(index):
+    """ConfigurationError unless ``index`` numbers a criterion, 1 to 10."""
+    if index not in range(1, len(ALL_CRITERIA) + 1):  # 0 and -1 would index from the end
+        raise ConfigurationError(
+            f"no criterion {index!r}: the criteria are numbered 1 to {len(ALL_CRITERIA)}")
+
+
 def run_criterion(index: int) -> CriterionResult:
+    _check_number(index)
     fn = ALL_CRITERIA[index - 1]
     start = time.time()
     result = fn()
@@ -574,8 +583,11 @@ def run_criterion(index: int) -> CriterionResult:
 
 
 def run_all(indices=None, report=print):
+    indices = list(indices or range(1, len(ALL_CRITERIA) + 1))
+    for i in indices:  # every number is checked before any criterion runs
+        _check_number(i)
     results = []
-    for i in indices or range(1, len(ALL_CRITERIA) + 1):
+    for i in indices:
         result = run_criterion(i)
         results.append(result)
         if report:

@@ -16,7 +16,7 @@ import sys
 
 from . import acceptance
 from .config import parse_config, resolve_output
-from .errors import AggDiffError
+from .errors import AggDiffError, ConfigurationError
 from .experiments import (
     STUDY_CASE_NAMES,
     bifurcation_sweep,
@@ -62,7 +62,11 @@ def _cmd_convergence(args):
 
 def _cmd_sweep(args):
     config = parse_config(args.config)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigurationError(
+            f"--values takes comma-separated numbers, got {args.values!r}") from None
     record = bifurcation_sweep(
         config, args.param, values, output_dir=resolve_output(args.output)
     )
@@ -77,7 +81,11 @@ def _cmd_sweep(args):
 
 
 def _cmd_validate(args):
-    indices = [int(i) for i in args.criteria.split(",")] if args.criteria else None
+    try:
+        indices = [int(i) for i in args.criteria.split(",")] if args.criteria else None
+    except ValueError:
+        raise ConfigurationError(
+            f"--criteria takes comma-separated criterion numbers, got {args.criteria!r}") from None
     results = acceptance.run_all(indices)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")

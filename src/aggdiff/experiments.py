@@ -121,12 +121,22 @@ class InitialSpec:
 def _gaussian_bump(grid: Grid, center, width, weight):
     xs = grid.axis_centers()
     if grid.dimension == 1:
-        c = center[0] if np.ndim(center) else float(center)
-        return weight * np.exp(-0.5 * ((xs - c) / width) ** 2) / (width * np.sqrt(2 * np.pi))
+        return weight * np.exp(-0.5 * ((xs - center) / width) ** 2) / (width * np.sqrt(2 * np.pi))
     cx, cy = center
     gx = np.exp(-0.5 * ((xs - cx) / width) ** 2) / (width * np.sqrt(2 * np.pi))
     gy = np.exp(-0.5 * ((xs - cy) / width) ** 2) / (width * np.sqrt(2 * np.pi))
     return weight * gx[:, None] * gy[None, :]
+
+
+def _point(center, grid: Grid, name: str):
+    """``center`` when it is a number on a 1D grid or an (x, y) pair on a 2D one.
+
+    Anything else raises ConfigurationError naming it.
+    """
+    if np.shape(center) != (() if grid.dimension == 1 else (2,)):
+        shape = "a number" if grid.dimension == 1 else "an (x, y) pair"
+        raise ConfigurationError(f"{name} {center!r} is not {shape} on a {grid.dimension}D grid")
+    return center
 
 
 def build_initial(spec: InitialSpec, grid: Grid, t_initial: float,
@@ -140,7 +150,10 @@ def build_initial(spec: InitialSpec, grid: Grid, t_initial: float,
         t0 = spec.time if spec.time is not None else t_initial
         return sample_reference(ref, t0, grid)
     if kind == "gaussian":
-        center = spec.center if grid.dimension == 2 else (spec.center[0],)
+        if grid.dimension == 1:
+            center = spec.center[0]
+        else:
+            center = _point(spec.center, grid, "gaussian center")
         return _gaussian_bump(grid, center, spec.width, spec.mass)
     if kind == "mixture":
         if not spec.centers:
@@ -149,8 +162,7 @@ def build_initial(spec: InitialSpec, grid: Grid, t_initial: float,
         weights = spec.weights or (1.0,) * len(spec.centers)
         out = np.zeros(grid.shape)
         for c, w, a in zip(spec.centers, widths, weights):
-            center = c if grid.dimension == 2 else (c,)
-            out += _gaussian_bump(grid, center, w, a)
+            out += _gaussian_bump(grid, _point(c, grid, "mixture center"), w, a)
         total = out.sum() * grid.cell_measure
         if total > 0:
             out *= spec.mass / total

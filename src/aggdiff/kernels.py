@@ -139,18 +139,19 @@ class KernelTable:
 
     @cached_property
     def difference_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """1D quadratic only: (faces, cells) with toeplitz_difference = faces @ cells.T.
+        """1D quadratic only: (faces, cells) with toeplitz_difference = faces.T @ cells.T.
 
         For W_o = alpha*o^2 and centred cell positions p_k = k - (n-1)/2,
         T[j, k] - T[j+1, k] = 2*alpha*(p_k - (p_j + 1/2)): rank 2, with
-        faces (n-1, 2) = 2*alpha*[-(p_j + 1/2), 1] and cells (n, 2) = [1, p_k].
+        faces (2, n-1) = 2*alpha*[-(p_j + 1/2), 1], the rank first as in the
+        Jacobian's left factor, and cells (n, 2) = [1, p_k].
         """
         if self.values.ndim != 1 or self.exact_form not in QUADRATIC_FORMS:
             raise ShapeError("rank-2 face differences need a 1D quadratic kernel")
         n = self.n_cells
         (alpha,) = self.quadratic_coefficients[1]
         p = np.arange(n) - 0.5 * (n - 1)
-        faces = 2.0 * alpha * np.stack((-(p[:-1] + 0.5), np.ones(n - 1)), axis=1)
+        faces = 2.0 * alpha * np.stack((-(p[:-1] + 0.5), np.ones(n - 1)))
         cells = np.stack((np.ones(n), p), axis=1)
         faces.setflags(write=False)
         cells.setflags(write=False)

@@ -153,10 +153,11 @@ class TridiagonalLowRank(NamedTuple):
     """The block lower-triangular matrix of L coupled lines of n cells.
 
     The lines of a sweep pass (see LineProblem), or L = 1 for a single
-    coupled line: ``tri`` holds L lines, ``left`` is (L, n, rank) and
-    ``right`` (n, rank) is shared; diagonal block r is
-    tri_r + left_r @ right.T and block (r, s) with s < r is
-    below * left_r @ right.T.
+    coupled line: ``tri`` holds L lines, ``left`` is (rank, L, n), the layout
+    the pass solve stacks under its right-hand side (see solver._solve_pass),
+    and ``right`` (n, rank) is shared. With U_r = left[:, r].T, diagonal
+    block r is tri_r + U_r @ right.T and block (r, s) with s < r is
+    below * U_r @ right.T.
     """
 
     tri: Tridiagonal
@@ -166,7 +167,7 @@ class TridiagonalLowRank(NamedTuple):
 
     def to_dense(self) -> np.ndarray:
         """(L*n, L*n), with the lines laid end to end."""
-        blocks = self.left @ self.right.T  # (L, n, n)
+        blocks = np.einsum("kri,jk->rij", self.left, self.right)  # (L, n, n)
         lines, n = self.tri.diag.shape
         scale = np.tril(np.full((lines, lines), self.below), -1) + np.eye(lines)
         dense = np.einsum("rij,rs->risj", blocks, scale)
@@ -401,13 +402,20 @@ class LineProblem:
             # The convolution's face differences times m_face, through the divergence:
             # dense for a general kernel, the rank-2 left factor for a quadratic one.
             c_rule = 1.0 if self.stage_rule == IMPLICIT else 0.5
-            faces, cells = ((self.kernel.toeplitz_difference, None) if dense
-                            else self.kernel.difference_factors)
-            dF = faces * ((c_rule * self.kernel.cell_measure / dx) * m_face)[..., None]
-            dF /= dx
-            low = np.zeros(a.shape + faces.shape[-1:])
-            low[..., :-1, :] += dF
-            low[..., 1:, :] -= dF
+            coef = (c_rule * self.kernel.cell_measure / dx) * m_face
+            if dense:  # (n, n), the cells on the last axis
+                dF = self.kernel.toeplitz_difference * coef[..., None]
+                dF /= dx
+                low = np.zeros(a.shape + a.shape[-1:])
+                low[..., :-1, :] += dF
+                low[..., 1:, :] -= dF
+            else:  # (2, L, n), the layout the pass solve reads; a single line is L = 1
+                faces, cells = self.kernel.difference_factors
+                dF = faces[:, None, :] * coef
+                dF /= dx
+                low = np.zeros(dF.shape[:-1] + a.shape[-1:])
+                low[..., :-1] += dF
+                low[..., 1:] -= dF
 
         # d xi_i / d a_i from the diffusion term (vacuum-floored).
         g = self.energy.curvature_regularized(a)
@@ -446,7 +454,6 @@ class LineProblem:
         low *= c
         if self.across is None:  # a single line, the pass of L = 1
             tri = Tridiagonal(*(band.reshape(1, -1) for band in tri))
-            low = low.reshape(1, *low.shape[-2:])
         # Earlier lines enter at coefficient 1, not c_rule: 1/c_rule is a power of two.
         return TridiagonalLowRank(tri, low, cells, 1.0 / c_rule)
 

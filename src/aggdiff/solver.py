@@ -9,7 +9,6 @@ halving and re-solves.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -111,13 +110,6 @@ def build_setup(model: ModelSpec, scheme: str, stage: str = "auto",
 _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
 
-@functools.cache
-def _identity(k):
-    eye = np.eye(k)
-    eye.setflags(write=False)
-    return eye
-
-
 def _solve_lines_tridiagonal(tri, rhs):
     """One gtsv for the Tridiagonal lines of ``tri`` laid end to end, rhs shaped (N,) or (N, k).
 
@@ -171,35 +163,57 @@ def _solve_pass(jac, rhs):
     """Block forward substitution for L coupled lines of n cells (see TridiagonalLowRank).
 
     Line r's block row reads D_r d_r + below * U_r mu_r = b_r, with the
-    diagonal block D_r = A_r + U_r V^T and mu_r = V^T (d_0 + ... + d_{r-1}).
-    One gtsv over every line laid end to end gives A_r^-1 [b_r, U_r]; the
-    Woodbury identity then gives y_r = D_r^-1 b_r and Z_r = D_r^-1 U_r
-    through L batched rank-sized capacitance solves. Only the rank-2 vector
-    mu carries the coupling, in Python floats from mu_0 = 0:
-    d_r = y_r - below * Z_r mu_r and mu_{r+1} = mu_r + V^T d_r.
+    diagonal block D_r = A_r + U_r V^T, the rank-2 factor U_r = left[:, r].T
+    and mu_r = V^T (d_0 + ... + d_{r-1}). One gtsv over every line laid end to
+    end gives Z_r = A_r^-1 U_r and Y_r = A_r^-1 b_r. With the capacitance
+    C_r = I + V^T Z_r, the Woodbury identity gives D_r^-1 U_r = Z_r C_r^-1 and
+    V^T D_r^-1 b_r = C_r^-1 V^T Y_r, so that d_r = Y_r - Z_r w_r with
+    w_r = C_r^-1 (V^T Y_r + below * mu_r). The L 2x2 capacitances are solved
+    at once, one (L,) array per entry, by elimination with partial pivoting
+    as LAPACK's getrf does (LinAlgError on an exactly zero pivot), for
+    C_r^-1 V^T Y_r and below * C_r^-1. Only the 2-vector mu carries the
+    coupling, in Python floats from mu_0 = 0: mu_{r+1} = mu_r + V^T d_r,
+    which is w_r + (1 - below) * mu_r.
     """
     tri, left, right, below = jac
-    lines, n, rank = left.shape
-    stacked = np.empty((1 + rank, lines, n))
-    stacked[0] = rhs.reshape(lines, n)
-    stacked[1:] = left.transpose(2, 0, 1)
-    solved = _solve_lines_tridiagonal(tri, stacked.reshape(1 + rank, -1).T)
-    solved = solved.T.reshape(1 + rank, lines, n).transpose(1, 2, 0)  # (L, n, 1 + rank)
-    z = solved[..., 1:]
-    vt_solved = right.T @ solved  # (L, rank, 1 + rank)
-    capacitance = _identity(rank) + vt_solved[..., 1:]
-    w = np.linalg.solve(capacitance, vt_solved)  # LinAlgError when singular
-    solved -= z @ w
-    y, z = solved[..., 0], solved[..., 1:]
+    _, lines, n = left.shape
+    stacked = np.empty((3, lines, n))
+    stacked[:2] = left
+    stacked[2] = rhs.reshape(lines, n)
+    solved = _solve_lines_tridiagonal(tri, stacked.reshape(3, -1).T).T.reshape(3, lines, n)
+    z0, z1, y = solved
+    # Row j of every line's augmented system [C_r | V^T Y_r | below * I], one (L,) array
+    # per entry; the first three columns are V_j^T times Z_0, Z_1 and Y.
+    eye = np.eye(2)[..., None]
+    aug = np.empty((2, 5, lines))
+    aug[:, :3] = (right.T @ solved.reshape(-1, n).T).reshape(2, 3, lines)
+    aug[:, :2] += eye
+    aug[:, 3:] = below * eye
+    # Partial pivoting: the row with the larger |C_r[j, 0]| eliminates the other.
+    aug = np.where(np.abs(aug[1, 0]) > np.abs(aug[0, 0]), aug[::-1], aug)
+    pivot = aug[0, 0]
+    if not pivot.all():
+        raise LinAlgError("singular matrix")
+    eliminated = aug[1, 1:] - aug[1, 0] / pivot * aug[0, 1:]
+    if not eliminated[0].all():
+        raise LinAlgError("singular matrix")
+    # Rows 0 and 1 of the solutions C_r^-1 V^T Y_r, below * C_r^-1 e_0 and below * C_r^-1 e_1.
+    x1 = eliminated[1:] / eliminated[0]
+    x0 = aug[0, 2:] - aug[0, 1] * x1
+    x0 /= pivot
+    keep = 1.0 - below
     mu0 = mu1 = 0.0
-    mu = []
-    # V^T y_r and below * V^T Z_r, line by line.
-    for (c0, c1), ((p00, p01), (p10, p11)) in zip((y @ right).tolist(),
-                                                  (below * (right.T @ z)).tolist()):
-        mu.append((mu0, mu1))
-        mu0, mu1 = mu0 + c0 - (p00 * mu0 + p01 * mu1), mu1 + c1 - (p10 * mu0 + p11 * mu1)
-    delta = y - below * (z @ np.array(mu)[:, :, None])[..., 0]
-    return delta.reshape(rhs.shape)
+    w0s, w1s = [], []
+    for g0, m00, m01, g1, m10, m11 in zip(*x0.tolist(), *x1.tolist()):
+        w0 = g0 + (m00 * mu0 + m01 * mu1)
+        w1 = g1 + (m10 * mu0 + m11 * mu1)
+        w0s.append(w0)
+        w1s.append(w1)
+        mu0, mu1 = w0 + keep * mu0, w1 + keep * mu1
+    w = np.array((w0s, w1s))[..., None]
+    y -= z0 * w[0]
+    y -= z1 * w[1]
+    return y.reshape(rhs.shape)
 
 
 def assemble_jacobian(residual_fn, rho, step: float = 1e-7):

@@ -16,8 +16,9 @@ For a quadratic kernel (``KernelTable.exact_form``) the pass is solved as
 that one system of L stage residuals: the backgrounds follow from prefix
 sums of three moments per line (PassMomentBackground), the Jacobian is
 block lower triangular with tridiagonal-plus-rank-2 blocks, and a Newton
-step is one banded solve over every line, L rank-2 capacitance solves and
-a recurrence of a 2-vector over the lines; should that Newton solve fail,
+step is one banded solve over every line, L 2x2 capacitance solves in
+closed form and a recurrence of a 2-vector over the lines (see
+solver._solve_pass); should that Newton solve fail,
 the pass falls back to the stage loop. Any other kernel solves stage by
 stage: the pass convolves the whole field once, a stage costs one 1D FFT
 of its line's change and one inverse FFT of its own line's background

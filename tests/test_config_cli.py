@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aggdiff import experiments
+from aggdiff import acceptance, experiments
 from aggdiff.cli import main
 from aggdiff.config import _KNOWN_KEYS, parse_config
 from aggdiff.errors import ConfigurationError, DomainError
@@ -387,6 +387,30 @@ class TestCli:
         assert "criterion 8" in proc.stdout
         assert "PASS" in proc.stdout
 
+    @pytest.mark.parametrize("criteria, message", [
+        ("0", "no criterion 0: the criteria are numbered 1 to 10"),
+        ("11", "no criterion 11: the criteria are numbered 1 to 10"),
+        ("8,-1", "no criterion -1: the criteria are numbered 1 to 10"),
+        ("x", "--criteria takes comma-separated criterion numbers, got 'x'"),
+    ], ids=["zero", "eleven", "minus_one_after_eight", "word"])
+    def test_validate_bad_criterion_exits_two(self, criteria, message, capsys):
+        assert main(["validate", "--criteria", criteria]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"error: {message}\n"
+        assert out == ""  # no criterion ran, not even a valid one listed first
+
+    def test_validate_bad_criterion_prints_no_traceback(self):
+        proc = run_cli("validate", "--criteria", "0")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: no criterion 0: the criteria are numbered 1 to 10\n"
+
+    def test_sweep_bad_value_exits_two(self, flocking_config, capsys):
+        argv = ["sweep", "--config", flocking_config, "--param", "sigma", "--values", "0.1,x"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: --values takes comma-separated numbers, got '0.1,x'\n"
+        assert out == ""
+
     def test_failed_step_exits_one_with_series_written(self, tmp_path, capsys):
         # One Newton iteration cannot solve a dt = 1 heat step.
         path = tmp_path / "c.ini"
@@ -427,6 +451,13 @@ class TestCli:
         proc = run_cli("run", "--config", str(path))
         assert proc.returncode == 2
         assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("index", [0, -1, 11, 1.5])
+def test_run_criterion_takes_only_1_to_10(index):
+    # 0 and -1 would index ALL_CRITERIA from the end and 11 past it.
+    with pytest.raises(ConfigurationError, match=f"no criterion {index}: the criteria are numbered"):
+        acceptance.run_criterion(index)
 
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))

@@ -1,6 +1,7 @@
 """Experiment runner, convergence studies, sweeps, and output files."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,25 @@ class TestInitialConditions:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
             build_initial(InitialSpec("bananas"), grid_1d(1.0, 0.5), 0.0)
+
+    def test_2d_mixture_with_scalar_centers_rejected(self):
+        spec = InitialSpec("mixture", centers=(-1.0, 1.0))
+        with pytest.raises(ConfigurationError,
+                           match=r"mixture center -1.0 is not an \(x, y\) pair on a 2D grid"):
+            build_initial(spec, grid_2d(2.0, 0.5), 0.0)
+
+    def test_1d_mixture_with_pair_centers_rejected(self):
+        spec = InitialSpec("mixture", centers=((-1.0, 0.0), (1.0, 0.5)))
+        with pytest.raises(ConfigurationError,
+                           match=r"mixture center \(-1.0, 0.0\) is not a number on a 1D grid"):
+            build_initial(spec, grid_1d(2.0, 0.5), 0.0)
+
+    @pytest.mark.parametrize("center", [(0.5,), (0.5, 0.0, 1.0), 0.5])
+    def test_2d_gaussian_center_not_a_pair_rejected(self, center):
+        spec = InitialSpec("gaussian", center=center)
+        with pytest.raises(ConfigurationError,
+                           match=rf"gaussian center {re.escape(repr(center))} is not an \(x, y\)"):
+            build_initial(spec, grid_2d(2.0, 0.5), 0.0)
 
     @pytest.mark.parametrize("kind", ["heat_kernel", "barenblatt", "fp_transient", "fp_steady"])
     def test_reference_kind_needs_the_model(self, kind):

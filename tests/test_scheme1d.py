@@ -493,13 +493,13 @@ def reference_update_jacobian(problem, a, lines=None):
     if not problem.coupled:
         return tri
     faces, cells = problem.kernel.difference_factors
-    dF = faces * ((c_rule * problem.kernel.cell_measure / dx) * m_face)[:, None]
+    dF = faces.T * ((c_rule * problem.kernel.cell_measure / dx) * m_face)[:, None]
     left = np.zeros(cells.shape)
     left[:-1] += dF / dx
     left[1:] -= dF / dx
-    # A single coupled line is the pass of one line.
+    # A single coupled line is the pass of one line; the factor is laid out (rank, L, n).
     one_line = Tridiagonal(*(band[None] for band in tri))
-    return TridiagonalLowRank(one_line, dt * left[None], cells, 1.0 / c_rule)
+    return TridiagonalLowRank(one_line, dt * left.T[:, None], cells, 1.0 / c_rule)
 
 
 def jacobian_parts(jac):

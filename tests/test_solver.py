@@ -8,14 +8,26 @@ import pytest
 
 import draws
 from aggdiff import analysis, solver
-from aggdiff.kernels import IMPLICIT, MIDPOINT, KernelTable
-from aggdiff.model import DensityField, InternalEnergy
+from aggdiff.experiments import step
+from aggdiff.kernels import (
+    EXPLICIT,
+    IMPLICIT,
+    INDETERMINATE,
+    MIDPOINT,
+    NEGATIVE_DEFINITE,
+    POSITIVE_DEFINITE,
+    KernelTable,
+    classify_definiteness,
+    tabulate_kernel,
+)
+from aggdiff.model import DensityField, InternalEnergy, ModelSpec, PotentialSpec, TabulatedInteraction
 from aggdiff.scheme1d import S1, S2, LineProblem, SchemeConfig, TridiagonalLowRank
 from aggdiff.errors import DomainError, NewtonError, NumericalError
 from aggdiff.presets import (
     MODEL_MATRIX,
     aggregation_diffusion,
     grid_1d,
+    grid_2d,
     heat,
     linear_fokker_planck,
     nonlocal_fokker_planck,
@@ -406,6 +418,65 @@ class TestEnergyMonotonicityMatrix:
                 assert after == fresh.total, seed
                 assert after <= energy + 100 * cfg.tolerance * (1 + abs(energy)), seed
                 field, energy = new, after
+
+
+class TestRandomKernelsUnderAutoStage:
+    """Seeded random symmetric kernel tables under stage=auto keep the guarantees.
+
+    Each table is drawn with a circulant spectrum of one sign (negative or
+    positive definite) or as raw symmetric samples (mostly indeterminate).
+    build_setup must pick a rule that the class classify_definiteness reports
+    guarantees, without the warning a voided guarantee raises, and one S2
+    step from a seeded density must conserve mass, stay above -10*tol and
+    not raise the clipped energy.
+    """
+
+    GUARANTEED = {
+        NEGATIVE_DEFINITE: {EXPLICIT, MIDPOINT},
+        POSITIVE_DEFINITE: {IMPLICIT, MIDPOINT},
+        INDETERMINATE: {MIDPOINT},
+    }
+    SEEDS = range(36)
+
+    @staticmethod
+    def _table(rng, shape, pattern):
+        """A symmetric offset table: spectrum-signed for "negative"/"positive", else raw."""
+        if pattern == "raw":
+            values = draws.floats(rng, shape, -1.0, 1.0)
+        else:
+            spectrum = draws.floats(rng, shape, 0.1, 1.0, subnormal=False)
+            spectrum = spectrum if pattern == "positive" else -spectrum
+            values = np.fft.fftshift(np.fft.ifftn(spectrum).real)
+        flipped = values[(slice(None, None, -1),) * values.ndim]
+        return 0.5 * (values + flipped)  # symmetric bit for bit
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_auto_stage_is_guaranteed_and_dissipates(self, dimension):
+        g = grid_1d(2.0, 0.25) if dimension == 1 else grid_2d(1.0, 0.25)
+        cfg = NewtonConfig()
+        slack = 10 * cfg.tolerance
+        seen = set()
+        for seed in self.SEEDS:
+            rng = np.random.default_rng([seed, dimension])
+            pattern = ("negative", "positive", "raw")[seed % 3]
+            table = self._table(rng, (2 * g.n_cells - 1,) * dimension, pattern)
+            samples = tuple(map(tuple, table)) if dimension == 2 else tuple(table)
+            model = ModelSpec(InternalEnergy.entropy(1.0),
+                              PotentialSpec(interaction=TabulatedInteraction(samples)), g)
+            label = classify_definiteness(tabulate_kernel(model.interaction, g)).label
+            seen.add(label)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a voided guarantee warns
+                setup = build_setup(model, S2, stage="auto")
+            assert setup.scheme.stage_rule in self.GUARANTEED[label], (seed, label)
+            field = DensityField(draws.floats(rng, g.shape, 0.0, 5.0), g)
+            dt = draws.floats(rng, (), 1e-3, 1.0, log=True)
+            new = step(field, dt, setup, cfg).field
+            assert abs(new.mass - field.mass) <= slack * (1 + field.mass), seed
+            assert new.values.min() >= -slack, seed
+            energy = clipped_energy(setup, field)
+            assert clipped_energy(setup, new) <= energy + 100 * cfg.tolerance * (1 + abs(energy)), seed
+        assert seen == set(self.GUARANTEED)
 
 
 class TestClippedEnergy:

@@ -11,7 +11,14 @@ from aggdiff import solver, split2d
 from aggdiff.analysis import ReferenceSolution, discrete_energy, sample_reference
 from aggdiff.errors import DomainError, NewtonError, RoutingError
 from aggdiff.kernels import MIDPOINT, KernelTable, convolve, tabulate_kernel
-from aggdiff.model import Gaussian, ModelSpec, PotentialSpec, Quadratic, TabulatedConfinement
+from aggdiff.model import (
+    Gaussian,
+    InternalEnergy,
+    ModelSpec,
+    PotentialSpec,
+    Quadratic,
+    TabulatedConfinement,
+)
 from aggdiff.presets import (
     MODEL_MATRIX,
     grid_2d,
@@ -19,7 +26,13 @@ from aggdiff.presets import (
     linear_fokker_planck,
     nonlocal_fokker_planck,
 )
-from aggdiff.scheme1d import SchemeConfig, reconstruct_faces
+from aggdiff.scheme1d import (
+    LineProblem,
+    SchemeConfig,
+    Tridiagonal,
+    TridiagonalLowRank,
+    reconstruct_faces,
+)
 from aggdiff.solver import (
     NewtonConfig,
     SchemeSetup,
@@ -462,6 +475,27 @@ class TestPassSystem:
         assert not blocks.transpose(0, 2, 1, 3)[later].any()  # later lines: old values
         assert np.abs(blocks.transpose(0, 2, 1, 3)[earlier]).max() >= 1e-3 * scale
 
+    @staticmethod
+    def _drawn_pass(rng, kind, stage, lines):
+        """The update-form Jacobian of a seeded pass of ``lines`` lines, and a right-hand side.
+
+        Line r's background is left out (``across`` adds zero): the
+        Jacobian's blocks do not read it, and ``below`` follows the stage rule.
+        """
+        n, dx = int(rng.integers(3, 13)), 0.25
+        strength = 1.0 if rng.random() < 0.5 else -1.0
+        offsets = dx * np.arange(-(n - 1), n)
+        kernel = KernelTable(0.5 * strength * offsets**2, dx,
+                             "quadratic+" if strength > 0 else "quadratic-")
+        old = draws.floats(rng, (lines, n), 0.0, 5.0, subnormal=False)
+        at = np.maximum(old + draws.floats(rng, (lines, n), -0.5, 0.5), 0.0)
+        v = draws.floats(rng, (lines, n), -1.0, 1.0)
+        dt = draws.floats(rng, (), 1e-3, 10.0, log=True)
+        problem = LineProblem(SchemeConfig(kind, stage), old, dt, dx, InternalEnergy.entropy(1.0),
+                              v, kernel, across=lambda a: np.zeros(a.shape))
+        rhs = draws.floats(rng, lines * n, -1.0, 1.0, subnormal=False)
+        return problem.update_jacobian(at.ravel()), rhs
+
     @pytest.mark.parametrize("kind", ["s1", "s2"])
     @pytest.mark.parametrize("stage", ["implicit", "midpoint"])
     def test_forward_substitution_equals_dense_solve(self, kind, stage):
@@ -472,6 +506,59 @@ class TestPassSystem:
             got = solver._solve_linear(jac, rhs[None, :])[0]
             expected = np.linalg.solve(jac.to_dense(), rhs)
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        # Seeded passes of 1, 3 and 8 lines. LU of the dense matrix is the
+        # reference up to the forward error its condition number allows, and
+        # the pass solve's own backward error is at roundoff.
+        eps = np.finfo(float).eps
+        below = 1.0 if stage == "implicit" else 2.0
+        for seed, lines in itertools.product(range(16), (1, 3, 8)):
+            rng = np.random.default_rng([seed, lines, int(kind == "s1"), int(below)])
+            jac, rhs = self._drawn_pass(rng, kind, stage, lines)
+            assert jac.below == below and jac.left.shape == (2, *jac.tri.diag.shape)
+            dense = jac.to_dense()
+            got = solver._solve_linear(jac, rhs[None])[0]
+            expected = np.linalg.solve(dense, rhs)
+            bound = 16 * np.linalg.cond(dense) * eps * np.abs(expected).max()
+            assert np.abs(got - expected).max() <= bound
+            norm = np.abs(dense).sum(axis=1).max()
+            assert np.abs(dense @ got - rhs).max() <= 64 * eps * norm * np.abs(got).max()
+
+    @staticmethod
+    def _pinned_pass(capacitance, lines=3, n=4):
+        """A pass whose line 1 has capacitance ``capacitance`` exactly, the others 2I.
+
+        With tri = I and right = [e_0, e_1], line r's capacitance is
+        I + right.T @ U_r, and U_r = right @ (target - I).
+        """
+        right = np.eye(n)[:, :2]
+        targets = [2 * np.eye(2)] * lines
+        targets[1] = np.array(capacitance)
+        left = np.stack([(right @ (target - np.eye(2))).T for target in targets], axis=1)
+        tri = Tridiagonal(np.zeros((lines, n - 1)), np.ones((lines, n)), np.zeros((lines, n - 1)))
+        return TridiagonalLowRank(tri, left, right, 2.0)
+
+    @pytest.mark.parametrize("capacitance", [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]]],
+                             ids=["first_pivot", "second_pivot_after_a_swap"])
+    def test_zero_capacitance_pivot_raises(self, capacitance):
+        jac = self._pinned_pass(capacitance)
+        assert np.linalg.matrix_rank(jac.to_dense()) < jac.tri.diag.size
+        with pytest.raises(np.linalg.LinAlgError):
+            solver._solve_linear(jac, np.ones((1, jac.tri.diag.size)))
+
+    def test_capacitance_solve_pivots(self):
+        # [[1e-20, 1], [1, 1]] is well conditioned, but eliminating with its
+        # tiny first entry as the pivot would lose every digit.
+        jac = self._pinned_pass([[1e-20, 1.0], [1.0, 1.0]])
+        rhs = np.random.default_rng(2).standard_normal(jac.tri.diag.size)
+        expected = np.linalg.solve(jac.to_dense(), rhs)
+        got = solver._solve_linear(jac, rhs[None])[0]
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_nan_in_factor_raises(self):
+        jac, rhs = self._drawn_pass(np.random.default_rng(5), "s2", "midpoint", 3)
+        jac.left[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solver._solve_linear(jac, rhs[None])
 
     @pytest.mark.parametrize("kernel", ["quadratic", "gaussian"])
     def test_newton_solves_per_pass(self, kernel, monkeypatch):
@@ -492,6 +579,33 @@ class TestPassSystem:
         out = advance_step_2d(smooth_field(g, 0.3), 0.1, base, NewtonConfig())
         assert len(calls) == (2 if kernel == "quadratic" else 2 * g.n_cells)
         assert out.row_solves == 2 * g.n_cells
+
+    def test_one_banded_solve_per_newton_iteration(self, monkeypatch):
+        # A quadratic 8x8 pass: each Newton iteration makes one gtsv call, on
+        # [U_0, U_1, b] for every line laid end to end, and no dense solve.
+        g = grid_2d(2.0, 0.5)
+        setup = build_setup(nonlocal_fokker_planck(g), "s2", stage="midpoint")
+        rng = np.random.default_rng(11)
+        field = 1.0 + draws.floats(rng, g.shape, 0.0, 1.0, subnormal=False)
+        shapes, dense = [], []
+        banded, lu = solver._solve_lines_tridiagonal, np.linalg.solve
+
+        def banded_spy(tri, rhs):
+            shapes.append(rhs.shape)
+            return banded(tri, rhs)
+
+        def lu_spy(a, b):
+            dense.append(a.shape)
+            return lu(a, b)
+
+        monkeypatch.setattr(solver, "_solve_lines_tridiagonal", banded_spy)
+        monkeypatch.setattr(np.linalg, "solve", lu_spy)
+        tel = PassTelemetry()
+        advance_sweep_axis(field, 0, 0.1, setup, NewtonConfig(), tel)
+        iterations = tel.newton_iterations // g.n_cells  # L per pass iteration
+        assert iterations >= 2
+        assert shapes == [(g.n_cells**2, 3)] * iterations
+        assert dense == []
 
     def test_s1_peak_speed_covers_every_line(self):
         g = grid_2d(3.0, 0.25)
