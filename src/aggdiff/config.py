@@ -50,13 +50,17 @@ def _floats(text: str) -> tuple:
 
 
 def _number(section, key, default, kind=float):
-    """``[section] key`` read by ``kind``; text it cannot read is a ConfigurationError."""
+    """``[section] key`` read by ``kind``; text it cannot read, or a value that
+    is not finite (inf, nan), is a ConfigurationError naming the key."""
     text = section.get(key, default)
     try:
-        return kind(text)
+        value = kind(text)
+        if np.isfinite(value).all():
+            return value
     except ValueError:
-        what = {int: "an integer", float: "a number"}.get(kind, "a list of numbers")
-        raise ConfigurationError(f"[{section.name}] {key} must be {what}, got {text!r}") from None
+        pass
+    what = {int: "an integer", float: "a finite number"}.get(kind, "a list of finite numbers")
+    raise ConfigurationError(f"[{section.name}] {key} must be {what}, got {text!r}")
 
 
 def _kind(section, key, default):
@@ -93,13 +97,9 @@ def _build_confinement(section, base_dir):
 
 def _build_interaction(section, base_dir):
     kind, path = _kind(section, "interaction", "none")
-    sign_text = str(section.get("interaction_sign", "1")).strip()
-    try:
-        sign = float(sign_text)
-    except ValueError:
-        sign = None
+    sign = _number(section, "interaction_sign", 1.0)
     if sign not in (1.0, -1.0):
-        raise ConfigurationError(f"interaction_sign must be +1 or -1, got {sign_text!r}")
+        raise ConfigurationError(f"interaction_sign must be +1 or -1, got {sign!r}")
     if kind == "none":
         return None
     if kind == "quadratic":
@@ -122,8 +122,16 @@ def resolve_output(path):
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    """The experiment in the INI file at ``path``; any defect raises ConfigurationError.
+
+    Values are read as written (no ``%`` interpolation), so only reading the
+    file can raise configparser's own errors, such as a duplicated key.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigurationError(" ".join(str(exc).split())) from None
     if not read:
         raise ConfigurationError(f"cannot read config file {path!r}")
     base_dir = os.path.dirname(os.path.abspath(path))

@@ -150,11 +150,13 @@ def build_initial(spec: InitialSpec, grid: Grid, t_initial: float,
         t0 = spec.time if spec.time is not None else t_initial
         return sample_reference(ref, t0, grid)
     if kind == "gaussian":
-        if grid.dimension == 1:
-            center = spec.center[0]
-        else:
-            center = _point(spec.center, grid, "gaussian center")
-        return _gaussian_bump(grid, center, spec.width, spec.mass)
+        center = spec.center
+        if grid.dimension == 1 and np.ndim(center) == 1 and len(center):
+            center = center[0]  # parse_config pads x to (x, 0.0); a 1D grid reads x
+        bump = _gaussian_bump(grid, _point(center, grid, "gaussian center"), spec.width, spec.mass)
+        if spec.mass > 0 and not bump.sum() > 0:
+            raise ConfigurationError("gaussian bump carries no mass on the grid")
+        return bump
     if kind == "mixture":
         if not spec.centers:
             raise ConfigurationError("mixture initial condition needs bump centers")

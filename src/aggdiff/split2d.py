@@ -18,10 +18,11 @@ sums of three moments per line (PassMomentBackground), the Jacobian is
 block lower triangular with tridiagonal-plus-rank-2 blocks, and a Newton
 step is one banded solve over every line, L 2x2 capacitance solves in
 closed form and a recurrence of a 2-vector over the lines (see
-solver._solve_pass); should that Newton solve fail,
-the pass falls back to the stage loop. Any other kernel solves stage by
-stage: the pass convolves the whole field once, a stage costs one 1D FFT
-of its line's change and one inverse FFT of its own line's background
+solver._solve_pass). Should that Newton solve fail, NewtonError reaches the
+step driver, which halves an S1 step and reports an S2 one (S2's solve has
+already continued in dt). Any other kernel solves stage by stage: the pass
+convolves the whole field once, a stage costs one 1D FFT of its line's
+change and one inverse FFT of its own line's background
 (SpectralBackground), and its coupled solve uses the row kernel's Toeplitz
 matrix and a dense LU.
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .errors import NewtonError, RoutingError
+from .errors import RoutingError
 from .kernels import EXPLICIT, QUADRATIC_FORMS, convolve
 from .model import field_values
 from .scheme1d import S1, reconstruct_faces
@@ -173,19 +174,18 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
     backgrounds from PassMomentBackground, a block lower-triangular Jacobian
     solved by forward substitution). It stops when every stage residual is
     within tolerance, the test each stage's own solve would apply, and
-    counts L Newton iterations per pass iteration; should it raise
-    NewtonError, the pass is solved stage by stage. Any other kernel solves
+    counts L Newton iterations per pass iteration; a failed solve raises
+    NewtonError to the step driver (see drive_step). Any other kernel solves
     stage by stage, its backgrounds from one 2D convolution per pass and a
     spectral accumulator (SpectralBackground), its coupled solves by dense
     LU. Either way stage r's field, which the paper's guarantees hold for,
     is the pass's input with lines 0..r taken from its output.
     """
-    field = field_values(rho).copy()
-    cfg = config or NewtonConfig()
+    field = field_values(rho)
     tel = telemetry if telemetry is not None else PassTelemetry()
     if setup.kernel is None:
         # No coupling: the sweep degenerates to the decoupled pass.
-        return advance_split_axis(field, axis, dt, setup, cfg, tel)
+        return advance_split_axis(field, axis, dt, setup, config, tel)
 
     kernel = setup.kernel
     row_kernel = kernel.row_kernels[axis]  # couples the cells of one line
@@ -196,31 +196,25 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
     if setup.scheme.kind == S1:
         faces = reconstruct_faces(lines, setup.scheme.theta)
     if kernel.exact_form in QUADRATIC_FORMS:
-        old = lines.copy()
-        problem = line_problem(setup, old, dt, v_lines, row_kernel, faces=faces,
+        problem = line_problem(setup, lines, dt, v_lines, row_kernel, faces=faces,
                                across=PassMomentBackground(kernel, field, axis))
-        try:
-            new_lines, iters, norm = solve_lines(problem, cfg)
-        except NewtonError:
-            pass  # solved by the stage loop below, each stage to its own tolerance
-        else:
-            new_lines = new_lines.reshape(old.shape)
-            tel.absorb(problem, new_lines, iters * len(old), norm)
-            lines[:] = new_lines
-            return field
+        new_lines, iters, norm = solve_lines(problem, config)
+        new_lines = new_lines.reshape(lines.shape)
+        tel.absorb(problem, new_lines, iters * len(lines), norm)
+        return np.ascontiguousarray(_lines(new_lines, axis))
 
+    new = field.copy()  # the stages write their lines into it
     background = SpectralBackground(kernel, field, axis, row_kernel)
-    for r in range(lines.shape[0]):
-        old_line = lines[r].copy()
+    for r, old_line in enumerate(lines):
         v_eff = background(r, old_line)
         v_eff += v_lines[r]
         problem = line_problem(setup, old_line, dt, v_eff, row_kernel,
                                faces=None if faces is None else (faces[0][r], faces[1][r]))
-        new_line, iters, norm = solve_lines(problem, cfg)
+        new_line, iters, norm = solve_lines(problem, config)
         tel.absorb(problem, new_line, iters, norm)
-        lines[r] = new_line
+        _lines(new, axis)[r] = new_line
         background.update(r, old_line, new_line)
-    return field
+    return new
 
 
 def advance_step_2d(rho, dt_request, setup: SchemeSetup,

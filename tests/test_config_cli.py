@@ -239,6 +239,33 @@ class TestParsing:
             parse_config(str(path))
         assert repr(text) in str(info.value)
 
+    @pytest.mark.parametrize("section, lines, key", [
+        ("time", "t_final = inf", "t_final"),
+        ("model", "confinement_strength = nan", "confinement_strength"),
+        ("model", "interaction = gaussian\ninteraction_width = inf", "interaction_width"),
+        ("output", "snapshots = 0.5, -inf", "snapshots"),
+    ], ids=["t_final_inf", "confinement_strength_nan", "interaction_width_inf",
+            "snapshots_inf"])
+    def test_non_finite_number_names_its_key(self, tmp_path, section, lines, key):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[{section}]\n{lines}\n")
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"[{section}] {key} must be a") + ".*finite"):
+            parse_config(str(path))
+
+    def test_duplicated_key_rejected(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[time]\ndt = 0.1\ndt = 0.2\n")
+        with pytest.raises(ConfigurationError,
+                           match="option 'dt' in section 'time' already exists"):
+            parse_config(str(path))
+
+    def test_percent_is_read_as_written(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("AGGDIFF_OUTPUT_ROOT", raising=False)
+        path = tmp_path / "c.ini"
+        path.write_text("[output]\ndirectory = out%1\n")
+        assert parse_config(str(path)).output_dir == "out%1"
+
     @pytest.mark.parametrize("dt", ["0", "-0.1", "nan"])
     def test_dt_not_positive_rejected_at_parse(self, tmp_path, dt):
         path = tmp_path / "c.ini"
@@ -424,6 +451,20 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 1
         assert "VIOLATION: step failed at t=0" in capsys.readouterr().err
         assert len((tmp_path / "out" / "series.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("lines, message", [
+        ("[time]\nt_final = inf\n", "[time] t_final must be a finite number, got 'inf'"),
+        ("[time]\ndt = 0.1\ndt = 0.2\n", "option 'dt' in section 'time' already exists"),
+        ("[initial]\ncenter =\n", "gaussian center () is not a number on a 1D grid"),
+        ("[initial]\ncenter = 100\n", "gaussian bump carries no mass on the grid"),
+    ], ids=["t_final_inf", "duplicated_key", "empty_center", "off_grid_center"])
+    def test_bad_config_exits_two_with_one_error_line(self, tmp_path, capsys, lines, message):
+        path = tmp_path / "c.ini"
+        path.write_text("[grid]\nhalf_width = 2.0\ncells_per_half_axis = 4\n" + lines)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
     def test_table_initial_of_wrong_length_exits_two(self, tmp_path, capsys):
         table = tmp_path / "rho.txt"

@@ -24,6 +24,7 @@ from aggdiff.experiments import (
     write_snapshot,
 )
 from aggdiff.kernels import EXPLICIT, convolve
+from aggdiff.model import DensityField
 from aggdiff.presets import (
     aggregation_diffusion,
     flocking,
@@ -83,6 +84,30 @@ class TestInitialConditions:
         peak = np.unravel_index(np.argmax(rho), rho.shape)
         assert abs(x[peak] - 0.5) <= g.dx
         assert abs(y[peak] + 0.5) <= g.dx
+
+    def test_1d_gaussian_takes_a_scalar_center(self):
+        g = grid_1d(2.0, 0.25)
+        scalar = build_initial(InitialSpec("gaussian", center=0.5), g, 0.0)
+        pair = build_initial(InitialSpec("gaussian", center=(0.5, 0.0)), g, 0.0)
+        assert np.array_equal(scalar, pair) and scalar.max() > 0
+
+    def test_1d_gaussian_with_an_empty_center_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"gaussian center \(\) is not a number on a 1D grid"):
+            build_initial(InitialSpec("gaussian", center=()), grid_1d(2.0, 0.25), 0.0)
+
+    @pytest.mark.parametrize("bump", [dict(center=100.0), dict(width=float("inf"))],
+                             ids=["off_the_grid", "infinite_width"])
+    def test_gaussian_without_mass_on_the_grid_rejected(self, bump):
+        with pytest.raises(ConfigurationError, match="no mass on the grid"):
+            build_initial(InitialSpec("gaussian", mass=1.0, **bump), grid_1d(4.0, 0.25), 0.0)
+
+    def test_gaussian_on_the_grid_keeps_its_share(self):
+        # A bump centred on the edge keeps the half of its mass that lies on
+        # the grid: sampled, not renormalized.
+        g = grid_1d(4.0, 0.125)
+        rho = build_initial(InitialSpec("gaussian", mass=1.0, width=0.5, center=4.0), g, 0.0)
+        assert rho.sum() * g.dx == pytest.approx(0.5, rel=1e-2)
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
@@ -233,6 +258,28 @@ def _flocking_setup(dimension, kind, stage):
         InitialSpec("gaussian", mass=1.0, width=0.6, center=(0.3, -0.2)), g, 0.0, model
     )
     return build_setup(model, kind, stage), rho
+
+
+class TestEnergyViolation:
+    def test_energy_increase_is_recorded(self, monkeypatch):
+        # A step whose outcome concentrates all mass in one cell raises the
+        # entropy; the run records it and carries on.
+        g = grid_1d(4.0, 0.25)
+        spike = np.zeros(g.n_cells)
+        spike[g.n_cells // 2] = 1.0 / g.dx
+
+        def concentrating(rho, dt, setup, config=None):
+            out = step(rho, dt, setup, config)
+            out.field = DensityField(spike, g)
+            return out
+
+        monkeypatch.setattr(experiments, "step", concentrating)
+        config = ExperimentConfig(heat(g), stage="midpoint", t_final=0.2, dt=0.1,
+                                  initial=InitialSpec("gaussian", width=0.6))
+        record = run_experiment(config)
+        assert len(record.violations) == 1
+        assert re.fullmatch(r"energy increased by \S+ at t=0\.1", record.violations[0])
+        assert record.rows[1][1] > record.rows[0][1]
 
 
 class TestAutoDt:

@@ -22,7 +22,7 @@ from aggdiff.kernels import (
 )
 from aggdiff.model import DensityField, InternalEnergy, ModelSpec, PotentialSpec, TabulatedInteraction
 from aggdiff.scheme1d import S1, S2, LineProblem, SchemeConfig, TridiagonalLowRank
-from aggdiff.errors import DomainError, NewtonError, NumericalError
+from aggdiff.errors import DomainError, NewtonError, NumericalError, StepError
 from aggdiff.presets import (
     MODEL_MATRIX,
     aggregation_diffusion,
@@ -354,6 +354,46 @@ class TestCFLBound:
         tel = PassTelemetry()
         tel.absorb(problem, solver.solve_lines(problem)[0], 3, 1e-12)
         assert (tel.max_velocity, tel.row_solves, tel.newton_iterations) == (0.0, 1, 3)
+
+
+class TestPostStepGuards:
+    """drive_step refuses an attempt whose result breaks a guarantee, naming the breach."""
+
+    g = grid_1d(2.0, 0.5)
+
+    def _attempt(self, change):
+        """An attempt that reports one Newton iteration and returns the field after ``change``."""
+
+        def attempt(field, dt, cfg, tel):
+            tel.newton_iterations = 1
+            new = field.values.copy()
+            change(new)
+            return new
+
+        return attempt
+
+    def _drive(self, attempt, kind="s2"):
+        setup = build_setup(heat(self.g), kind, stage="midpoint")
+        return drive_step(attempt, np.ones(self.g.n_cells), 0.1, setup)
+
+    def test_leaked_mass(self):
+        def leak(new):
+            new[3] += 1e-8 / self.g.dx  # 1e-8 of mass, above 10*tol*(1 + mass)
+
+        with pytest.raises(StepError, match="mass drifted by 1e-08 over one step"):
+            self._drive(self._attempt(leak))
+
+    def test_dip_below_the_slack(self):
+        def dip(new):
+            new[3] = -1e-8  # below -10*tol
+
+        with pytest.raises(StepError, match="accepted field dips to -1e-08, below -10\\*tol"):
+            self._drive(self._attempt(dip))
+
+    def test_s1_bound_never_met(self):
+        # dx / (2 * 1e12) lies below dt / 2^20, so every halving misses it.
+        with pytest.raises(StepError, match="CFL halving exhausted after 20 retries"):
+            self._drive(_fixed_speed_attempt(1e12), kind="s1")
 
 
 class TestStageOverride:

@@ -10,6 +10,7 @@ import draws
 from aggdiff import solver, split2d
 from aggdiff.analysis import ReferenceSolution, discrete_energy, sample_reference
 from aggdiff.errors import DomainError, NewtonError, RoutingError
+from aggdiff.experiments import InitialSpec, build_initial
 from aggdiff.kernels import MIDPOINT, KernelTable, convolve, tabulate_kernel
 from aggdiff.model import (
     Gaussian,
@@ -18,9 +19,11 @@ from aggdiff.model import (
     PotentialSpec,
     Quadratic,
     TabulatedConfinement,
+    TabulatedInteraction,
 )
 from aggdiff.presets import (
     MODEL_MATRIX,
+    flocking,
     grid_2d,
     heat,
     linear_fokker_planck,
@@ -219,6 +222,33 @@ class TestSweepPass:
         swept = advance_sweep_axis(field, 0, dt, forced, tight)
         split = advance_split_axis(field, 0, dt, base, tight)
         assert np.abs(swept - split).max() <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["s1", "s2"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_sweep_without_kernel_is_the_split_pass(self, kind, axis):
+        g = grid_2d(3.0, 0.5)
+        setup = build_setup(linear_fokker_planck(g), kind, stage="midpoint")
+        assert setup.kernel is None
+        field = smooth_field(g, shift=0.3)
+        swept_tel, split_tel = PassTelemetry(), PassTelemetry()
+        swept = advance_sweep_axis(field, axis, 0.05, setup, NewtonConfig(), swept_tel)
+        split = advance_split_axis(field, axis, 0.05, setup, NewtonConfig(), split_tel)
+        assert np.array_equal(swept.view(np.int64), split.view(np.int64))
+        assert vars(swept_tel) == vars(split_tel)
+
+    def test_all_zero_tabulated_interaction_takes_split_passes(self, monkeypatch):
+        # build_setup drops a kernel table that is zero everywhere, so a
+        # midpoint stage does not route the step to the sweep.
+        g = grid_2d(2.0, 0.5)
+        zeros = ((0.0,) * (2 * g.n_cells - 1),) * (2 * g.n_cells - 1)
+        model = ModelSpec(InternalEnergy.entropy(1.0),
+                          PotentialSpec(interaction=TabulatedInteraction(zeros)), g)
+        setup = build_setup(model, "s2", stage="midpoint")
+        assert setup.kernel is None
+        passes = TestMatrixStepGuarantees._record_passes(monkeypatch)
+        out = advance_step_2d(smooth_field(g, shift=0.3), 0.1, setup, NewtonConfig())
+        assert [(axis, swept) for _, axis, _, swept in passes] == [(0, False), (1, False)]
+        assert np.array_equal(passes[-1][2], out.field.values)
 
     def test_stage_locality(self, monkeypatch):
         # A stage loop's r-th solve starts from the input's line r and gives
@@ -580,6 +610,31 @@ class TestPassSystem:
         assert len(calls) == (2 if kernel == "quadratic" else 2 * g.n_cells)
         assert out.row_solves == 2 * g.n_cells
 
+    def test_failed_pass_solve_raises_without_a_stage_loop(self, monkeypatch):
+        # A quadratic pass is its one Newton system. When that solve fails
+        # (an S1 flocking pass at dt = 0.05: 50 iterations leave 2.7e-7),
+        # NewtonError reaches the caller, for drive_step to halve dt, and no
+        # stage is solved on its own.
+        g = grid_2d(4.0, 0.5)
+        model = flocking(g, noise=0.5)
+        setup = build_setup(model, "s1", stage="midpoint")
+        spec = InitialSpec("gaussian", mass=1.0, width=0.6, center=(0.3, -0.2))
+        rho = build_initial(spec, g, 0.0, model)
+        solves, original = [], split2d.solve_lines
+
+        def spy(problem, config=None):
+            solves.append(problem.across is not None)
+            return original(problem, config)
+
+        def no_stage_loop(*args):
+            raise AssertionError("the stage loop ran for a quadratic kernel")
+
+        monkeypatch.setattr(split2d, "solve_lines", spy)
+        monkeypatch.setattr(split2d, "SpectralBackground", no_stage_loop)
+        with pytest.raises(NewtonError, match="did not reach tolerance"):
+            advance_sweep_axis(rho, 0, 0.05, setup, NewtonConfig())
+        assert solves == [True]
+
     def test_one_banded_solve_per_newton_iteration(self, monkeypatch):
         # A quadratic 8x8 pass: each Newton iteration makes one gtsv call, on
         # [U_0, U_1, b] for every line laid end to end, and no dense solve.
@@ -626,7 +681,7 @@ class TestPassSystem:
 def _stalled_pass_field():
     """8x8 data on which the one Newton system of an S2 midpoint pass along axis 0
     under W = |x|^2/2, dt = 98, reaches its root only through continuation in
-    dt; test_stage_loop_fallback forces the pass's stage loop on it."""
+    dt; test_recorded_fields also solves it by the stage loop."""
     field = np.zeros((8, 8))
     for (i, j), value in {
         (0, 0): 9.01796819, (1, 1): 3.00858032, (2, 1): 7.06213723, (2, 3): 10.0,
@@ -666,34 +721,20 @@ class TestSweepProperties:
                                            (_near_vacuum_field(), 38.0)],
                              ids=["stalled_pass", "near_vacuum"])
     def test_recorded_fields(self, field, dt):
-        self._check_pass(field, dt, 0, False)
+        # The quadratic pass as one Newton system, and as the stage loop that
+        # an untagged copy of its table (no exact_form) routes to: each keeps
+        # every stage's guarantees, and both reach the same root.
+        swept = self._check_pass(field, dt, 0, False)
+        staged = self._check_pass(field, dt, 0, False, untagged=True)
+        assert np.abs(staged - swept).max() <= 1e-12 * np.abs(swept).max()
 
-    @pytest.mark.parametrize("field, dt", [(_stalled_pass_field(), 98.0),
-                                           (_near_vacuum_field(), 38.0)],
-                             ids=["stalled_pass", "near_vacuum"])
-    def test_stage_loop_fallback(self, field, dt, monkeypatch):
-        # Should the one Newton solve of a quadratic pass fail, the pass is
-        # solved stage by stage: each stage keeps the guarantees, and the
-        # pass reaches the root the one solve reaches.
-        unforced = self._check_pass(field, dt, 0, False)
-        original, stages = split2d.solve_lines, []
-
-        def pass_solve_fails(problem, config=None):
-            if problem.across is not None:
-                raise NewtonError("pass solve made to fail")
-            stages.append(1)
-            return original(problem, config)
-
-        monkeypatch.setattr(split2d, "solve_lines", pass_solve_fails)
-        forced = self._check_pass(field, dt, 0, False)
-        assert len(stages) == self.g.n_cells
-        assert np.abs(forced - unforced).max() <= 1e-12 * np.abs(unforced).max()
-
-    def _check_pass(self, field, dt, axis, gaussian):
+    def _check_pass(self, field, dt, axis, gaussian, untagged=False):
         g = self.g
         model = nonlocal_fokker_planck(g)
         base = build_setup(model, "s2", stage="midpoint")
         kernel = tabulate_kernel(Gaussian(0.5, -1.0), g) if gaussian else base.kernel
+        if untagged:
+            kernel = KernelTable(kernel.values, kernel.cell_measure)
         setup = SchemeSetup(base.scheme, model, kernel)
         # The Newton tolerance is absolute on R*dt, whose roundoff floor is
         # about eps*dt*max(rho)*max|xi|/dx^2 (|H'| <= 40 above the vacuum
