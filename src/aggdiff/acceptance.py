@@ -291,7 +291,7 @@ def criterion_7() -> CriterionResult:
         for dim in (1, 2):
             grid = grid_1d(4.0, 0.25) if dim == 1 else grid_2d(4.0, 0.5)
             model = build(grid)
-            center = (0.25, 0.0)
+            center = (0.25, 0.0)[:dim]
             rho0 = np.maximum(
                 build_initial(
                     InitialSpec("gaussian", mass=1.0, width=0.6, center=center),
@@ -534,7 +534,7 @@ def criterion_10() -> CriterionResult:
         t_initial=0.0,
         t_final=300.0,
         dt=0.25,
-        initial=InitialSpec("gaussian", mass=1.0, width=0.5, center=(0.0, 0.0)),
+        initial=InitialSpec("gaussian", mass=1.0, width=0.5),
         solver=NewtonConfig(),
     )
     record = bifurcation_sweep(config, "sigma", SWEEP_SIGMAS)

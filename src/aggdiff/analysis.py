@@ -85,7 +85,7 @@ def _quadratic_interaction(vals, kernel: KernelTable, measure) -> float:
     p = np.arange(n) - 0.5 * (n - 1)
     form = w0 * total * total
     for axis, alpha in enumerate(alphas):
-        margin = vals if vals.ndim == 1 else vals.sum(axis=1 - axis)
+        margin = vals.sum(axis=tuple(a for a in range(vals.ndim) if a != axis))
         s1, s2 = p @ margin, (p * p) @ margin
         form += 2.0 * alpha * (total * s2 - s1 * s1)
     return float(0.5 * measure * kernel.cell_measure * form)
@@ -194,10 +194,7 @@ def sample_reference(ref: ReferenceSolution, t: float, grid: Grid) -> np.ndarray
     """Reference evaluated at cell centers (the error-table convention)."""
     if grid.dimension != ref.dimension:
         raise DomainError("grid and reference dimensions differ")
-    if grid.dimension == 1:
-        return reference_eval(ref, t, grid.axis_centers())
-    x, y = grid.cell_centers()
-    return reference_eval(ref, t, x, y)
+    return reference_eval(ref, t, *grid.cell_centers())
 
 
 def l1_error(rho, ref: ReferenceSolution, t: float, grid: Grid) -> float:
@@ -229,9 +226,4 @@ def first_moment(rho, grid: Grid) -> np.ndarray:
     """Unnormalized first moment sum x_i rho_i * measure, per component."""
     vals = field_values(rho)
     measure = grid.cell_measure
-    if grid.dimension == 1:
-        return np.array([float((grid.axis_centers() * vals).sum() * measure)])
-    x, y = grid.cell_centers()
-    return np.array(
-        [float((x * vals).sum() * measure), float((y * vals).sum() * measure)]
-    )
+    return np.array([float((x * vals).sum() * measure) for x in grid.cell_centers()])

@@ -198,9 +198,6 @@ def parse_config(path: str) -> ExperimentConfig:
         values = tuple(np.atleast_1d(_load_table(table_path, base_dir)).ravel())
     elif init_kind == "table":
         raise ConfigurationError("initial kind 'table' needs a file: kind = table:FILE")
-    center = _number(init_sec, "center", "0.0", _floats)
-    if len(center) == 1:
-        center = (center[0], 0.0)
     centers = _number(init_sec, "centers", "", _floats)
     if grid.dimension == 2:  # x, y pairs
         if len(centers) % 2:
@@ -211,7 +208,7 @@ def parse_config(path: str) -> ExperimentConfig:
         kind=init_kind,
         mass=_number(init_sec, "mass", 1.0),
         time=(_number(init_sec, "time", None) if "time" in init_sec else None),
-        center=center,
+        center=(_number(init_sec, "center", None, _floats) if "center" in init_sec else None),
         width=_number(init_sec, "width", 1.0),
         centers=centers,
         widths=_number(init_sec, "widths", "", _floats),

@@ -84,18 +84,19 @@ class InitialSpec:
     """Declarative initial condition.
 
     kinds: heat_kernel | barenblatt | fp_transient | fp_steady (the model's
-    reference solutions sampled at ``time``), gaussian (one normalized bump),
-    mixture (sum of bumps with given weights), uniform, zero, table
-    (explicit values). A mixture has one bump per entry of ``centers`` (a
-    number in 1D, an (x, y) pair in 2D); ``widths`` and ``weights``, when
-    given, have one entry per bump. Widths are positive and weights are not
-    negative.
+    reference solutions sampled at ``time``), gaussian (one normalized bump
+    at ``center``), mixture (sum of bumps with given weights), uniform, zero,
+    table (explicit values). A center has one number per grid axis (a bare
+    number stands for (x,) on a 1D grid); ``center = None`` is the grid's
+    origin. A mixture has one bump per entry of ``centers``; ``widths`` and
+    ``weights``, when given, have one entry per bump. Widths are positive
+    and weights are not negative.
     """
 
     kind: str
     mass: float = 1.0
     time: float | None = None
-    center: tuple = (0.0, 0.0)
+    center: tuple | None = None
     width: float = 1.0
     centers: tuple = ()
     widths: tuple = ()
@@ -121,22 +122,28 @@ class InitialSpec:
 def _gaussian_bump(grid: Grid, center, width, weight):
     xs = grid.axis_centers()
     if grid.dimension == 1:
-        return weight * np.exp(-0.5 * ((xs - center) / width) ** 2) / (width * np.sqrt(2 * np.pi))
+        (cx,) = center
+        return weight * np.exp(-0.5 * ((xs - cx) / width) ** 2) / (width * np.sqrt(2 * np.pi))
     cx, cy = center
     gx = np.exp(-0.5 * ((xs - cx) / width) ** 2) / (width * np.sqrt(2 * np.pi))
     gy = np.exp(-0.5 * ((xs - cy) / width) ** 2) / (width * np.sqrt(2 * np.pi))
     return weight * gx[:, None] * gy[None, :]
 
 
-def _point(center, grid: Grid, name: str):
-    """``center`` when it is a number on a 1D grid or an (x, y) pair on a 2D one.
+def _point(center, grid: Grid, name: str) -> tuple:
+    """``center`` as a tuple of one number per grid axis: None is the origin,
+    and a bare number is (x,) on a 1D grid.
 
     Anything else raises ConfigurationError naming it.
     """
-    if np.shape(center) != (() if grid.dimension == 1 else (2,)):
+    if center is None:
+        return (0.0,) * grid.dimension
+    if grid.dimension == 1 and np.ndim(center) == 0:
+        center = (center,)
+    if np.shape(center) != (grid.dimension,):
         shape = "a number" if grid.dimension == 1 else "an (x, y) pair"
         raise ConfigurationError(f"{name} {center!r} is not {shape} on a {grid.dimension}D grid")
-    return center
+    return tuple(center)
 
 
 def build_initial(spec: InitialSpec, grid: Grid, t_initial: float,
@@ -150,10 +157,8 @@ def build_initial(spec: InitialSpec, grid: Grid, t_initial: float,
         t0 = spec.time if spec.time is not None else t_initial
         return sample_reference(ref, t0, grid)
     if kind == "gaussian":
-        center = spec.center
-        if grid.dimension == 1 and np.ndim(center) == 1 and len(center):
-            center = center[0]  # parse_config pads x to (x, 0.0); a 1D grid reads x
-        bump = _gaussian_bump(grid, _point(center, grid, "gaussian center"), spec.width, spec.mass)
+        center = _point(spec.center, grid, "gaussian center")
+        bump = _gaussian_bump(grid, center, spec.width, spec.mass)
         if spec.mass > 0 and not bump.sum() > 0:
             raise ConfigurationError("gaussian bump carries no mass on the grid")
         return bump
@@ -206,10 +211,15 @@ class ExperimentConfig:
     cadence: int = 1
 
     def __post_init__(self):
+        for name in ("t_initial", "t_final"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.t_final > self.t_initial:
             raise ConfigurationError("t_final must exceed t_initial")
-        if self.dt != "auto" and not (isinstance(self.dt, (int, float)) and self.dt > 0):
-            raise ConfigurationError(f"dt must be 'auto' or a positive number, got {self.dt!r}")
+        if self.dt != "auto" and not (isinstance(self.dt, (int, float))
+                                      and 0 < self.dt < float("inf")):
+            raise ConfigurationError(f"dt must be 'auto' or a positive finite number, "
+                                     f"got {self.dt!r}")
         if self.cadence < 1:
             raise ConfigurationError(f"output cadence must be at least 1, got {self.cadence}")
         outside = [t for t in self.snapshots if not self.t_initial <= t <= self.t_final + 1e-12]
@@ -526,11 +536,8 @@ def bifurcation_sweep(config: ExperimentConfig, parameter: str, values,
     for value in values:
         model = _with_parameter(config.model, parameter, value)
         setup = build_setup(model, config.scheme_kind, config.stage, config.theta)
-        init = config.initial
-        shifted = replace(
-            init,
-            center=(init.center[0] + SWEEP_SHIFT,) + tuple(init.center[1:]),
-        )
+        x, *rest = _point(config.initial.center, model.grid, "gaussian center")
+        shifted = replace(config.initial, center=(x + SWEEP_SHIFT, *rest))
         rho0 = np.maximum(build_initial(shifted, model.grid, config.t_initial, model), 0.0)
         rho, t_reached, converged, _ = run_to_steady(
             setup, rho0, _dt_rule(config.dt, setup), config.t_final - config.t_initial,

@@ -11,6 +11,7 @@ quadratic form on mass-neutral differences, classified here.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -158,98 +159,74 @@ class KernelTable:
         return faces, cells
 
 
-def _eval_radial(interaction, x, y=None, dimension=1):
-    r2 = np.asarray(x) ** 2 if y is None else np.asarray(x) ** 2 + np.asarray(y) ** 2
-    return interaction.radial(r2, dimension)
+def _cell_average(interaction, offset, dx):
+    """(1/dx^d) \\int_C W(offset - s) ds over the cell C = [-dx/2, dx/2]^d, by nquad.
 
-
-def _cell_average_1d(interaction, offset_x, dx):
+    ``offset`` holds one physical offset per axis. nquad integrates its
+    first variable innermost, so the variables come in reverse axis order.
+    """
     from scipy import integrate  # only singular tabulation integrates
 
-    def f(s):
-        return _eval_radial(interaction, offset_x - s, dimension=1)
+    d = len(offset)
+
+    def f(*s):
+        return interaction.radial(sum(np.square(o - si) for o, si in zip(offset, s[::-1])), d)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(f, -0.5 * dx, 0.5 * dx, **_QUAD_OPTS)
+        val, err = integrate.nquad(f, [(-0.5 * dx, 0.5 * dx)] * d, opts=_QUAD_OPTS)
     scale = max(abs(val), 1.0)
     if not np.isfinite(val) or err > 1e-8 * scale:
-        raise KernelError(
-            f"cell-average quadrature did not converge at offset {offset_x / dx:g}",
-            offset=offset_x / dx,
-        )
-    return val / dx
-
-
-def _cell_average_2d(interaction, offset_x, offset_y, dx, dy):
-    from scipy import integrate
-
-    def f(t, s):  # dblquad integrates f(y, x)
-        return _eval_radial(interaction, offset_x - s, offset_y - t, dimension=2)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.dblquad(
-            f, -0.5 * dx, 0.5 * dx, -0.5 * dy, 0.5 * dy, epsabs=0.0, epsrel=1e-10
-        )
-    scale = max(abs(val), 1.0)
-    if not np.isfinite(val) or err > 1e-8 * scale:
-        raise KernelError(
-            "cell-average quadrature did not converge at offset "
-            f"({offset_x / dx:g}, {offset_y / dy:g})",
-            offset=(offset_x / dx, offset_y / dy),
-        )
-    return val / (dx * dy)
+        cells = tuple(float(o / dx) for o in offset)
+        raise KernelError(f"cell-average quadrature did not converge at offset {cells}",
+                          offset=cells)
+    return val / math.prod([dx] * d)
 
 
 def tabulate_kernel(interaction, grid: Grid, singular: bool = False) -> KernelTable:
-    """Build the offset table for one interaction on one grid.
+    """Build the offset table for one interaction on one grid, in any dimension.
 
-    Pointwise mode samples W at center differences o*dx. Singular mode
-    replaces each entry by its average over the source cell,
-    (1/dx) \\int_{C_k} W(x_i - s) ds, via adaptive quadrature (rel. tol 1e-10);
-    this keeps integrable singularities finite.
+    Pointwise mode samples W at center differences o*dx per axis. Singular
+    mode replaces each entry by its average over the source cell,
+    (1/dx^d) \\int_{C_k} W(x_i - s) ds, via adaptive quadrature (rel. tol
+    1e-10); this keeps integrable singularities finite. It integrates the
+    half whose last offset is >= 0 and fills the rest by the point symmetry
+    W(-v) = W(v). A table that is not finite raises DomainError.
     """
     n = grid.n_cells
     length = 2 * n - 1
-    dx = grid.dx
+    d = grid.dimension
     measure = grid.cell_measure
 
     if interaction is None:
-        shape = (length,) * grid.dimension
-        return KernelTable(np.zeros(shape), measure)
+        return KernelTable(np.zeros((length,) * d), measure)
 
     exact_form = None
     if isinstance(interaction, Quadratic):
         exact_form = "quadratic+" if interaction.strength > 0 else "quadratic-"
 
+    offsets = grid.dx * np.arange(-(n - 1), n)
     if isinstance(interaction, TabulatedInteraction):
-        table = interaction.offsets()
-        if table.ndim != grid.dimension or table.shape != (length,) * grid.dimension:
+        vals = interaction.offsets()
+        if vals.shape != (length,) * d:
             raise ShapeError(
-                f"tabulated interaction shape {table.shape} does not match "
-                f"{(length,) * grid.dimension}"
+                f"tabulated interaction shape {vals.shape} does not match {(length,) * d}"
             )
-        return KernelTable(table.copy(), measure)
-
-    offsets = dx * np.arange(-(n - 1), n)
-    if grid.dimension == 1:
-        if singular:
-            half = np.array([_cell_average_1d(interaction, o, dx) for o in offsets[n - 1 :]])
-            vals = np.concatenate([half[:0:-1], half])
-        else:
-            vals = np.asarray(_eval_radial(interaction, offsets, dimension=1), dtype=float)
+    elif singular:
+        vals = np.empty((length,) * d)
+        for index in np.ndindex(vals.shape):
+            if index[-1] >= n - 1:
+                vals[index] = _cell_average(interaction, tuple(offsets[list(index)]), grid.dx)
+        vals[..., : n - 1] = np.flip(vals)[..., : n - 1]
     else:
-        if singular:
-            # Point symmetry W(-v) = W(v): tabulate the oy >= 0 half, mirror.
-            vals = np.empty((length, length))
-            for a, ox in enumerate(offsets):
-                for b in range(n - 1, length):
-                    vals[a, b] = _cell_average_2d(interaction, ox, offsets[b], dx, dx)
-            vals[:, : n - 1] = vals[::-1, : n - 1 : -1]
-        else:
-            ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
-            vals = np.asarray(_eval_radial(interaction, ox, oy, dimension=2), dtype=float)
+        # The mesh lives until the table is built: freed inside the sum, it left
+        # glibc trimming the heap on every step of a 2D sweep (27k page faults a run).
+        mesh = np.meshgrid(*[offsets] * d, indexing="ij")
+        r2 = sum(o**2 for o in mesh)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            vals = np.asarray(interaction.radial(r2, d), dtype=float)
+    if not np.isfinite(vals).all():
+        raise DomainError("interaction table is not finite on the grid")
 
     return KernelTable(vals, measure, exact_form=exact_form)
 
@@ -321,7 +298,7 @@ def _circulant_spectrum(kernel: KernelTable) -> np.ndarray:
     symmetric W the spectrum is real.
     """
     base = np.fft.ifftshift(kernel.values)
-    spec = np.fft.fft(base) if kernel.values.ndim == 1 else np.fft.fft2(base)
+    spec = np.fft.fftn(base)
     if np.abs(spec.imag).max(initial=0.0) > 1e-9 * max(np.abs(spec.real).max(), 1e-300):
         raise DomainError("kernel spectrum is not real; the kernel is not symmetric")
     return spec.real

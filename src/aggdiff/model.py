@@ -68,22 +68,16 @@ class Grid:
         n = self.n_cells
         return -self.half_width + self.dx * (np.arange(1, n + 1) - 0.5)
 
-    def cell_centers(self):
-        """Centers as an (n,) array in 1D or a pair of (n, n) meshes in 2D.
+    def cell_centers(self) -> tuple:
+        """One (n,)*d mesh of centers per axis, indexed [i, j, ...] with axis 0 the x direction.
 
-        In 2D the meshes are indexed [i, j] with axis 0 the x direction.
+        A 1-tuple in 1D.
         """
-        c = self.axis_centers()
-        if self.dimension == 1:
-            return c
-        return np.meshgrid(c, c, indexing="ij")
+        return tuple(np.meshgrid(*[self.axis_centers()] * self.dimension, indexing="ij"))
 
     def radius_squared(self) -> np.ndarray:
         """|x|^2 at cell centers, shaped like a field."""
-        c = self.axis_centers()
-        if self.dimension == 1:
-            return c**2
-        return c[:, None] ** 2 + c[None, :] ** 2
+        return sum(x**2 for x in self.cell_centers())
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +264,12 @@ class Gaussian:
             raise DomainError("gaussian sign must be +1 or -1")
 
     def radial(self, r2, dimension):
-        s2 = self.width**2
-        norm = (2.0 * np.pi * s2) ** (-0.5 * dimension)
+        try:  # a float width whose square or norm leaves the float range raises here
+            s2 = self.width**2
+            norm = (2.0 * np.pi * s2) ** (-0.5 * dimension)
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(
+                f"gaussian width {self.width!r} is out of floating-point range") from None
         return self.sign * norm * np.exp(-0.5 * np.asarray(r2) / s2)
 
 
@@ -301,8 +299,7 @@ class TabulatedInteraction:
 
     def __post_init__(self):
         arr = self.offsets()
-        flipped = arr[::-1] if arr.ndim == 1 else arr[::-1, ::-1]
-        if not np.array_equal(arr, flipped):
+        if not np.array_equal(arr, np.flip(arr)):
             raise DomainError("tabulated interaction must be symmetric in the offset")
 
     def offsets(self) -> np.ndarray:
@@ -349,15 +346,23 @@ class ModelSpec:
 
 
 def sample_confinement(potentials: PotentialSpec, grid: Grid) -> np.ndarray:
-    """Pointwise V at cell centers; an absent V yields an all-zero table."""
+    """Pointwise V at cell centers; an absent V yields an all-zero table.
+
+    A V that is not finite at some center raises DomainError.
+    """
     conf = potentials.confinement
     if conf is None:
         return np.zeros(grid.shape)
     if isinstance(conf, TabulatedConfinement):
-        return conf.table(grid)
-    if isinstance(conf, RADIAL_POTENTIALS):
-        return np.asarray(conf.radial(grid.radius_squared(), grid.dimension), dtype=float)
-    raise DomainError(f"unsupported confinement potential {type(conf).__name__}")
+        table = conf.table(grid)
+    elif isinstance(conf, RADIAL_POTENTIALS):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            table = np.asarray(conf.radial(grid.radius_squared(), grid.dimension), dtype=float)
+    else:
+        raise DomainError(f"unsupported confinement potential {type(conf).__name__}")
+    if not np.isfinite(table).all():
+        raise DomainError("confinement potential is not finite on the grid")
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -254,8 +254,9 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, *, jaco
     dR/dx, returns a Tridiagonal (one banded solve for every line) or, for
     one line (a sweep pass's lines laid end to end among them), a
     TridiagonalLowRank or a dense matrix (see _solve_linear). Raises NewtonError if any line
-    misses the tolerance. Returns (root, iterations summed over lines, worst
-    norm).
+    misses the tolerance, and NumericalError for a non-finite residual or a
+    linear solve that rejects its input (a non-finite Jacobian). Returns
+    (root, iterations summed over lines, worst norm).
 
     The callables see the state in the guess's shape, and a repeated state
     as the same object (the iterate a residual was evaluated at is the one
@@ -323,6 +324,8 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, *, jaco
                 best_iterate=shaped(x),
                 best_norm=float(worst),
             ) from exc
+        except ValueError as exc:  # the banded solves' finite-input check, chiefly
+            raise NumericalError(f"the Newton linear solve rejected its input: {exc}") from exc
         del jac  # its bands are not needed for the trial steps
         step_x = xa + delta
         r_new, norm_new, worst_new = evaluate(step_x, lines)

@@ -358,12 +358,16 @@ class TestParsing:
             run_experiment(config)
 
 
+def _child_env(**extra):
+    """os.environ plus ``extra``, with this checkout's src first on PYTHONPATH."""
+    src = str(Path(experiments.__file__).resolve().parent.parent)
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def run_cli(*args, env=None):
     cmd = [sys.executable, "-m", "aggdiff.cli", *args]
-    merged = dict(os.environ)
-    if env:
-        merged.update(env)
-    return subprocess.run(cmd, capture_output=True, text=True, env=merged)
+    return subprocess.run(cmd, capture_output=True, text=True, env=_child_env(**(env or {})))
 
 
 class TestCli:
@@ -457,7 +461,19 @@ class TestCli:
         ("[time]\ndt = 0.1\ndt = 0.2\n", "option 'dt' in section 'time' already exists"),
         ("[initial]\ncenter =\n", "gaussian center () is not a number on a 1D grid"),
         ("[initial]\ncenter = 100\n", "gaussian bump carries no mass on the grid"),
-    ], ids=["t_final_inf", "duplicated_key", "empty_center", "off_grid_center"])
+        ("[initial]\ncenter = 0.5, 7, 3\n",
+         "gaussian center (0.5, 7.0, 3.0) is not a number on a 1D grid"),
+        ("dimension = 2\n[initial]\ncenter = 0.5\n",
+         "gaussian center (0.5,) is not an (x, y) pair on a 2D grid"),
+        ("[model]\nconfinement = quadratic\nconfinement_strength = 1e308\n",
+         "the Newton linear solve rejected its input: array must not contain infs or NaNs"),
+        ("[model]\ninteraction = gaussian\ninteraction_width = 1e308\n",
+         "gaussian width 1e+308 is out of floating-point range"),
+        ("[model]\ninteraction = gaussian\ninteraction_width = 1e-320\n",
+         "gaussian width 1e-320 is out of floating-point range"),
+    ], ids=["t_final_inf", "duplicated_key", "empty_center", "off_grid_center",
+            "1d_center_of_three", "2d_center_of_one", "overflowing_confinement_slope",
+            "huge_interaction_width", "subnormal_interaction_width"])
     def test_bad_config_exits_two_with_one_error_line(self, tmp_path, capsys, lines, message):
         path = tmp_path / "c.ini"
         path.write_text("[grid]\nhalf_width = 2.0\ncells_per_half_axis = 4\n" + lines)
@@ -465,6 +481,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @pytest.mark.parametrize("model, message", [
+        ("confinement = quadratic\nconfinement_strength = 1e308\n",
+         "confinement potential is not finite on the grid"),
+        ("interaction = table:w.txt\n", "interaction table is not finite on the grid"),
+    ], ids=["confinement", "interaction"])
+    def test_non_finite_potential_table_exits_two(self, tmp_path, capsys, model, message):
+        (tmp_path / "w.txt").write_text("1 2 3 inf 3 2 1\n")
+        path = tmp_path / "c.ini"
+        path.write_text("[grid]\nhalf_width = 4.0\ncells_per_half_axis = 2\n[model]\n" + model)
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_table_initial_of_wrong_length_exits_two(self, tmp_path, capsys):
         table = tmp_path / "rho.txt"
@@ -556,11 +584,8 @@ print(" ".join(m for m in ("scipy.signal", "scipy.stats", "scipy.integrate") if 
 
 def test_stepping_imports_no_signal_stats_or_integrate():
     """The CLI and a 2D step run without the slow-to-import scipy subpackages."""
-    src = str(Path(experiments.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-c", STEP_IMPORTS], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
 

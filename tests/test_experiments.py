@@ -88,8 +88,20 @@ class TestInitialConditions:
     def test_1d_gaussian_takes_a_scalar_center(self):
         g = grid_1d(2.0, 0.25)
         scalar = build_initial(InitialSpec("gaussian", center=0.5), g, 0.0)
-        pair = build_initial(InitialSpec("gaussian", center=(0.5, 0.0)), g, 0.0)
-        assert np.array_equal(scalar, pair) and scalar.max() > 0
+        one = build_initial(InitialSpec("gaussian", center=(0.5,)), g, 0.0)
+        assert np.array_equal(scalar, one) and scalar.max() > 0
+
+    @pytest.mark.parametrize("center", [(0.5, 0.0), (0.5, 7.0, 3.0)])
+    def test_1d_gaussian_center_of_more_numbers_rejected(self, center):
+        with pytest.raises(ConfigurationError,
+                           match=rf"gaussian center {re.escape(repr(center))} is not a number"):
+            build_initial(InitialSpec("gaussian", center=center), grid_1d(2.0, 0.25), 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_gaussian_without_center_sits_at_the_origin(self, dim):
+        g = grid_1d(2.0, 0.25) if dim == 1 else grid_2d(2.0, 0.5)
+        origin = build_initial(InitialSpec("gaussian", center=(0.0,) * dim), g, 0.0)
+        assert np.array_equal(build_initial(InitialSpec("gaussian"), g, 0.0), origin)
 
     def test_1d_gaussian_with_an_empty_center_rejected(self):
         with pytest.raises(ConfigurationError,
@@ -159,6 +171,21 @@ class TestRunExperiment:
     def test_dt_not_positive_rejected(self, dt):
         with pytest.raises(ConfigurationError, match="dt must be"):
             self._config(dt=dt)
+
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+    def test_non_finite_t_initial_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="t_initial must be finite"):
+            self._config(t_initial=value)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_t_final_rejected(self, value):
+        # t_final = inf used to construct, and run_experiment marched forever.
+        with pytest.raises(ConfigurationError, match="t_final must be finite"):
+            self._config(t_final=value)
+
+    def test_infinite_dt_rejected(self):
+        with pytest.raises(ConfigurationError, match="dt must be 'auto' or a positive finite"):
+            self._config(dt=float("inf"))
 
     def test_zero_initial_field_stays_zero(self):
         record = run_experiment(self._config(initial=InitialSpec("zero")))
@@ -255,7 +282,8 @@ def _flocking_setup(dimension, kind, stage):
     g = grid_1d(4.0, 0.25) if dimension == 1 else grid_2d(4.0, 0.5)
     model = flocking(g, noise=0.5)
     rho = build_initial(
-        InitialSpec("gaussian", mass=1.0, width=0.6, center=(0.3, -0.2)), g, 0.0, model
+        InitialSpec("gaussian", mass=1.0, width=0.6, center=(0.3, -0.2)[:dimension]), g, 0.0,
+        model,
     )
     return build_setup(model, kind, stage), rho
 
@@ -494,7 +522,7 @@ class TestSweep:
             t_initial=0.0,
             t_final=t_final,
             dt=dt,
-            initial=InitialSpec("gaussian", mass=1.0, width=0.5, center=(0.0, 0.0)),
+            initial=InitialSpec("gaussian", mass=1.0, width=0.5, center=(0.0,)),
             solver=NewtonConfig(),
         )
         record = bifurcation_sweep(config, "sigma", [0.8])
@@ -504,7 +532,7 @@ class TestSweep:
         model = flocking(g, noise=0.8)
         setup = build_setup(model, kind, "auto")
         rho0 = build_initial(
-            InitialSpec("gaussian", mass=1.0, width=0.5, center=(0.5, 0.0)), g, 0.0, model
+            InitialSpec("gaussian", mass=1.0, width=0.5, center=(0.5,)), g, 0.0, model
         )
         rule = dt if dt != "auto" else (lambda values: _auto_dt(values, setup))
         rho, t, conv, _ = run_to_steady(setup, np.maximum(rho0, 0), rule, t_final)
@@ -525,7 +553,7 @@ class TestSweep:
             scheme_kind="s2",
             t_final=50.0,
             dt=0.5,
-            initial=InitialSpec("gaussian", mass=1.0, width=0.5, center=(0.0, 0.0)),
+            initial=InitialSpec("gaussian", mass=1.0, width=0.5, center=(0.0,)),
         )
         record = bifurcation_sweep(config, "diffusion", [0.5, 1.0],
                                    output_dir=str(tmp_path))

@@ -19,8 +19,8 @@ from aggdiff.kernels import (
     select_stage_rule,
     tabulate_kernel,
 )
-from aggdiff.errors import KernelError, ShapeError
-from aggdiff.model import Gaussian, Grid, Quadratic, TabulatedInteraction
+from aggdiff.errors import DomainError, KernelError, ShapeError
+from aggdiff.model import Bistable, Gaussian, Grid, Quadratic, TabulatedInteraction
 
 
 def brute_force_convolution(table, rho, dx):
@@ -113,6 +113,14 @@ class TestTabulate:
             assert np.array_equal(row.values, kt.axis_slice(axis))
             assert row.quadratic_coefficients[1] == (kt.quadratic_coefficients[1][axis],)
 
+    @pytest.mark.parametrize("interaction", [
+        TabulatedInteraction((1.0, 2.0, 3.0, np.inf, 3.0, 2.0, 1.0)),
+        Bistable(1e307),
+    ], ids=["tabulated_inf", "overflowing"])
+    def test_non_finite_table_rejected(self, interaction):
+        with pytest.raises(DomainError, match="interaction table is not finite"):
+            tabulate_kernel(interaction, Grid(1, 4.0, 2))
+
     def test_tabulated_wrong_length_rejected(self):
         g = Grid(1, 1.0, 2)
         with pytest.raises(ShapeError):
@@ -145,7 +153,7 @@ class TestTabulate:
         g = Grid(1, 1.0, 2)
         with pytest.raises(KernelError) as info:
             tabulate_kernel(NonIntegrable(), g, singular=True)
-        assert info.value.offset == 0.0
+        assert info.value.offset == (0.0,)
 
 
 class TestConvolve:

@@ -227,6 +227,22 @@ class TestPotentials:
         with pytest.raises(DomainError):
             Gaussian(0.5, 2.0)
 
+    @pytest.mark.parametrize("width, dimension", [
+        (1e308, 1), (1e308, 2), (1e-320, 1), (1e-320, 2), (1e-160, 2)])
+    def test_gaussian_width_out_of_float_range(self, width, dimension):
+        # width**2 overflows, underflows to 0, or leaves a 2D norm that
+        # overflows; each used to escape as a bare OverflowError or
+        # ZeroDivisionError.
+        with pytest.raises(DomainError, match="gaussian width .* is out of floating-point range"):
+            Gaussian(width).radial(np.array([0.0, 1.0]), dimension)
+
+    @pytest.mark.parametrize("conf", [
+        Quadratic(1e308), TabulatedConfinement((1.0, np.inf, 1.0, 0.0))],
+        ids=["overflowing", "tabulated_inf"])
+    def test_non_finite_confinement_rejected(self, conf):
+        with pytest.raises(DomainError, match="confinement potential is not finite"):
+            sample_confinement(PotentialSpec(confinement=conf), Grid(1, 4.0, 2))
+
 
 class TestDensityField:
     def test_mass(self):

@@ -43,7 +43,8 @@ def test_is_zero_is_a_counted_property():
 def _s1_step(grid, advance):
     """An S1 linear Fokker-Planck step asked for a dt far above its CFL bound."""
     setup = build_setup(linear_fokker_planck(grid), S1, stage="midpoint")
-    rho = build_initial(InitialSpec("gaussian", width=0.5, center=(0.3, -0.2)), grid, 0.0)
+    center = (0.3, -0.2)[:grid.dimension]
+    rho = build_initial(InitialSpec("gaussian", width=0.5, center=center), grid, 0.0)
     out = advance(rho, 1.0, setup)
     assert out.cfl_retries >= 1  # the retrying path
     return out
