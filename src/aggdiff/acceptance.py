@@ -32,7 +32,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .analysis import ReferenceSolution, sample_reference
 from .errors import ConfigurationError
@@ -364,6 +363,8 @@ def criterion_8() -> CriterionResult:
         )
 
     # (b) FFT convolution, as scipy.signal.fftconvolve computes it, equals the direct sum.
+    from scipy.fft import irfft, next_fast_len, rfft
+
     for m in (8, 32):
         g1 = Grid(1, 2.0, m)
         kernel = tabulate_kernel(Gaussian(0.5, -1.0), g1)

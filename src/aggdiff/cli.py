@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import acceptance
 from .config import parse_config, resolve_output
 from .errors import AggDiffError, ConfigurationError
@@ -133,7 +135,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # A number out of range fails the run with one error line (NumericalError),
+        # so numpy's floating-point warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except AggDiffError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

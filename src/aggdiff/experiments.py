@@ -13,7 +13,8 @@ import numpy as np
 
 from . import analysis, scheme1d
 from .analysis import ReferenceSolution, convergence_order, l1_error, sample_reference
-from .errors import ConfigurationError, NewtonError, StepError
+from .errors import ConfigurationError, NewtonError, NumericalError, StepError
+from .kernels import convolve
 from .model import DensityField, Grid, ModelSpec, field_values
 from .presets import (
     heat,
@@ -293,13 +294,40 @@ def _dt_rule(dt, setup: SchemeSetup):
     return (lambda values: _auto_dt(values, setup)) if dt == "auto" else float(dt)
 
 
+def _overflowing_term(setup: SchemeSetup, values) -> str | None:
+    """Which term of the potential overflows a step from ``values``, if one does.
+
+    A step divides each term of xi = H'(rho) + V + W * rho by dx twice: the
+    face differences over dx are velocities, and those over dx are the rates
+    at which mass leaves a cell. Names the first term that is not finite, or
+    whose largest rate is not; None when every term is in range.
+    """
+    dx = setup.dx
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is what is sought
+        terms = [(f"the diffusion term H'(rho) at diffusion = {setup.energy.diffusion:g}",
+                  setup.energy.slope_regularized(values)),
+                 ("the confinement potential V", setup.v_table)]
+        if setup.kernel is not None:
+            terms.append(("the interaction term W * rho", convolve(setup.kernel, values)))
+        for name, term in terms:
+            if not np.isfinite(term).all():
+                return f"{name} is not finite"
+            slope = max(float(np.abs(np.diff(term, axis=k)).max(initial=0.0))
+                        for k in range(term.ndim)) / dx
+            if not np.isfinite(slope / dx):
+                return f"{name} changes too fast between cells (slope {slope:g}, dx = {dx:g})"
+    return None
+
+
 def run_experiment(config: ExperimentConfig) -> RunRecord:
     """Time-step a configured model, recording telemetry and snapshots.
 
     The energy column is the clipped discrete energy of each recorded state
     and must be non-increasing within solver tolerance; any breach, or a
     failed step (StepError or NewtonError), is recorded as a violation
-    rather than raised, so the rows so far are still written.
+    rather than raised, so the rows so far are still written. A
+    NumericalError, a number out of floating-point range, is raised with the
+    term of the potential that overflows named where one does.
     """
     model = config.model
     grid = model.grid
@@ -343,6 +371,11 @@ def run_experiment(config: ExperimentConfig) -> RunRecord:
             take_snapshots(t, field)
     except (StepError, NewtonError) as exc:
         violations.append(f"step failed at t={t:.6g}: {exc}")
+    except NumericalError as exc:
+        term = _overflowing_term(setup, field.values)
+        if term is None:
+            raise
+        raise NumericalError(f"{exc}; {term}") from exc
 
     csv_path = None
     if config.output_dir:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import DomainError, KernelError, ShapeError
 from .model import DensityField, Grid, Quadratic, TabulatedInteraction, field_values
@@ -126,6 +125,8 @@ class KernelTable:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """rfftn of the table on fftconvolve's padded shape, next_fast_len(3n - 2) per axis."""
+        from scipy.fft import next_fast_len, rfftn  # only FFT convolutions need scipy.fft
+
         spec = rfftn(self.values, (next_fast_len(3 * self.n_cells - 2, True),) * self.values.ndim)
         spec.setflags(write=False)  # shared by every caller
         return spec
@@ -191,7 +192,9 @@ def tabulate_kernel(interaction, grid: Grid, singular: bool = False) -> KernelTa
     (1/dx^d) \\int_{C_k} W(x_i - s) ds, via adaptive quadrature (rel. tol
     1e-10); this keeps integrable singularities finite. It integrates the
     half whose last offset is >= 0 and fills the rest by the point symmetry
-    W(-v) = W(v). A table that is not finite raises DomainError.
+    W(-v) = W(v). A table that is not finite raises DomainError. A 2D table
+    that is not quadratic takes its ``spectrum`` here, so that scipy.fft
+    loads at set-up, not in a step; no other table needs scipy.fft.
     """
     n = grid.n_cells
     length = 2 * n - 1
@@ -219,16 +222,16 @@ def tabulate_kernel(interaction, grid: Grid, singular: bool = False) -> KernelTa
                 vals[index] = _cell_average(interaction, tuple(offsets[list(index)]), grid.dx)
         vals[..., : n - 1] = np.flip(vals)[..., : n - 1]
     else:
-        # The mesh lives until the table is built: freed inside the sum, it left
-        # glibc trimming the heap on every step of a 2D sweep (27k page faults a run).
-        mesh = np.meshgrid(*[offsets] * d, indexing="ij")
-        r2 = sum(o**2 for o in mesh)
+        r2 = sum(o**2 for o in np.meshgrid(*[offsets] * d, indexing="ij"))
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             vals = np.asarray(interaction.radial(r2, d), dtype=float)
     if not np.isfinite(vals).all():
         raise DomainError("interaction table is not finite on the grid")
 
-    return KernelTable(vals, measure, exact_form=exact_form)
+    table = KernelTable(vals, measure, exact_form=exact_form)
+    if d == 2 and exact_form is None and not table.is_zero:
+        table.spectrum  # the steps will FFT-convolve this table
+    return table
 
 
 def convolve(kernel: KernelTable, rho) -> np.ndarray:
@@ -266,6 +269,8 @@ def _convolve_values(kernel: KernelTable, vals: np.ndarray) -> np.ndarray:
         return np.zeros_like(vals)
     if kernel.values.ndim == 1:
         return np.convolve(kernel.values, vals, "valid") * kernel.cell_measure
+    from scipy.fft import irfftn, rfftn
+
     lo = n - 1
     shape = (kernel.spectrum.shape[0],) * 2  # the padded real shape
     field_hat = rfftn(vals, shape)

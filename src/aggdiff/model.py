@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DomainError, ShapeError
 
@@ -110,6 +109,8 @@ class InternalEnergy:
             raise DomainError("power exponent m must exceed 1")
         if self.entropy_weight < 0:
             raise DomainError("entropy regularization weight must be >= 0")
+        if self._entropy_coeff:
+            self._xlogy  # scipy.special loads with the model, not at its first energy
 
     @classmethod
     def entropy(cls, diffusion):
@@ -133,6 +134,12 @@ class InternalEnergy:
         return 0.0
 
     @cached_property
+    def _xlogy(self):
+        from scipy.special import xlogy  # only an entropy term needs scipy.special
+
+        return xlogy
+
+    @cached_property
     def _power_coeff(self) -> float:
         # Coefficient of rho^m in H.
         if self.kind in ("power", "power_entropy"):
@@ -149,7 +156,7 @@ class InternalEnergy:
         out = None
         ce = self._entropy_coeff
         if ce:
-            out = xlogy(rho, rho)
+            out = self._xlogy(rho, rho)
             out -= rho
             if ce != 1.0:  # 1.0 * x is x
                 out *= ce

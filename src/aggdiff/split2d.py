@@ -30,7 +30,6 @@ matrix and a dense LU.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import RoutingError
 from .kernels import EXPLICIT, QUADRATIC_FORMS, convolve
@@ -96,6 +95,8 @@ class SpectralBackground:
     """
 
     def __init__(self, kernel, field, axis, row_kernel):
+        from scipy.fft import next_fast_len, rfft  # only this pass needs scipy.fft
+
         n = field.shape[0]
         self.n, self.measure, self.row_kernel = n, kernel.cell_measure, row_kernel
         self.conv = _lines(convolve(kernel, field), axis)
@@ -106,11 +107,15 @@ class SpectralBackground:
         self.acc = np.zeros((n, self.nfft // 2 + 1), dtype=complex)
 
     def __call__(self, r, old_line):
+        from scipy.fft import irfft
+
         n = self.n
         earlier = irfft(self.acc[r], self.nfft)[n - 1 : 2 * n - 1] * self.measure
         return self.conv[r] + earlier - convolve(self.row_kernel, old_line)
 
     def update(self, r, old_line, new_line):
+        from scipy.fft import rfft
+
         n = self.n
         self.acc[r + 1 :] += rfft(new_line - old_line, self.nfft) * self.w_hat[n : 2 * n - 1 - r]
 

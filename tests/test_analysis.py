@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.integrate import quad
 
 from aggdiff.analysis import (
@@ -15,7 +16,6 @@ from aggdiff.analysis import (
     reference_eval,
     sample_reference,
 )
-from aggdiff import kernels
 from aggdiff.errors import ConfigurationError, DomainError, ShapeError
 from aggdiff.kernels import KernelTable, tabulate_kernel
 from aggdiff.model import (
@@ -125,8 +125,8 @@ class TestDiscreteEnergy:
         def no_fft(*args, **kwargs):
             raise AssertionError("a quadratic table's energy must not convolve")
 
-        monkeypatch.setattr(kernels, "rfftn", no_fft)
-        monkeypatch.setattr(kernels, "irfftn", no_fft)
+        monkeypatch.setattr(scipy.fft, "rfftn", no_fft)
+        monkeypatch.setattr(scipy.fft, "irfftn", no_fft)
         rho = np.random.default_rng(5).random(g.shape)
         assert discrete_energy(rho, heat(g), kernel).interaction > 0.0
 

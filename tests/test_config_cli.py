@@ -2,9 +2,11 @@
 
 import ast
 import os
+import platform
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -482,6 +484,25 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("model, term", [
+        ("confinement = quadratic\nconfinement_strength = 1e308\n",
+         "; the confinement potential V changes too fast between cells (slope 1.75e+308, "
+         "dx = 0.25)\n"),
+        ("diffusion = 1e308\n", "; the diffusion term H'(rho) at diffusion = 1e+308 is not finite\n"),
+    ], ids=["confinement_strength", "diffusion"])
+    def test_overflow_names_its_term_in_one_line(self, tmp_path, capsys, model, term):
+        # Finite numbers whose step overflows: the run fails at its first solve.
+        path = tmp_path / "c.ini"
+        path.write_text("[grid]\nhalf_width = 2.0\ncells_per_half_axis = 8\n[scheme]\nkind = s2\n"
+                        f"[model]\n{model}[output]\ndirectory = {tmp_path / 'out'}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(path)]) == 2
+        assert [str(w.message) for w in caught] == []  # no numpy RuntimeWarning
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(term)
+
     @pytest.mark.parametrize("model, message", [
         ("confinement = quadratic\nconfinement_strength = 1e308\n",
          "confinement potential is not finite on the grid"),
@@ -590,12 +611,129 @@ def test_stepping_imports_no_signal_stats_or_integrate():
     assert proc.stdout.strip() == ""
 
 
+SCIPY_LOADS = """
+import sys
+from dataclasses import replace
+
+def loaded(when):
+    print(when, *(m for m in ("scipy.special", "scipy.fft") if m in sys.modules))
+
+import aggdiff.cli
+loaded("cli")
+from aggdiff.config import parse_config
+from aggdiff.experiments import run_experiment
+config = parse_config(sys.argv[1])
+loaded("config")
+run_experiment(replace(config, t_final=config.t_initial + 3 * config.dt, snapshots=(),
+                       output_dir=None))
+loaded("run")
+"""
+
+ENTROPY_SPLIT_2D = """\
+[grid]
+dimension = 2
+half_width = 3.0
+cells_per_half_axis = 6
+[scheme]
+kind = s1
+[time]
+t_initial = 1.0
+t_final = 2.0
+dt = 0.01
+[initial]
+kind = heat_kernel
+"""
+
+
+@pytest.mark.parametrize("ini, expected", [
+    (None, ["cli", "config", "run"]),
+    (ENTROPY_SPLIT_2D, ["cli", "config scipy.special", "run scipy.special"]),
+], ids=["metastability_1d_power", "heat_2d_entropy_split"])
+def test_scipy_special_and_fft_load_only_for_a_model_that_uses_them(tmp_path, ini, expected):
+    """The CLI loads neither; an entropy loads scipy.special with the config, never in a run."""
+    path = Path(__file__).parent.parent / "configs" / "metastability_two_bumps.ini"
+    if ini is not None:
+        path = tmp_path / "c.ini"
+        path.write_text(ini)
+    proc = subprocess.run([sys.executable, "-c", SCIPY_LOADS, str(path)], capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == expected
+
+
+HEAP_FAULTS = """
+import resource, sys
+from aggdiff.config import parse_config
+from aggdiff.experiments import run_experiment
+
+for path in sys.argv[1:]:
+    config = parse_config(path)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_experiment(config)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+SWEEP_80 = """\
+[model]
+interaction = quadratic
+[grid]
+dimension = 2
+half_width = 5.0
+cells_per_half_axis = 40
+[scheme]
+kind = s2
+stage = midpoint
+[time]
+t_final = 2.5
+dt = 0.125
+[initial]
+width = 0.5
+"""
+
+HEAT_240 = """\
+[grid]
+dimension = 2
+half_width = 15.0
+cells_per_half_axis = 120
+[scheme]
+kind = s1
+[time]
+t_initial = 2.0
+t_final = 2.078125
+dt = 0.00390625
+[initial]
+kind = heat_kernel
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc's")
+def test_steps_do_not_refault_a_trimmed_heap(tmp_path):
+    """A run's minor page faults stay at what its arrays' first touch costs.
+
+    20 steps of an 80x80 quadratic S2 sweep and 20 of a 240x240 heat S1 split
+    run, each in a fresh process. With solver's fixed malloc thresholds they
+    took 380-410 and 1,400-1,620 faults on a 2-CPU x86-64 Linux host (glibc,
+    numpy 2.4); without them 6,300-7,800 and 15,000-25,500, as glibc trimmed
+    the heap's top after a pass and the next pass faulted it back in.
+    """
+    paths = []
+    for name, text in (("sweep.ini", SWEEP_80), ("heat.ini", HEAT_240)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(text)
+    proc = subprocess.run([sys.executable, "-c", HEAP_FAULTS, *map(str, paths)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    sweep, heat = map(int, proc.stdout.split())
+    assert sweep < 1500
+    assert heat < 5000
+
+
 def test_no_function_imports_a_package_module():
     """Every src/aggdiff module imports the package's modules at its top.
 
     An import inside a function would hide an import cycle between the
-    modules. Lazy imports of other packages stay allowed: scipy.integrate
-    is imported only where singular kernels are tabulated.
+    modules. Lazy imports of other packages stay allowed: scipy.integrate,
+    scipy.special and scipy.fft load only for the models that use them.
     """
     package = Path(experiments.__file__).resolve().parent
     lazy = []
