@@ -51,14 +51,17 @@ def _floats(text: str) -> tuple:
 
 def _number(section, key, default, kind=float):
     """``[section] key`` read by ``kind``; text it cannot read, or a value that
-    is not finite (inf, nan), is a ConfigurationError naming the key."""
+    is not finite (inf, nan) or, for an integer, not within 64 bits, is a
+    ConfigurationError naming the key."""
     text = section.get(key, default)
     try:
         value = kind(text)
-        if np.isfinite(value).all():
-            return value
     except ValueError:
-        pass
+        value = None
+    if kind is int and value is not None and not -(2**63) <= value < 2**63:
+        raise ConfigurationError(f"[{section.name}] {key} must fit in 64 bits, got {text!r}")
+    if value is not None and np.isfinite(value).all():
+        return value
     what = {int: "an integer", float: "a finite number"}.get(kind, "a list of finite numbers")
     raise ConfigurationError(f"[{section.name}] {key} must be {what}, got {text!r}")
 

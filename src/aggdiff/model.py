@@ -45,7 +45,8 @@ class Grid:
         if self.cells_per_half_axis < 1:
             raise DomainError("cells_per_half_axis must be >= 1")
 
-    @property
+    # Cached: every step reads dx, the cell measure and the shape.
+    @cached_property
     def dx(self) -> float:
         return self.half_width / self.cells_per_half_axis
 
@@ -54,12 +55,12 @@ class Grid:
         """Cells per axis (2M)."""
         return 2 * self.cells_per_half_axis
 
-    @property
+    @cached_property
     def cell_measure(self) -> float:
         """dx in 1D, dx*dy in 2D."""
         return self.dx**self.dimension
 
-    @property
+    @cached_property
     def shape(self) -> tuple:
         return (self.n_cells,) * self.dimension
 

@@ -421,18 +421,19 @@ class LineProblem:
         g = self.energy.curvature_regularized(a)
         # dF_j/da_j = m_j g_j/dx [+ u_j^+] and dF_j/da_{j+1} = -m_j g_{j+1}/dx [+ u_j^-],
         # the bracketed terms under S2 only; dleft ends as the first over dx and
-        # dright as the second over dx, negated under S1. Both, and the diagonal
-        # in g's buffer, become the bands.
-        dleft = m_face * g[..., :-1]
-        dleft /= dx
-        dright = np.multiply(m_face, g[..., 1:], out=m_face)
-        dright /= dx
+        # dright as the second over dx, negated under S1. Both, one (2, ..., n-1)
+        # array scaled at once, and the diagonal in g's buffer become the bands.
+        pair = np.empty((2,) + u.shape)
+        dleft, dright = pair
+        np.multiply(m_face, g[..., :-1], out=dleft)
+        np.multiply(m_face, g[..., 1:], out=dright)
+        del m_face  # read into both bands, freed before the rest are made
+        pair /= dx
         if self.kind == S2:
             upwind = np.maximum(u, 0.0)
             dleft += upwind
             np.subtract(np.minimum(u, 0.0, out=upwind), dright, out=dright)
-        dleft /= dx
-        dright /= dx
+        pair /= dx
         diag = g
         diag.fill(1.0 / self.dt)
         diag[..., :-1] += dleft   # +dF_i/da_i from the right face of cell i
@@ -442,8 +443,11 @@ class LineProblem:
             diag[..., 1:] += dright
         diag *= scale
         # lower: -dF_{i-1}/da_{i-1}; upper: +dF_i/da_{i+1}
-        dleft *= -scale
-        dright *= scale if self.kind == S2 else -scale
+        if self.kind == S2:
+            dleft *= -scale
+            dright *= scale
+        else:
+            pair *= -scale
         tri = Tridiagonal(dleft, diag, dright)
         if not self.coupled:
             return tri

@@ -134,6 +134,10 @@ def build_setup(model: ModelSpec, scheme: str, stage: str = "auto",
 
 _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
 
+# The reductions behind ndarray.sum, .min and .max (with axis=None), without
+# their Python wrappers: the same calls, so the same bits.
+_sum, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
+
 
 def _solve_lines_tridiagonal(tri, rhs):
     """One gtsv for the Tridiagonal lines of ``tri`` laid end to end, rhs shaped (N,) or (N, k).
@@ -142,7 +146,10 @@ def _solve_lines_tridiagonal(tri, rhs):
     of the next are zero, so the one solve treats every line alone. This is
     the LAPACK routine scipy.linalg.solve_banded calls for (1, 1) bands,
     without its per-call wrapper: the same bits, and the same finite-input
-    check and LinAlgError on a singular matrix.
+    check and LinAlgError on a singular matrix. The check is one sum of the
+    four arrays: a finite sum has finite terms only. Only a sum that is not
+    finite (an inf or NaN entry, or finite entries whose sum overflows) has
+    the arrays checked entry by entry.
     """
     n = tri.diag.shape[-1]
     diag = tri.diag.reshape(-1)
@@ -158,7 +165,9 @@ def _solve_lines_tridiagonal(tri, rhs):
         lower, upper = lower[:-1], upper[1:]
     else:
         lower, upper = tri.lower.reshape(-1), tri.upper.reshape(-1)
-    if not (np.isfinite(lower).all() and np.isfinite(diag).all()
+    finite_sum = _sum(lower) + _sum(diag) + _sum(upper) + _sum(rhs, axis=None)
+    if not math.isfinite(finite_sum) and not (
+            np.isfinite(lower).all() and np.isfinite(diag).all()
             and np.isfinite(upper).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
     _, _, _, x, info = _GTSV(lower, diag, upper, rhs,
@@ -171,7 +180,7 @@ def _solve_lines_tridiagonal(tri, rhs):
 
 
 def _solve_linear(jac, rhs):
-    """Newton updates for the lines of rhs, shaped (lines, n).
+    """Newton updates for rhs, shaped like the state: one state, or (lines, n).
 
     A Tridiagonal is one gtsv over every line laid end to end. A
     TridiagonalLowRank, a sweep pass's or a single coupled line's, goes to
@@ -266,53 +275,116 @@ MAX_LINE_SEARCH_HALVINGS = 30
 def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, *, jacobian):
     """Damped Newton iteration to max-norm tolerance, line by line.
 
-    ``guess`` is an array: one line (n,) or a batch of independent lines
-    (L, n). Each line has its own norm, convergence test, iteration count
-    and line search: a step that increases the line's residual norm is
+    ``guess`` is an array: one state, or a batch of independent lines
+    (L, n) with L > 1. One state is a line (n,), a batch of one line
+    (1, n), or a sweep pass's lines laid end to end (L*n,); it goes to a
+    loop with a float norm and one line search, and a batch to a loop in
+    which each line keeps its own norm, convergence test, iteration count
+    and line search. The guess's shape alone picks the loop; both take the
+    same iterates on the same line. A step that increases the norm is
     halved, up to 30 times per iteration. A line whose last halving still
     increases its norm takes that tiny step once: it moves the iterate off a
     kink of the residual (a vacuum cell at the density floor, where the
     one-sided Jacobian points the wrong way). If its next line search runs
-    out too, NewtonError is raised with the iterate before that step. Lines
-    at tolerance drop out; while some do, the callables get ``(z, lines)``:
-    the remaining lines and their batch indices. ``jacobian``, the exact
-    dR/dx, returns a Tridiagonal (one banded solve for every line) or, for
-    one line (a sweep pass's lines laid end to end among them), a
-    TridiagonalLowRank or a dense matrix (see _solve_linear). Raises NewtonError if any line
-    misses the tolerance, and NumericalError for a non-finite residual or a
-    linear solve that rejects its input (a non-finite Jacobian). Returns
-    (root, iterations summed over lines, worst norm).
+    out too, NewtonError is raised with the iterate before that step. A
+    batch's lines at tolerance drop out; while some do, the callables get
+    ``(z, lines)``: the remaining lines and their batch indices.
+    ``jacobian``, the exact dR/dx, returns a Tridiagonal (one banded solve
+    for every line) or, for one state, a TridiagonalLowRank or a dense
+    matrix (see _solve_linear). Raises NewtonError if any line misses the
+    tolerance, and NumericalError for a non-finite residual or a linear
+    solve that rejects its input (a non-finite Jacobian). Returns (root,
+    iterations summed over lines, worst norm).
 
     The callables see the state in the guess's shape, and a repeated state
     as the same object (the iterate a residual was evaluated at is the one
     the next Jacobian gets), so they may cache per state (see LineProblem).
     No state is modified after a callable has seen it: each trial step and
     each update of some lines is written into a fresh array.
-    The path nearly every solve takes (every line active, the first trial
-    step accepted) costs a handful of small array operations per iteration
-    besides the residual, the Jacobian and the solve.
     """
     cfg = config or NewtonConfig()
+    x = np.array(guess, dtype=float, order="C")
+    if x.ndim < 2 or len(x) == 1:
+        return _newton_state(residual_fn, jacobian, x, cfg)
+    return _newton_lines(residual_fn, jacobian, x, cfg)
+
+
+def _residual_norm(residual_fn, z):
+    """(r, norm): the residual at state z, shaped like z, and its max norm as a float."""
+    r = np.asarray(residual_fn(z), dtype=float)
+    if r.shape != z.shape:
+        r = r.reshape(z.shape)
+    norm = float(_max(np.abs(r), axis=None))
+    if not math.isfinite(norm):  # NaN propagates through the max
+        raise NumericalError("residual returned a non-finite value")
+    return r, norm
+
+
+# The failures of both loops, each carrying the iterate x and its worst norm.
+def _singular(worst, x):
+    return NewtonError(f"Newton system is singular to working precision (norm {worst:g})",
+                       best_iterate=x, best_norm=float(worst))
+
+
+def _stalled(halvings, worst, x):
+    return NewtonError(f"Newton line search found no decrease in {halvings} halvings "
+                       f"on two iterations in a row (best norm {worst:g})",
+                       best_iterate=x, best_norm=float(worst))
+
+
+def _unconverged(cfg, worst, x):
+    return NewtonError(f"Newton did not reach tolerance {cfg.tolerance:g} in "
+                       f"{cfg.max_iterations} iterations (best norm {worst:g})",
+                       best_iterate=x, best_norm=float(worst))
+
+
+def _newton_state(residual_fn, jacobian, x, cfg):
+    """newton_solve on one state x, its own array (see there)."""
     tol = cfg.tolerance
-    shape = np.shape(guess)
-    x = np.array(guess, dtype=float, order="C", ndmin=2)
+    r, worst = _residual_norm(residual_fn, x)
+    iterations = 0
+    stalled = False  # the last line search ran out
+    for _ in range(cfg.max_iterations):
+        if worst <= tol:
+            break
+        iterations += 1
+        jac = jacobian(x)
+        try:
+            delta = _solve_linear(jac, -r)
+        except LinAlgError as exc:
+            raise _singular(worst, x) from exc
+        except ValueError as exc:  # the banded solves' finite-input check, chiefly
+            raise NumericalError(f"the Newton linear solve rejected its input: {exc}") from exc
+        del jac  # its bands are not needed for the trial steps
+        step_x = x + delta
+        r_new, norm_new = _residual_norm(residual_fn, step_x)
+        halvings = 0
+        while norm_new > worst and halvings < MAX_LINE_SEARCH_HALVINGS:
+            delta *= 0.5
+            step_x = x + delta
+            r_new, norm_new = _residual_norm(residual_fn, step_x)
+            halvings += 1
+        # Still worse after every halving: the Newton step is no descent direction.
+        if norm_new > worst:
+            if stalled:
+                raise _stalled(halvings, worst, x)
+            stalled = True
+        else:
+            stalled = False
+        x, r, worst = step_x, r_new, norm_new
+    if worst > tol:
+        raise _unconverged(cfg, worst, x)
+    return x, iterations, worst
+
+
+def _newton_lines(residual_fn, jacobian, x, cfg):
+    """newton_solve on a batch x of L > 1 independent lines, its own array (see there)."""
+    tol = cfg.tolerance
     batch = len(x)
-
-    if x.shape == shape:
-        def shaped(z):
-            return z
-    else:
-        views = [None, None]  # the last (z, shaped z): a repeated state keeps its object
-
-        def shaped(z):
-            if views[0] is not z:
-                views[:] = z, z.reshape(shape)
-            return views[1]
 
     def evaluate(z, lines=None):
         """(r, norm, worst): the residual at the lines of z, each line's max norm, their max."""
-        r = np.asarray(residual_fn(shaped(z)) if lines is None else residual_fn(z, lines),
-                       dtype=float)
+        r = np.asarray(residual_fn(z) if lines is None else residual_fn(z, lines), dtype=float)
         if r.shape != z.shape:
             r = r.reshape(z.shape)
         norm = np.abs(r).max(axis=1)
@@ -327,28 +399,20 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, *, jaco
     for _ in range(cfg.max_iterations):
         if worst <= tol:
             break
-        # A batch of one line is active here; a larger one indexes its active
-        # lines unless all of them are.
-        active = norm > tol if batch > 1 else None
-        count = batch if active is None else np.count_nonzero(active)
+        active = norm > tol
+        count = np.count_nonzero(active)
         iterations += count
         if count == batch:
             lines, xa, na = None, x, norm
+            jac = jacobian(xa)
         else:
             lines = np.flatnonzero(active)
             xa, na = x[lines], norm[lines]
-        if lines is None:
-            jac = jacobian(shaped(xa))
-        else:
             jac = jacobian(xa, lines)
         try:
             delta = _solve_linear(jac, -(r if lines is None else r[lines]))
         except LinAlgError as exc:
-            raise NewtonError(
-                f"Newton system is singular to working precision (norm {worst:g})",
-                best_iterate=shaped(x),
-                best_norm=float(worst),
-            ) from exc
+            raise _singular(worst, x) from exc
         except ValueError as exc:  # the banded solves' finite-input check, chiefly
             raise NumericalError(f"the Newton linear solve rejected its input: {exc}") from exc
         del jac  # its bands are not needed for the trial steps
@@ -370,32 +434,20 @@ def newton_solve(residual_fn, guess, config: NewtonConfig | None = None, *, jaco
         if halvings < MAX_LINE_SEARCH_HALVINGS or not worse.any():
             stalled = None
         else:
-            rows = slice(None) if active is None else active
-            if stalled is not None and (worse & stalled[rows]).any():
-                raise NewtonError(
-                    f"Newton line search found no decrease in {halvings} halvings "
-                    f"on two iterations in a row (best norm {worst:g})",
-                    best_iterate=shaped(x),
-                    best_norm=float(worst),
-                )
+            if stalled is not None and (worse & stalled[active]).any():
+                raise _stalled(halvings, worst, x)
             stalled = np.zeros(batch, dtype=bool)
-            stalled[rows] = worse
+            stalled[active] = worse
         if lines is None:
             x, r, norm, worst = step_x, r_new, norm_new, worst_new
         else:
             x = x.copy()
             x[lines], r[lines], norm[lines] = step_x, r_new, norm_new
             worst = norm.max()
-    root = shaped(x)
     worst = float(worst)
     if worst > tol:
-        raise NewtonError(
-            f"Newton did not reach tolerance {tol:g} in "
-            f"{cfg.max_iterations} iterations (best norm {worst:g})",
-            best_iterate=root,
-            best_norm=worst,
-        )
-    return root, int(iterations), worst
+        raise _unconverged(cfg, worst, x)
+    return x, int(iterations), worst
 
 
 _UNSET = object()
@@ -541,10 +593,10 @@ def drive_step(attempt, rho, dt, setup: SchemeSetup,
         retries += 1
 
     if not (tel.newton_iterations == 0 and _same_bits(a, field.values)):
-        low = a.min()
+        low = _min(a, axis=None)
         if low < -slack:
             raise StepError(f"accepted field dips to {low:g}, below -10*tol")
-        total = a.sum()
+        total = _sum(a, axis=None)
         mass_new, mass_old = total * grid.cell_measure, field.mass
         if abs(mass_new - mass_old) > slack * (1.0 + abs(mass_old)):
             raise StepError(f"mass drifted by {mass_new - mass_old:g} over one step")

@@ -473,12 +473,25 @@ class TestCli:
          "gaussian width 1e+308 is out of floating-point range"),
         ("[model]\ninteraction = gaussian\ninteraction_width = 1e-320\n",
          "gaussian width 1e-320 is out of floating-point range"),
+        # Integers beyond 64 bits, which numpy cannot hold.
+        ("dimension = 99999999999999999999\n",
+         "[grid] dimension must fit in 64 bits, got '99999999999999999999'"),
+        ("cells_per_half_axis = 99999999999999999999\n",
+         "[grid] cells_per_half_axis must fit in 64 bits, got '99999999999999999999'"),
+        ("[solver]\nmax_iterations = 99999999999999999999\n",
+         "[solver] max_iterations must fit in 64 bits, got '99999999999999999999'"),
+        ("[output]\ncadence = 99999999999999999999\n",
+         "[output] cadence must fit in 64 bits, got '99999999999999999999'"),
     ], ids=["t_final_inf", "duplicated_key", "empty_center", "off_grid_center",
             "1d_center_of_three", "2d_center_of_one", "overflowing_confinement_slope",
-            "huge_interaction_width", "subnormal_interaction_width"])
+            "huge_interaction_width", "subnormal_interaction_width",
+            "huge_dimension", "huge_cells", "huge_max_iterations", "huge_cadence"])
     def test_bad_config_exits_two_with_one_error_line(self, tmp_path, capsys, lines, message):
         path = tmp_path / "c.ini"
-        path.write_text("[grid]\nhalf_width = 2.0\ncells_per_half_axis = 4\n" + lines)
+        grid = "[grid]\nhalf_width = 2.0\n"
+        if "cells_per_half_axis" not in lines:
+            grid += "cells_per_half_axis = 4\n"
+        path.write_text(grid + lines)
         assert main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 import draws
 from aggdiff import analysis, solver
@@ -21,7 +22,7 @@ from aggdiff.kernels import (
     tabulate_kernel,
 )
 from aggdiff.model import DensityField, InternalEnergy, ModelSpec, PotentialSpec, TabulatedInteraction
-from aggdiff.scheme1d import S1, S2, LineProblem, SchemeConfig, TridiagonalLowRank
+from aggdiff.scheme1d import S1, S2, LineProblem, SchemeConfig, Tridiagonal, TridiagonalLowRank
 from aggdiff.errors import DomainError, NewtonError, NumericalError, StepError
 from aggdiff.presets import (
     MODEL_MATRIX,
@@ -165,6 +166,153 @@ class TestNewton:
     def test_scheme_solves_have_no_jacobian_mode(self):
         with pytest.raises(TypeError):
             NewtonConfig(jacobian_mode="fd")
+
+
+# One-state layouts of a 6-cell state: a line (n,), a batch of one line (1, n),
+# and a sweep pass of 2 lines of 3 cells laid end to end (L*n,), whose
+# Jacobian is a TridiagonalLowRank (here with zero low-rank factors).
+PASS_LINES = 2
+LAYOUTS = ["line", "row", "pass"]
+
+
+def _one_state(layout, line):
+    return line[None] if layout == "row" else line.copy()
+
+
+def _one_state_jacobian(layout, slope):
+    """_diagonal's Jacobian, as the layout's solve takes it."""
+    if layout != "pass":
+        return _diagonal(slope)
+
+    def jacobian(x):
+        s = slope(x).reshape(PASS_LINES, -1)
+        lines, n = s.shape
+        tri = Tridiagonal(np.zeros((lines, n - 1)), s, np.zeros((lines, n - 1)))
+        return TridiagonalLowRank(tri, np.zeros((2, lines, n)), np.zeros((n, 2)), 2.0)
+
+    return jacobian
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+class TestBothNewtonLoopsAlike:
+    """A one-state guess against a batch of two copies of it.
+
+    The shape of the guess picks newton_solve's loop: the one-state loop
+    here, the batched loop for the copies. Each copy must take the one
+    state's iterates, so both fail with the same message, after as many
+    residual evaluations, and carry the same best iterate bit for bit.
+    """
+
+    line = np.array([0.7, 0.3, -1.2, 2.0, 0.5, -0.4])
+
+    def _both(self, layout, residual, slope, line, config=None):
+        """(one, batch): the error each solve raises, and its residual calls."""
+        outcomes = []
+        for guess, jacobian in ((_one_state(layout, line), _one_state_jacobian(layout, slope)),
+                                (np.stack([line, line]), _diagonal(slope))):
+            calls = []
+
+            def counted(z, lines=None):
+                calls.append(z.shape)
+                return residual(z)
+
+            with pytest.raises((NewtonError, NumericalError)) as info:
+                newton_solve(counted, guess, config, jacobian=jacobian)
+            outcomes.append((info.value, len(calls)))
+        (one, one_calls), (batch, batch_calls) = outcomes
+        assert type(one) is type(batch) and str(one) == str(batch)
+        assert one_calls == batch_calls
+        if isinstance(one, NewtonError):
+            assert one.best_iterate.shape == _one_state(layout, line).shape
+            best = one.best_iterate.reshape(-1).tobytes()
+            assert best == batch.best_iterate[0].tobytes() == batch.best_iterate[1].tobytes()
+            assert one.best_norm == batch.best_norm
+        return one
+
+    def test_exhausted_line_search(self, layout):
+        error = self._both(layout, lambda x: np.abs(x) + 1.0, np.ones_like, np.zeros(6))
+        assert "no decrease in 30 halvings on two iterations in a row" in str(error)
+        assert error.best_norm == 1.0 + 2.0**-30  # after the one tiny step taken
+
+    def test_max_iterations(self, layout):
+        error = self._both(layout, lambda x: x * x + 1.0, lambda x: 2.0 * x, self.line,
+                           NewtonConfig(max_iterations=3))
+        assert "did not reach tolerance 1e-10 in 3 iterations" in str(error)
+
+    def test_nan_residual(self, layout):
+        error = self._both(layout, lambda x: np.full(x.shape, np.nan), np.ones_like, self.line)
+        assert str(error) == "residual returned a non-finite value"
+
+    def test_singular_jacobian(self, layout):
+        error = self._both(layout, lambda x: x - np.arange(1.0, 7.0), np.zeros_like, np.zeros(6))
+        assert "singular to working precision" in str(error)
+        assert error.best_iterate.tobytes() == np.zeros(6).tobytes() and error.best_norm == 6.0
+
+    def test_states_seen_stay_unchanged(self, layout):
+        # From 3, atan's undamped Newton diverges, so the line search halves.
+        line = np.array([3.0, 0.5, -2.0, 0.1, 0.2, 1.5])
+        slope = lambda x: 1.0 / (1.0 + x * x)  # noqa: E731
+        results = []
+        for guess, jacobian in ((_one_state(layout, line), _one_state_jacobian(layout, slope)),
+                                (np.stack([line, line]), _diagonal(slope))):
+            seen = []
+
+            def spy(z, lines=None):
+                seen.append((z, z.tobytes()))
+                return np.arctan(z)
+
+            results.append(newton_solve(spy, guess, jacobian=jacobian))
+            assert len(seen) > 4
+            assert all(z.tobytes() == before for z, before in seen)
+        (root, iters, norm), (roots, batch_iters, batch_norm) = results
+        assert np.abs(root).max() <= 1e-10
+        assert root.shape == _one_state(layout, line).shape
+        assert root.reshape(-1).tobytes() == roots[0].tobytes() == roots[1].tobytes()
+        assert 2 * iters == batch_iters and norm == batch_norm
+
+
+class TestBandedFiniteCheck:
+    """The banded solve's finite-input check: one sum, then entry by entry only if needed."""
+
+    n = 6
+
+    def _system(self, k, scale=1.0):
+        rng = np.random.default_rng(k)
+        tri = Tridiagonal(scale * (rng.random(self.n - 1) - 0.5), scale * (4.0 + rng.random(self.n)),
+                          scale * (rng.random(self.n - 1) - 0.5))
+        rhs = scale * rng.uniform(-1.0, 1.0, self.n if k == 1 else (self.n, k))
+        return tri, rhs
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_finite_entries_whose_sum_overflows_still_solve(self, k):
+        tri, rhs = self._system(k, scale=1e308 / 5.0)  # entries up to 1e308
+        with np.errstate(over="ignore", invalid="ignore"):  # the check's own sum overflows
+            assert not np.isfinite(tri.diag.sum())
+            got = solver._solve_lines_tridiagonal(tri, rhs)
+        ab = np.zeros((3, self.n))
+        ab[0, 1:], ab[1], ab[2, :-1] = tri.upper, tri.diag, tri.lower
+        expected = solve_banded((1, 1), ab, rhs)
+        assert np.isfinite(got).all() and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["lower", "diag", "upper", "rhs"])
+    def test_non_finite_entry_is_rejected(self, where, bad, k):
+        tri, rhs = self._system(k)
+        (rhs if where == "rhs" else getattr(tri, where)).flat[2] = bad
+        with pytest.raises(ValueError, match=r"^array must not contain infs or NaNs$"):
+            solver._solve_lines_tridiagonal(tri, rhs)
+
+    @pytest.mark.parametrize("shape", [(6,), (1, 6), (2, 6)], ids=["line", "row", "batch"])
+    def test_newton_reports_the_rejected_input(self, shape):
+        def jacobian(x, lines=None):
+            diag = np.ones(x.shape)
+            diag[..., 3] = np.nan
+            return Tridiagonal(np.zeros(diag.shape[:-1] + (5,)), diag, np.zeros(diag.shape[:-1] + (5,)))
+
+        message = "the Newton linear solve rejected its input: array must not contain infs or NaNs"
+        with pytest.raises(NumericalError, match=f"^{message}$"):
+            newton_solve(lambda x, lines=None: x - 1.0, np.zeros(shape), jacobian=jacobian)
 
 
 class TestAssembleJacobian:
