@@ -281,7 +281,7 @@ def _auto_dt(values, setup: SchemeSetup) -> float:
     dx = setup.dx
     if setup.scheme.kind == S2:
         return dx
-    xi = scheme1d.chemical_potential(values, values, setup.energy, setup.v_table, setup.kernel)
+    xi = scheme1d.chemical_potential(values, setup.energy, setup.v_table, setup.kernel)
     # The largest face velocity |u| = |xi_{i+1} - xi_i| / dx along any axis.
     peak = max(float(np.abs(np.diff(xi, axis=k)).max(initial=0.0)) for k in range(xi.ndim)) / dx
     if peak == 0.0:
@@ -460,12 +460,14 @@ def run_level(case: StudyCase, scheme_kind: str, level: int) -> tuple:
 
 def convergence_study(case_name: str, scheme_kind: str, levels: int, exponent=None,
                       output_dir: str | None = None) -> StudyResult:
-    """Reproduce one validation table's schedule for the requested levels."""
+    """Reproduce one validation table's schedule; ``exponent`` is m of a pme case only."""
     cases = _study_cases(exponent)
     if case_name not in cases:
         raise ConfigurationError(
             f"unknown case {case_name!r}; choose from {sorted(cases)}"
         )
+    if exponent is not None and case_name not in ("pme1d", "pme2d"):
+        raise ConfigurationError(f"only pme1d and pme2d take an exponent, not {case_name!r}")
     if levels < 1:
         raise ConfigurationError("need at least one level")
     case = cases[case_name]
@@ -523,13 +525,18 @@ _PARAM_ALIASES = {
     "confinement_strength": "confinement_strength", "alpha": "confinement_strength",
     "interaction_width": "interaction_width",
 }
+_READ_BY = {"diffusion": ("entropy", "power", "power_entropy"),  # the energy kinds that read it
+            "exponent": ("power", "power_entropy"), "entropy_weight": ("power_entropy",)}
 
 
 def _with_parameter(model: ModelSpec, name: str, value: float) -> ModelSpec:
+    """The model with one parameter set; one the model does not read raises ConfigurationError."""
     key = _PARAM_ALIASES.get(name.lower())
     if key is None:
         raise ConfigurationError(f"unknown sweep parameter {name!r}")
-    if key in ("diffusion", "exponent", "entropy_weight"):
+    if key in _READ_BY:
+        if model.energy.kind not in _READ_BY[key]:
+            raise ConfigurationError(f"the {model.energy.kind!r} energy does not read {key!r}")
         energy = replace(model.energy, **{key: float(value)})
         return replace(model, energy=energy)
     if key == "confinement_strength":
@@ -545,7 +552,7 @@ def _with_parameter(model: ModelSpec, name: str, value: float) -> ModelSpec:
     return replace(model, potentials=pots)
 
 
-SWEEP_SHIFT = 0.5  # asymmetric start: initial center shifted along +x
+SWEEP_SHIFT = 0.5  # asymmetric start: initial centers shifted along +x
 
 
 @dataclass
@@ -560,18 +567,26 @@ def bifurcation_sweep(config: ExperimentConfig, parameter: str, values,
                       output_dir: str | None = None) -> SweepRecord:
     """Steady states across a parameter range, from an x-shifted start.
 
+    The start is the config's gaussian or mixture start with every center
+    moved SWEEP_SHIFT along +x; any other kind raises ConfigurationError.
     Each value runs to the steady state (L1 increment <= 1e-10 per step) or
     to t_final, stepping as a run does (dt = "auto" is _auto_dt); a row
     that fails to settle is flagged, not fatal. Recorded per value: |<x>| of
     the final state and its discrete energy.
     """
+    start = config.initial
+    if start.kind not in ("gaussian", "mixture"):
+        raise ConfigurationError(f"a {start.kind!r} start has no center for a sweep to shift")
+    mixture = start.kind == "mixture"
+    centers = tuple((x + SWEEP_SHIFT, *rest) for x, *rest in
+                    (_point(c, config.model.grid, f"{start.kind} center")
+                     for c in (start.centers if mixture else (start.center,))))
+    start = replace(start, centers=centers) if mixture else replace(start, center=centers[0])
     rows = []
     for value in values:
         model = _with_parameter(config.model, parameter, value)
         setup = build_setup(model, config.scheme_kind, config.stage, config.theta)
-        x, *rest = _point(config.initial.center, model.grid, "gaussian center")
-        shifted = replace(config.initial, center=(x + SWEEP_SHIFT, *rest))
-        rho0 = np.maximum(build_initial(shifted, model.grid, config.t_initial, model), 0.0)
+        rho0 = np.maximum(build_initial(start, model.grid, config.t_initial, model), 0.0)
         rho, t_reached, converged, _ = run_to_steady(
             setup, rho0, _dt_rule(config.dt, setup), config.t_final - config.t_initial,
             config.solver

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -38,12 +39,13 @@ class Grid:
     cells_per_half_axis: int
 
     def __post_init__(self):
-        if self.dimension not in (1, 2):
-            raise DomainError(f"dimension must be 1 or 2, got {self.dimension}")
-        if not self.half_width > 0:
-            raise DomainError("half_width must be positive")
-        if self.cells_per_half_axis < 1:
-            raise DomainError("cells_per_half_axis must be >= 1")
+        if not isinstance(self.dimension, Integral) or self.dimension not in (1, 2):
+            raise DomainError(f"dimension must be the integer 1 or 2, got {self.dimension!r}")
+        if not 0 < self.half_width < math.inf:
+            raise DomainError(f"half_width must be positive and finite, got {self.half_width!r}")
+        if not isinstance(self.cells_per_half_axis, Integral) or self.cells_per_half_axis < 1:
+            raise DomainError(f"cells_per_half_axis must be an integer >= 1, "
+                              f"got {self.cells_per_half_axis!r}")
 
     # Cached: every step reads dx, the cell measure and the shape.
     @cached_property

@@ -117,11 +117,11 @@ def reconstruct_faces(rho, theta: float = 2.0):
     return east, west
 
 
-def chemical_potential(rho_new, rho_conv, energy: InternalEnergy, v_table, kernel):
-    """xi_i = H'(max(rho_i, eps)) + V_i + (W * rho_conv)_i."""
-    xi = energy.slope_regularized(field_values(rho_new)) + np.asarray(v_table, dtype=float)
+def chemical_potential(rho, energy: InternalEnergy, v_table, kernel):
+    """xi_i = H'(max(rho_i, eps)) + V_i + (W * rho)_i, all at the one density rho."""
+    xi = energy.slope_regularized(field_values(rho)) + np.asarray(v_table, dtype=float)
     if kernel is not None and not kernel.is_zero:
-        xi = xi + convolve(kernel, rho_conv)
+        xi = xi + convolve(kernel, rho)
     return xi
 
 
@@ -180,10 +180,9 @@ class LineProblem:
 
     R(a) = (a - rho_old)/dt + (F_{i+1/2} - F_{i-1/2})/dx, with ``rho_old``
     and ``v_table`` shaped (..., n), lines on the leading axes. What stays
-    fixed over a solve is computed once here: the old state's S1 face
-    values (or ``faces``, the (east, west) pair a caller reconstructed for
-    many lines at once) and, under the explicit stage rule, the convolution
-    W * rho_old (the one a DensityField keeps, see ``convolve``). Without
+    fixed over a solve is computed once here: the old lines' S1 face values
+    (a line's bits, alone or in a batch) and, under the explicit stage rule,
+    the convolution W * rho_old (the one a DensityField keeps). Without
     ``across`` the lines are independent, and an implicitly or midpoint
     staged interaction, which couples every cell of a line to every other,
     is defined on a single line only.
@@ -204,20 +203,18 @@ class LineProblem:
     call. A call at the same state object as the previous one reuses the
     record, and a Jacobian for some lines at a copy of their rows of the
     previous full state reads those rows; the state must not be modified in
-    place between calls. Under S1 every record also keeps its
-    lines' largest |u| for ``peak_speed``.
+    place between calls. Under S1 every record also keeps its lines' largest
+    |u| for ``peak_speed``.
 
-    ``residual`` and ``jacobian`` give R and dR/da; ``update_residual`` and
-    ``update_jacobian`` give R*dt and dR/da*dt, the update form Newton
-    solves, scaled as they are assembled and equal bit for bit to dt times
-    the unscaled forms. All four take the candidate state and optionally
-    ``lines``, the first-axis indices of the lines that state holds.
-    ``scheme`` is a SchemeConfig, which checks kind, stage rule and theta;
-    only dt, set per call, is checked here.
+    ``update_residual`` and ``update_jacobian`` give R*dt and dR/da*dt,
+    the update form Newton solves, scaled as they are assembled. Both take
+    the candidate state and optionally ``lines``, the first-axis indices of
+    the lines that state holds. ``scheme`` is a SchemeConfig, which checks
+    kind, stage rule and theta; only dt, set per call, is checked here.
     """
 
     def __init__(self, scheme: SchemeConfig, rho_old, dt, dx, energy, v_table, kernel,
-                 faces=None, across=None):
+                 across=None):
         if not (math.isfinite(dt) and dt > 0):
             raise DomainError(f"time step must be positive and finite, got {dt!r}")
         self.kind, self.stage_rule = scheme.kind, scheme.stage_rule
@@ -233,8 +230,7 @@ class LineProblem:
         if self.kernel is not None and not self.coupled:
             self.conv = convolve(self.kernel, rho_old)
         if self.kind == S1:
-            self.east, self.west = faces if faces is not None else reconstruct_faces(
-                self.old, scheme.theta)
+            self.east, self.west = reconstruct_faces(self.old, scheme.theta)
         self._last = (None, None, None)
         self._speeds = None
 
@@ -301,11 +297,11 @@ class LineProblem:
             return self.east[..., :-1], self.west[..., 1:]
         return self.east[lines, ..., :-1], self.west[lines, ..., 1:]
 
-    def potential(self, a, lines=None):
+    def potential(self, a):
         """(xi, u): the cell potential and the face velocities at state a."""
         if self.across is not None:
             a = a.reshape(self.old.shape)
-        xi = self._potential(a, lines)
+        xi = self._potential(a, None)
         return xi, face_velocities(xi, self.dx)
 
     def peak_speed(self) -> float:
@@ -316,9 +312,9 @@ class LineProblem:
         """
         return 0.0 if self._speeds is None else float(self._speeds.max(initial=0.0))
 
-    def flux(self, a, lines=None) -> np.ndarray:
+    def flux(self, a) -> np.ndarray:
         """Upwind flux on the interior faces at state a; walls carry none."""
-        return self._flux(*self._state(a, lines), lines)
+        return self._flux(*self._state(a, None), None)
 
     def _flux(self, a, u, lines):
         """The upwind flux at a record (a, u) on the interior faces."""
@@ -330,12 +326,8 @@ class LineProblem:
         flux += downwind
         return flux
 
-    def residual(self, a, lines=None) -> np.ndarray:
-        """R(a); defined for any real a (H' is evaluated above the vacuum floor)."""
-        return self._residual(a, lines, False)
-
     def update_residual(self, a, lines=None) -> np.ndarray:
-        """R(a)*dt, equal bit for bit to dt * residual(a, lines)."""
+        """R(a)*dt; defined for any real a (H' is evaluated above the vacuum floor)."""
         return self._residual(a, lines, True)
 
     def _residual(self, a, lines, update):
@@ -359,8 +351,8 @@ class LineProblem:
             r *= self.dt
         return r
 
-    def jacobian(self, a, lines=None):
-        """Exact dR/da.
+    def update_jacobian(self, a, lines=None):
+        """dR/da*dt, the exact Jacobian of update_residual, scaled as it is assembled.
 
         Without coupling, a Tridiagonal per line. A coupled line sees every
         cell through the convolution's face differences T[:-1] - T[1:]. Under
@@ -374,14 +366,6 @@ class LineProblem:
         the face differences. Any other coupled kernel gives the dense
         (n, n) matrix: the same tridiagonal part plus diag(m_face) times the
         full face differences, pushed through the divergence.
-        """
-        return self._jacobian(a, lines, 1.0)
-
-    def update_jacobian(self, a, lines=None):
-        """dR/da*dt, the Jacobian of update_residual, scaled as it is assembled.
-
-        Every band, dense entry and low-rank left factor equals dt times the
-        matching one of ``jacobian`` bit for bit.
         """
         return self._jacobian(a, lines, self.dt)
 
@@ -480,7 +464,7 @@ def residual(kind, rho_new, rho_old, dt, dx, energy, v_table, kernel, stage_rule
     """
     problem = LineProblem(SchemeConfig(kind, stage_rule, theta), rho_old, dt, dx, energy,
                           v_table, kernel)
-    return problem.residual(field_values(rho_new))
+    return problem._residual(field_values(rho_new), None, False)
 
 
 def residual_jacobian(kind, rho_new, rho_old, dt, dx, energy, v_table, kernel,
@@ -490,8 +474,8 @@ def residual_jacobian(kind, rho_new, rho_old, dt, dx, energy, v_table, kernel,
     Returns a Tridiagonal when the convolution does not couple the unknowns
     (no kernel, or explicit staging); otherwise the implicit convolution
     makes every cell feel every other, and it returns a TridiagonalLowRank
-    for a quadratic kernel or a dense matrix (see LineProblem.jacobian).
+    for a quadratic kernel or a dense matrix (see LineProblem.update_jacobian).
     """
     problem = LineProblem(SchemeConfig(kind, stage_rule, theta), rho_old, dt, dx, energy,
                           v_table, kernel)
-    return problem.jacobian(field_values(rho_new))
+    return problem._jacobian(field_values(rho_new), None, 1.0)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import LinAlgError, get_lapack_funcs
@@ -19,6 +20,7 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 from . import analysis
 from .errors import DomainError, NewtonError, NumericalError, StepError
 from .kernels import (
+    EXPLICIT,
     KernelTable,
     classify_definiteness,
     select_stage_rule,
@@ -63,10 +65,11 @@ class NewtonConfig:
     max_iterations: int = 50
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise DomainError("Newton tolerance must be positive")
-        if self.max_iterations < 1:
-            raise DomainError("Newton needs at least one iteration")
+        if not 0 < self.tolerance < math.inf:
+            raise DomainError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        count = self.max_iterations
+        if not isinstance(count, Integral) or count < 1:
+            raise DomainError(f"max_iterations must be an integer >= 1, got {count!r}")
 
 
 @dataclass
@@ -86,6 +89,7 @@ class SchemeSetup:
     """Pre-tabulated ingredients for stepping one model with one scheme.
 
     ``v_table`` is the model's V table; ``kernel`` is W's, None when W is absent or zero.
+    A 2D pass's lines are ``coupled`` through a kernel not staged explicitly.
     """
 
     scheme: SchemeConfig
@@ -103,6 +107,10 @@ class SchemeSetup:
     @property
     def energy(self):
         return self.model.energy
+
+    @property
+    def coupled(self) -> bool:
+        return self.kernel is not None and self.scheme.stage_rule != EXPLICIT
 
 
 def build_setup(model: ModelSpec, scheme: str, stage: str = "auto",
@@ -250,10 +258,10 @@ def _solve_pass(jac, rhs):
     return y.reshape(rhs.shape)
 
 
-def assemble_jacobian(residual_fn, rho, step: float = 1e-7):
+def assemble_jacobian(residual_fn, rho):
     """Finite-difference Jacobian of residual_fn at rho.
 
-    Column-wise forward differences with increment step*max(|rho_j|, 1); on
+    Column-wise forward differences with increment 1e-7*max(|rho_j|, 1); on
     (..., n) lines the column is perturbed on every line at once, giving one
     (n, n) block per line.
     """
@@ -262,7 +270,7 @@ def assemble_jacobian(residual_fn, rho, step: float = 1e-7):
     n = x.shape[-1]
     jac = np.empty(f0.shape + (n,))
     for j in range(n):
-        h = step * np.maximum(np.abs(x[..., j]), 1.0)
+        h = 1e-7 * np.maximum(np.abs(x[..., j]), 1.0)
         xj = x.copy()
         xj[..., j] += h
         jac[..., j] = (np.asarray(residual_fn(xj), dtype=float) - f0) / h[..., None]
@@ -454,18 +462,17 @@ _UNSET = object()
 
 
 def line_problem(setup: SchemeSetup, rho_old, dt, v_table=None, kernel=_UNSET,
-                 faces=None, across=None) -> LineProblem:
+                 across=None) -> LineProblem:
     """The setup's implicit step as a LineProblem on rho_old, shaped (..., n).
 
     ``v_table``/``kernel`` override the setup's tables (``kernel=None``
     disables the interaction); the 2D passes give their per-line tables here.
-    ``faces`` is rho_old's S1 (east, west) face values, when already known;
     ``across`` couples the lines into a sweep pass (see LineProblem).
     """
     v_table = setup.v_table if v_table is None else v_table
     kernel = setup.kernel if kernel is _UNSET else kernel
     return LineProblem(setup.scheme, rho_old, dt, setup.dx, setup.energy, v_table, kernel,
-                       faces, across)
+                       across)
 
 
 # A long S2 step next to near-vacuum cells (a cell at 1e-11 amid density 7,
@@ -522,10 +529,12 @@ class PassTelemetry:
         self.max_velocity = 0.0
         self.worst_norm = 0.0
 
-    def absorb(self, problem, new_lines, iters, norm):
-        """Count one solve of ``problem``; S1 also records the converged |u|."""
-        self.row_solves += new_lines.size // new_lines.shape[-1]
-        self.newton_iterations += iters
+    def absorb(self, problem, iters, norm):
+        """Count one solve of ``problem``: a row solve per line, and a sweep pass's
+        (``across``) iterations once per line. S1 also records the converged |u|."""
+        lines = problem.old.size // problem.old.shape[-1]
+        self.row_solves += lines
+        self.newton_iterations += iters if problem.across is None else iters * lines
         self.worst_norm = max(self.worst_norm, norm)
         if problem.kind == S1:
             self.max_velocity = max(self.max_velocity, problem.peak_speed())
@@ -615,7 +624,7 @@ def advance_step_1d(rho_old, dt_request, setup: SchemeSetup,
     def attempt(field, dt, cfg, tel):
         problem = line_problem(setup, field, dt)
         new, iters, norm = solve_lines(problem, cfg)
-        tel.absorb(problem, new, iters, norm)
+        tel.absorb(problem, iters, norm)
         return new
 
     return drive_step(attempt, rho_old, dt_request, setup, config)

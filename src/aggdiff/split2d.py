@@ -5,12 +5,13 @@ convolution is frozen over a pass (no interaction, or explicit staging), the
 lines decouple: the whole pass is one LineProblem with the lines on its
 leading axis, solved by one batched Newton iteration in which every line
 keeps its own convergence test and line search. When the interaction is
-staged implicitly or at the midpoint, lines do not decouple; the sweeping
-form restores tractability by updating one line at a time, the convolution
-seeing the stage-rule value on the active line and the latest values
-elsewhere. Stage r's residual is then a 1D implicit residual with an
-effective confinement table: V plus the stage's background, the
-convolution of every other line, new before r and old after it.
+staged implicitly or at the midpoint (``SchemeSetup.coupled``, which every
+pass reads), lines do not decouple; the sweeping form restores tractability
+by updating one line at a time, the convolution seeing the stage-rule value
+on the active line and the latest values elsewhere. Stage r's residual is
+then a 1D implicit residual with an effective confinement table: V plus the
+stage's background, the convolution of every other line, new before r and
+old after it.
 
 For a quadratic kernel (``KernelTable.exact_form``) the pass is solved as
 that one system of L stage residuals: the backgrounds follow from prefix
@@ -32,9 +33,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import RoutingError
-from .kernels import EXPLICIT, QUADRATIC_FORMS, convolve
+from .kernels import QUADRATIC_FORMS, convolve
 from .model import field_values
-from .scheme1d import S1, reconstruct_faces
 from .solver import (
     NewtonConfig,
     PassTelemetry,
@@ -63,12 +63,11 @@ def advance_split_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
     step with the effective confinement V + W * rho_old. All lines form one
     LineProblem and one batched Newton (see ``newton_solve``), in which each
     line keeps its own convergence test, iteration count and line search,
-    and reaches the same iterate as a solve of that line alone. With an
-    implicit or midpoint stage the lines couple and the sweeping form must
-    be used instead.
+    and reaches the same iterate as a solve of that line alone. Coupled
+    lines (``setup.coupled``) raise RoutingError: they need the sweep.
     """
     field = field_values(rho)
-    if setup.kernel is not None and setup.scheme.stage_rule != EXPLICIT:
+    if setup.coupled:
         raise RoutingError(
             "dimensional splitting does not decouple with an implicitly staged "
             "interaction; use sweeping"
@@ -79,7 +78,7 @@ def advance_split_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
         v_eff = v_eff + convolve(setup.kernel, rho)  # kept by a DensityField
     problem = line_problem(setup, _lines(field, axis), dt, _lines(v_eff, axis), kernel=None)
     new_lines, iters, norm = solve_lines(problem, config)
-    tel.absorb(problem, new_lines, iters, norm)
+    tel.absorb(problem, iters, norm)
     return np.ascontiguousarray(_lines(new_lines, axis))
 
 
@@ -91,14 +90,14 @@ class SpectralBackground:
     rfft of the line's change, times the kernel's rfft at each later line's
     offset (taken once per pass), is added to the later lines, and stage r
     takes one irfft of its own row. Lines before r are never read again in
-    the pass, so they are not updated.
+    the pass, so they are not updated. The axis's row kernel takes out line r's own term.
     """
 
-    def __init__(self, kernel, field, axis, row_kernel):
+    def __init__(self, kernel, field, axis):
         from scipy.fft import next_fast_len, rfft  # only this pass needs scipy.fft
 
         n = field.shape[0]
-        self.n, self.measure, self.row_kernel = n, kernel.cell_measure, row_kernel
+        self.n, self.measure, self.row_kernel = n, kernel.cell_measure, kernel.row_kernels[axis]
         self.conv = _lines(convolve(kernel, field), axis)
         # Row m of w_hat: the in-line kernel at line offset m - (n-1). Linear
         # convolutions of length 3n-2 do not wrap at this size.
@@ -170,53 +169,45 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
     interaction of the whole field through an effective confinement, the
     background: every other line's convolution at its latest value (new
     before r, old after r), with the stage rule applied to line r's own
-    contribution. Under S1 the old lines' reconstructed face values are
-    computed once per pass.
+    contribution. Only stage r writes line r, so every stage's LineProblem
+    reconstructs S1 faces from its line at the start of the pass. Lines that
+    do not couple (``setup.coupled`` false) make the sweep the split pass.
 
     A quadratic kernel (``exact_form``) solves the pass as the one system it
     is: the L stage residuals, each reading the new lines before it, by one
     Newton solve on all lines at once (a LineProblem with ``across``,
     backgrounds from PassMomentBackground, a block lower-triangular Jacobian
     solved by forward substitution). It stops when every stage residual is
-    within tolerance, the test each stage's own solve would apply, and
-    counts L Newton iterations per pass iteration; a failed solve raises
-    NewtonError to the step driver (see drive_step). Any other kernel solves
-    stage by stage, its backgrounds from one 2D convolution per pass and a
-    spectral accumulator (SpectralBackground), its coupled solves by dense
-    LU. Either way stage r's field, which the paper's guarantees hold for,
-    is the pass's input with lines 0..r taken from its output.
+    within tolerance, the test each stage's own solve would apply; a failed
+    solve raises NewtonError to the step driver (see drive_step). Any other
+    kernel solves stage by stage, its backgrounds from one 2D convolution
+    per pass and a spectral accumulator (SpectralBackground), its coupled
+    solves by dense LU. Either way stage r's field, which the paper's
+    guarantees hold for, is the pass's input with lines 0..r from its output.
     """
     field = field_values(rho)
     tel = telemetry if telemetry is not None else PassTelemetry()
-    if setup.kernel is None:
-        # No coupling: the sweep degenerates to the decoupled pass.
+    if not setup.coupled:
         return advance_split_axis(field, axis, dt, setup, config, tel)
 
     kernel = setup.kernel
     row_kernel = kernel.row_kernels[axis]  # couples the cells of one line
     lines, v_lines = _lines(field, axis), _lines(setup.v_table, axis)
-    # Only stage r writes line r, so every stage's old line is its line at
-    # the start of the pass, and reconstruct_faces works line by line.
-    faces = None
-    if setup.scheme.kind == S1:
-        faces = reconstruct_faces(lines, setup.scheme.theta)
     if kernel.exact_form in QUADRATIC_FORMS:
-        problem = line_problem(setup, lines, dt, v_lines, row_kernel, faces=faces,
+        problem = line_problem(setup, lines, dt, v_lines, row_kernel,
                                across=PassMomentBackground(kernel, field, axis))
         new_lines, iters, norm = solve_lines(problem, config)
-        new_lines = new_lines.reshape(lines.shape)
-        tel.absorb(problem, new_lines, iters * len(lines), norm)
-        return np.ascontiguousarray(_lines(new_lines, axis))
+        tel.absorb(problem, iters, norm)
+        return np.ascontiguousarray(_lines(new_lines.reshape(lines.shape), axis))
 
     new = field.copy()  # the stages write their lines into it
-    background = SpectralBackground(kernel, field, axis, row_kernel)
+    background = SpectralBackground(kernel, field, axis)
     for r, old_line in enumerate(lines):
         v_eff = background(r, old_line)
         v_eff += v_lines[r]
-        problem = line_problem(setup, old_line, dt, v_eff, row_kernel,
-                               faces=None if faces is None else (faces[0][r], faces[1][r]))
+        problem = line_problem(setup, old_line, dt, v_eff, row_kernel)
         new_line, iters, norm = solve_lines(problem, config)
-        tel.absorb(problem, new_line, iters, norm)
+        tel.absorb(problem, iters, norm)
         _lines(new, axis)[r] = new_line
         background.update(r, old_line, new_line)
     return new
@@ -224,13 +215,12 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
 
 def advance_step_2d(rho, dt_request, setup: SchemeSetup,
                     config: NewtonConfig | None = None) -> StepOutcome:
-    """One full 2D step (see drive_step): x-pass then y-pass, routed to split or sweep.
+    """One full 2D step (see drive_step): x-pass then y-pass, swept when ``setup.coupled``.
 
     Both passes absorb their solves into the attempt's one telemetry, so
     drive_step's S1 bound takes the largest converged face speed of either.
     """
-    decoupled = setup.kernel is None or setup.scheme.stage_rule == EXPLICIT
-    advance = advance_split_axis if decoupled else advance_sweep_axis
+    advance = advance_sweep_axis if setup.coupled else advance_split_axis
 
     def attempt(field, dt, cfg, tel):
         half = advance(field, 0, dt, setup, cfg, tel)

@@ -437,6 +437,14 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stderr == "error: no criterion 0: the criteria are numbered 1 to 10\n"
 
+    def test_convergence_exponent_off_a_pme_case_exits_two(self, capsys):
+        argv = ["convergence", "--case", "heat1d", "--scheme", "s2", "--levels", "2",
+                "--exponent", "3"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: only pme1d and pme2d take an exponent, not 'heat1d'\n"
+        assert out == ""
+
     def test_sweep_bad_value_exits_two(self, flocking_config, capsys):
         argv = ["sweep", "--config", flocking_config, "--param", "sigma", "--values", "0.1,x"]
         assert main(argv) == 2
@@ -765,3 +773,53 @@ def test_no_function_imports_a_package_module():
                 lazy += [f"{path.name}:{node.lineno} {module}" for module in modules
                          if module.split(".")[0] in ("", "aggdiff")]
     assert lazy == []
+
+
+def _package_trees():
+    package = Path(experiments.__file__).resolve().parent
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(package.glob("*.py"))}
+
+
+def test_every_import_is_used():
+    """No src/aggdiff module but ``__init__.py`` (which re-exports) imports a name it never reads."""
+    unused = []
+    for name, tree in _package_trees().items():
+        if name == "__init__.py":
+            continue
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{name}:{node.lineno} {b}" for b in bound if b not in read]
+    assert unused == []
+
+
+def test_every_private_top_level_name_is_referenced():
+    """A module-level ``_name`` that no module of the package reads is dead code."""
+    trees = _package_trees()
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [n.id for target in targets for n in ast.walk(target)
+                           if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [f"{name}:{node.lineno} {d}" for d in defined
+                     if d.startswith("_") and not d.startswith("__") and d not in read]
+    assert dead == []

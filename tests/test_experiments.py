@@ -32,6 +32,7 @@ from aggdiff.presets import (
     grid_2d,
     heat,
     linear_fokker_planck,
+    porous_medium,
 )
 from aggdiff.scheme1d import face_data
 from aggdiff.solver import NewtonConfig, advance_step_1d, build_setup, clipped_energy
@@ -489,6 +490,11 @@ class TestConvergenceStudy:
         with pytest.raises(ConfigurationError):
             convergence_study("heat9d", "s1", 2)
 
+    @pytest.mark.parametrize("case", ["heat1d", "heat2d", "linfp2d", "nonlocfp2d"])
+    def test_exponent_only_for_porous_medium_cases(self, case):
+        with pytest.raises(ConfigurationError, match=f"take an exponent, not {case!r}"):
+            convergence_study(case, "s2", 2, exponent=3.0)
+
 
 class TestReferenceAnchors:
     """Externally recorded convergence values this implementation matches.
@@ -545,6 +551,41 @@ class TestSweep:
                                   initial=InitialSpec("gaussian"))
         with pytest.raises(ConfigurationError):
             bifurcation_sweep(config, "frobnication", [1.0])
+
+    def test_mixture_start_shifts_every_center(self):
+        g = grid_1d(3.0, 0.25)
+        spec = InitialSpec("mixture", centers=(-1.0, 0.5), widths=(0.4, 0.6))
+        config = ExperimentConfig(model=linear_fokker_planck(g), scheme_kind="s2",
+                                  t_final=1.0, dt=0.5, initial=spec)
+        # The swept value is the model's own, so only the start can differ.
+        _, moment, energy, converged, t_reached = bifurcation_sweep(
+            config, "diffusion", [1.0]).rows[0]
+        setup = build_setup(config.model, "s2", "auto")
+        shifted = InitialSpec("mixture", centers=(-0.5, 1.0), widths=(0.4, 0.6))
+        rho0 = np.maximum(build_initial(shifted, g, 0.0, config.model), 0.0)
+        rho, t, conv, _ = run_to_steady(setup, rho0, 0.5, 1.0)
+        assert (moment, energy, converged, t_reached) == (
+            abs(first_moment(rho, g)[0]), clipped_energy(setup, rho), conv, t)
+
+    @pytest.mark.parametrize("kind", ["uniform", "zero", "heat_kernel"])
+    def test_start_without_a_center_is_refused(self, kind):
+        g = grid_1d(2.0, 0.5)
+        config = ExperimentConfig(model=heat(g), t_initial=1.0, t_final=2.0, dt=0.5,
+                                  initial=InitialSpec(kind))
+        with pytest.raises(ConfigurationError, match=f"a {kind!r} start has no center"):
+            bifurcation_sweep(config, "diffusion", [1.0])
+
+    @pytest.mark.parametrize("energy, parameter", [
+        ("entropy", "exponent"), ("entropy", "m"), ("entropy", "entropy_weight"),
+        ("power", "entropy_weight"), ("power", "eps_reg"),
+    ])
+    def test_parameter_the_energy_does_not_read_is_refused(self, energy, parameter):
+        g = grid_1d(2.0, 0.5)
+        model = heat(g) if energy == "entropy" else porous_medium(g, 2.0)
+        config = ExperimentConfig(model=model, t_final=1.0, dt=0.5,
+                                  initial=InitialSpec("gaussian"))
+        with pytest.raises(ConfigurationError, match=f"the {energy!r} energy does not read"):
+            bifurcation_sweep(config, parameter, [1.5])
 
     def test_sweep_csv(self, tmp_path):
         g = grid_1d(3.0, 0.25)

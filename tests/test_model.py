@@ -1,5 +1,7 @@
 """Internal energies, potentials, grid, and density-field contracts."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import xlogy
@@ -41,6 +43,23 @@ class TestGrid:
     def test_rejects_bad_dimension(self):
         with pytest.raises(DomainError):
             Grid(3, 1.0, 4)
+
+    # A field that no grid can use is refused by name.
+    @pytest.mark.parametrize("dimension", [1.0, 2.0])
+    def test_dimension_must_be_an_integer(self, dimension):
+        with pytest.raises(DomainError, match="dimension must be the integer 1 or 2"):
+            Grid(dimension, 1.0, 4)
+
+    @pytest.mark.parametrize("half_width", [math.inf, math.nan, 0.0])
+    def test_half_width_must_be_positive_and_finite(self, half_width):
+        with pytest.raises(DomainError, match="half_width must be positive and finite"):
+            Grid(1, half_width, 4)
+
+    @pytest.mark.parametrize("cells", [2.5, 4.0])
+    def test_cells_per_half_axis_must_be_an_integer(self, cells):
+        with pytest.raises(DomainError, match="cells_per_half_axis must be an integer >= 1"):
+            Grid(1, 1.0, cells)
+        assert Grid(np.int64(2), 1.0, np.int64(4)).shape == (8, 8)
 
 
 def _h(energy, rho):

@@ -1,6 +1,7 @@
 """Newton iteration, Jacobian assembly, and the 1D step driver."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -22,7 +23,15 @@ from aggdiff.kernels import (
     tabulate_kernel,
 )
 from aggdiff.model import DensityField, InternalEnergy, ModelSpec, PotentialSpec, TabulatedInteraction
-from aggdiff.scheme1d import S1, S2, LineProblem, SchemeConfig, Tridiagonal, TridiagonalLowRank
+from aggdiff.scheme1d import (
+    S1,
+    S2,
+    LineProblem,
+    SchemeConfig,
+    Tridiagonal,
+    TridiagonalLowRank,
+    residual_jacobian,
+)
 from aggdiff.errors import DomainError, NewtonError, NumericalError, StepError
 from aggdiff.presets import (
     MODEL_MATRIX,
@@ -57,6 +66,21 @@ def _diagonal(slope):
     def jacobian(x, lines=None):
         return np.eye(x.shape[-1]) * slope(x)[..., None, :]
     return jacobian
+
+
+class TestNewtonConfig:
+    """A field that no solve can use is refused by name."""
+
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, 0.0])
+    def test_tolerance_must_be_positive_and_finite(self, tolerance):
+        with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+            NewtonConfig(tolerance=tolerance)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0])
+    def test_max_iterations_must_be_an_integer(self, count):
+        with pytest.raises(DomainError, match="max_iterations must be an integer >= 1"):
+            NewtonConfig(max_iterations=count)
+        assert NewtonConfig(max_iterations=np.int64(3)).max_iterations == 3
 
 
 class TestNewton:
@@ -500,7 +524,8 @@ class TestCFLBound:
         rho = sample_reference(ReferenceSolution("heat_kernel", 1), 0.5, g)
         problem = solver.line_problem(setup, rho, 5.0)
         tel = PassTelemetry()
-        tel.absorb(problem, solver.solve_lines(problem)[0], 3, 1e-12)
+        solver.solve_lines(problem)
+        tel.absorb(problem, 3, 1e-12)
         assert (tel.max_velocity, tel.row_solves, tel.newton_iterations) == (0.0, 1, 3)
 
 
@@ -718,12 +743,12 @@ class TestStructuredSolve:
         energy = InternalEnergy.entropy(1.0)
         v = 0.1 * np.arange(self.n)
 
-        def problem(kernel):
-            return LineProblem(SchemeConfig(kind, stage), old, dt, self.dx, energy, v, kernel)
+        def unscaled(kernel):
+            return residual_jacobian(kind, at, old, dt, self.dx, energy, v, kernel, stage)
 
-        quadratic = problem(KernelTable(values, self.dx, form))
-        structured = quadratic.jacobian(at)
-        dense = problem(KernelTable(values, self.dx)).jacobian(at)
+        quadratic = KernelTable(values, self.dx, form)
+        structured = unscaled(quadratic)
+        dense = unscaled(KernelTable(values, self.dx))
         assert isinstance(structured, TridiagonalLowRank) and isinstance(dense, np.ndarray)
         assert np.abs(structured.to_dense() - dense).max() <= 1e-12 * np.abs(dense).max()
         # LU is the reference where the answer is well determined. A Jacobian
@@ -734,7 +759,9 @@ class TestStructuredSolve:
         # small backward error, up to that grid's spacing.
         subnormal = (rhs != 0) & (np.abs(rhs) < np.finfo(float).tiny)
         well_posed = np.linalg.cond(dense) < 1e12 and not subnormal.any()
-        for j, scale in ((structured, 1.0), (quadratic.update_jacobian(at), dt)):
+        scaled = LineProblem(SchemeConfig(kind, stage), old, dt, self.dx, energy, v,
+                             quadratic).update_jacobian(at)
+        for j, scale in ((structured, 1.0), (scaled, dt)):
             if well_posed:
                 expected = np.linalg.solve(scale * dense, rhs)
                 got = solver._solve_linear(j, rhs[None])[0]

@@ -240,6 +240,40 @@ class TestSweepPass:
         assert np.array_equal(swept.view(np.int64), split.view(np.int64))
         assert vars(swept_tel) == vars(split_tel)
 
+    @staticmethod
+    def _setup(interaction, kind, stage):
+        g = grid_2d(2.0, 0.5)
+        model = ModelSpec(InternalEnergy.entropy(1.0), PotentialSpec(interaction=interaction), g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a rule that voids the guarantee
+            return build_setup(model, kind, stage=stage)
+
+    @pytest.mark.parametrize("kind", ["s1", "s2"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("interaction", [Quadratic(1.0), Gaussian(0.5, -1.0)],
+                             ids=["quadratic", "gaussian"])
+    def test_explicit_staged_sweep_is_the_split_pass(self, kind, axis, interaction):
+        # Explicit staging freezes W * rho over the pass: the lines do not couple.
+        setup = self._setup(interaction, kind, "explicit")
+        assert setup.kernel is not None and setup.scheme.stage_rule == "explicit"
+        field = smooth_field(setup.model.grid, shift=0.3)
+        swept_tel, split_tel = PassTelemetry(), PassTelemetry()
+        swept = advance_sweep_axis(field, axis, 0.1, setup, NewtonConfig(), swept_tel)
+        split = advance_split_axis(field, axis, 0.1, setup, NewtonConfig(), split_tel)
+        assert swept.tobytes() == split.tobytes()
+        assert vars(swept_tel) == vars(split_tel)
+
+    @pytest.mark.parametrize("stage", ["explicit", "implicit", "midpoint"])
+    @pytest.mark.parametrize("interaction", [None, Quadratic(1.0), Gaussian(0.5, -1.0)],
+                             ids=["none", "quadratic", "gaussian"])
+    def test_step_sweeps_exactly_when_coupled(self, stage, interaction, monkeypatch):
+        setup = self._setup(interaction, "s2", stage)
+        assert setup.coupled == (interaction is not None and stage != "explicit")
+        passes = TestMatrixStepGuarantees._record_passes(monkeypatch)
+        advance_step_2d(smooth_field(setup.model.grid, shift=0.3), 0.1, setup, NewtonConfig())
+        swept = setup.coupled
+        assert [(axis, s) for _, axis, _, s in passes] == [(0, swept), (1, swept)]
+
     def test_all_zero_tabulated_interaction_takes_split_passes(self, monkeypatch):
         # build_setup drops a kernel table that is zero everywhere, so a
         # midpoint stage does not route the step to the sweep.
@@ -297,30 +331,23 @@ class TestSweepPass:
             assert abs(m_val - masses[0]) <= 10 * cfg.tolerance * (1 + masses[0])
 
 class TestS1FacesOncePerPass:
-    """An S1 sweep reconstructs every line's faces once per pass, with the same bits."""
+    """An S1 problem reconstructs its own old lines' faces: a line's bits alone or in a pass."""
 
-    @staticmethod
-    def _parts(value):  # a residual, or a tridiagonal-plus-low-rank Jacobian
-        return (*value.tri, value.left, value.right) if hasattr(value, "tri") else (value,)
-
-    def test_pass_faces_give_the_same_problem(self):
-        g = grid_2d(2.0, 0.25)
-        setup = build_setup(nonlocal_fokker_planck(g), "s1", stage="midpoint")
-        rng = np.random.default_rng(3)
-        lines = rng.random(g.shape)
-        lines[rng.random(g.shape) < 0.2] = 0.0
-        row_kernel = setup.kernel.row_kernels[0]
-        east, west = reconstruct_faces(lines, setup.scheme.theta)
-        dt = g.dx**2 / 8
-        for r in range(g.n_cells):
-            v = rng.random(g.n_cells)
-            own = line_problem(setup, lines[r], dt, v, row_kernel)
-            given = line_problem(setup, lines[r], dt, v, row_kernel, faces=(east[r], west[r]))
-            a = np.maximum(lines[r] + 0.1 * rng.standard_normal(g.n_cells), 0.0)
-            for method in ("residual", "update_residual", "jacobian", "update_jacobian"):
-                mine, theirs = getattr(own, method)(a), getattr(given, method)(a)
-                assert all(x.tobytes() == y.tobytes()
-                           for x, y in zip(self._parts(mine), self._parts(theirs)))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rows_of_a_batch_are_each_lines_own(self, seed):
+        # On random fields with vacuum cells, and through the transposed
+        # view an x-pass hands its problem.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 14))
+        field = draws.floats(rng, (n, n), 0.0, 10.0)
+        field[rng.random(field.shape) < 0.3] = 0.0
+        theta = float(rng.uniform(1.0, 2.0))
+        for lines in (field, field.T):
+            east, west = reconstruct_faces(lines, theta)
+            for r in range(n):
+                own_east, own_west = reconstruct_faces(lines[r], theta)
+                assert east[r].tobytes() == own_east.tobytes()
+                assert west[r].tobytes() == own_west.tobytes()
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_sweep_hands_each_stage_its_old_lines_faces(self, axis, monkeypatch):
@@ -331,9 +358,10 @@ class TestS1FacesOncePerPass:
         seen = []
         original = split2d.line_problem
 
-        def spy(setup_, old, dt, v_eff, kernel, faces=None, across=None):
-            seen.append((old.copy(), faces))
-            return original(setup_, old, dt, v_eff, kernel, faces=faces, across=across)
+        def spy(*args, **kwargs):
+            problem = original(*args, **kwargs)
+            seen.append((problem.old.copy(), (problem.east, problem.west)))
+            return problem
 
         monkeypatch.setattr(split2d, "line_problem", spy)
         advance_sweep_axis(smooth_field(g, 0.3), axis, g.dx**2 / 8, setup, NewtonConfig())
@@ -357,9 +385,9 @@ def test_sweep_passes_reuse_the_tables_row_kernels(kernel, monkeypatch):
     seen = []
     original = split2d.line_problem
 
-    def spy(setup_, old, dt, v_eff, row_kernel, faces=None, across=None):
+    def spy(setup_, old, dt, v_eff, row_kernel, across=None):
         seen.append(row_kernel)
-        return original(setup_, old, dt, v_eff, row_kernel, faces=faces, across=across)
+        return original(setup_, old, dt, v_eff, row_kernel, across=across)
 
     monkeypatch.setattr(split2d, "line_problem", spy)
     rho = smooth_field(g, 0.3)
@@ -453,8 +481,7 @@ class TestMomentBackground:
         field = draws.floats(rng, (self.n, self.n), 0.0, 10.0, subnormal=False)
         changes = draws.floats(rng, (self.n, self.n), -1.0, 1.0)
         kernel = tabulate_kernel(Quadratic(strength), self.g)
-        row_kernel = KernelTable(kernel.axis_slice(axis), kernel.cell_measure)
-        spectral = SpectralBackground(kernel, field, axis, row_kernel)
+        spectral = SpectralBackground(kernel, field, axis)
         lines = split2d._lines(field.copy(), axis)
         new = np.maximum(lines + changes, 0.0)  # every stage's new line
         got = PassMomentBackground(kernel, field, axis)(new)
@@ -482,11 +509,10 @@ class TestPassSystem:
         # far from 0 and the earlier lines' term carries weight.
         field = (0.2 + rng.random(g.shape)) * np.exp(0.8 * x + 0.5 * y)
         lines = split2d._lines(field, axis).copy()
-        faces = reconstruct_faces(lines, setup.scheme.theta) if kind == "s1" else None
         row_kernel = kernel.row_kernels[axis]
         dt = g.dx**2 / 8 if kind == "s1" else 0.2
         problem = line_problem(setup, lines, dt, split2d._lines(setup.v_table, axis), row_kernel,
-                               faces=faces, across=PassMomentBackground(kernel, field, axis))
+                               across=PassMomentBackground(kernel, field, axis))
         state = lines * (1.0 + 0.1 * rng.standard_normal(lines.shape))
         return problem, state.ravel(), rng
 
@@ -496,10 +522,10 @@ class TestPassSystem:
     @pytest.mark.parametrize("strength", [1.0, -1.0])
     def test_jacobian_matches_finite_differences(self, kind, stage, axis, strength):
         problem, a, _ = self._problem(kind, stage, axis, strength, seed=axis + 2)
-        jac = problem.jacobian(a)
+        jac = problem.update_jacobian(a)
         assert jac.below == (1.0 if stage == "implicit" else 2.0)
         exact = jac.to_dense()
-        fd = assemble_jacobian(lambda z: problem.residual(z).ravel(), a)
+        fd = assemble_jacobian(lambda z: problem.update_residual(z).ravel(), a)
         scale = np.abs(exact).max()
         assert np.abs(exact - fd).max() <= 1e-5 * scale
         n = self.g.n_cells
