@@ -7,7 +7,6 @@ from .model import (
     Grid,
     InternalEnergy,
     ModelSpec,
-    PotentialSpec,
     Quadratic,
     TabulatedConfinement,
     TabulatedInteraction,

@@ -20,7 +20,6 @@ from .model import (
     Grid,
     InternalEnergy,
     ModelSpec,
-    PotentialSpec,
     Quadratic,
     TabulatedConfinement,
     TabulatedInteraction,
@@ -31,7 +30,7 @@ _KNOWN_KEYS = {
     "model": {
         "energy", "diffusion", "exponent", "entropy_weight",
         "confinement", "confinement_strength",
-        "interaction", "interaction_sign", "interaction_width", "interaction_singular",
+        "interaction", "interaction_sign", "interaction_width",
     },
     "grid": {"dimension", "half_width", "cells_per_half_axis"},
     "scheme": {"kind", "stage", "theta"},
@@ -173,15 +172,8 @@ def parse_config(path: str) -> ExperimentConfig:
     else:
         raise ConfigurationError(f"unknown energy kind {energy_kind!r}")
 
-    singular = str(model_sec.get("interaction_singular", "false")).strip().lower()
-    if singular not in parser.BOOLEAN_STATES:
-        raise ConfigurationError(f"interaction_singular must be a boolean, got {singular!r}")
-    potentials = PotentialSpec(
-        confinement=_build_confinement(model_sec, base_dir),
-        interaction=_build_interaction(model_sec, base_dir),
-        interaction_singular=parser.BOOLEAN_STATES[singular],
-    )
-    model = ModelSpec(energy, potentials, grid)
+    model = ModelSpec(energy, grid, _build_confinement(model_sec, base_dir),
+                      _build_interaction(model_sec, base_dir))
 
     scheme_sec = parser["scheme"]
     kind = scheme_sec.get("kind", "s2").strip().lower()

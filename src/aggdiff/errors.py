@@ -14,14 +14,7 @@ class ShapeError(AggDiffError, ValueError):
 
 
 class KernelError(AggDiffError, RuntimeError):
-    """Kernel tabulation failed (e.g. quadrature did not converge).
-
-    ``offset`` is where it failed, a tuple in cells with one entry per axis.
-    """
-
-    def __init__(self, message, offset=None):
-        super().__init__(message)
-        self.offset = offset
+    """A kernel table cannot give what was asked of it."""
 
 
 class ConfigurationError(AggDiffError, ValueError):

@@ -105,6 +105,10 @@ class InitialSpec:
     values: tuple = ()
 
     def __post_init__(self):
+        for name in ("mass", "width", "widths", "weights"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigurationError(f"initial {name} must be finite, got "
+                                         f"{getattr(self, name)!r}")
         if not self.mass >= 0:
             raise ConfigurationError(f"initial mass must be non-negative, got {self.mass!r}")
         for width in (self.width, *self.widths):
@@ -172,6 +176,9 @@ def build_initial(spec: InitialSpec, grid: Grid, t_initial: float,
         for c, w, a in zip(spec.centers, widths, weights):
             out += _gaussian_bump(grid, _point(c, grid, "mixture center"), w, a)
         total = out.sum() * grid.cell_measure
+        if not np.isfinite(total):
+            raise ConfigurationError(f"mixture bumps total a mass of {float(total)!r} on the grid, "
+                                     "which is not finite")
         if total > 0:
             out *= spec.mass / total
         elif spec.mass > 0:
@@ -540,16 +547,14 @@ def _with_parameter(model: ModelSpec, name: str, value: float) -> ModelSpec:
         energy = replace(model.energy, **{key: float(value)})
         return replace(model, energy=energy)
     if key == "confinement_strength":
-        conf = model.potentials.confinement
+        conf = model.confinement
         if conf is None or not hasattr(conf, "strength"):
             raise ConfigurationError("model has no confinement strength to sweep")
-        pots = replace(model.potentials, confinement=replace(conf, strength=float(value)))
-        return replace(model, potentials=pots)
-    inter = model.potentials.interaction
+        return replace(model, confinement=replace(conf, strength=float(value)))
+    inter = model.interaction
     if inter is None or not hasattr(inter, "width"):
         raise ConfigurationError("model has no interaction width to sweep")
-    pots = replace(model.potentials, interaction=replace(inter, width=float(value)))
-    return replace(model, potentials=pots)
+    return replace(model, interaction=replace(inter, width=float(value)))
 
 
 SWEEP_SHIFT = 0.5  # asymmetric start: initial centers shifted along +x

@@ -1,17 +1,16 @@
 """Interaction kernel tabulation, discrete convolution, and definiteness.
 
 The interaction enters the schemes only through the offset table
-W_{i-k} = W(x_i - x_k) (cell-averaged instead for singular kernels) and the
-discrete convolution (W * rho)_i = sum_k W_{i-k} rho_k dx, taken as the
-direct sum in 1D and through the table's cached spectrum in 2D. Whether the
-convolution may be staged explicitly or implicitly while keeping the energy
-dissipation guarantee depends on the sign-definiteness of the kernel's
-quadratic form on mass-neutral differences, classified here.
+W_{i-k} = W(x_i - x_k) and the discrete convolution
+(W * rho)_i = sum_k W_{i-k} rho_k dx, taken as the direct sum in 1D and
+through the table's cached spectrum in 2D. Whether the convolution may be
+staged explicitly or implicitly while keeping the energy dissipation
+guarantee depends on the sign-definiteness of the kernel's quadratic form on
+mass-neutral differences, classified here.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,8 +32,6 @@ QUADRATIC_FORMS = ("quadratic+", "quadratic-")
 NEGATIVE_DEFINITE = "negative_definite"
 POSITIVE_DEFINITE = "positive_definite"
 INDETERMINATE = "indeterminate"
-
-_QUAD_OPTS = dict(epsabs=0.0, epsrel=1e-10, limit=200)
 
 
 @dataclass(frozen=True)
@@ -160,41 +157,15 @@ class KernelTable:
         return faces, cells
 
 
-def _cell_average(interaction, offset, dx):
-    """(1/dx^d) \\int_C W(offset - s) ds over the cell C = [-dx/2, dx/2]^d, by nquad.
-
-    ``offset`` holds one physical offset per axis. nquad integrates its
-    first variable innermost, so the variables come in reverse axis order.
-    """
-    from scipy import integrate  # only singular tabulation integrates
-
-    d = len(offset)
-
-    def f(*s):
-        return interaction.radial(sum(np.square(o - si) for o, si in zip(offset, s[::-1])), d)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.nquad(f, [(-0.5 * dx, 0.5 * dx)] * d, opts=_QUAD_OPTS)
-    scale = max(abs(val), 1.0)
-    if not np.isfinite(val) or err > 1e-8 * scale:
-        cells = tuple(float(o / dx) for o in offset)
-        raise KernelError(f"cell-average quadrature did not converge at offset {cells}",
-                          offset=cells)
-    return val / math.prod([dx] * d)
-
-
-def tabulate_kernel(interaction, grid: Grid, singular: bool = False) -> KernelTable:
+def tabulate_kernel(interaction, grid: Grid) -> KernelTable:
     """Build the offset table for one interaction on one grid, in any dimension.
 
-    Pointwise mode samples W at center differences o*dx per axis. Singular
-    mode replaces each entry by its average over the source cell,
-    (1/dx^d) \\int_{C_k} W(x_i - s) ds, via adaptive quadrature (rel. tol
-    1e-10); this keeps integrable singularities finite. It integrates the
-    half whose last offset is >= 0 and fills the rest by the point symmetry
-    W(-v) = W(v). A table that is not finite raises DomainError. A 2D table
-    that is not quadratic takes its ``spectrum`` here, so that scipy.fft
-    loads at set-up, not in a step; no other table needs scipy.fft.
+    A radial W is sampled at the center differences o*dx per axis; a
+    TabulatedInteraction gives its offsets as they are (a table of cell
+    averages made elsewhere comes in that way). A table that is not finite
+    raises DomainError. A 2D table that is not quadratic takes its
+    ``spectrum`` here, so that scipy.fft loads at set-up, not in a step; no
+    other table needs scipy.fft.
     """
     n = grid.n_cells
     length = 2 * n - 1
@@ -208,20 +179,14 @@ def tabulate_kernel(interaction, grid: Grid, singular: bool = False) -> KernelTa
     if isinstance(interaction, Quadratic):
         exact_form = "quadratic+" if interaction.strength > 0 else "quadratic-"
 
-    offsets = grid.dx * np.arange(-(n - 1), n)
     if isinstance(interaction, TabulatedInteraction):
         vals = interaction.offsets()
         if vals.shape != (length,) * d:
             raise ShapeError(
                 f"tabulated interaction shape {vals.shape} does not match {(length,) * d}"
             )
-    elif singular:
-        vals = np.empty((length,) * d)
-        for index in np.ndindex(vals.shape):
-            if index[-1] >= n - 1:
-                vals[index] = _cell_average(interaction, tuple(offsets[list(index)]), grid.dx)
-        vals[..., : n - 1] = np.flip(vals)[..., : n - 1]
     else:
+        offsets = grid.dx * np.arange(-(n - 1), n)
         r2 = sum(o**2 for o in np.meshgrid(*[offsets] * d, indexing="ij"))
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             vals = np.asarray(interaction.radial(r2, d), dtype=float)

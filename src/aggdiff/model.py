@@ -106,12 +106,20 @@ class InternalEnergy:
     def __post_init__(self):
         if self.kind not in ("entropy", "power", "power_entropy"):
             raise DomainError(f"unknown internal energy kind {self.kind!r}")
+        for name in ("diffusion", "exponent", "entropy_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.diffusion > 0:
             raise DomainError("diffusion strength D must be positive")
         if self.kind in ("power", "power_entropy") and not self.exponent > 1:
             raise DomainError("power exponent m must exceed 1")
         if self.entropy_weight < 0:
             raise DomainError("entropy regularization weight must be >= 0")
+        # D/(m-1) can underflow to 0 (and drop the power term) or overflow.
+        if self.kind != "entropy" and not 0 < self._power_coeff < math.inf:
+            raise DomainError(f"power coefficient diffusion/(exponent - 1) = "
+                              f"{self.diffusion!r}/({self.exponent!r} - 1) is "
+                              f"{self._power_coeff!r}, not a positive finite number")
         if self._entropy_coeff:
             self._xlogy  # scipy.special loads with the model, not at its first energy
 
@@ -323,44 +331,30 @@ RADIAL_POTENTIALS = (Quadratic, Bistable, Gaussian)
 
 
 @dataclass(frozen=True)
-class PotentialSpec:
-    """The (V, W) pair; ``None`` stands for an absent potential."""
-
-    confinement: object = None
-    interaction: object = None
-    interaction_singular: bool = False
-
-
-@dataclass(frozen=True)
 class ModelSpec:
-    """One equation instance: internal energy, potentials, grid."""
+    """One equation instance: internal energy, grid, confinement V and interaction W.
+
+    ``None`` stands for an absent potential.
+    """
 
     energy: InternalEnergy
-    potentials: PotentialSpec
     grid: Grid
-
-    @property
-    def confinement(self):
-        return self.potentials.confinement
-
-    @property
-    def interaction(self):
-        return self.potentials.interaction
+    confinement: object = None
+    interaction: object = None
 
     @cached_property
     def v_table(self) -> np.ndarray:
         """V at the cell centres (``sample_confinement``), tabulated once and read-only."""
-        table = sample_confinement(self.potentials, self.grid)
+        table = sample_confinement(self.confinement, self.grid)
         table.setflags(write=False)
         return table
 
 
-def sample_confinement(potentials: PotentialSpec, grid: Grid) -> np.ndarray:
-    """Pointwise V at cell centers; an absent V yields an all-zero table.
+def sample_confinement(conf, grid: Grid) -> np.ndarray:
+    """Pointwise V at cell centers; an absent V (None) yields an all-zero table.
 
     A V that is not finite at some center raises DomainError.
     """
-    conf = potentials.confinement
     if conf is None:
         return np.zeros(grid.shape)
     if isinstance(conf, TabulatedConfinement):

@@ -127,9 +127,7 @@ def build_setup(model: ModelSpec, scheme: str, stage: str = "auto",
     if model.interaction is None:
         kernel = None
     else:
-        kernel = tabulate_kernel(
-            model.interaction, model.grid, singular=model.potentials.interaction_singular
-        )
+        kernel = tabulate_kernel(model.interaction, model.grid)
         if kernel.is_zero:
             kernel = None
     if kernel is not None:

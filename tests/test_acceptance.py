@@ -5,12 +5,17 @@ failure) and asserts that all of its clauses hold. Criteria 1, 3, 4, and 5
 pin externally recorded error values that a faithful implementation of the
 schemes does not reproduce; the analysis lives in the aggdiff.acceptance
 module docstring. Those clauses are asserted as stated and fail honestly
-rather than being loosened.
+rather than being loosened. The tests after the gate check the parts of
+that analysis that the program can measure.
 """
 
+import numpy as np
 import pytest
 
 from aggdiff import acceptance
+from aggdiff.presets import grid_1d, grid_2d, heat, porous_medium
+from aggdiff.solver import NewtonConfig, advance_step_1d, build_setup
+from aggdiff.split2d import advance_step_2d
 
 
 @pytest.mark.parametrize("index", range(1, 11), ids=lambda i: f"criterion_{i}")
@@ -26,3 +31,31 @@ def test_criterion(index):
         f"criterion {index} ({result.name}): {len(failed)} clause(s) failed: "
         + "; ".join(f"{c.label} [{c.detail}]" for c in failed)
     )
+
+
+def _split_against_outer_product(model, kind, steps=5, dt=0.005):
+    """Relative max distance of ``steps`` 2D split steps of f(x)g(y) from the
+    outer product of ``steps`` 1D steps of f and of g."""
+    g1, g2 = grid_1d(6.0, 0.25), grid_2d(6.0, 0.25)
+    cfg = NewtonConfig(tolerance=1e-14)
+    setup_1d, setup_2d = build_setup(model(g1), kind), build_setup(model(g2), kind)
+    x = g1.axis_centers()
+    f, g = np.exp(-((x - 0.5) ** 2)), 1.0 / (1.0 + x**2)
+    fg = np.outer(f, g)
+    for _ in range(steps):
+        outcomes = (advance_step_1d(f, dt, setup_1d, cfg), advance_step_1d(g, dt, setup_1d, cfg),
+                    advance_step_2d(fg, dt, setup_2d, cfg))
+        assert [o.cfl_retries for o in outcomes] == [0, 0, 0]  # one dt on both sides
+        f, g, fg = (o.field.values for o in outcomes)
+    outer = np.outer(f, g)
+    return np.abs(fg - outer).max() / np.abs(outer).max()
+
+
+@pytest.mark.parametrize("kind", ["s1", "s2"])
+def test_criterion_4_heat_split_step_tensorizes(kind):
+    # H = rho log rho - rho: log(f g) = log f + log g, so the x-pass moves
+    # each line of f(x)g(y) as the 1D step moves f, and the y-pass likewise.
+    # Criterion 4's 2D heat error is hence about twice the 1D error.
+    assert _split_against_outer_product(heat, kind) <= 1e-12  # measured 2.9e-14, 1.7e-14
+    # Porous medium m = 2 is not homogeneous of degree one: no such identity.
+    assert _split_against_outer_product(lambda grid: porous_medium(grid, 2.0), kind) > 1e-3

@@ -23,7 +23,6 @@ from aggdiff.model import (
     Grid,
     InternalEnergy,
     ModelSpec,
-    PotentialSpec,
     Quadratic,
     TabulatedConfinement,
 )
@@ -39,7 +38,7 @@ class TestDiscreteEnergy:
         g = Grid(2, 3.0, 6)
         rho = np.random.default_rng(3).random(g.shape)
         for model in (heat(g), linear_fokker_planck(g)):
-            v = model_module.sample_confinement(model.potentials, g)
+            v = model_module.sample_confinement(model.confinement, g)
             expected = float((v * rho).sum() * g.cell_measure)
             tabulated = []
             monkeypatch.setattr(model_module, "sample_confinement",
@@ -61,11 +60,8 @@ class TestDiscreteEnergy:
         g = Grid(1, 2.0, 2)  # dx = 1
         v = np.zeros(4)
         v[1] = 2.0
-        model = ModelSpec(
-            InternalEnergy.entropy(1.0),
-            PotentialSpec(confinement=TabulatedConfinement(tuple(v))),
-            g,
-        )
+        model = ModelSpec(InternalEnergy.entropy(1.0), g,
+                          confinement=TabulatedConfinement(tuple(v)))
         rho = np.zeros(4)
         rho[1] = 1.0
         e = discrete_energy(rho, model, None)
@@ -95,14 +91,18 @@ class TestDiscreteEnergy:
 
     @pytest.mark.parametrize("dimension", [1, 2])
     @pytest.mark.parametrize("strength", [1.0, -1.0])
-    @pytest.mark.parametrize("singular", [False, True])
-    def test_matches_paper_double_sum_form(self, dimension, strength, singular):
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_matches_paper_double_sum_form(self, dimension, strength, shifted):
         # interaction = (measure^2/2) * sum_{i,k} W_{i-k} rho_i rho_k; a
         # quadratic table takes it from moments, so an off-centre, lopsided
-        # density checks the moment form against the sum itself.
+        # density checks the moment form against the sum itself. A shifted
+        # table has W_0 != 0, as a table of cell averages of |x|^2/2 has.
         rng = np.random.default_rng(12)
         g = Grid(dimension, 2.0, 3)
-        kernel = tabulate_kernel(Quadratic(strength), g, singular=singular)
+        kernel = tabulate_kernel(Quadratic(strength), g)
+        if shifted:
+            kernel = KernelTable(kernel.values + 0.1 * strength, kernel.cell_measure,
+                                 kernel.exact_form)
         n, c = g.n_cells, g.n_cells - 1
         idx = np.arange(n)
         offsets = c + idx[:, None] - idx[None, :]  # offsets[i, k] = i - k + c

@@ -103,8 +103,8 @@ class TestParsing:
 
     def test_flocking_potentials(self, flocking_config):
         cfg = parse_config(flocking_config)
-        assert isinstance(cfg.model.potentials.confinement, Bistable)
-        assert isinstance(cfg.model.potentials.interaction, Quadratic)
+        assert isinstance(cfg.model.confinement, Bistable)
+        assert isinstance(cfg.model.interaction, Quadratic)
 
     def test_gaussian_interaction(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -115,7 +115,7 @@ class TestParsing:
             "[time]\nt_final = 1.0\ndt = 0.1\n"
         )
         cfg = parse_config(str(path))
-        inter = cfg.model.potentials.interaction
+        inter = cfg.model.interaction
         assert isinstance(inter, Gaussian)
         assert inter.width == 0.5 and inter.sign == -1.0
 
@@ -174,20 +174,6 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="cadence"):
             parse_config(str(path))
 
-    @pytest.mark.parametrize("word, singular", [("on", True), ("Yes", True), ("0", False),
-                                                ("off", False)])
-    def test_interaction_singular_reads_boolean_words(self, tmp_path, word, singular):
-        path = tmp_path / "c.ini"
-        path.write_text(f"[model]\ninteraction_singular = {word}\n")
-        assert parse_config(str(path)).model.potentials.interaction_singular is singular
-
-    @pytest.mark.parametrize("word", ["ture", "2", "y"])
-    def test_interaction_singular_rejects_other_words(self, tmp_path, word):
-        path = tmp_path / "c.ini"
-        path.write_text(f"[model]\ninteraction_singular = {word}\n")
-        with pytest.raises(ConfigurationError, match="interaction_singular"):
-            parse_config(str(path))
-
     @pytest.mark.parametrize("kind", ["quadratic", "gaussian"])
     @pytest.mark.parametrize("sign", ["0.3", "0", "nan", "-2", "plus"])
     def test_interaction_sign_other_than_one_rejected(self, tmp_path, kind, sign):
@@ -200,7 +186,7 @@ class TestParsing:
     def test_interaction_sign_sets_the_quadratic_strength(self, tmp_path, sign, strength):
         path = tmp_path / "c.ini"
         path.write_text(f"[model]\ninteraction = quadratic\ninteraction_sign = {sign}\n")
-        assert parse_config(str(path)).model.potentials.interaction == Quadratic(strength)
+        assert parse_config(str(path)).model.interaction == Quadratic(strength)
 
     @pytest.mark.parametrize("times", ["0.1, 5.0", "-0.5", "1.000001"])
     def test_snapshot_outside_the_run_rejected(self, tmp_path, times):
@@ -290,7 +276,7 @@ class TestParsing:
         if key == "kind":
             assert cfg.initial.kind == "table" and cfg.initial.values == (0.25,) * count
         else:
-            assert getattr(cfg.model.potentials, key).samples == (0.25,) * count
+            assert getattr(cfg.model, key).samples == (0.25,) * count
 
     def test_missing_table_names_its_path(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -490,10 +476,20 @@ class TestCli:
          "[solver] max_iterations must fit in 64 bits, got '99999999999999999999'"),
         ("[output]\ncadence = 99999999999999999999\n",
          "[output] cadence must fit in 64 bits, got '99999999999999999999'"),
+        # D/(m-1) underflows to 0.0, which dropped the power term from H.
+        ("[model]\nenergy = power\ndiffusion = 1e-320\nexponent = 100000\n"
+         "[time]\nt_final = 0.1\ndt = 0.05\n",
+         "power coefficient diffusion/(exponent - 1) = 1e-320/(100000.0 - 1) is 0.0"),
+        # The bumps' total overflows, which zeroed the field.
+        ("[initial]\nkind = mixture\ncenters = 0, 0.5\nweights = 1e308, 1e308\n",
+         "mixture bumps total a mass of inf on the grid, which is not finite"),
+        ("[model]\ninteraction_singular = true\n",
+         "unknown keys in [model]: ['interaction_singular']"),
     ], ids=["t_final_inf", "duplicated_key", "empty_center", "off_grid_center",
             "1d_center_of_three", "2d_center_of_one", "overflowing_confinement_slope",
             "huge_interaction_width", "subnormal_interaction_width",
-            "huge_dimension", "huge_cells", "huge_max_iterations", "huge_cadence"])
+            "huge_dimension", "huge_cells", "huge_max_iterations", "huge_cadence",
+            "underflowing_power_coefficient", "huge_mixture_weights", "interaction_singular"])
     def test_bad_config_exits_two_with_one_error_line(self, tmp_path, capsys, lines, message):
         path = tmp_path / "c.ini"
         grid = "[grid]\nhalf_width = 2.0\n"
@@ -753,8 +749,8 @@ def test_no_function_imports_a_package_module():
     """Every src/aggdiff module imports the package's modules at its top.
 
     An import inside a function would hide an import cycle between the
-    modules. Lazy imports of other packages stay allowed: scipy.integrate,
-    scipy.special and scipy.fft load only for the models that use them.
+    modules. Lazy imports of other packages stay allowed: scipy.special and
+    scipy.fft load only for the models that use them.
     """
     package = Path(experiments.__file__).resolve().parent
     lazy = []
@@ -773,6 +769,26 @@ def test_no_function_imports_a_package_module():
                 lazy += [f"{path.name}:{node.lineno} {module}" for module in modules
                          if module.split(".")[0] in ("", "aggdiff")]
     assert lazy == []
+
+
+SLOW_SCIPY = ("scipy.integrate", "scipy.signal", "scipy.stats")
+
+
+def test_no_module_imports_slow_scipy_subpackages():
+    """No src/aggdiff module imports scipy.integrate, scipy.signal or scipy.stats,
+    at its top or inside a function, in any import form."""
+    found = []
+    for name, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {module}" for module in modules
+                      if ".".join(module.split(".")[:2]) in SLOW_SCIPY]
+    assert found == []
 
 
 def _package_trees():

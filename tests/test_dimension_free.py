@@ -7,11 +7,8 @@ below keep the former 1D and 2D branches as the reference, and every check
 is byte for byte.
 """
 
-import warnings
-
 import numpy as np
 import pytest
-from scipy import integrate
 
 from aggdiff import analysis, kernels
 from aggdiff.analysis import ReferenceSolution, first_moment, sample_reference
@@ -34,7 +31,7 @@ POTENTIALS = {
     "abs": AbsPotential(),
 }
 
-# 1D on [-3, 3], 2D on [-1, 1]^2 (the 2D cell averages are double integrals).
+# 1D on [-3, 3], 2D on [-1, 1]^2.
 GRIDS = {
     f"{d}d-dx{dx}": (grid_1d(3.0, dx) if d == 1 else grid_2d(1.0, dx))
     for d in (1, 2) for dx in (0.5, 0.25)
@@ -46,42 +43,12 @@ def _eval_radial(interaction, x, y=None, dimension=1):
     return interaction.radial(r2, dimension)
 
 
-def _cell_average_1d(interaction, offset_x, dx):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(lambda s: _eval_radial(interaction, offset_x - s),
-                                -0.5 * dx, 0.5 * dx, epsabs=0.0, epsrel=1e-10, limit=200)
-    return val / dx
-
-
-def _cell_average_2d(interaction, offset_x, offset_y, dx, dy):
-    def f(t, s):  # dblquad integrates f(y, x)
-        return _eval_radial(interaction, offset_x - s, offset_y - t, dimension=2)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.dblquad(f, -0.5 * dx, 0.5 * dx, -0.5 * dy, 0.5 * dy,
-                                   epsabs=0.0, epsrel=1e-10)
-    return val / (dx * dy)
-
-
-def reference_table(interaction, grid, singular):
-    """The offset table as the separate 1D and 2D branches built it."""
+def reference_table(interaction, grid):
+    """The pointwise offset table as the separate 1D and 2D branches built it."""
     n, dx = grid.n_cells, grid.dx
-    length = 2 * n - 1
     offsets = dx * np.arange(-(n - 1), n)
     if grid.dimension == 1:
-        if singular:
-            half = np.array([_cell_average_1d(interaction, o, dx) for o in offsets[n - 1:]])
-            return np.concatenate([half[:0:-1], half])
         return np.asarray(_eval_radial(interaction, offsets), dtype=float)
-    if singular:
-        vals = np.empty((length, length))
-        for a, ox in enumerate(offsets):
-            for b in range(n - 1, length):
-                vals[a, b] = _cell_average_2d(interaction, ox, offsets[b], dx, dx)
-        vals[:, : n - 1] = vals[::-1, : n - 1 : -1]
-        return vals
     ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
     return np.asarray(_eval_radial(interaction, ox, oy, dimension=2), dtype=float)
 
@@ -139,12 +106,11 @@ def same_bits(a, b):
 
 
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
-@pytest.mark.parametrize("name", POTENTIALS)
-@pytest.mark.parametrize("singular", [False, True], ids=["pointwise", "cell_averaged"])
-def test_kernel_table_and_spectrum(grid, name, singular):
+@pytest.mark.parametrize("name", POTENTIALS, ids=[f"pointwise-{name}" for name in POTENTIALS])
+def test_kernel_table_and_spectrum(grid, name):
     interaction = POTENTIALS[name]
-    table = kernels.tabulate_kernel(interaction, grid, singular=singular)
-    expected = reference_table(interaction, grid, singular)
+    table = kernels.tabulate_kernel(interaction, grid)
+    expected = reference_table(interaction, grid)
     assert same_bits(table.values, expected)
     assert same_bits(kernels._circulant_spectrum(table), reference_spectrum(expected))
 

@@ -2,6 +2,7 @@
 
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -109,11 +110,33 @@ class TestInitialConditions:
                            match=r"gaussian center \(\) is not a number on a 1D grid"):
             build_initial(InitialSpec("gaussian", center=()), grid_1d(2.0, 0.25), 0.0)
 
-    @pytest.mark.parametrize("bump", [dict(center=100.0), dict(width=float("inf"))],
-                             ids=["off_the_grid", "infinite_width"])
-    def test_gaussian_without_mass_on_the_grid_rejected(self, bump):
-        with pytest.raises(ConfigurationError, match="no mass on the grid"):
+    @pytest.mark.parametrize("bump, message", [
+        (dict(center=100.0), "no mass on the grid"),
+        # An infinite width is refused as such, before any bump is built.
+        (dict(width=float("inf")), "initial width must be finite, got inf"),
+    ], ids=["off_the_grid", "infinite_width"])
+    def test_gaussian_without_mass_on_the_grid_rejected(self, bump, message):
+        with pytest.raises(ConfigurationError, match=message):
             build_initial(InitialSpec("gaussian", mass=1.0, **bump), grid_1d(4.0, 0.25), 0.0)
+
+    @pytest.mark.parametrize("fields, name", [
+        (dict(kind="gaussian", mass=np.inf), "mass"),
+        (dict(kind="gaussian", width=np.nan), "width"),
+        (dict(kind="mixture", centers=(0.0, 1.0), widths=(0.5, np.inf)), "widths"),
+        (dict(kind="mixture", centers=(0.0, 1.0), weights=(np.inf, 1.0)), "weights"),
+    ])
+    def test_non_finite_spec_field_rejected_by_name(self, fields, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning first
+            with pytest.raises(ConfigurationError, match=f"initial {name} must be finite"):
+                InitialSpec(**fields)
+
+    def test_mixture_whose_total_overflows_rejected(self):
+        # Each bump is finite, their total is not: mass / inf zeroed the field.
+        spec = InitialSpec("mixture", centers=(0.0, 0.5), weights=(1e308, 1e308))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ConfigurationError, match="mixture bumps total a mass of inf"):
+                build_initial(spec, grid_1d(4.0, 0.25), 0.0)
 
     def test_gaussian_on_the_grid_keeps_its_share(self):
         # A bump centred on the edge keeps the half of its mass that lies on

@@ -66,31 +66,14 @@ class TestTabulate:
         given[3] = 7.0  # the caller's array stays writeable and apart from the table
         assert given.flags.writeable and table.values[3] == 0.0
 
-    def test_singular_cell_average_of_abs(self):
-        # W(x) = |x| has (1/dx) * integral over the origin cell = dx/4.
-        class AbsPotential:
-            def radial(self, r2, dimension):
-                return np.sqrt(np.asarray(r2))
-
-        for dx in (0.5, 0.25):
-            g = Grid(1, 4 * dx, 4)
-            kt = tabulate_kernel(AbsPotential(), g, singular=True)
-            assert kt.values[kt.center] == pytest.approx(dx / 4, rel=1e-9)
-            # away from the singularity the average of |x| over a cell is exact
-            assert kt.values[kt.center + 2] == pytest.approx(2 * dx, rel=1e-9)
-
-    def test_singular_quadratic_keeps_exact_tag(self):
-        g = Grid(1, 2.0, 2)
-        kt = tabulate_kernel(Quadratic(1.0), g, singular=True)
-        assert kt.exact_form == "quadratic+"
-        # cell average of x^2/2 over the origin cell is dx^2/24
-        assert kt.values[kt.center] == pytest.approx(g.dx**2 / 24, rel=1e-9)
-
     @pytest.mark.parametrize("dimension", [1, 2])
-    @pytest.mark.parametrize("singular", [False, True])
-    def test_quadratic_coefficients_reproduce_the_table(self, dimension, singular):
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_quadratic_coefficients_reproduce_the_table(self, dimension, shifted):
+        # A shifted table has W_0 != 0, as a table of cell averages of |x|^2/2 has.
         g = Grid(dimension, 2.0, 2)
-        kt = tabulate_kernel(Quadratic(-1.0), g, singular=singular)
+        kt = tabulate_kernel(Quadratic(-1.0), g)
+        if shifted:
+            kt = KernelTable(kt.values + 0.3, kt.cell_measure, kt.exact_form)
         w0, alphas = kt.quadratic_coefficients
         assert kt.quadratic_coefficients is kt.quadratic_coefficients  # built once
         assert len(alphas) == dimension
@@ -130,30 +113,6 @@ class TestTabulate:
         g = Grid(2, 2.0, 2)
         kt = tabulate_kernel(Quadratic(1.0), g)
         assert kt.values[kt.center + 1, kt.center + 2] == pytest.approx(0.5 * (1.0 + 4.0))
-
-    def test_2d_singular_symmetry(self):
-        class AbsPotential:
-            def radial(self, r2, dimension):
-                return np.sqrt(np.asarray(r2))
-
-        g = Grid(2, 1.0, 1)
-        kt = tabulate_kernel(AbsPotential(), g, singular=True)
-        assert np.allclose(kt.values, kt.values[::-1, ::-1])
-        assert kt.values[1, 1] > 0  # finite at the singular offset
-
-    def test_non_integrable_singularity_reports_offset(self):
-        from aggdiff.errors import KernelError
-
-        class NonIntegrable:
-            def radial(self, r2, dimension):
-                r = np.sqrt(np.asarray(r2, dtype=float))
-                with np.errstate(divide="ignore"):
-                    return np.where(r > 0, 1.0 / r, np.inf)
-
-        g = Grid(1, 1.0, 2)
-        with pytest.raises(KernelError) as info:
-            tabulate_kernel(NonIntegrable(), g, singular=True)
-        assert info.value.offset == (0.0,)
 
 
 class TestConvolve:

@@ -15,7 +15,6 @@ from aggdiff.model import (
     Gaussian,
     Grid,
     InternalEnergy,
-    PotentialSpec,
     Quadratic,
     TabulatedConfinement,
     TabulatedInteraction,
@@ -132,6 +131,32 @@ class TestInternalEnergy:
         with pytest.raises(DomainError):
             InternalEnergy.entropy(0.0)
 
+    @pytest.mark.parametrize("args, name", [
+        (("entropy", np.inf), "diffusion"),
+        (("power", np.nan, 2.0), "diffusion"),
+        (("power", 1.0, np.inf), "exponent"),
+        (("entropy", 1.0, np.nan), "exponent"),
+        (("power_entropy", 1.0, 2.0, np.nan), "entropy_weight"),
+        (("power_entropy", 1.0, 2.0, np.inf), "entropy_weight"),
+    ])
+    def test_non_finite_parameter_rejected_by_name(self, args, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            InternalEnergy(*args)
+
+    @pytest.mark.parametrize("kind", ["power", "power_entropy"])
+    @pytest.mark.parametrize("diffusion, exponent, coefficient", [
+        (1e-320, 1e5, "0.0"), (1e308, 1.0 + 2.0**-52, "inf")], ids=["underflow", "overflow"])
+    def test_power_coefficient_out_of_range_rejected(self, kind, diffusion, exponent, coefficient):
+        # D/(m-1) of 0.0 made value() return None (no term was added).
+        with pytest.raises(DomainError,
+                           match=rf"power coefficient diffusion/\(exponent - 1\) = .* "
+                                 rf"is {coefficient}, not a positive finite number"):
+            InternalEnergy(kind, diffusion, exponent)
+
+    def test_smallest_power_coefficients_still_accepted(self):
+        energy = InternalEnergy.power(1e-300, 3.0)
+        assert energy.value(np.array([2.0])) == pytest.approx(4e-300)
+
 
 def same_bits(x, y):
     x, y = np.asarray(x), np.asarray(y)
@@ -201,7 +226,7 @@ class TestEnergyValue:
 class TestPotentials:
     def test_bistable_value(self):
         g = Grid(1, 2.0, 2)  # centers -1.5, -0.5, 0.5, 1.5
-        v = sample_confinement(PotentialSpec(confinement=Bistable(1.0)), g)
+        v = sample_confinement(Bistable(1.0), g)
         # at |x| = 0.5: 0.25*0.0625 - 0.5*0.25
         assert v[1] == pytest.approx(0.25 * 0.5**4 - 0.5 * 0.5**2)
 
@@ -222,20 +247,18 @@ class TestPotentials:
 
     def test_none_confinement_is_zero_table(self):
         g = Grid(2, 1.0, 2)
-        assert not sample_confinement(PotentialSpec(), g).any()
+        assert not sample_confinement(None, g).any()
 
     def test_even_confinement_is_symmetric_table(self):
         g = Grid(1, 3.0, 8)
         for conf in (Quadratic(2.0), Bistable(0.7)):
-            v = sample_confinement(PotentialSpec(confinement=conf), g)
+            v = sample_confinement(conf, g)
             assert np.array_equal(v, v[::-1])
 
     def test_tabulated_confinement_shape_checked(self):
         g = Grid(1, 1.0, 2)
         with pytest.raises(ShapeError):
-            sample_confinement(
-                PotentialSpec(confinement=TabulatedConfinement((1.0, 2.0))), g
-            )
+            sample_confinement(TabulatedConfinement((1.0, 2.0)), g)
 
     def test_tabulated_interaction_symmetry_checked(self):
         with pytest.raises(DomainError):
@@ -260,7 +283,7 @@ class TestPotentials:
         ids=["overflowing", "tabulated_inf"])
     def test_non_finite_confinement_rejected(self, conf):
         with pytest.raises(DomainError, match="confinement potential is not finite"):
-            sample_confinement(PotentialSpec(confinement=conf), Grid(1, 4.0, 2))
+            sample_confinement(conf, Grid(1, 4.0, 2))
 
 
 class TestDensityField:

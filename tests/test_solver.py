@@ -22,7 +22,7 @@ from aggdiff.kernels import (
     classify_definiteness,
     tabulate_kernel,
 )
-from aggdiff.model import DensityField, InternalEnergy, ModelSpec, PotentialSpec, TabulatedInteraction
+from aggdiff.model import DensityField, InternalEnergy, ModelSpec, TabulatedInteraction
 from aggdiff.scheme1d import (
     S1,
     S2,
@@ -674,8 +674,8 @@ class TestRandomKernelsUnderAutoStage:
             pattern = ("negative", "positive", "raw")[seed % 3]
             table = self._table(rng, (2 * g.n_cells - 1,) * dimension, pattern)
             samples = tuple(map(tuple, table)) if dimension == 2 else tuple(table)
-            model = ModelSpec(InternalEnergy.entropy(1.0),
-                              PotentialSpec(interaction=TabulatedInteraction(samples)), g)
+            model = ModelSpec(InternalEnergy.entropy(1.0), g,
+                              interaction=TabulatedInteraction(samples))
             label = classify_definiteness(tabulate_kernel(model.interaction, g)).label
             seen.add(label)
             with warnings.catch_warnings():

@@ -16,7 +16,6 @@ from aggdiff.model import (
     Gaussian,
     InternalEnergy,
     ModelSpec,
-    PotentialSpec,
     Quadratic,
     TabulatedConfinement,
     TabulatedInteraction,
@@ -160,8 +159,8 @@ class TestBatchedPassMatchesPerLineSolves:
         cfg = NewtonConfig()
         cases = [
             # V varies per line and is unrelated to the grid.
-            build_setup(ModelSpec(heat(g).energy, PotentialSpec(TabulatedConfinement(
-                tuple(map(tuple, 2.0 * rng.random(g.shape))))), g), kind, stage="midpoint"),
+            build_setup(ModelSpec(heat(g).energy, g, TabulatedConfinement(
+                tuple(map(tuple, 2.0 * rng.random(g.shape))))), kind, stage="midpoint"),
             # Explicit stage with a kernel: the convolution is frozen.
             build_setup(nonlocal_fokker_planck(g), kind, stage="explicit"),
         ]
@@ -243,7 +242,7 @@ class TestSweepPass:
     @staticmethod
     def _setup(interaction, kind, stage):
         g = grid_2d(2.0, 0.5)
-        model = ModelSpec(InternalEnergy.entropy(1.0), PotentialSpec(interaction=interaction), g)
+        model = ModelSpec(InternalEnergy.entropy(1.0), g, interaction=interaction)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a rule that voids the guarantee
             return build_setup(model, kind, stage=stage)
@@ -279,8 +278,7 @@ class TestSweepPass:
         # midpoint stage does not route the step to the sweep.
         g = grid_2d(2.0, 0.5)
         zeros = ((0.0,) * (2 * g.n_cells - 1),) * (2 * g.n_cells - 1)
-        model = ModelSpec(InternalEnergy.entropy(1.0),
-                          PotentialSpec(interaction=TabulatedInteraction(zeros)), g)
+        model = ModelSpec(InternalEnergy.entropy(1.0), g, interaction=TabulatedInteraction(zeros))
         setup = build_setup(model, "s2", stage="midpoint")
         assert setup.kernel is None
         passes = TestMatrixStepGuarantees._record_passes(monkeypatch)
