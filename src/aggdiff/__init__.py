@@ -12,14 +12,8 @@ from .model import (
     TabulatedInteraction,
     sample_confinement,
 )
-from .kernels import (
-    DefinitenessClass,
-    KernelTable,
-    classify_definiteness,
-    convolve,
-    select_stage_rule,
-    tabulate_kernel,
-)
+from .kernels import (KernelTable, classify_definiteness, convolve, select_stage_rule,
+                      tabulate_kernel)
 from .scheme1d import S1, S2, SchemeConfig
 from .solver import NewtonConfig, SchemeSetup, StepOutcome, advance_step_1d, build_setup, newton_solve
 from .split2d import advance_split_axis, advance_step_2d, advance_sweep_axis

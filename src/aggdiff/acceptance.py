@@ -16,8 +16,10 @@ second-order 1D ladder by 6.2% at level 0 and a stable 4.0-4.3% after, the
 2D heat rows by an order of magnitude (for the no-interaction splitting the
 schemes tensorize exactly, which
 ``tests/test_acceptance.py::test_criterion_4_heat_split_step_tensorizes``
-checks, so the 2D error is forced to ~2x the 1D error - the reference's
-own 1D and 2D rows are mutually inconsistent under that identity), the 2D
+checks, so the 2D error is forced to ~2x the 1D error, which
+``test_criterion_4_2d_error_is_about_twice_the_1d_error`` checks at level 0
+along with a 1D error that falls as dt falls - the reference's own 1D and
+2D rows are mutually inconsistent under that identity), the 2D
 Fokker-Planck rows by ~30x (the stated near-equilibrium start leaves no
 O(1) transient to measure), and the steeper porous-medium fronts are
 chaotically sensitive to front microstate. Those clauses are asserted
@@ -312,18 +314,13 @@ def criterion_7() -> CriterionResult:
                 detail = ""
                 try:
                     e0 = clipped_energy(setup, rho)
+                    # The step itself fails on a mass drift or a min rho that
+                    # breaches its bounds; the energy is checked here.
                     for dt in dts:
                         out = step(rho, dt, setup, cfg)
-                        mass_old, mass_new = rho.mass, out.field.mass
                         e1 = clipped_energy(setup, out.field)
-                        if abs(mass_new - mass_old) > 10 * tol * (1 + abs(mass_old)):
-                            ok, detail = False, f"mass drift {mass_new - mass_old:.2e}"
-                            break
                         if e1 > e0 + 100 * tol * (1 + abs(e0)):
                             ok, detail = False, f"energy rose by {e1 - e0:.2e}"
-                            break
-                        if out.field.minimum < -10 * tol:
-                            ok, detail = False, f"min rho {out.field.minimum:.2e}"
                             break
                         rho, e0 = out.field, e1
                 except Exception as exc:  # noqa: BLE001 - reported, not raised
@@ -355,7 +352,7 @@ def criterion_8() -> CriterionResult:
         swept = advance_sweep_axis(rho0, 0, dt, forced, tight)
         rowwise = rho0.copy()
         for j in range(grid.n_cells):
-            row = line_problem(base, rho0[:, j], dt, v_table=base.v_table[:, j], kernel=None)
+            row = line_problem(base, rho0[:, j], dt, v_table=model.v_table[:, j], kernel=None)
             rowwise[:, j] = solve_lines(row, tight)[0]
         diff = float(np.abs(swept - rowwise).max())
         res.add(

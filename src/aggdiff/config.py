@@ -164,11 +164,11 @@ def parse_config(path: str) -> ExperimentConfig:
     exponent = _number(model_sec, "exponent", 2.0)
     eps_reg = _number(model_sec, "entropy_weight", 0.0)
     if energy_kind == "entropy":
-        energy = InternalEnergy.entropy(diffusion)
+        energy = InternalEnergy("entropy", diffusion)
     elif energy_kind == "power":
-        energy = InternalEnergy.power(diffusion, exponent)
+        energy = InternalEnergy("power", diffusion, exponent)
     elif energy_kind in ("power_entropy", "power_plus_entropy"):
-        energy = InternalEnergy.power_plus_entropy(diffusion, exponent, eps_reg)
+        energy = InternalEnergy("power_entropy", diffusion, exponent, eps_reg)
     else:
         raise ConfigurationError(f"unknown energy kind {energy_kind!r}")
 

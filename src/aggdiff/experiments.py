@@ -164,7 +164,11 @@ def build_initial(spec: InitialSpec, grid: Grid, t_initial: float,
     if kind == "gaussian":
         center = _point(spec.center, grid, "gaussian center")
         bump = _gaussian_bump(grid, center, spec.width, spec.mass)
-        if spec.mass > 0 and not bump.sum() > 0:
+        total = bump.sum()
+        if not np.isfinite(total):
+            raise ConfigurationError(f"gaussian bump of mass {spec.mass!r} and width {spec.width!r} "
+                                     "is not finite on the grid")
+        if spec.mass > 0 and not total > 0:
             raise ConfigurationError("gaussian bump carries no mass on the grid")
         return bump
     if kind == "mixture":
@@ -285,10 +289,11 @@ def march(setup: SchemeSetup, rho, t, until, dt, config: NewtonConfig | None = N
 
 def _auto_dt(values, setup: SchemeSetup) -> float:
     """Conservative step suggestion from the current state's velocities."""
-    dx = setup.dx
+    model = setup.model
+    dx = model.grid.dx
     if setup.scheme.kind == S2:
         return dx
-    xi = scheme1d.chemical_potential(values, setup.energy, setup.v_table, setup.kernel)
+    xi = scheme1d.chemical_potential(values, model.energy, model.v_table, setup.kernel)
     # The largest face velocity |u| = |xi_{i+1} - xi_i| / dx along any axis.
     peak = max(float(np.abs(np.diff(xi, axis=k)).max(initial=0.0)) for k in range(xi.ndim)) / dx
     if peak == 0.0:
@@ -309,11 +314,12 @@ def _overflowing_term(setup: SchemeSetup, values) -> str | None:
     at which mass leaves a cell. Names the first term that is not finite, or
     whose largest rate is not; None when every term is in range.
     """
-    dx = setup.dx
+    model = setup.model
+    dx = model.grid.dx
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is what is sought
-        terms = [(f"the diffusion term H'(rho) at diffusion = {setup.energy.diffusion:g}",
-                  setup.energy.slope_regularized(values)),
-                 ("the confinement potential V", setup.v_table)]
+        terms = [(f"the diffusion term H'(rho) at diffusion = {model.energy.diffusion:g}",
+                  model.energy.slope_regularized(values)),
+                 ("the confinement potential V", model.v_table)]
         if setup.kernel is not None:
             terms.append(("the interaction term W * rho", convolve(setup.kernel, values)))
         for name, term in terms:

@@ -244,19 +244,6 @@ def _convolve_values(kernel: KernelTable, vals: np.ndarray) -> np.ndarray:
     return full[lo : lo + n, lo : lo + n] * kernel.cell_measure
 
 
-@dataclass(frozen=True)
-class DefinitenessClass:
-    """Outcome of the kernel classification with its supporting evidence.
-
-    evidence is ("exact", form) for the syntactically certified quadratics,
-    ("zero",) for an absent interaction, or ("dft", min, max, tol) when the
-    circulant spectrum test ran.
-    """
-
-    label: str
-    evidence: tuple
-
-
 def _circulant_spectrum(kernel: KernelTable) -> np.ndarray:
     """Real spectrum of the circulant embedding of the tabulated offsets.
 
@@ -274,60 +261,60 @@ def _circulant_spectrum(kernel: KernelTable) -> np.ndarray:
     return spec.real
 
 
-def classify_definiteness(kernel: KernelTable) -> DefinitenessClass:
-    """Classify the kernel as negative/positive definite or indeterminate.
+def classify_definiteness(kernel: KernelTable) -> str:
+    """Label the kernel negative/positive definite or indeterminate.
 
     The table alone decides: its offsets already span the grid. Quadratic
     potentials are recognized syntactically (their definiteness is proven
     through mass conservation, and their truncated spectra generally carry
     mixed signs); everything else goes through the circulant DFT sign test,
-    which is sufficient-only.
+    which is sufficient-only. An all-zero table passes it as negative definite.
     """
-    if kernel.is_zero:
-        return DefinitenessClass(NEGATIVE_DEFINITE, ("zero",))
     if kernel.exact_form == "quadratic+":
-        return DefinitenessClass(NEGATIVE_DEFINITE, ("exact", kernel.exact_form))
+        return NEGATIVE_DEFINITE
     if kernel.exact_form == "quadratic-":
-        return DefinitenessClass(POSITIVE_DEFINITE, ("exact", kernel.exact_form))
+        return POSITIVE_DEFINITE
     spec = _circulant_spectrum(kernel)
     smin = float(spec.min())
     smax = float(spec.max())
     tol = 1e-12 * max(abs(smin), abs(smax))
     if smax <= tol:
-        label = NEGATIVE_DEFINITE
-    elif smin >= -tol:
-        label = POSITIVE_DEFINITE
-    else:
-        label = INDETERMINATE
-    return DefinitenessClass(label, ("dft", smin, smax, tol))
+        return NEGATIVE_DEFINITE
+    if smin >= -tol:
+        return POSITIVE_DEFINITE
+    return INDETERMINATE
 
 
-def select_stage_rule(dclass: DefinitenessClass, user_override: str | None = None) -> str:
-    """Pick the convolution stage rule that keeps the dissipation guarantee.
+def select_stage_rule(kernel: KernelTable | None, requested: str = "auto") -> str:
+    """The convolution stage rule for ``kernel`` (None when W is absent).
 
-    Negative definite permits the explicit stage, positive definite the
-    implicit one; midpoint is unconditionally safe and is the default for
-    indeterminate kernels. A user override is honored but flagged with a
-    warning when it voids the guarantee.
+    Without a kernel no rule touches the guarantee: "auto" means midpoint,
+    and any other rule is returned for SchemeConfig to validate. With one,
+    the kernel is classified: negative definite permits the explicit stage,
+    positive definite the implicit one, and midpoint is unconditionally safe.
+    "auto" picks the explicit or implicit rule where the class permits it,
+    midpoint otherwise. An unknown rule raises DomainError, and a rule that
+    voids the guarantee is honored with a UserWarning.
     """
-    if dclass.label == NEGATIVE_DEFINITE:
+    if kernel is None:
+        return MIDPOINT if requested == "auto" else requested
+    label = classify_definiteness(kernel)
+    # The rules that keep the guarantee for this class, the cheapest first.
+    if label == NEGATIVE_DEFINITE:
         guaranteed = (EXPLICIT, MIDPOINT)
-        chosen = EXPLICIT
-    elif dclass.label == POSITIVE_DEFINITE:
+    elif label == POSITIVE_DEFINITE:
         guaranteed = (IMPLICIT, MIDPOINT)
-        chosen = IMPLICIT
     else:
         guaranteed = (MIDPOINT,)
-        chosen = MIDPOINT
-    if user_override is None:
-        return chosen
-    if user_override not in STAGE_RULES:
-        raise DomainError(f"unknown stage rule {user_override!r}")
-    if user_override not in guaranteed:
+    if requested == "auto":
+        return guaranteed[0]
+    if requested not in STAGE_RULES:
+        raise DomainError(f"unknown stage rule {requested!r}")
+    if requested not in guaranteed:
         warnings.warn(
-            f"stage rule {user_override!r} voids the energy-dissipation guarantee "
-            f"for a {dclass.label} interaction",
+            f"stage rule {requested!r} voids the energy-dissipation guarantee "
+            f"for a {label} interaction",
             UserWarning,
             stacklevel=2,
         )
-    return user_override
+    return requested

@@ -120,20 +120,14 @@ class InternalEnergy:
             raise DomainError(f"power coefficient diffusion/(exponent - 1) = "
                               f"{self.diffusion!r}/({self.exponent!r} - 1) is "
                               f"{self._power_coeff!r}, not a positive finite number")
+        # D*eps can underflow to 0 (and drop the entropy term) or overflow; eps = 0 has none.
+        if (self.kind == "power_entropy" and self.entropy_weight
+                and not 0 < self._entropy_coeff < math.inf):
+            raise DomainError(f"entropy coefficient diffusion*entropy_weight = "
+                              f"{self.diffusion!r}*{self.entropy_weight!r} is "
+                              f"{self._entropy_coeff!r}, not a positive finite number")
         if self._entropy_coeff:
             self._xlogy  # scipy.special loads with the model, not at its first energy
-
-    @classmethod
-    def entropy(cls, diffusion):
-        return cls("entropy", diffusion)
-
-    @classmethod
-    def power(cls, diffusion, exponent):
-        return cls("power", diffusion, exponent)
-
-    @classmethod
-    def power_plus_entropy(cls, diffusion, exponent, entropy_weight):
-        return cls("power_entropy", diffusion, exponent, entropy_weight)
 
     # Cached: the solves read both on every residual and Jacobian.
     @cached_property

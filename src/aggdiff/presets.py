@@ -28,39 +28,39 @@ def grid_2d(half_width: float, dx: float) -> Grid:
 
 
 def heat(grid: Grid, diffusion: float = 1.0) -> ModelSpec:
-    return ModelSpec(InternalEnergy.entropy(diffusion), grid)
+    return ModelSpec(InternalEnergy("entropy", diffusion), grid)
 
 
 def porous_medium(grid: Grid, exponent: float, diffusion: float = 1.0) -> ModelSpec:
-    return ModelSpec(InternalEnergy.power(diffusion, exponent), grid)
+    return ModelSpec(InternalEnergy("power", diffusion, exponent), grid)
 
 
 def linear_fokker_planck(grid: Grid, diffusion: float = 1.0) -> ModelSpec:
-    return ModelSpec(InternalEnergy.entropy(diffusion), grid, confinement=Quadratic(1.0))
+    return ModelSpec(InternalEnergy("entropy", diffusion), grid, confinement=Quadratic(1.0))
 
 
 def nonlinear_fokker_planck(grid: Grid, exponent: float = 3.0, diffusion: float = 1.0) -> ModelSpec:
-    return ModelSpec(InternalEnergy.power(diffusion, exponent), grid, confinement=Quadratic(1.0))
+    return ModelSpec(InternalEnergy("power", diffusion, exponent), grid, confinement=Quadratic(1.0))
 
 
 def nonlocal_fokker_planck(grid: Grid, diffusion: float = 1.0) -> ModelSpec:
-    return ModelSpec(InternalEnergy.entropy(diffusion), grid, interaction=Quadratic(1.0))
+    return ModelSpec(InternalEnergy("entropy", diffusion), grid, interaction=Quadratic(1.0))
 
 
 def bistable_heat(grid: Grid, diffusion: float = 0.25) -> ModelSpec:
-    return ModelSpec(InternalEnergy.entropy(diffusion), grid, confinement=Bistable(1.0))
+    return ModelSpec(InternalEnergy("entropy", diffusion), grid, confinement=Bistable(1.0))
 
 
 def aggregation_diffusion(grid: Grid, exponent: float = 3.0, diffusion: float = 0.1,
                           width: float = 0.5) -> ModelSpec:
     """Degenerate diffusion with an attractive Gaussian kernel (metastability)."""
-    return ModelSpec(InternalEnergy.power(diffusion, exponent), grid,
+    return ModelSpec(InternalEnergy("power", diffusion, exponent), grid,
                      interaction=Gaussian(width, -1.0))
 
 
 def flocking(grid: Grid, noise: float, alignment: float = 1.0) -> ModelSpec:
     """Noisy kinetic flocking: entropy diffusion, bistable well, quadratic alignment."""
-    return ModelSpec(InternalEnergy.entropy(noise), grid,
+    return ModelSpec(InternalEnergy("entropy", noise), grid,
                      confinement=Bistable(alignment), interaction=Quadratic(1.0))
 
 

@@ -19,13 +19,7 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from . import analysis
 from .errors import DomainError, NewtonError, NumericalError, StepError
-from .kernels import (
-    EXPLICIT,
-    KernelTable,
-    classify_definiteness,
-    select_stage_rule,
-    tabulate_kernel,
-)
+from .kernels import EXPLICIT, KernelTable, select_stage_rule, tabulate_kernel
 from .model import DensityField, ModelSpec, field_values
 from .scheme1d import S1, S2, LineProblem, SchemeConfig, Tridiagonal, TridiagonalLowRank
 
@@ -88,25 +82,13 @@ class StepOutcome:
 class SchemeSetup:
     """Pre-tabulated ingredients for stepping one model with one scheme.
 
-    ``v_table`` is the model's V table; ``kernel`` is W's, None when W is absent or zero.
+    ``kernel`` is W's table, None when W is absent or zero; V's is ``model.v_table``.
     A 2D pass's lines are ``coupled`` through a kernel not staged explicitly.
     """
 
     scheme: SchemeConfig
     model: ModelSpec
     kernel: KernelTable | None
-
-    @property
-    def v_table(self) -> np.ndarray:
-        return self.model.v_table
-
-    @property
-    def dx(self) -> float:
-        return self.model.grid.dx
-
-    @property
-    def energy(self):
-        return self.model.energy
 
     @property
     def coupled(self) -> bool:
@@ -117,11 +99,9 @@ def build_setup(model: ModelSpec, scheme: str, stage: str = "auto",
                 theta: float = 2.0) -> SchemeSetup:
     """Tabulate V and W once and resolve the convolution stage rule.
 
-    ``scheme`` is the scheme kind, S1 or S2. With a kernel, ``stage`` goes
-    through select_stage_rule: "auto" picks the rule from the kernel's
-    definiteness, and any other rule is honored but warns when it voids the
-    dissipation guarantee. Without a kernel, "auto" means midpoint. An
-    unknown kind, stage rule or theta raises DomainError here, before any step.
+    ``scheme`` is the scheme kind, S1 or S2; select_stage_rule resolves
+    ``stage`` against the kernel. An unknown kind, stage rule or theta raises
+    DomainError here, before any step.
     """
     model.v_table  # V is tabulated here, once per model, so a misshapen one fails here too
     if model.interaction is None:
@@ -130,12 +110,8 @@ def build_setup(model: ModelSpec, scheme: str, stage: str = "auto",
         kernel = tabulate_kernel(model.interaction, model.grid)
         if kernel.is_zero:
             kernel = None
-    if kernel is not None:
-        stage = select_stage_rule(classify_definiteness(kernel),
-                                  None if stage == "auto" else stage)
-    elif stage == "auto":
-        stage = "midpoint"
-    return SchemeSetup(SchemeConfig(scheme, stage, theta), model, kernel)
+    return SchemeSetup(SchemeConfig(scheme, select_stage_rule(kernel, stage), theta),
+                       model, kernel)
 
 
 _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
@@ -467,9 +443,10 @@ def line_problem(setup: SchemeSetup, rho_old, dt, v_table=None, kernel=_UNSET,
     disables the interaction); the 2D passes give their per-line tables here.
     ``across`` couples the lines into a sweep pass (see LineProblem).
     """
-    v_table = setup.v_table if v_table is None else v_table
+    model = setup.model
+    v_table = model.v_table if v_table is None else v_table
     kernel = setup.kernel if kernel is _UNSET else kernel
-    return LineProblem(setup.scheme, rho_old, dt, setup.dx, setup.energy, v_table, kernel,
+    return LineProblem(setup.scheme, rho_old, dt, model.grid.dx, model.energy, v_table, kernel,
                        across)
 
 
@@ -589,7 +566,7 @@ def drive_step(attempt, rho, dt, setup: SchemeSetup,
                 raise
         else:
             peak = tel.max_velocity
-            bound = math.inf if peak == 0.0 else setup.dx / (2.0 * peak)
+            bound = math.inf if peak == 0.0 else grid.dx / (2.0 * peak)
             if dt <= bound * (1.0 + 1e-12):
                 break
             if retries >= MAX_CFL_HALVINGS:

@@ -73,7 +73,7 @@ def advance_split_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
             "interaction; use sweeping"
         )
     tel = telemetry if telemetry is not None else PassTelemetry()
-    v_eff = setup.v_table  # plus the convolution, frozen over the pass
+    v_eff = setup.model.v_table  # plus the convolution, frozen over the pass
     if setup.kernel is not None:
         v_eff = v_eff + convolve(setup.kernel, rho)  # kept by a DensityField
     problem = line_problem(setup, _lines(field, axis), dt, _lines(v_eff, axis), kernel=None)
@@ -192,7 +192,7 @@ def advance_sweep_axis(rho, axis, dt, setup: SchemeSetup, config: NewtonConfig |
 
     kernel = setup.kernel
     row_kernel = kernel.row_kernels[axis]  # couples the cells of one line
-    lines, v_lines = _lines(field, axis), _lines(setup.v_table, axis)
+    lines, v_lines = _lines(field, axis), _lines(setup.model.v_table, axis)
     if kernel.exact_form in QUADRATIC_FORMS:
         problem = line_problem(setup, lines, dt, v_lines, row_kernel,
                                across=PassMomentBackground(kernel, field, axis))

@@ -485,11 +485,19 @@ class TestCli:
          "mixture bumps total a mass of inf on the grid, which is not finite"),
         ("[model]\ninteraction_singular = true\n",
          "unknown keys in [model]: ['interaction_singular']"),
+        # D*eps underflows to 0.0, which dropped the entropy term from H.
+        ("[model]\nenergy = power_entropy\ndiffusion = 1e-200\nentropy_weight = 1e-200\n"
+         "[time]\nt_final = 0.1\ndt = 0.05\n",
+         "entropy coefficient diffusion*entropy_weight = 1e-200*1e-200 is 0.0"),
+        # The bump's peak overflows, which failed as a density that names no key.
+        ("cells_per_half_axis = 16\n[initial]\nmass = 1e308\nwidth = 0.1\n",
+         "gaussian bump of mass 1e+308 and width 0.1 is not finite on the grid"),
     ], ids=["t_final_inf", "duplicated_key", "empty_center", "off_grid_center",
             "1d_center_of_three", "2d_center_of_one", "overflowing_confinement_slope",
             "huge_interaction_width", "subnormal_interaction_width",
             "huge_dimension", "huge_cells", "huge_max_iterations", "huge_cadence",
-            "underflowing_power_coefficient", "huge_mixture_weights", "interaction_singular"])
+            "underflowing_power_coefficient", "huge_mixture_weights", "interaction_singular",
+            "underflowing_entropy_coefficient", "overflowing_gaussian"])
     def test_bad_config_exits_two_with_one_error_line(self, tmp_path, capsys, lines, message):
         path = tmp_path / "c.ini"
         grid = "[grid]\nhalf_width = 2.0\n"

@@ -138,6 +138,13 @@ class TestInitialConditions:
             with pytest.raises(ConfigurationError, match="mixture bumps total a mass of inf"):
                 build_initial(spec, grid_1d(4.0, 0.25), 0.0)
 
+    def test_gaussian_whose_bump_overflows_rejected(self):
+        # The bump's peak overflows; the field used to fail later, naming no key.
+        spec = InitialSpec("gaussian", mass=1e308, width=0.1)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ConfigurationError, match="gaussian bump of mass 1e\\+308"):
+                build_initial(spec, grid_1d(1.0, 0.0625), 0.0)
+
     def test_gaussian_on_the_grid_keeps_its_share(self):
         # A bump centred on the edge keeps the half of its mass that lies on
         # the grid: sampled, not renormalized.
@@ -338,19 +345,19 @@ class TestAutoDt:
     @pytest.mark.parametrize("dimension", [1, 2])
     def test_matches_the_largest_face_velocity(self, dimension):
         setup, rho = _flocking_setup(dimension, "s1", "explicit")
-        dx = setup.dx
-        v_eff = setup.v_table + convolve(setup.kernel, rho)
+        dx = setup.model.grid.dx
+        v_eff = setup.model.v_table + convolve(setup.kernel, rho)
         peak = 0.0
         for axis in range(dimension):
             lines = np.moveaxis(rho, axis, -1)
-            faces = face_data("s1", lines, lines, dx, setup.energy,
+            faces = face_data("s1", lines, lines, dx, setup.model.energy,
                               np.moveaxis(v_eff, axis, -1), None, "explicit")
             peak = max(peak, float(np.abs(faces.velocity).max()))
         assert _auto_dt(rho, setup) == pytest.approx(0.9 * dx / (2.0 * peak), rel=1e-12)
 
     def test_s2_takes_dx(self):
         setup, rho = _flocking_setup(2, "s2", "explicit")
-        assert _auto_dt(rho, setup) == setup.dx
+        assert _auto_dt(rho, setup) == setup.model.grid.dx
 
 
 class TestStepAndMarch:

@@ -12,7 +12,6 @@ from aggdiff.kernels import (
     MIDPOINT,
     NEGATIVE_DEFINITE,
     POSITIVE_DEFINITE,
-    DefinitenessClass,
     KernelTable,
     classify_definiteness,
     convolve,
@@ -241,34 +240,41 @@ class TestConvolve:
             assert np.array_equal(kt.values, kt.values[::-1])
 
 
+def _indeterminate_table():
+    """A two-sided kernel with mixed spectrum."""
+    vals = np.zeros(2 * 8 - 1)
+    vals[7] = 1.0
+    vals[6] = vals[8] = -1.0
+    return KernelTable(vals, 0.25)
+
+
 class TestClassification:
+    @staticmethod
+    def _check_exact(strength, label):
+        kt = tabulate_kernel(Quadratic(strength), Grid(1, 2.0, 4))
+        assert classify_definiteness(kt) == label
+        # The tag decides: the same values untagged fail the DFT sign test.
+        assert classify_definiteness(KernelTable(kt.values, kt.cell_measure)) == INDETERMINATE
+
     def test_attractive_quadratic_exact(self):
-        g = Grid(1, 2.0, 4)
-        dc = classify_definiteness(tabulate_kernel(Quadratic(1.0), g))
-        assert dc.label == NEGATIVE_DEFINITE
-        assert dc.evidence[0] != "dft"
+        self._check_exact(1.0, NEGATIVE_DEFINITE)
 
     def test_repulsive_quadratic_exact(self):
-        g = Grid(1, 2.0, 4)
-        dc = classify_definiteness(tabulate_kernel(Quadratic(-1.0), g))
-        assert dc.label == POSITIVE_DEFINITE
-        assert dc.evidence[0] != "dft"
+        self._check_exact(-1.0, POSITIVE_DEFINITE)
 
     def test_attractive_gaussian_negative_definite(self):
         g = Grid(1, 5.0, 64)
-        dc = classify_definiteness(tabulate_kernel(Gaussian(0.5, -1.0), g))
-        assert dc.label == NEGATIVE_DEFINITE
-        assert dc.evidence[0] == "dft"
+        kt = tabulate_kernel(Gaussian(0.5, -1.0), g)
+        assert kt.exact_form is None  # so the DFT sign test decides
+        assert classify_definiteness(kt) == NEGATIVE_DEFINITE
 
     def test_repulsive_gaussian_positive_definite(self):
         g = Grid(1, 5.0, 32)
-        dc = classify_definiteness(tabulate_kernel(Gaussian(0.5, 1.0), g))
-        assert dc.label == POSITIVE_DEFINITE
+        assert classify_definiteness(tabulate_kernel(Gaussian(0.5, 1.0), g)) == POSITIVE_DEFINITE
 
     def test_2d_gaussian(self):
         g = Grid(2, 3.0, 8)
-        dc = classify_definiteness(tabulate_kernel(Gaussian(0.5, -1.0), g))
-        assert dc.label == NEGATIVE_DEFINITE
+        assert classify_definiteness(tabulate_kernel(Gaussian(0.5, -1.0), g)) == NEGATIVE_DEFINITE
 
     def test_certified_kernel_quadratic_form(self):
         # A certified negative-definite kernel's quadratic form on
@@ -276,7 +282,7 @@ class TestClassification:
         rng = np.random.default_rng(5)
         g = Grid(1, 2.0, 8)
         kt = tabulate_kernel(Gaussian(0.5, -1.0), g)
-        assert classify_definiteness(kt).label == NEGATIVE_DEFINITE
+        assert classify_definiteness(kt) == NEGATIVE_DEFINITE
         n, c = g.n_cells, g.n_cells - 1
         for _ in range(50):
             a = rng.random(n)
@@ -291,35 +297,41 @@ class TestClassification:
             assert q <= 1e-12 * np.abs(kt.values).max() * (d @ d)
 
     def test_indeterminate_example(self):
-        # A two-sided kernel with mixed spectrum.
-        vals = np.zeros(2 * 8 - 1)
-        vals[7] = 1.0
-        vals[6] = vals[8] = -1.0
-        dc = classify_definiteness(KernelTable(vals, 0.25))
-        assert dc.label == INDETERMINATE
+        assert classify_definiteness(_indeterminate_table()) == INDETERMINATE
 
 
 class TestStageRule:
+    g = Grid(1, 2.0, 4)
+
     def test_defaults_per_class(self):
-        nd = DefinitenessClass(NEGATIVE_DEFINITE, ("exact", "quadratic+"))
-        pd = DefinitenessClass(POSITIVE_DEFINITE, ("exact", "quadratic-"))
-        ind = DefinitenessClass(INDETERMINATE, ("dft", -1.0, 1.0, 0.0))
-        assert select_stage_rule(nd) == EXPLICIT
-        assert select_stage_rule(pd) == IMPLICIT
-        assert select_stage_rule(ind) == MIDPOINT
+        assert select_stage_rule(tabulate_kernel(Quadratic(1.0), self.g)) == EXPLICIT
+        assert select_stage_rule(tabulate_kernel(Quadratic(-1.0), self.g)) == IMPLICIT
+        assert select_stage_rule(_indeterminate_table(), "auto") == MIDPOINT
+
+    def test_without_a_kernel_auto_is_midpoint_and_others_pass_through(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert select_stage_rule(None) == MIDPOINT
+            for rule in (EXPLICIT, IMPLICIT, "sideways"):  # SchemeConfig validates
+                assert select_stage_rule(None, rule) == rule
 
     def test_midpoint_override_never_warns(self):
         import warnings
 
-        pd = DefinitenessClass(POSITIVE_DEFINITE, ("exact", "quadratic-"))
+        pd = tabulate_kernel(Quadratic(-1.0), self.g)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert select_stage_rule(pd, MIDPOINT) == MIDPOINT
 
     def test_guarantee_voiding_override_warns(self):
-        pd = DefinitenessClass(POSITIVE_DEFINITE, ("exact", "quadratic-"))
-        with pytest.warns(UserWarning):
+        pd = tabulate_kernel(Quadratic(-1.0), self.g)
+        with pytest.warns(UserWarning, match=f"for a {POSITIVE_DEFINITE} interaction"):
             assert select_stage_rule(pd, EXPLICIT) == EXPLICIT
-        ind = DefinitenessClass(INDETERMINATE, ("dft", -1.0, 1.0, 0.0))
-        with pytest.warns(UserWarning):
-            select_stage_rule(ind, IMPLICIT)
+        with pytest.warns(UserWarning, match=f"for a {INDETERMINATE} interaction"):
+            select_stage_rule(_indeterminate_table(), IMPLICIT)
+
+    def test_unknown_rule_with_a_kernel_raises(self):
+        with pytest.raises(DomainError, match="unknown stage rule 'sideways'"):
+            select_stage_rule(tabulate_kernel(Quadratic(1.0), self.g), "sideways")

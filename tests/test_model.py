@@ -68,33 +68,33 @@ def _h(energy, rho):
 
 class TestInternalEnergy:
     def test_entropy_at_one(self):
-        h, hp, hpp = _h(InternalEnergy.entropy(1.0), 1.0)
+        h, hp, hpp = _h(InternalEnergy("entropy", 1.0), 1.0)
         assert (h, hp, hpp) == pytest.approx((-1.0, 0.0, 1.0))
 
     def test_power_m2(self):
-        h, hp, hpp = _h(InternalEnergy.power(1.0, 2.0), 3.0)
+        h, hp, hpp = _h(InternalEnergy("power", 1.0, 2.0), 3.0)
         assert (h, hp, hpp) == pytest.approx((9.0, 6.0, 2.0))
 
     def test_power_m3_at_zero(self):
-        h, hp, hpp = _h(InternalEnergy.power(1.0, 3.0), 0.0)
+        h, hp, hpp = _h(InternalEnergy("power", 1.0, 3.0), 0.0)
         assert (h, hp, hpp) == (0.0, 0.0, 0.0)
 
     def test_entropy_at_zero_diverges(self):
         # H(0) = 0 by the limit convention; H' and H'' diverge, which is why
         # the schemes use the vacuum-regularized forms.
-        h, hp, hpp = _h(InternalEnergy.entropy(2.0), 0.0)
+        h, hp, hpp = _h(InternalEnergy("entropy", 2.0), 0.0)
         assert h == 0.0
         assert hp == -np.inf and hpp == np.inf
 
     @pytest.mark.parametrize(
         "energy",
         [
-            InternalEnergy.entropy(1.0),
-            InternalEnergy.entropy(0.25),
-            InternalEnergy.power(1.0, 1.5),
-            InternalEnergy.power(1.0, 2.0),
-            InternalEnergy.power(2.0, 3.0),
-            InternalEnergy.power_plus_entropy(0.5, 2.0, 0.01),
+            InternalEnergy("entropy", 1.0),
+            InternalEnergy("entropy", 0.25),
+            InternalEnergy("power", 1.0, 1.5),
+            InternalEnergy("power", 1.0, 2.0),
+            InternalEnergy("power", 2.0, 3.0),
+            InternalEnergy("power_entropy", 0.5, 2.0, 0.01),
         ],
     )
     def test_convexity_on_random_densities(self, energy):
@@ -106,10 +106,10 @@ class TestInternalEnergy:
     @pytest.mark.parametrize(
         "energy",
         [
-            InternalEnergy.entropy(1.0),
-            InternalEnergy.power(1.0, 1.5),
-            InternalEnergy.power(3.0, 3.0),
-            InternalEnergy.power_plus_entropy(1.0, 2.0, 0.1),
+            InternalEnergy("entropy", 1.0),
+            InternalEnergy("power", 1.0, 1.5),
+            InternalEnergy("power", 3.0, 3.0),
+            InternalEnergy("power_entropy", 1.0, 2.0, 0.1),
         ],
     )
     def test_slope_matches_finite_difference(self, energy):
@@ -120,16 +120,16 @@ class TestInternalEnergy:
             assert abs(fd - hp) <= 1e-6 * (1 + abs(hp))
 
     def test_power_entropy_combines_terms(self):
-        e = InternalEnergy.power_plus_entropy(2.0, 2.0, 0.5)
+        e = InternalEnergy("power_entropy", 2.0, 2.0, 0.5)
         # H = 2*(rho^2 + 0.5*(rho log rho - rho)) at rho = 1: 2*(1 - 0.5)
         assert e.value(1.0) == pytest.approx(1.0)
         assert e.slope(1.0) == pytest.approx(4.0)  # 2*(2*1) + 1*log(1)
 
     def test_invalid_parameters(self):
         with pytest.raises(DomainError):
-            InternalEnergy.power(1.0, 1.0)
+            InternalEnergy("power", 1.0, 1.0)
         with pytest.raises(DomainError):
-            InternalEnergy.entropy(0.0)
+            InternalEnergy("entropy", 0.0)
 
     @pytest.mark.parametrize("args, name", [
         (("entropy", np.inf), "diffusion"),
@@ -153,8 +153,21 @@ class TestInternalEnergy:
                                  rf"is {coefficient}, not a positive finite number"):
             InternalEnergy(kind, diffusion, exponent)
 
+    @pytest.mark.parametrize("diffusion, weight, coefficient", [
+        (1e-200, 1e-200, "0.0"), (1e200, 1e200, "inf")], ids=["underflow", "overflow"])
+    def test_entropy_coefficient_out_of_range_rejected(self, diffusion, weight, coefficient):
+        # D*eps of 0.0 dropped the entropy term while eps > 0 asked for one.
+        with pytest.raises(DomainError,
+                           match=rf"entropy coefficient diffusion\*entropy_weight = .* "
+                                 rf"is {coefficient}, not a positive finite number"):
+            InternalEnergy("power_entropy", diffusion, 2.0, weight)
+
+    def test_zero_entropy_weight_still_accepted(self):
+        energy = InternalEnergy("power_entropy", 1e-200, 2.0, 0.0)
+        assert energy.value(np.array([2.0])) == pytest.approx(4e-200)
+
     def test_smallest_power_coefficients_still_accepted(self):
-        energy = InternalEnergy.power(1e-300, 3.0)
+        energy = InternalEnergy("power", 1e-300, 3.0)
         assert energy.value(np.array([2.0])) == pytest.approx(4e-300)
 
 
@@ -173,13 +186,13 @@ class TestRegularizedDerivatives:
         5e-324, 1e-310, -1e-310, 1e-300, -1.0, 1.0, 1e100,
     ])
     energies = [
-        InternalEnergy.entropy(1.0),
-        InternalEnergy.entropy(0.3),
-        InternalEnergy.power(1.0, 1.5),
-        InternalEnergy.power(0.1, 2.0),
-        InternalEnergy.power(2.0, 3.0),
-        InternalEnergy.power_plus_entropy(1.0, 2.0, 0.1),
-        InternalEnergy.power_plus_entropy(0.5, 2.5, 1.0),
+        InternalEnergy("entropy", 1.0),
+        InternalEnergy("entropy", 0.3),
+        InternalEnergy("power", 1.0, 1.5),
+        InternalEnergy("power", 0.1, 2.0),
+        InternalEnergy("power", 2.0, 3.0),
+        InternalEnergy("power_entropy", 1.0, 2.0, 0.1),
+        InternalEnergy("power_entropy", 0.5, 2.5, 1.0),
     ]
 
     def _check(self, rho, energy):
@@ -208,8 +221,8 @@ class TestRegularizedDerivatives:
 
 class TestEnergyValue:
     @pytest.mark.parametrize("energy", [
-        InternalEnergy.entropy(1.0), InternalEnergy.entropy(0.3), InternalEnergy.power(2.0, 3.0),
-        InternalEnergy.power_plus_entropy(0.5, 2.5, 1.0),
+        InternalEnergy("entropy", 1.0), InternalEnergy("entropy", 0.3),
+        InternalEnergy("power", 2.0, 3.0), InternalEnergy("power_entropy", 0.5, 2.5, 1.0),
     ])
     def test_equals_the_sum_from_zero(self, energy):
         """H term by term on a zero start, byte for byte, signed zeros and subnormals included."""

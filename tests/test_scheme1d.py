@@ -70,7 +70,7 @@ def assemble_flux(kind, velocity, rho_new, east=None, west=None):
 def line_flux(kind, velocity, a):
     """LineProblem.flux at state a from old state a (dx = 1), with V chosen so
     that the face velocities are ``velocity`` up to roundoff."""
-    energy = InternalEnergy.entropy(1.0)
+    energy = InternalEnergy("entropy", 1.0)
     xi = np.concatenate(([0.0], -np.cumsum(velocity)))
     v = xi - energy.slope_regularized(a)
     scheme = SchemeConfig(kind, IMPLICIT)
@@ -186,24 +186,24 @@ class TestVelocityAndFlux:
 
 class TestChemicalPotential:
     def test_power_diffusion(self):
-        e = InternalEnergy.power(1.0, 2.0)
+        e = InternalEnergy("power", 1.0, 2.0)
         xi = chemical_potential(np.array([1.0, 2.0]), e, np.zeros(2), None)
         assert np.allclose(xi, [2.0, 4.0])
 
     def test_uniform_state_constant_xi(self):
-        e = InternalEnergy.power(2.0, 3.0)
+        e = InternalEnergy("power", 2.0, 3.0)
         xi = chemical_potential(np.full(5, 1.7), e, np.zeros(5), None)
         assert np.allclose(xi, xi[0])
 
     def test_confinement_added(self):
-        e = InternalEnergy.entropy(1.0)
+        e = InternalEnergy("entropy", 1.0)
         xi = chemical_potential(np.array([1.0, 1.0]), e, np.array([0.0, 1.0]), None)
         assert np.allclose(xi, [0.0, 1.0])
 
 
 class TestResidual:
     def setup_method(self):
-        self.energy = InternalEnergy.entropy(1.0)
+        self.energy = InternalEnergy("entropy", 1.0)
 
     def test_stationary_uniform(self):
         rho = np.full(6, 1.3)
@@ -247,7 +247,7 @@ class TestResidual:
         # must leave velocities, fluxes, and residuals bit-identical.
         from aggdiff.scheme1d import face_data
 
-        energy = InternalEnergy.power(1.0, 2.0)
+        energy = InternalEnergy("power", 1.0, 2.0)
         new = np.array([0.5, 1.0, 0.25, 0.75])
         old = np.array([1.0, 0.5, 0.5, 0.5])
         v = np.array([0.0, 1.0, 0.5, 2.0])
@@ -303,7 +303,7 @@ class TestSliceDifferencesMatchNpDiff:
         at[rng.random(at.shape) < 0.2] = 0.0
         at[0] = old[0]  # a line at its old state
         v = rng.random((lines, n))
-        for energy in (InternalEnergy.entropy(1.0), InternalEnergy.power(1.0, 2.0)):
+        for energy in (InternalEnergy("entropy", 1.0), InternalEnergy("power", 1.0, 2.0)):
             problem = LineProblem(SchemeConfig(kind, MIDPOINT), old, dt, dx, energy, v, None)
             xi = chemical_potential(at, energy, v, None)
             u = -np.diff(xi) / dx
@@ -330,7 +330,7 @@ class TestRecordReuse:
 
         def make():
             return LineProblem(SchemeConfig(kind, MIDPOINT), old, dt, 0.25,
-                               InternalEnergy.entropy(1.0), v, None)
+                               InternalEnergy("entropy", 1.0), v, None)
 
         return make, old + 0.1 * rng.standard_normal(old.shape)
 
@@ -377,7 +377,7 @@ class TestCallsOwnTheirResults:
 
         def make(dt=0.05):
             return LineProblem(SchemeConfig(kind, MIDPOINT), old, dt, 0.25,
-                               InternalEnergy.entropy(1.0), v, None)
+                               InternalEnergy("entropy", 1.0), v, None)
 
         x0 = old + 0.05 * rng.standard_normal(old.shape)
         return make, x0, x0 + 0.05 * rng.standard_normal(old.shape)
@@ -528,7 +528,8 @@ class TestUpdateJacobianBits:
     @pytest.mark.parametrize("kind", [S1, S2])
     @pytest.mark.parametrize("stage", [EXPLICIT, IMPLICIT, MIDPOINT])
     @pytest.mark.parametrize("kernel_name", ["none", "gaussian", "quadratic+", "quadratic-"])
-    @pytest.mark.parametrize("energy", [InternalEnergy.entropy(0.7), InternalEnergy.power(1.0, 3.0)],
+    @pytest.mark.parametrize("energy", [InternalEnergy("entropy", 0.7),
+                                        InternalEnergy("power", 1.0, 3.0)],
                              ids=["entropy", "power"])
     def test_random_lines_with_vacuum(self, kind, stage, kernel_name, energy):
         rng = np.random.default_rng(len(kernel_name) + 7 * len(stage) + (kind == S1))
@@ -571,7 +572,7 @@ class TestJacobian:
     def test_analytic_matches_fd(self, kind, stage):
         rng = np.random.default_rng(1)
         n = 12
-        energy = InternalEnergy.power(1.0, 2.0)
+        energy = InternalEnergy("power", 1.0, 2.0)
         old = rng.random(n) + 0.2
         at = rng.random(n) + 0.2
         v = rng.random(n)
@@ -609,13 +610,13 @@ class TestJacobian:
     def test_tridiagonal_when_uncoupled(self):
         from aggdiff.scheme1d import Tridiagonal
 
-        energy = InternalEnergy.entropy(1.0)
+        energy = InternalEnergy("entropy", 1.0)
         rho = np.linspace(0.2, 1.0, 8)
         jac = residual_jacobian(S2, rho, rho, 0.1, 0.5, energy, np.zeros(8), None, MIDPOINT)
         assert isinstance(jac, Tridiagonal)
 
     def test_dense_when_kernel_implicit(self):
-        energy = InternalEnergy.entropy(1.0)
+        energy = InternalEnergy("entropy", 1.0)
         n = 8
         offsets = np.arange(-(n - 1), n)
         kernel = KernelTable(np.exp(-np.abs(offsets) * 0.2), 0.5)
@@ -682,7 +683,7 @@ class TestSchemeConfig:
     @pytest.mark.parametrize("kind", [S1, S2])
     @pytest.mark.parametrize("theta", [5.0, -3.0])
     def test_theta_outside_its_range_rejected_on_every_path(self, kind, theta):
-        energy = InternalEnergy.entropy(1.0)
+        energy = InternalEnergy("entropy", 1.0)
         rho, v = np.full(4, 0.5), np.zeros(4)
         with pytest.raises(DomainError, match="theta"):
             LineProblem(SchemeConfig(kind, MIDPOINT, theta), rho, 0.1, 0.5, energy, v, None)

@@ -593,6 +593,22 @@ class TestStageOverride:
         with pytest.raises(DomainError, match="unknown stage rule 'sideways'"):
             build_setup(heat(g), "s2", stage="sideways")
 
+    def test_kernel_classified_once_per_setup(self, monkeypatch):
+        from aggdiff import kernels
+
+        calls = []
+        classify = kernels.classify_definiteness
+        monkeypatch.setattr(kernels, "classify_definiteness",
+                            lambda kernel: calls.append(1) or classify(kernel))
+        g = grid_1d(4.0, 0.5)
+        build_setup(heat(g), "s2")
+        assert calls == []
+        for stage in ("auto", "midpoint", "implicit"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                build_setup(nonlocal_fokker_planck(g), "s2", stage=stage)
+        assert calls == [1, 1, 1]
+
 
 class TestEnergyMonotonicityMatrix:
     """Per-step guarantees across the model family, both schemes, on seeded data.
@@ -674,9 +690,9 @@ class TestRandomKernelsUnderAutoStage:
             pattern = ("negative", "positive", "raw")[seed % 3]
             table = self._table(rng, (2 * g.n_cells - 1,) * dimension, pattern)
             samples = tuple(map(tuple, table)) if dimension == 2 else tuple(table)
-            model = ModelSpec(InternalEnergy.entropy(1.0), g,
+            model = ModelSpec(InternalEnergy("entropy", 1.0), g,
                               interaction=TabulatedInteraction(samples))
-            label = classify_definiteness(tabulate_kernel(model.interaction, g)).label
+            label = classify_definiteness(tabulate_kernel(model.interaction, g))
             seen.add(label)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a voided guarantee warns
@@ -740,7 +756,7 @@ class TestStructuredSolve:
         at = np.maximum(old + change, 0.0)
         values = 0.5 * strength * self.offsets**2
         form = "quadratic+" if strength > 0 else "quadratic-"
-        energy = InternalEnergy.entropy(1.0)
+        energy = InternalEnergy("entropy", 1.0)
         v = 0.1 * np.arange(self.n)
 
         def unscaled(kernel):

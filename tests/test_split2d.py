@@ -137,7 +137,7 @@ class TestBatchedPassMatchesPerLineSolves:
         return field
 
     def _oracle(self, field, axis, dt, setup, cfg):
-        v = setup.v_table
+        v = setup.model.v_table
         if setup.kernel is not None:
             v = v + convolve(setup.kernel, field)
         out, counts = field.copy(), []
@@ -242,7 +242,7 @@ class TestSweepPass:
     @staticmethod
     def _setup(interaction, kind, stage):
         g = grid_2d(2.0, 0.5)
-        model = ModelSpec(InternalEnergy.entropy(1.0), g, interaction=interaction)
+        model = ModelSpec(InternalEnergy("entropy", 1.0), g, interaction=interaction)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a rule that voids the guarantee
             return build_setup(model, kind, stage=stage)
@@ -278,7 +278,8 @@ class TestSweepPass:
         # midpoint stage does not route the step to the sweep.
         g = grid_2d(2.0, 0.5)
         zeros = ((0.0,) * (2 * g.n_cells - 1),) * (2 * g.n_cells - 1)
-        model = ModelSpec(InternalEnergy.entropy(1.0), g, interaction=TabulatedInteraction(zeros))
+        model = ModelSpec(InternalEnergy("entropy", 1.0), g,
+                          interaction=TabulatedInteraction(zeros))
         setup = build_setup(model, "s2", stage="midpoint")
         assert setup.kernel is None
         passes = TestMatrixStepGuarantees._record_passes(monkeypatch)
@@ -410,8 +411,8 @@ class TestSweepMatchesFullReconvolution:
         index = (slice(None), r) if axis == 0 else (r, slice(None))
         old_line = field[index].copy()
         background = convolve(setup.kernel, field)[index] - convolve(row_kernel, old_line)
-        return index, line_problem(setup, old_line, dt, setup.v_table[index] + background,
-                                   row_kernel)
+        return index, line_problem(setup, old_line, dt,
+                                   setup.model.v_table[index] + background, row_kernel)
 
     @classmethod
     def _reference_sweep(cls, field, axis, dt, setup, cfg):
@@ -509,8 +510,8 @@ class TestPassSystem:
         lines = split2d._lines(field, axis).copy()
         row_kernel = kernel.row_kernels[axis]
         dt = g.dx**2 / 8 if kind == "s1" else 0.2
-        problem = line_problem(setup, lines, dt, split2d._lines(setup.v_table, axis), row_kernel,
-                               across=PassMomentBackground(kernel, field, axis))
+        problem = line_problem(setup, lines, dt, split2d._lines(setup.model.v_table, axis),
+                               row_kernel, across=PassMomentBackground(kernel, field, axis))
         state = lines * (1.0 + 0.1 * rng.standard_normal(lines.shape))
         return problem, state.ravel(), rng
 
@@ -549,8 +550,9 @@ class TestPassSystem:
         at = np.maximum(old + draws.floats(rng, (lines, n), -0.5, 0.5), 0.0)
         v = draws.floats(rng, (lines, n), -1.0, 1.0)
         dt = draws.floats(rng, (), 1e-3, 10.0, log=True)
-        problem = LineProblem(SchemeConfig(kind, stage), old, dt, dx, InternalEnergy.entropy(1.0),
-                              v, kernel, across=lambda a: np.zeros(a.shape))
+        problem = LineProblem(SchemeConfig(kind, stage), old, dt, dx,
+                              InternalEnergy("entropy", 1.0), v, kernel,
+                              across=lambda a: np.zeros(a.shape))
         rhs = draws.floats(rng, lines * n, -1.0, 1.0, subnormal=False)
         return problem.update_jacobian(at.ravel()), rhs
 
@@ -700,7 +702,7 @@ class TestPassSystem:
         # A fresh pass problem's face velocities at the swept lines.
         kernel = setup.kernel
         row_kernel = kernel.row_kernels[0]
-        problem = line_problem(setup, field.T.copy(), dt, setup.v_table.T, row_kernel,
+        problem = line_problem(setup, field.T.copy(), dt, setup.model.v_table.T, row_kernel,
                                across=PassMomentBackground(kernel, field, 0))
         u = problem.potential(swept.T.ravel())[1]
         assert tel.max_velocity == np.abs(u).max() > 0.0

@@ -78,7 +78,7 @@ def _jacobian():
     pairs = []
     for model, expected in ((heat(grid), 0), (aggregation_diffusion(grid), grid.n_cells)):
         setup = build_setup(model, S2, stage="midpoint")
-        jac = residual_jacobian(S2, rho, rho, 0.1, setup.dx, setup.energy, setup.v_table,
+        jac = residual_jacobian(S2, rho, rho, 0.1, grid.dx, model.energy, model.v_table,
                                 setup.kernel, setup.scheme.stage_rule)
         pairs.append((jac, (expected,)))
     return pairs
