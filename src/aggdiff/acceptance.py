@@ -20,13 +20,14 @@ checks, so the 2D error is forced to ~2x the 1D error, which
 ``test_criterion_4_2d_error_is_about_twice_the_1d_error`` checks at level 0
 along with a 1D error that falls as dt falls - the reference's own 1D and
 2D rows are mutually inconsistent under that identity), the 2D
-Fokker-Planck rows by ~30x (the stated near-equilibrium start leaves no
-O(1) transient to measure), and the steeper porous-medium fronts are
-chaotically sensitive to front microstate. Those clauses are asserted
-exactly as stated and fail honestly; every property-based criterion and
-every physically meaningful clause (orders, the linear/nonlocal
-equivalence, dissipation rates, invariants, metastability, the phase
-transition) passes.
+Fokker-Planck rows by ~30x (their level-0 targets exceed the L1 distance
+the exact solution travels over [2, 3], so a field that never moved would
+beat them: ``test_criterion_5_targets_exceed_the_whole_transient``), and
+the steeper porous-medium fronts are chaotically sensitive to front
+microstate. Those clauses are asserted exactly as stated and fail
+honestly; every property-based criterion and every physically meaningful
+clause (orders, the linear/nonlocal equivalence, dissipation rates,
+invariants, metastability, the phase transition) passes.
 """
 
 from __future__ import annotations

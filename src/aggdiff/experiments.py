@@ -312,7 +312,8 @@ def _overflowing_term(setup: SchemeSetup, values) -> str | None:
     A step divides each term of xi = H'(rho) + V + W * rho by dx twice: the
     face differences over dx are velocities, and those over dx are the rates
     at which mass leaves a cell. Names the first term that is not finite, or
-    whose largest rate is not; None when every term is in range.
+    whose largest rate is not, then a flux (the larger density at a face
+    times the speed there) whose rate is not; None when all are in range.
     """
     model = setup.model
     dx = model.grid.dx
@@ -329,6 +330,12 @@ def _overflowing_term(setup: SchemeSetup, values) -> str | None:
                         for k in range(term.ndim)) / dx
             if not np.isfinite(slope / dx):
                 return f"{name} changes too fast between cells (slope {slope:g}, dx = {dx:g})"
+        xi = sum(term for _, term in terms)
+        for k in range(values.ndim):
+            rho, speed = np.moveaxis(values, k, -1), np.moveaxis(np.diff(xi, axis=k) / dx, k, -1)
+            if not np.isfinite(np.maximum(rho[..., :-1], rho[..., 1:]) * speed / dx).all():
+                return (f"the flux rho * u (the density times its face speed) is not finite "
+                        f"at the largest density {values.max():g}; lower [initial] mass")
     return None
 
 

@@ -126,8 +126,6 @@ class InternalEnergy:
             raise DomainError(f"entropy coefficient diffusion*entropy_weight = "
                               f"{self.diffusion!r}*{self.entropy_weight!r} is "
                               f"{self._entropy_coeff!r}, not a positive finite number")
-        if self._entropy_coeff:
-            self._xlogy  # scipy.special loads with the model, not at its first energy
 
     # Cached: the solves read both on every residual and Jacobian.
     @cached_property
@@ -139,12 +137,6 @@ class InternalEnergy:
         return 0.0
 
     @cached_property
-    def _xlogy(self):
-        from scipy.special import xlogy  # only an entropy term needs scipy.special
-
-        return xlogy
-
-    @cached_property
     def _power_coeff(self) -> float:
         # Coefficient of rho^m in H.
         if self.kind in ("power", "power_entropy"):
@@ -152,16 +144,18 @@ class InternalEnergy:
         return 0.0
 
     def value(self, rho):
-        """H(rho), vectorized, with the limit convention H(0) = 0.
+        """H(rho) for rho >= 0, vectorized, with the limit convention H(0) = 0.
 
-        The terms add up as a sum started from 0.0 does: the first gets
-        + 0.0, which turns a -0.0 into 0.0 and leaves every other value.
+        The entropy term takes numpy's log, as slope_regularized does, of
+        max(rho, 5e-324): the floor moves only a zero off the pole. The terms
+        add up as a sum started from 0.0 does: the first gets + 0.0, which
+        turns a -0.0 into 0.0 and leaves every other value.
         """
         rho = np.asarray(rho, dtype=float)
-        out = None
+        out = 0.0
         ce = self._entropy_coeff
         if ce:
-            out = self._xlogy(rho, rho)
+            out = rho * np.log(np.maximum(rho, 5e-324))
             out -= rho
             if ce != 1.0:  # 1.0 * x is x
                 out *= ce
@@ -170,11 +164,8 @@ class InternalEnergy:
         if cp:
             power = rho**self.exponent
             power *= cp
-            if out is None:
-                out = power
-                out += 0.0
-            else:
-                out += power
+            power += out  # 0.0 or the entropy term: x + y is y + x
+            out = power
         return out
 
     def slope(self, rho):

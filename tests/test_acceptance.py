@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from aggdiff import acceptance
+from aggdiff.analysis import ReferenceSolution, l1_error, sample_reference
 from aggdiff.experiments import _study_cases, run_level
 from aggdiff.presets import grid_1d, grid_2d, heat, porous_medium
 from aggdiff.solver import NewtonConfig, advance_step_1d, build_setup
@@ -74,3 +75,18 @@ def test_criterion_4_2d_error_is_about_twice_the_1d_error():
     # The table's 2D target 0.0290 would need a 1D error near 0.0145 here, but
     # the 1D error falls as dt falls: measured 0.0039485 at dt = 2^-4.
     assert run_level(cases["heat1d"], "s1", 0)[2] > error_1d
+
+
+def test_criterion_5_targets_exceed_the_whole_transient():
+    # Criterion 5's level 0: fp_transient on [-5, 5]^2, dx = 0.5, t from 2 to 3.
+    grid = grid_2d(5.0, 0.5)
+    ref = ReferenceSolution("fp_transient", 2)
+    # The L1 distance the exact solution travels over [2, 3], which is the
+    # error of a field that never moves from its t = 2 start: measured 0.011733.
+    still = l1_error(sample_reference(ref, 2.0, grid), ref, 3.0, grid)
+    # The table's level-0 targets exceed it, so that field would beat them.
+    assert still < 0.0128997621 < 0.0130193017  # nonlocfp2d, linfp2d
+    # The scheme tracks the transient: measured 0.00041804 and 0.00028903.
+    cases = _study_cases(None)
+    for case in ("linfp2d", "nonlocfp2d"):
+        assert run_level(cases[case], "s1", 0)[2] < still / 10

@@ -492,12 +492,16 @@ class TestCli:
         # The bump's peak overflows, which failed as a density that names no key.
         ("cells_per_half_axis = 16\n[initial]\nmass = 1e308\nwidth = 0.1\n",
          "gaussian bump of mass 1e+308 and width 0.1 is not finite on the grid"),
+        # On 8 cells the bump is finite but its flux is not, which named nothing.
+        ("[initial]\nmass = 1e308\nwidth = 0.1\n",
+         "; the flux rho * u (the density times its face speed) is not finite at the "
+         "largest density 1.75283e+307; lower [initial] mass\n"),
     ], ids=["t_final_inf", "duplicated_key", "empty_center", "off_grid_center",
             "1d_center_of_three", "2d_center_of_one", "overflowing_confinement_slope",
             "huge_interaction_width", "subnormal_interaction_width",
             "huge_dimension", "huge_cells", "huge_max_iterations", "huge_cadence",
             "underflowing_power_coefficient", "huge_mixture_weights", "interaction_singular",
-            "underflowing_entropy_coefficient", "overflowing_gaussian"])
+            "underflowing_entropy_coefficient", "overflowing_gaussian", "overflowing_flux"])
     def test_bad_config_exits_two_with_one_error_line(self, tmp_path, capsys, lines, message):
         path = tmp_path / "c.ini"
         grid = "[grid]\nhalf_width = 2.0\n"
@@ -670,14 +674,24 @@ kind = heat_kernel
 """
 
 
+GAUSSIAN_KERNEL_2D = ENTROPY_SPLIT_2D + "[model]\ninteraction = gaussian\n"
+
+
 @pytest.mark.parametrize("ini, expected", [
-    (None, ["cli", "config", "run"]),
-    (ENTROPY_SPLIT_2D, ["cli", "config scipy.special", "run scipy.special"]),
-], ids=["metastability_1d_power", "heat_2d_entropy_split"])
+    *((path, ["cli", "config", "run"]) for path in SHIPPED_CONFIGS),
+    (ENTROPY_SPLIT_2D, ["cli", "config", "run"]),
+    (GAUSSIAN_KERNEL_2D, ["cli", "config", "run scipy.special scipy.fft"]),
+], ids=[*(path.stem for path in SHIPPED_CONFIGS), "heat_2d_entropy_split", "gaussian_kernel_2d"])
 def test_scipy_special_and_fft_load_only_for_a_model_that_uses_them(tmp_path, ini, expected):
-    """The CLI loads neither; an entropy loads scipy.special with the config, never in a run."""
-    path = Path(__file__).parent.parent / "configs" / "metastability_two_bumps.ini"
-    if ini is not None:
+    """The CLI loads neither, and no model loads scipy.special for itself.
+
+    Every shipped config (flocking and heat1d are entropy runs) and a 2D
+    entropy split run load neither, since the entropy energy is on numpy's
+    log. A 2D table that is not quadratic loads scipy.fft when the run is
+    set up, and scipy.fft imports scipy.special for itself.
+    """
+    path = ini
+    if isinstance(ini, str):
         path = tmp_path / "c.ini"
         path.write_text(ini)
     proc = subprocess.run([sys.executable, "-c", SCIPY_LOADS, str(path)], capture_output=True,
@@ -757,8 +771,8 @@ def test_no_function_imports_a_package_module():
     """Every src/aggdiff module imports the package's modules at its top.
 
     An import inside a function would hide an import cycle between the
-    modules. Lazy imports of other packages stay allowed: scipy.special and
-    scipy.fft load only for the models that use them.
+    modules. Lazy imports of other packages stay allowed: scipy.fft loads
+    only for the models that use it.
     """
     package = Path(experiments.__file__).resolve().parent
     lazy = []

@@ -1,6 +1,7 @@
 """Internal energies, potentials, grid, and density-field contracts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,16 @@ class TestRegularizedDerivatives:
         self._check(self.special, self.energies[energy])
 
 
+# numpy's log of this density is one ulp below the C library's (numpy 2.4 on
+# an AVX-512 x86-64 host), and so is H's entropy term below xlogy's.
+NUMPY_LOG_DIFFERS = 1.9174334189636766
+
+
+def entropy_term(rho):
+    """rho log rho - rho on numpy's log, 0 at rho = 0: the form value() documents."""
+    return rho * np.log(np.maximum(rho, 5e-324)) - rho
+
+
 class TestEnergyValue:
     @pytest.mark.parametrize("energy", [
         InternalEnergy("entropy", 1.0), InternalEnergy("entropy", 0.3),
@@ -227,13 +238,53 @@ class TestEnergyValue:
     def test_equals_the_sum_from_zero(self, energy):
         """H term by term on a zero start, byte for byte, signed zeros and subnormals included."""
         rng = np.random.default_rng(4)
-        rho = np.concatenate(([0.0, -0.0, 5e-324, 1e-310, 1.0], rng.random(40) * 5.0))
+        rho = np.concatenate(([0.0, -0.0, 5e-324, 1e-310, 1.0, NUMPY_LOG_DIFFERS],
+                              rng.random(40) * 5.0))
         expected = np.zeros_like(rho)
         if energy._entropy_coeff:
-            expected = expected + energy._entropy_coeff * (xlogy(rho, rho) - rho)
+            expected = expected + energy._entropy_coeff * entropy_term(rho)
         if energy._power_coeff:
             expected = expected + energy._power_coeff * rho**energy.exponent
         assert same_bits(energy.value(rho), expected)
+
+    # Signed zeros, the smallest subnormal, both sides of the smallest normal,
+    # 1 and e (where rho log rho - rho cancels).
+    special = np.array([0.0, -0.0, 5e-324, 1e-310, np.nextafter(2.0**-1022, 0.0), 2.0**-1022,
+                        1e-300, 1.0, math.e, NUMPY_LOG_DIFFERS, 1e300])
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_entropy_on_numpy_log_against_xlogy(self, seed):
+        """1 to 40 cells, each a special value, a subnormal, log-uniform in [1e-300, 1e300] or in [0, 10].
+
+        H is the documented formula bit for bit, +0.0 at rho = 0, and raises
+        no warning. numpy's log lies within one ulp of the log scipy's xlogy
+        takes; carried through the product, that puts the entropy term within
+        two ulps of the larger of |xlogy(rho, rho)| and rho (one ulp of the
+        log can span two of the product where it crosses a power of two).
+        """
+        rng = np.random.default_rng(seed)
+        size = rng.integers(1, 41)
+        rho = np.choose(rng.integers(0, 4, size), [
+            rng.choice(self.special, size),
+            rng.random(size) * 2.0**-1022,
+            draws.floats(rng, size, 1e-300, 1e300, log=True),
+            draws.floats(rng, size, 0.0, 10.0),
+        ])
+        energy = InternalEnergy("entropy", (1.0, 0.3)[seed % 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = energy.value(rho)
+        expected = entropy_term(rho)
+        if energy.diffusion != 1.0:
+            expected *= energy.diffusion
+        assert same_bits(value, expected + 0.0)
+        assert not np.signbit(value[rho == 0.0]).any()
+        log = np.log(np.maximum(rho, 5e-324))[rho > 0]
+        assert (np.abs(log - xlogy(1.0, rho[rho > 0])) <= np.spacing(np.abs(log))).all()
+        if energy.diffusion == 1.0:
+            product = xlogy(rho, rho)
+            ulp = np.spacing(np.maximum(np.abs(product), rho))
+            assert (np.abs(value - (product - rho)) <= 2 * ulp).all()
 
 
 class TestPotentials:
