@@ -12,22 +12,27 @@ that reference to 0.01-0.26% on the first-order scheme's heat ladder and to
 0.4-2% on the smoothest porous-medium case, which pins the shared
 conventions (center-sampled data and errors, the time loop, the vacuum
 floor). The remaining table targets differ systematically: the heat
-second-order 1D ladder by 6.2% at level 0 and a stable 4.0-4.3% after, the
-2D heat rows by an order of magnitude (for the no-interaction splitting the
-schemes tensorize exactly, which
+second-order 1D ladder by 6.2% at level 0 and 4.0-4.3% after, and no nearby
+convention (cell-averaged data, error or both) comes within its 1% band
+(``tests/test_acceptance.py::test_criterion_1_no_error_convention_meets_the_table``
+computes all four), the 2D heat rows by an order of magnitude (for the
+no-interaction splitting the schemes tensorize exactly, which
 ``tests/test_acceptance.py::test_criterion_4_heat_split_step_tensorizes``
 checks, so the 2D error is forced to ~2x the 1D error, which
 ``test_criterion_4_2d_error_is_about_twice_the_1d_error`` checks at level 0
-along with a 1D error that falls as dt falls - the reference's own 1D and
-2D rows are mutually inconsistent under that identity), the 2D
-Fokker-Planck rows by ~30x (their level-0 targets exceed the L1 distance
-the exact solution travels over [2, 3], so a field that never moved would
-beat them: ``test_criterion_5_targets_exceed_the_whole_transient``), and
-the steeper porous-medium fronts are chaotically sensitive to front
-microstate. Those clauses are asserted exactly as stated and fail
-honestly; every property-based criterion and every physically meaningful
-clause (orders, the linear/nonlocal equivalence, dissipation rates,
-invariants, metastability, the phase transition) passes.
+along with a 1D error that falls as dt falls - the reference's own 1D and 2D
+rows are mutually inconsistent under that identity), the 2D Fokker-Planck
+rows by ~30x (their level-0 targets exceed the L1 distance the exact
+solution travels over [2, 3], so a field that never moved would beat them:
+``test_criterion_5_targets_exceed_the_whole_transient``), and the m = 3
+porous-medium errors hang on the front's place in its cell: a shift of a
+quarter or half cell moves each of the first four levels' errors by 12-222%,
+and turns the 0.33 order row (levels 2 to 3) into 2.41 or 1.14
+(``test_criterion_3_m3_errors_move_with_the_front_within_its_cell``). Those
+clauses are asserted exactly as stated and fail honestly; every
+property-based criterion and every physically meaningful clause (orders, the
+linear/nonlocal equivalence, dissipation rates, invariants, metastability,
+the phase transition) passes.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Experiment configuration files.
 
 The format is INI-style: named blocks of flat key/value pairs, parsed with
-the standard library. All values are nondimensional. See the README for the
-full grammar and defaults; unknown keys are rejected to catch typos.
+the standard library. All values are nondimensional. GRAMMAR below is the
+grammar: every section's keys, how each is read and the value it takes when
+absent. Unknown sections and keys are rejected to catch typos, and every key
+given is read, so a malformed key fails even where the run does not use it.
 """
 
 from __future__ import annotations
@@ -26,52 +28,72 @@ from .model import (
 )
 from .solver import NewtonConfig
 
-_KNOWN_KEYS = {
-    "model": {
-        "energy", "diffusion", "exponent", "entropy_weight",
-        "confinement", "confinement_strength",
-        "interaction", "interaction_sign", "interaction_width",
-    },
-    "grid": {"dimension", "half_width", "cells_per_half_axis"},
-    "scheme": {"kind", "stage", "theta"},
-    "time": {"t_initial", "t_final", "dt"},
-    "initial": {
-        "kind", "mass", "time", "center", "width",
-        "centers", "widths", "weights",
-    },
-    "solver": {"tolerance", "max_iterations"},
-    "output": {"directory", "snapshots", "cadence"},
-}
+
+def _number(where: str, text: str, kind=float):
+    """``text``, the value of ``where`` ("[section] key"), read by ``kind``;
+    text it cannot read, or a value that is not finite (inf, nan) or, for an
+    integer, not within 64 bits, is a ConfigurationError naming the key."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if kind is int and value is not None and not -(2**63) <= value < 2**63:
+        raise ConfigurationError(f"{where} must fit in 64 bits, got {text!r}")
+    if value is not None and np.isfinite(value).all():
+        return value
+    what = {int: "an integer", float: "a finite number"}.get(kind, "a list of finite numbers")
+    raise ConfigurationError(f"{where} must be {what}, got {text!r}")
 
 
 def _floats(text: str) -> tuple:
     return tuple(float(p) for p in text.replace(",", " ").split())
 
 
-def _number(section, key, default, kind=float):
-    """``[section] key`` read by ``kind``; text it cannot read, or a value that
-    is not finite (inf, nan) or, for an integer, not within 64 bits, is a
-    ConfigurationError naming the key."""
-    text = section.get(key, default)
-    try:
-        value = kind(text)
-    except ValueError:
-        value = None
-    if kind is int and value is not None and not -(2**63) <= value < 2**63:
-        raise ConfigurationError(f"[{section.name}] {key} must fit in 64 bits, got {text!r}")
-    if value is not None and np.isfinite(value).all():
-        return value
-    what = {int: "an integer", float: "a finite number"}.get(kind, "a list of finite numbers")
-    raise ConfigurationError(f"[{section.name}] {key} must be {what}, got {text!r}")
+def _word(text: str) -> str:
+    return text.strip().lower()
 
 
-def _kind(section, key, default):
-    """(kind, FILE): ``[section] key`` lowercased, except FILE in table:FILE (else None)."""
-    text = section.get(key, default).strip()
-    head, sep, path = text.partition(":")
-    if sep and head.strip().lower() == "table":
+def _kind(text: str) -> tuple:
+    """(kind, FILE): the text lowercased, except FILE in table:FILE (else None)."""
+    head, sep, path = text.strip().partition(":")
+    if sep and _word(head) == "table":
         return "table", path.strip()
-    return text.lower(), None
+    return _word(text), None
+
+
+def _dt(where: str, text: str):
+    """"auto" (also written cfl:auto), or a number."""
+    return "auto" if _word(text) in ("auto", "cfl:auto") else _number(where, text)
+
+
+# The grammar: per section, each key's reader and its value when absent. Numbers
+# (float, int, _floats, and a dt that is not auto) go through _number; str keeps text.
+GRAMMAR = {
+    "model": {
+        "energy": (_word, "entropy"), "diffusion": (float, 1.0), "exponent": (float, 2.0),
+        "entropy_weight": (float, 0.0),
+        "confinement": (_kind, ("none", None)), "confinement_strength": (float, 1.0),
+        "interaction": (_kind, ("none", None)), "interaction_sign": (float, 1.0),
+        "interaction_width": (float, 1.0),
+    },
+    "grid": {"dimension": (int, 1), "half_width": (float, 1.0), "cells_per_half_axis": (int, 16)},
+    "scheme": {"kind": (_word, "s2"), "stage": (_word, "auto"), "theta": (float, 2.0)},
+    "time": {"t_initial": (float, 0.0), "t_final": (float, 1.0), "dt": (_dt, "auto")},
+    "initial": {
+        "kind": (_kind, ("gaussian", None)), "mass": (float, 1.0), "time": (float, None),
+        "center": (_floats, None), "width": (float, 1.0),
+        "centers": (_floats, ()), "widths": (_floats, ()), "weights": (_floats, ()),
+    },
+    "solver": {"tolerance": (float, 1e-10), "max_iterations": (int, 50)},
+    "output": {"directory": (str, None), "snapshots": (_floats, ()), "cadence": (int, 1)},
+}
+
+
+def _read(where: str, text: str, reader):
+    """``text``, the value of ``where``, read by its GRAMMAR ``reader``."""
+    if reader in (float, int, _floats):
+        return _number(where, text, reader)
+    return _dt(where, text) if reader is _dt else reader(text)
 
 
 def _load_table(path: str, base_dir: str) -> np.ndarray:
@@ -83,23 +105,22 @@ def _load_table(path: str, base_dir: str) -> np.ndarray:
         raise ConfigurationError(f"cannot read table {path!r}: {exc}") from None
 
 
-def _build_confinement(section, base_dir):
-    kind, path = _kind(section, "confinement", "none")
-    strength = _number(section, "confinement_strength", 1.0)
+def _build_confinement(model, base_dir):
+    kind, path = model["confinement"]
     if kind == "none":
         return None
     if kind == "quadratic":
-        return Quadratic(strength)
+        return Quadratic(model["confinement_strength"])
     if kind == "bistable":
-        return Bistable(strength)
+        return Bistable(model["confinement_strength"])
     if path is not None:
         return TabulatedConfinement(tuple(np.atleast_1d(_load_table(path, base_dir)).ravel()))
     raise ConfigurationError(f"unknown confinement kind {kind!r}")
 
 
-def _build_interaction(section, base_dir):
-    kind, path = _kind(section, "interaction", "none")
-    sign = _number(section, "interaction_sign", 1.0)
+def _build_interaction(model, base_dir):
+    kind, path = model["interaction"]
+    sign = model["interaction_sign"]
     if sign not in (1.0, -1.0):
         raise ConfigurationError(f"interaction_sign must be +1 or -1, got {sign!r}")
     if kind == "none":
@@ -107,7 +128,10 @@ def _build_interaction(section, base_dir):
     if kind == "quadratic":
         return Quadratic(sign)
     if kind == "gaussian":
-        return Gaussian(_number(section, "interaction_width", 1.0), sign)
+        width = model["interaction_width"]
+        if not width > 0:
+            raise ConfigurationError(f"interaction_width must be positive, got {width!r}")
+        return Gaussian(width, sign)
     if path is not None:
         table = _load_table(path, base_dir)
         return TabulatedInteraction(tuple(map(tuple, table)) if table.ndim == 2
@@ -138,97 +162,52 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigurationError(f"cannot read config file {path!r}")
     base_dir = os.path.dirname(os.path.abspath(path))
 
-    for section in parser.sections():
-        if section not in _KNOWN_KEYS:
-            raise ConfigurationError(f"unknown config section [{section}]")
-        unknown = set(parser[section]) - _KNOWN_KEYS[section]
+    for name in parser.sections():
+        if name not in GRAMMAR:
+            raise ConfigurationError(f"unknown config section [{name}]")
+        unknown = set(parser[name]) - set(GRAMMAR[name])
         if unknown:
-            raise ConfigurationError(
-                f"unknown keys in [{section}]: {sorted(unknown)}"
-            )
+            raise ConfigurationError(f"unknown keys in [{name}]: {sorted(unknown)}")
+    # Every key is read, used or not; an absent one takes its value as given.
+    # An absent section reads as an empty one, which holds the [DEFAULT] keys.
+    cfg = {}
+    for name, keys in GRAMMAR.items():
+        section = parser[name] if parser.has_section(name) else parser.defaults()
+        cfg[name] = {key: _read(f"[{name}] {key}", section[key], reader) if key in section
+                     else absent for key, (reader, absent) in keys.items()}
 
-    for name in _KNOWN_KEYS:  # an absent section reads as an empty one
-        if not parser.has_section(name):
-            parser.add_section(name)
-
-    grid_sec = parser["grid"]
-    grid = Grid(
-        _number(grid_sec, "dimension", 1, int),
-        _number(grid_sec, "half_width", 1.0),
-        _number(grid_sec, "cells_per_half_axis", 16, int),
-    )
-
-    model_sec = parser["model"]
-    energy_kind = model_sec.get("energy", "entropy").strip().lower()
-    diffusion = _number(model_sec, "diffusion", 1.0)
-    exponent = _number(model_sec, "exponent", 2.0)
-    eps_reg = _number(model_sec, "entropy_weight", 0.0)
+    grid = Grid(**cfg["grid"])
+    model = cfg["model"]
+    energy_kind = model["energy"]
     if energy_kind == "entropy":
-        energy = InternalEnergy("entropy", diffusion)
+        energy = InternalEnergy("entropy", model["diffusion"])
     elif energy_kind == "power":
-        energy = InternalEnergy("power", diffusion, exponent)
+        energy = InternalEnergy("power", model["diffusion"], model["exponent"])
     elif energy_kind in ("power_entropy", "power_plus_entropy"):
-        energy = InternalEnergy("power_entropy", diffusion, exponent, eps_reg)
+        energy = InternalEnergy("power_entropy", model["diffusion"], model["exponent"],
+                                model["entropy_weight"])
     else:
         raise ConfigurationError(f"unknown energy kind {energy_kind!r}")
+    model = ModelSpec(energy, grid, _build_confinement(model, base_dir),
+                      _build_interaction(model, base_dir))
 
-    model = ModelSpec(energy, grid, _build_confinement(model_sec, base_dir),
-                      _build_interaction(model_sec, base_dir))
-
-    scheme_sec = parser["scheme"]
-    kind = scheme_sec.get("kind", "s2").strip().lower()
-    stage = scheme_sec.get("stage", "auto").strip().lower()
-    theta = _number(scheme_sec, "theta", 2.0)
-
-    time_sec = parser["time"]
-    t_initial = _number(time_sec, "t_initial", 0.0)
-    t_final = _number(time_sec, "t_final", 1.0)
-    dt_raw = time_sec.get("dt", "auto").strip().lower()
-    dt = "auto" if dt_raw in ("auto", "cfl:auto") else _number(time_sec, "dt", None)
-
-    init_sec = parser["initial"]
-    init_kind, table_path = _kind(init_sec, "kind", "gaussian")
+    initial = cfg["initial"]
+    kind, table_path = initial.pop("kind")
     values: tuple = ()
     if table_path is not None:
         values = tuple(np.atleast_1d(_load_table(table_path, base_dir)).ravel())
-    elif init_kind == "table":
+    elif kind == "table":
         raise ConfigurationError("initial kind 'table' needs a file: kind = table:FILE")
-    centers = _number(init_sec, "centers", "", _floats)
+    centers = initial["centers"]
     if grid.dimension == 2:  # x, y pairs
         if len(centers) % 2:
             raise ConfigurationError(
                 f"[initial] centers must be x, y pairs on a 2D grid, got {len(centers)} numbers")
-        centers = tuple(zip(centers[::2], centers[1::2]))
-    initial = InitialSpec(
-        kind=init_kind,
-        mass=_number(init_sec, "mass", 1.0),
-        time=(_number(init_sec, "time", None) if "time" in init_sec else None),
-        center=(_number(init_sec, "center", None, _floats) if "center" in init_sec else None),
-        width=_number(init_sec, "width", 1.0),
-        centers=centers,
-        widths=_number(init_sec, "widths", "", _floats),
-        weights=_number(init_sec, "weights", "", _floats),
-        values=values,
-    )
+        initial["centers"] = tuple(zip(centers[::2], centers[1::2]))
 
-    solver_sec = parser["solver"]
-    solver = NewtonConfig(
-        tolerance=_number(solver_sec, "tolerance", 1e-10),
-        max_iterations=_number(solver_sec, "max_iterations", 50, int),
-    )
-
-    out_sec = parser["output"]
+    scheme, out = cfg["scheme"], cfg["output"]
     return ExperimentConfig(
-        model=model,
-        scheme_kind=kind,
-        stage=stage,
-        theta=theta,
-        t_initial=t_initial,
-        t_final=t_final,
-        dt=dt,
-        initial=initial,
-        solver=solver,
-        output_dir=resolve_output(out_sec.get("directory", None)),
-        snapshots=_number(out_sec, "snapshots", "", _floats),
-        cadence=_number(out_sec, "cadence", 1, int),
-    )
+        model, scheme["kind"], scheme["stage"], scheme["theta"], **cfg["time"],
+        initial=InitialSpec(kind, values=values, **initial), solver=NewtonConfig(**cfg["solver"]),
+        output_dir=resolve_output(out["directory"]), snapshots=out["snapshots"],
+        cadence=out["cadence"])

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import analysis, scheme1d
 from .analysis import ReferenceSolution, convergence_order, l1_error, sample_reference
-from .errors import ConfigurationError, NewtonError, NumericalError, StepError
+from .errors import ConfigurationError, DomainError, NewtonError, NumericalError, StepError
 from .kernels import convolve
 from .model import DensityField, Grid, ModelSpec, field_values
 from .presets import (
@@ -111,12 +111,15 @@ class InitialSpec:
                                          f"{getattr(self, name)!r}")
         if not self.mass >= 0:
             raise ConfigurationError(f"initial mass must be non-negative, got {self.mass!r}")
-        for width in (self.width, *self.widths):
+        if not self.width > 0:
+            raise ConfigurationError(f"initial width must be positive, got {self.width!r}")
+        for width in self.widths:
             if not width > 0:
-                raise ConfigurationError(f"initial width must be positive, got {width!r}")
+                raise ConfigurationError(f"initial width must be positive, got {width!r} in widths")
         for weight in self.weights:
             if not weight >= 0:
-                raise ConfigurationError(f"initial weight must be non-negative, got {weight!r}")
+                raise ConfigurationError(f"initial weight must be non-negative, "
+                                         f"got {weight!r} in weights")
         for name in ("widths", "weights"):
             given = getattr(self, name)
             if given and len(given) != len(self.centers):
@@ -159,8 +162,12 @@ def build_initial(spec: InitialSpec, grid: Grid, t_initial: float,
             raise ConfigurationError(f"initial condition {kind!r} needs the model")
         ref = ReferenceSolution(kind, grid.dimension, diffusion=model.energy.diffusion,
                                 exponent=model.energy.exponent, mass=spec.mass)
-        t0 = spec.time if spec.time is not None else t_initial
-        return sample_reference(ref, t0, grid)
+        if spec.time is None:
+            return sample_reference(ref, t_initial, grid)
+        try:
+            return sample_reference(ref, spec.time, grid)
+        except DomainError as exc:  # a time the reference is not defined at
+            raise ConfigurationError(f"{exc}, got initial time {spec.time!r}") from None
     if kind == "gaussian":
         center = _point(spec.center, grid, "gaussian center")
         bump = _gaussian_bump(grid, center, spec.width, spec.mass)
@@ -169,7 +176,8 @@ def build_initial(spec: InitialSpec, grid: Grid, t_initial: float,
             raise ConfigurationError(f"gaussian bump of mass {spec.mass!r} and width {spec.width!r} "
                                      "is not finite on the grid")
         if spec.mass > 0 and not total > 0:
-            raise ConfigurationError("gaussian bump carries no mass on the grid")
+            raise ConfigurationError(f"gaussian bump carries no mass on the grid "
+                                     f"(center {center}, width {spec.width!r})")
         return bump
     if kind == "mixture":
         if not spec.centers:
@@ -186,7 +194,8 @@ def build_initial(spec: InitialSpec, grid: Grid, t_initial: float,
         if total > 0:
             out *= spec.mass / total
         elif spec.mass > 0:
-            raise ConfigurationError("mixture bumps carry no mass on the grid")
+            raise ConfigurationError(f"mixture bumps carry no mass on the grid "
+                                     f"(centers {spec.centers})")
         return out
     if kind == "uniform":
         volume = (2.0 * grid.half_width) ** grid.dimension
@@ -236,7 +245,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"output cadence must be at least 1, got {self.cadence}")
         outside = [t for t in self.snapshots if not self.t_initial <= t <= self.t_final + 1e-12]
         if outside:
-            raise ConfigurationError(f"snapshot times {outside} lie outside [t_initial, t_final]")
+            raise ConfigurationError(f"snapshot times {outside} (output snapshots) lie outside "
+                                     "[t_initial, t_final]")
 
 
 @dataclass

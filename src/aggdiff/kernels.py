@@ -163,9 +163,8 @@ def tabulate_kernel(interaction, grid: Grid) -> KernelTable:
     A radial W is sampled at the center differences o*dx per axis; a
     TabulatedInteraction gives its offsets as they are (a table of cell
     averages made elsewhere comes in that way). A table that is not finite
-    raises DomainError. A 2D table that is not quadratic takes its
-    ``spectrum`` here, so that scipy.fft loads at set-up, not in a step; no
-    other table needs scipy.fft.
+    raises DomainError. Only tabulates: build_setup, which knows the stage
+    rule, takes a 2D table's ``spectrum`` when the steps will need it.
     """
     n = grid.n_cells
     length = 2 * n - 1
@@ -193,10 +192,7 @@ def tabulate_kernel(interaction, grid: Grid) -> KernelTable:
     if not np.isfinite(vals).all():
         raise DomainError("interaction table is not finite on the grid")
 
-    table = KernelTable(vals, measure, exact_form=exact_form)
-    if d == 2 and exact_form is None and not table.is_zero:
-        table.spectrum  # the steps will FFT-convolve this table
-    return table
+    return KernelTable(vals, measure, exact_form=exact_form)
 
 
 def convolve(kernel: KernelTable, rho) -> np.ndarray:

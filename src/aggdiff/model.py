@@ -114,7 +114,7 @@ class InternalEnergy:
         if self.kind in ("power", "power_entropy") and not self.exponent > 1:
             raise DomainError("power exponent m must exceed 1")
         if self.entropy_weight < 0:
-            raise DomainError("entropy regularization weight must be >= 0")
+            raise DomainError(f"entropy_weight must be >= 0, got {self.entropy_weight!r}")
         # D/(m-1) can underflow to 0 (and drop the power term) or overflow.
         if self.kind != "entropy" and not 0 < self._power_coeff < math.inf:
             raise DomainError(f"power coefficient diffusion/(exponent - 1) = "

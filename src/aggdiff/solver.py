@@ -19,7 +19,7 @@ from scipy.linalg import LinAlgError, get_lapack_funcs
 
 from . import analysis
 from .errors import DomainError, NewtonError, NumericalError, StepError
-from .kernels import EXPLICIT, KernelTable, select_stage_rule, tabulate_kernel
+from .kernels import EXPLICIT, QUADRATIC_FORMS, KernelTable, select_stage_rule, tabulate_kernel
 from .model import DensityField, ModelSpec, field_values
 from .scheme1d import S1, S2, LineProblem, SchemeConfig, Tridiagonal, TridiagonalLowRank
 
@@ -101,7 +101,9 @@ def build_setup(model: ModelSpec, scheme: str, stage: str = "auto",
 
     ``scheme`` is the scheme kind, S1 or S2; select_stage_rule resolves
     ``stage`` against the kernel. An unknown kind, stage rule or theta raises
-    DomainError here, before any step.
+    DomainError here, before any step. A 2D step FFT-convolves every table
+    but a coupled sweep's quadratic one, which works from moments; W's
+    spectrum (and scipy.fft) is taken here for the others, not in a step.
     """
     model.v_table  # V is tabulated here, once per model, so a misshapen one fails here too
     if model.interaction is None:
@@ -110,8 +112,12 @@ def build_setup(model: ModelSpec, scheme: str, stage: str = "auto",
         kernel = tabulate_kernel(model.interaction, model.grid)
         if kernel.is_zero:
             kernel = None
-    return SchemeSetup(SchemeConfig(scheme, select_stage_rule(kernel, stage), theta),
-                       model, kernel)
+    setup = SchemeSetup(SchemeConfig(scheme, select_stage_rule(kernel, stage), theta),
+                        model, kernel)
+    if model.grid.dimension == 2 and kernel is not None and not (
+            setup.coupled and kernel.exact_form in QUADRATIC_FORMS):
+        kernel.spectrum
+    return setup
 
 
 _GTSV = get_lapack_funcs("gtsv", dtype=np.float64)

@@ -10,13 +10,16 @@ that analysis that the program can measure.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from aggdiff import acceptance
-from aggdiff.analysis import ReferenceSolution, l1_error, sample_reference
-from aggdiff.experiments import _study_cases, run_level
+from aggdiff.analysis import ReferenceSolution, l1_error, reference_eval, sample_reference
+from aggdiff.experiments import _study_cases, march, run_level
+from aggdiff.model import Grid
 from aggdiff.presets import grid_1d, grid_2d, heat, porous_medium
 from aggdiff.solver import NewtonConfig, advance_step_1d, build_setup
 from aggdiff.split2d import advance_step_2d
@@ -90,3 +93,81 @@ def test_criterion_5_targets_exceed_the_whole_transient():
     cases = _study_cases(None)
     for case in ("linfp2d", "nonlocfp2d"):
         assert run_level(cases[case], "s1", 0)[2] < still / 10
+
+
+def _s1_ladder_run(case, level, start):
+    """A 1D S1 ladder level as run_level sets it up (dx = 0.5 / 2^level,
+    dt = s1_dt0 / 4^level, t from 2 to 3), from start(grid, 2); returns the
+    grid and the density at t = 3."""
+    dx = 0.5 * 0.5**level
+    grid = Grid(1, case.half_width, round(case.half_width / dx))
+    setup = build_setup(case.build_model(grid), "s1", stage="midpoint")
+    rho = start(grid, 2.0)
+    for _, out in march(setup, rho, 2.0, 3.0, case.s1_dt0 * 0.25**level):
+        rho = out.field
+    return grid, rho.values
+
+
+def _heat_kernel_averages(grid, t):
+    """Cell averages of the unit-mass heat kernel (D = 1): differences of erf at the faces."""
+    faces = -grid.half_width + grid.dx * np.arange(grid.n_cells + 1)
+    return 0.5 * np.diff(erf(faces / math.sqrt(4.0 * t))) / grid.dx
+
+
+def test_criterion_1_no_error_convention_meets_the_table():
+    # Criterion 1: S1 heat on [-15, 15], levels 0-3. The data and the error
+    # are each taken at cell centres (run_level's convention) or as cell averages.
+    case = _study_cases(None)["heat1d"]
+    targets = [0.0042109083, 0.0010515212, 0.0002646653, 0.0000662580]
+    ref = ReferenceSolution("heat_kernel", 1)
+    conventions = {"centres": lambda grid, t: sample_reference(ref, t, grid),
+                   "averages": _heat_kernel_averages}
+    rel = {}  # (data, error) -> the signed relative difference from the table, per level
+    for level, target in enumerate(targets):
+        for data, start in conventions.items():
+            grid, rho = _s1_ladder_run(case, level, start)
+            for error, exact in conventions.items():
+                measured = np.abs(rho - exact(grid, 3.0)).sum() * grid.dx
+                rel.setdefault((data, error), []).append(measured / target - 1.0)
+    measured = {  # in percent
+        ("centres", "centres"): [-6.23, -4.32, -4.22, -4.03],
+        ("centres", "averages"): [25.24, 28.50, 29.08, 29.51],
+        ("averages", "centres"): [-29.56, -32.23, -32.70, -32.86],
+        ("averages", "averages"): [-6.96, -4.51, -4.27, -4.04],
+    }
+    for key, percent in measured.items():
+        assert 100 * np.array(rel[key]) == pytest.approx(percent, abs=0.01), key
+    # No convention lands within criterion 1's 1% band at any level, and
+    # run_level's own comes closest, by its largest difference over the levels.
+    assert min(abs(r) for diffs in rel.values() for r in diffs) > 0.01
+    worst = {key: max(map(abs, diffs)) for key, diffs in rel.items()}
+    assert min(worst, key=worst.get) == ("centres", "centres")
+
+
+def test_criterion_3_m3_errors_move_with_the_front_within_its_cell():
+    # Criterion 3's m = 3 ladder: S1 porous medium on [-6, 6], levels 0-3. The
+    # Barenblatt data and the exact solution are both shifted by 0, 1/4 and
+    # 1/2 of the level's dx, which moves the front within its cell.
+    case = _study_cases(3.0)["pme1d"]
+    ref = ReferenceSolution("barenblatt", 1, exponent=3.0)
+    errors = []  # per level, the error at each shift
+    for level in range(4):
+        row = []
+        for fraction in (0.0, 0.25, 0.5):
+            shift = fraction * 0.5 * 0.5**level
+            grid, rho = _s1_ladder_run(
+                case, level, lambda grid, t: reference_eval(ref, t, grid.axis_centers() - shift))
+            exact = reference_eval(ref, 3.0, grid.axis_centers() - shift)
+            row.append(np.abs(rho - exact).sum() * grid.dx)
+        errors.append(row)
+    errors = np.array(errors)
+    # The unshifted column is criterion 3's own ladder.
+    assert errors[:, 0] == pytest.approx([0.0376422658, 0.0105310009, 0.0021398932,
+                                          0.0017012349], rel=1e-6)
+    # The largest relative change of each level's error, far beyond the 2% band.
+    change = np.abs(errors - errors[:, :1]).max(axis=1) / errors[:, 0]
+    assert 100 * change == pytest.approx([24.65, 11.76, 221.61, 36.21], abs=0.01)
+    # So the table's 0.33 order row (levels 2 to 3) is the front's place in its
+    # cell: a quarter-cell shift makes it 2.41, a half-cell shift 1.14.
+    orders = np.log2(errors[2] / errors[3])
+    assert orders == pytest.approx([0.331, 2.415, 1.143], abs=1e-3)

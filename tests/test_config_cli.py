@@ -14,7 +14,7 @@ import pytest
 
 from aggdiff import acceptance, experiments
 from aggdiff.cli import main
-from aggdiff.config import _KNOWN_KEYS, parse_config
+from aggdiff.config import GRAMMAR, parse_config
 from aggdiff.errors import ConfigurationError, DomainError
 from aggdiff.experiments import run_experiment
 from aggdiff.model import Bistable, Gaussian, Quadratic
@@ -485,6 +485,9 @@ class TestCli:
          "mixture bumps total a mass of inf on the grid, which is not finite"),
         ("[model]\ninteraction_singular = true\n",
          "unknown keys in [model]: ['interaction_singular']"),
+        # Every key is read, so a malformed one fails where the run does not use it.
+        ("[model]\ninteraction = none\ninteraction_width = abc\n",
+         "[model] interaction_width must be a finite number, got 'abc'"),
         # D*eps underflows to 0.0, which dropped the entropy term from H.
         ("[model]\nenergy = power_entropy\ndiffusion = 1e-200\nentropy_weight = 1e-200\n"
          "[time]\nt_final = 0.1\ndt = 0.05\n",
@@ -501,6 +504,7 @@ class TestCli:
             "huge_interaction_width", "subnormal_interaction_width",
             "huge_dimension", "huge_cells", "huge_max_iterations", "huge_cadence",
             "underflowing_power_coefficient", "huge_mixture_weights", "interaction_singular",
+            "unused_malformed_key",
             "underflowing_entropy_coefficient", "overflowing_gaussian", "overflowing_flux"])
     def test_bad_config_exits_two_with_one_error_line(self, tmp_path, capsys, lines, message):
         path = tmp_path / "c.ini"
@@ -610,7 +614,7 @@ def test_readme_grammar_lists_the_known_keys():
             section = header.group(1)
         elif key and section is not None:
             listed.add((section, key.group(1)))
-    known = {(sec, key) for sec, keys in _KNOWN_KEYS.items() for key in keys}
+    known = {(sec, key) for sec, keys in GRAMMAR.items() for key in keys}
     assert listed == known
 
 
@@ -651,8 +655,11 @@ import aggdiff.cli
 loaded("cli")
 from aggdiff.config import parse_config
 from aggdiff.experiments import run_experiment
+from aggdiff.solver import build_setup
 config = parse_config(sys.argv[1])
 loaded("config")
+build_setup(config.model, config.scheme_kind, config.stage, config.theta)
+loaded("setup")
 run_experiment(replace(config, t_final=config.t_initial + 3 * config.dt, snapshots=(),
                        output_dir=None))
 loaded("run")
@@ -675,20 +682,33 @@ kind = heat_kernel
 
 
 GAUSSIAN_KERNEL_2D = ENTROPY_SPLIT_2D + "[model]\ninteraction = gaussian\n"
+QUADRATIC_KERNEL_2D = (ENTROPY_SPLIT_2D.replace("kind = s1", "kind = s2\nstage = {}")
+                       + "[model]\ninteraction = quadratic\n")
+NONE = ["cli", "config", "setup", "run"]
+FFT = ["cli", "config", "setup scipy.special scipy.fft", "run scipy.special scipy.fft"]
 
 
 @pytest.mark.parametrize("ini, expected", [
-    *((path, ["cli", "config", "run"]) for path in SHIPPED_CONFIGS),
-    (ENTROPY_SPLIT_2D, ["cli", "config", "run"]),
-    (GAUSSIAN_KERNEL_2D, ["cli", "config", "run scipy.special scipy.fft"]),
-], ids=[*(path.stem for path in SHIPPED_CONFIGS), "heat_2d_entropy_split", "gaussian_kernel_2d"])
+    *((path, NONE) for path in SHIPPED_CONFIGS),
+    (ENTROPY_SPLIT_2D, NONE),
+    (GAUSSIAN_KERNEL_2D, FFT),
+    (QUADRATIC_KERNEL_2D.format("auto"), FFT),
+    (QUADRATIC_KERNEL_2D.format("explicit"), FFT),
+    (QUADRATIC_KERNEL_2D.format("midpoint"), NONE),
+], ids=[*(path.stem for path in SHIPPED_CONFIGS), "heat_2d_entropy_split", "gaussian_kernel_2d",
+        "quadratic_kernel_2d_auto", "quadratic_kernel_2d_explicit",
+        "quadratic_kernel_2d_midpoint"])
 def test_scipy_special_and_fft_load_only_for_a_model_that_uses_them(tmp_path, ini, expected):
     """The CLI loads neither, and no model loads scipy.special for itself.
 
     Every shipped config (flocking and heat1d are entropy runs) and a 2D
     entropy split run load neither, since the entropy energy is on numpy's
-    log. A 2D table that is not quadratic loads scipy.fft when the run is
-    set up, and scipy.fft imports scipy.special for itself.
+    log. A 2D table that a step will FFT-convolve loads scipy.fft when the
+    run is set up (``build_setup``), not in a step, and scipy.fft imports
+    scipy.special for itself. That is every 2D table but a quadratic one in
+    a coupled sweep: the explicit stage (which ``auto`` picks for W = |x|^2/2)
+    convolves it in the split pass, while the midpoint sweep works from its
+    moments and loads neither.
     """
     path = ini
     if isinstance(ini, str):
