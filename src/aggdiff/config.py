@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .experiments import ExperimentConfig, InitialSpec
 from .model import (
     Bistable,
@@ -118,7 +118,7 @@ def _build_confinement(model, base_dir):
     raise ConfigurationError(f"unknown confinement kind {kind!r}")
 
 
-def _build_interaction(model, base_dir):
+def _build_interaction(model, base_dir, dimension):
     kind, path = model["interaction"]
     sign = model["interaction_sign"]
     if sign not in (1.0, -1.0):
@@ -131,7 +131,13 @@ def _build_interaction(model, base_dir):
         width = model["interaction_width"]
         if not width > 0:
             raise ConfigurationError(f"interaction_width must be positive, got {width!r}")
-        return Gaussian(width, sign)
+        gaussian = Gaussian(width, sign)
+        try:  # its normalization, which tabulating the kernel would fail on
+            gaussian.radial(0.0, dimension)
+        except DomainError:
+            raise ConfigurationError(f"[model] interaction_width {width!r} is out of "
+                                     "floating-point range") from None
+        return gaussian
     if path is not None:
         table = _load_table(path, base_dir)
         return TabulatedInteraction(tuple(map(tuple, table)) if table.ndim == 2
@@ -162,6 +168,9 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigurationError(f"cannot read config file {path!r}")
     base_dir = os.path.dirname(os.path.abspath(path))
 
+    if parser.defaults():  # configparser would copy them into every section
+        raise ConfigurationError(f"[DEFAULT] is not accepted; put its keys in their sections: "
+                                 f"{sorted(parser.defaults())}")
     for name in parser.sections():
         if name not in GRAMMAR:
             raise ConfigurationError(f"unknown config section [{name}]")
@@ -169,10 +178,9 @@ def parse_config(path: str) -> ExperimentConfig:
         if unknown:
             raise ConfigurationError(f"unknown keys in [{name}]: {sorted(unknown)}")
     # Every key is read, used or not; an absent one takes its value as given.
-    # An absent section reads as an empty one, which holds the [DEFAULT] keys.
     cfg = {}
     for name, keys in GRAMMAR.items():
-        section = parser[name] if parser.has_section(name) else parser.defaults()
+        section = parser[name] if parser.has_section(name) else {}
         cfg[name] = {key: _read(f"[{name}] {key}", section[key], reader) if key in section
                      else absent for key, (reader, absent) in keys.items()}
 
@@ -189,7 +197,7 @@ def parse_config(path: str) -> ExperimentConfig:
     else:
         raise ConfigurationError(f"unknown energy kind {energy_kind!r}")
     model = ModelSpec(energy, grid, _build_confinement(model, base_dir),
-                      _build_interaction(model, base_dir))
+                      _build_interaction(model, base_dir, grid.dimension))
 
     initial = cfg["initial"]
     kind, table_path = initial.pop("kind")

@@ -162,12 +162,13 @@ def build_initial(spec: InitialSpec, grid: Grid, t_initial: float,
             raise ConfigurationError(f"initial condition {kind!r} needs the model")
         ref = ReferenceSolution(kind, grid.dimension, diffusion=model.energy.diffusion,
                                 exponent=model.energy.exponent, mass=spec.mass)
-        if spec.time is None:
-            return sample_reference(ref, t_initial, grid)
+        time, key = spec.time, "initial time"
+        if time is None:
+            time, key = t_initial, "[time] t_initial"
         try:
-            return sample_reference(ref, spec.time, grid)
+            return sample_reference(ref, time, grid)
         except DomainError as exc:  # a time the reference is not defined at
-            raise ConfigurationError(f"{exc}, got initial time {spec.time!r}") from None
+            raise ConfigurationError(f"{exc}, got {key} {time!r}") from None
     if kind == "gaussian":
         center = _point(spec.center, grid, "gaussian center")
         bump = _gaussian_bump(grid, center, spec.width, spec.mass)

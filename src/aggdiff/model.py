@@ -271,8 +271,9 @@ class Gaussian:
             s2 = self.width**2
             norm = (2.0 * np.pi * s2) ** (-0.5 * dimension)
         except (OverflowError, ZeroDivisionError):
-            raise DomainError(
-                f"gaussian width {self.width!r} is out of floating-point range") from None
+            norm = 0.0
+        if norm == 0.0:  # raised above, or 2 pi s2 overflowed to inf and the norm to 0
+            raise DomainError(f"gaussian width {self.width!r} is out of floating-point range")
         return self.sign * norm * np.exp(-0.5 * np.asarray(r2) / s2)
 
 

@@ -10,12 +10,15 @@ halving and re-solves.
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import LinAlgError, get_lapack_funcs
+from numpy.linalg import LinAlgError
 
 from . import analysis
 from .errors import DomainError, NewtonError, NumericalError, StepError
@@ -120,7 +123,32 @@ def build_setup(model: ModelSpec, scheme: str, stage: str = "auto",
     return setup
 
 
-_GTSV = get_lapack_funcs("gtsv", dtype=np.float64)
+def _load_flapack():
+    """scipy's compiled LAPACK module, loaded from its file as aggdiff._flapack.
+
+    Importing scipy.linalg would run its package init, which loads
+    scipy._lib's array-API layer and, through it, numpy.f2py: about 0.2 s of
+    every run's set-up, for one routine. find_spec only locates the file; it
+    runs no package's __init__. The name must end in _flapack, since the
+    module's init function is found by its last component, and must not be
+    scipy.linalg._flapack, which a later import of scipy.linalg would then
+    lack as an attribute.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    where = [os.path.join(path, "linalg") for path in
+             (scipy_spec.submodule_search_locations if scipy_spec else ())]
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", where)
+    if spec is None:
+        raise ImportError(f"no compiled scipy _flapack module in {where}")
+    loader = importlib.machinery.ExtensionFileLoader(f"{__package__}._flapack", spec.origin)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
+
+
+# The f2py wrapper scipy.linalg.get_lapack_funcs("gtsv", dtype=np.float64)
+# returns: the same Fortran routine, arguments and info codes.
+_GTSV = _load_flapack().dgtsv
 
 # The reductions behind ndarray.sum, .min and .max (with axis=None), without
 # their Python wrappers: the same calls, so the same bits.
@@ -132,12 +160,12 @@ def _solve_lines_tridiagonal(tri, rhs):
 
     The band entries that would couple the last cell of one line to the first
     of the next are zero, so the one solve treats every line alone. This is
-    the LAPACK routine scipy.linalg.solve_banded calls for (1, 1) bands,
-    without its per-call wrapper: the same bits, and the same finite-input
-    check and LinAlgError on a singular matrix. The check is one sum of the
-    four arrays: a finite sum has finite terms only. Only a sum that is not
-    finite (an inf or NaN entry, or finite entries whose sum overflows) has
-    the arrays checked entry by entry.
+    LAPACK's dgtsv, the routine scipy.linalg.solve_banded calls for (1, 1)
+    bands, without that function's per-call wrapper: the same bits, and the
+    same finite-input check and LinAlgError on a singular matrix. The check
+    is one sum of the four arrays: a finite sum has finite terms only. Only a
+    sum that is not finite (an inf or NaN entry, or finite entries whose sum
+    overflows) has the arrays checked entry by entry.
     """
     n = tri.diag.shape[-1]
     diag = tri.diag.reshape(-1)

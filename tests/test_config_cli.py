@@ -131,6 +131,15 @@ class TestParsing:
         with pytest.raises(ConfigurationError):
             parse_config(str(path))
 
+    def test_default_section_alone_rejected(self, tmp_path):
+        # Alone, its key was read as [time] t_final; beside a section, see
+        # test_bad_config_exits_two_with_one_error_line.
+        path = tmp_path / "bad.ini"
+        path.write_text("[DEFAULT]\nt_final = 2.5\n")
+        message = r"^\[DEFAULT\] is not accepted; put its keys in their sections: \['t_final'\]$"
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config(str(path))
+
     def test_missing_file(self):
         with pytest.raises(ConfigurationError):
             parse_config("/nonexistent/nowhere.ini")
@@ -464,9 +473,11 @@ class TestCli:
         ("[model]\nconfinement = quadratic\nconfinement_strength = 1e308\n",
          "the Newton linear solve rejected its input: array must not contain infs or NaNs"),
         ("[model]\ninteraction = gaussian\ninteraction_width = 1e308\n",
-         "gaussian width 1e+308 is out of floating-point range"),
+         "[model] interaction_width 1e+308 is out of floating-point range"),
         ("[model]\ninteraction = gaussian\ninteraction_width = 1e-320\n",
-         "gaussian width 1e-320 is out of floating-point range"),
+         "[model] interaction_width 1e-320 is out of floating-point range"),
+        ("[model]\ninteraction = gaussian\ninteraction_width = 1e154\n",
+         "[model] interaction_width 1e+154 is out of floating-point range"),
         # Integers beyond 64 bits, which numpy cannot hold.
         ("dimension = 99999999999999999999\n",
          "[grid] dimension must fit in 64 bits, got '99999999999999999999'"),
@@ -499,13 +510,25 @@ class TestCli:
         ("[initial]\nmass = 1e308\nwidth = 0.1\n",
          "; the flux rho * u (the density times its face speed) is not finite at the "
          "largest density 1.75283e+307; lower [initial] mass\n"),
+        # A reference start at the run's start time, where it is not defined.
+        ("[time]\nt_initial = 0\nt_final = 0.1\ndt = 0.05\n[initial]\nkind = heat_kernel\n",
+         "error: heat kernel requires t > 0, got [time] t_initial 0.0\n"),
+        ("[time]\nt_initial = -1\nt_final = 0.1\ndt = 0.05\n[initial]\nkind = fp_transient\n",
+         "error: transient Fokker-Planck solution requires t > 0, got [time] t_initial -1.0\n"),
+        ("[model]\nenergy = power\nexponent = 2\n[time]\nt_final = 0.1\ndt = 0.05\n"
+         "[initial]\nkind = barenblatt\n",
+         "error: Barenblatt profile requires t > 0, got [time] t_initial 0.0\n"),
+        ("[DEFAULT]\nt_final = 2.5\n",
+         "error: [DEFAULT] is not accepted; put its keys in their sections: ['t_final']\n"),
     ], ids=["t_final_inf", "duplicated_key", "empty_center", "off_grid_center",
             "1d_center_of_three", "2d_center_of_one", "overflowing_confinement_slope",
-            "huge_interaction_width", "subnormal_interaction_width",
+            "huge_interaction_width", "subnormal_interaction_width", "zero_norm_interaction_width",
             "huge_dimension", "huge_cells", "huge_max_iterations", "huge_cadence",
             "underflowing_power_coefficient", "huge_mixture_weights", "interaction_singular",
             "unused_malformed_key",
-            "underflowing_entropy_coefficient", "overflowing_gaussian", "overflowing_flux"])
+            "underflowing_entropy_coefficient", "overflowing_gaussian", "overflowing_flux",
+            "heat_kernel_at_t_initial_0", "fp_transient_at_negative_t_initial",
+            "barenblatt_at_t_initial_0", "default_section"])
     def test_bad_config_exits_two_with_one_error_line(self, tmp_path, capsys, lines, message):
         path = tmp_path / "c.ini"
         grid = "[grid]\nhalf_width = 2.0\n"
@@ -649,7 +672,8 @@ import sys
 from dataclasses import replace
 
 def loaded(when):
-    print(when, *(m for m in ("scipy.special", "scipy.fft") if m in sys.modules))
+    print(when, *(m for m in ("scipy.linalg", "scipy.special", "scipy.fft",
+                              "scipy._lib._array_api", "numpy.f2py") if m in sys.modules))
 
 import aggdiff.cli
 loaded("cli")
@@ -685,7 +709,8 @@ GAUSSIAN_KERNEL_2D = ENTROPY_SPLIT_2D + "[model]\ninteraction = gaussian\n"
 QUADRATIC_KERNEL_2D = (ENTROPY_SPLIT_2D.replace("kind = s1", "kind = s2\nstage = {}")
                        + "[model]\ninteraction = quadratic\n")
 NONE = ["cli", "config", "setup", "run"]
-FFT = ["cli", "config", "setup scipy.special scipy.fft", "run scipy.special scipy.fft"]
+FFT_LOADS = "scipy.special scipy.fft scipy._lib._array_api numpy.f2py"
+FFT = ["cli", "config", f"setup {FFT_LOADS}", f"run {FFT_LOADS}"]
 
 
 @pytest.mark.parametrize("ini, expected", [
@@ -701,14 +726,18 @@ FFT = ["cli", "config", "setup scipy.special scipy.fft", "run scipy.special scip
 def test_scipy_special_and_fft_load_only_for_a_model_that_uses_them(tmp_path, ini, expected):
     """The CLI loads neither, and no model loads scipy.special for itself.
 
-    Every shipped config (flocking and heat1d are entropy runs) and a 2D
-    entropy split run load neither, since the entropy energy is on numpy's
-    log. A 2D table that a step will FFT-convolve loads scipy.fft when the
-    run is set up (``build_setup``), not in a step, and scipy.fft imports
-    scipy.special for itself. That is every 2D table but a quadratic one in
+    No run loads scipy.linalg: the line solves' gtsv comes from scipy's
+    compiled _flapack module, loaded from its file without scipy.linalg's
+    package init, so neither scipy._lib._array_api nor numpy.f2py (which
+    that init loads) is imported either. Every shipped config (flocking and
+    heat1d are entropy runs) and a 2D entropy split run load none of these,
+    since the entropy energy is on numpy's log. A 2D table that a step will
+    FFT-convolve loads scipy.fft when the run is set up (``build_setup``),
+    not in a step, and scipy.fft imports scipy.special, scipy._lib._array_api
+    and numpy.f2py for itself. That is every 2D table but a quadratic one in
     a coupled sweep: the explicit stage (which ``auto`` picks for W = |x|^2/2)
     convolves it in the split pass, while the midpoint sweep works from its
-    moments and loads neither.
+    moments and loads none of them.
     """
     path = ini
     if isinstance(ini, str):

@@ -334,11 +334,12 @@ class TestPotentials:
             Gaussian(0.5, 2.0)
 
     @pytest.mark.parametrize("width, dimension", [
-        (1e308, 1), (1e308, 2), (1e-320, 1), (1e-320, 2), (1e-160, 2)])
+        (1e308, 1), (1e308, 2), (1e-320, 1), (1e-320, 2), (1e-160, 2), (1e154, 1), (1e154, 2)])
     def test_gaussian_width_out_of_float_range(self, width, dimension):
         # width**2 overflows, underflows to 0, or leaves a 2D norm that
         # overflows; each used to escape as a bare OverflowError or
-        # ZeroDivisionError.
+        # ZeroDivisionError. At 1e154, 2 pi width**2 overflows to inf, whose
+        # norm was 0.0: an all-zero table, so the run went on without W.
         with pytest.raises(DomainError, match="gaussian width .* is out of floating-point range"):
             Gaussian(width).radial(np.array([0.0, 1.0]), dimension)
 

@@ -2,11 +2,14 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs, solve_banded
 
 import draws
 from aggdiff import analysis, solver
@@ -337,6 +340,63 @@ class TestBandedFiniteCheck:
         message = "the Newton linear solve rejected its input: array must not contain infs or NaNs"
         with pytest.raises(NumericalError, match=f"^{message}$"):
             newton_solve(lambda x, lines=None: x - 1.0, np.zeros(shape), jacobian=jacobian)
+
+
+class TestLoadedGtsv:
+    """solver._GTSV, loaded from scipy's _flapack file, is scipy.linalg's gtsv to the byte."""
+
+    @staticmethod
+    def _outputs(gtsv, system, overwrite):
+        arrays = [a.copy() for a in system]  # what an overwrite flag may write to
+        flags = dict.fromkeys(("overwrite_dl", "overwrite_d", "overwrite_du", "overwrite_b"),
+                              overwrite)
+        *out, info = gtsv(*arrays, **flags)
+        return [a.tobytes() for a in out + arrays], [a.shape for a in out], info
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("k", [None, 1, 4], ids=["N", "Nx1", "Nx4"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_systems_solve_to_the_same_bytes(self, seed, k, overwrite):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        system = (rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1),
+                  rng.standard_normal(n if k is None else (n, k)))
+        reference = get_lapack_funcs("gtsv", dtype=np.float64)
+        got = self._outputs(solver._GTSV, system, overwrite)
+        assert got[2] == 0 and got == self._outputs(reference, system, overwrite)
+
+    def test_a_singular_system_gives_the_same_info_and_raises(self):
+        system = (np.zeros(3), np.array([2.0, 1.0, 0.0, 3.0]), np.zeros(3), np.ones(4))
+        reference = get_lapack_funcs("gtsv", dtype=np.float64)
+        got = self._outputs(solver._GTSV, system, False)
+        assert got[2] == 3 and got == self._outputs(reference, system, False)
+        with pytest.raises(np.linalg.LinAlgError, match="^singular matrix$"):
+            solver._solve_lines_tridiagonal(Tridiagonal(*system[:3]), system[3])
+
+    def test_scipy_linalg_imported_afterwards_keeps_its_own_module(self):
+        script = """
+import sys
+import numpy as np
+from aggdiff import solver
+from aggdiff.scheme1d import Tridiagonal
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg
+assert scipy.linalg._flapack.__name__ == "scipy.linalg._flapack"
+assert scipy.linalg._flapack is not sys.modules["aggdiff._flapack"]
+rng = np.random.default_rng(5)
+tri = Tridiagonal(rng.random(7) - 0.5, 4.0 + rng.random(8), rng.random(7) - 0.5)
+rhs = rng.uniform(-1.0, 1.0, (8, 3))
+ab = np.zeros((3, 8))
+ab[0, 1:], ab[1], ab[2, :-1] = tri.upper, tri.diag, tri.lower
+expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
+assert solver._solve_lines_tridiagonal(tri, rhs).tobytes() == expected.tobytes()
+"""
+        src = os.path.dirname(os.path.dirname(solver.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestAssembleJacobian:
