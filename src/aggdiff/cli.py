@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from . import acceptance
 from .config import parse_config, resolve_output
 from .errors import AggDiffError, ConfigurationError
 from .experiments import (
@@ -88,6 +87,7 @@ def _cmd_validate(args):
     except ValueError:
         raise ConfigurationError(
             f"--criteria takes comma-separated criterion numbers, got {args.criteria!r}") from None
+    from . import acceptance  # only this command runs the gate
     results = acceptance.run_all(indices)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")

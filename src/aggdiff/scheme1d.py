@@ -47,8 +47,8 @@ class SchemeConfig:
 class FaceData(NamedTuple):
     """Per-face velocities and fluxes plus the cell potential xi.
 
-    ``velocity`` and ``flux`` cover the 2M-1 interior faces; the boundary
-    fluxes are identically zero and are not stored.
+    ``velocity`` and ``flux`` hold one face slot per cell, slot i for face
+    i+1/2 and the last for the east wall, +0.0 (see LineProblem).
     """
 
     velocity: np.ndarray
@@ -90,30 +90,31 @@ def reconstruct_faces(rho, theta: float = 2.0):
     (first order at the walls), which keeps the no-flux boundary exact and
     positivity trivial there. Face values are r +- slope*dx/2, the slope*dx
     being minmod(theta*fwd, (fwd + bwd)/2, theta*bwd) of the forward and
-    backward differences.
+    backward differences, taken over the lines laid end to end: fwd and bwd
+    view one difference array. The wall cells, whose differences cross from
+    line to line, are written last.
     """
     r = field_values(rho)
     n = r.shape[-1]
     east, west = np.empty(r.shape), np.empty(r.shape)
-    walls = (Ellipsis, slice(None, None, max(n - 1, 1)))
-    np.add(r[walls], 0.0, out=east[walls])  # r +- 0.5 * 0.0
-    np.subtract(r[walls], 0.0, out=west[walls])
     if n >= 3:
-        # The work follows r's layout (the x-pass hands a transposed view).
-        fwd = np.subtract(r[..., 2:], r[..., 1:-1])
-        bwd = np.subtract(r[..., 1:-1], r[..., :-2])
+        flat = r.ravel()
+        diff = np.subtract(flat[1:], flat[:-1])
+        fwd, bwd = diff[1:], diff[:-1]  # of cells 1 .. N-2 of the N laid end to end
         centred = np.add(fwd, bwd)
         centred *= 0.5
-        fwd *= theta
-        bwd *= theta
+        diff *= theta
         mn = np.minimum(fwd, bwd)
-        mx = np.maximum(fwd, bwd, out=fwd)
+        mx = np.maximum(fwd, bwd)
         np.minimum(mn, centred, out=mn)
         np.maximum(mx, centred, out=mx)
         half = _limit(mn, mx)
         half *= 0.5
-        np.add(r[..., 1:-1], half, out=east[..., 1:-1])
-        np.subtract(r[..., 1:-1], half, out=west[..., 1:-1])
+        np.add(flat[1:-1], half, out=east.ravel()[1:-1])
+        np.subtract(flat[1:-1], half, out=west.ravel()[1:-1])
+    walls = (Ellipsis, slice(None, None, max(n - 1, 1)))
+    np.add(r[walls], 0.0, out=east[walls])  # r +- 0.5 * 0.0
+    np.subtract(r[walls], 0.0, out=west[walls])
     return east, west
 
 
@@ -126,13 +127,23 @@ def chemical_potential(rho, energy: InternalEnergy, v_table, kernel):
 
 
 def face_velocities(xi, dx: float) -> np.ndarray:
-    """u_{i+1/2} = -(xi_{i+1} - xi_i)/dx on the interior faces of each line."""
-    xi = np.asarray(xi, dtype=float)
-    return (xi[..., 1:] - xi[..., :-1]) / -dx  # d/(-dx) is -(d/dx), bit for bit
+    """u_{i+1/2} = -(xi_{i+1} - xi_i)/dx in face slot i of each line (see LineProblem)."""
+    xi = np.ascontiguousarray(xi, dtype=float)
+    u = np.empty(xi.shape)
+    flat, faces = xi.ravel(), u.ravel()[:-1]
+    np.subtract(flat[1:], flat[:-1], out=faces)
+    faces /= -dx  # d/(-dx) is -(d/dx), bit for bit
+    u[..., -1] = 0.0  # the wall slots, differences across two lines until here
+    return u
 
 
 class Tridiagonal(NamedTuple):
-    """Tridiagonal matrices of independent lines, bands shaped (..., n-1), (..., n)."""
+    """Tridiagonal matrices of independent lines, every band shaped (..., n).
+
+    Slot i of ``lower`` is entry (i+1, i) and of ``upper`` entry (i, i+1);
+    the last slot of each line is the wall, +0.0, so the lines laid end to
+    end are one tridiagonal matrix in which no line touches the next.
+    """
 
     lower: np.ndarray  # sub-diagonal
     diag: np.ndarray
@@ -144,8 +155,8 @@ class Tridiagonal(NamedTuple):
         dense = np.zeros(self.diag.shape + (n,))
         i = np.arange(n)
         dense[..., i, i] = self.diag
-        dense[..., i[:-1], i[1:]] = self.upper
-        dense[..., i[1:], i[:-1]] = self.lower
+        dense[..., i[:-1], i[1:]] = self.upper[..., :-1]
+        dense[..., i[1:], i[:-1]] = self.lower[..., :-1]
         return dense
 
 
@@ -196,6 +207,13 @@ class LineProblem:
     laid end to end, the form Newton solves them in (see ``solve_lines``);
     the Jacobian is block lower triangular (see TridiagonalLowRank).
 
+    Every per-face quantity (u, the flux, the Jacobian's off-diagonal
+    bands) has one slot per cell: slot i holds face i+1/2 and the last slot
+    of each line the east wall, written as +0.0. Face differences, upwinding
+    and the divergence are then flat operations over the C-contiguous lines
+    laid end to end: what they compute across two lines lands in a wall
+    slot and is overwritten, and x - (+0.0) is x.
+
     Each candidate state a gets one record, computed on first use: the face
     velocities u, which the residual's upwind flux (each face upwinds the
     old S1 face values, or a's own cells under S2) and the Jacobian's bands
@@ -219,8 +237,9 @@ class LineProblem:
             raise DomainError(f"time step must be positive and finite, got {dt!r}")
         self.kind, self.stage_rule = scheme.kind, scheme.stage_rule
         self.dt, self.dx, self.energy = dt, dx, energy
-        self.old = field_values(rho_old)
-        self.v = np.asarray(v_table, dtype=float)
+        # Contiguous lines, so that the flat operations read them in place.
+        self.old = np.ascontiguousarray(field_values(rho_old))
+        self.v = np.ascontiguousarray(v_table, dtype=float)
         self.kernel = None if kernel is None or kernel.is_zero else kernel
         self.coupled = self.kernel is not None and self.stage_rule != EXPLICIT
         if across is not None and not (self.coupled and self.kernel.exact_form in QUADRATIC_FORMS):
@@ -243,18 +262,17 @@ class LineProblem:
     def _state(self, a, lines, rows_of_last=False):
         """The record (a, u) of state a; see the class.
 
-        The record's a is the state shaped as the lines, (L, n) under
-        ``across``. With ``rows_of_last`` (the Jacobian, which Newton asks
-        for only at an iterate it has evaluated), a copy of some rows of the
-        last record, when that covers every line, is served as a record of
-        those rows, and the last record is let go.
+        The record's a is the state, C-contiguous and shaped as the lines
+        ((L, n) under ``across``). With ``rows_of_last`` (the Jacobian,
+        which Newton asks for only at an iterate it has evaluated), a copy
+        of some rows of the last record, when that covers every line, is
+        served as a record of those rows, and the last record is let go.
         """
         last_a, last_lines, last = self._last
         if last_a is a and last_lines is lines:
             return last
         key = a
-        if self.across is not None:
-            a = a.reshape(self.old.shape)
+        a = np.ascontiguousarray(a if self.across is None else a.reshape(self.old.shape))
         # Compared bit for bit, so that the rows served are the record a would get.
         if (rows_of_last and lines is not None and last is not None and last_lines is None
                 and np.array_equal(last[0][lines].view(np.int64), a.view(np.int64))):
@@ -265,7 +283,7 @@ class LineProblem:
         xi = self._potential(a, lines)
         u = face_velocities(xi, self.dx)
         if self.kind == S1:
-            peak = np.abs(u, out=xi[..., :-1]).max(axis=-1, initial=0.0)
+            peak = np.abs(u, out=xi).max(axis=-1, initial=0.0)
             if lines is None:
                 self._speeds = peak
             else:
@@ -290,12 +308,13 @@ class LineProblem:
         return xi
 
     def _upwinded(self, a, lines):
-        """The values the faces of a's lines upwind when u > 0 and when u < 0."""
+        """What the face slots upwind: cell i where u > 0, shaped as a's lines, and
+        cell i+1 where u < 0, for slots 0 .. N-2 of the N cells laid end to end."""
         if self.kind == S2:
-            return a[..., :-1], a[..., 1:]
+            return a, a.ravel()[1:]
         if lines is None:
-            return self.east[..., :-1], self.west[..., 1:]
-        return self.east[lines, ..., :-1], self.west[lines, ..., 1:]
+            return self.east, self.west.ravel()[1:]
+        return self.east[lines], self.west[lines].ravel()[1:]
 
     def potential(self, a):
         """(xi, u): the cell potential and the face velocities at state a."""
@@ -313,17 +332,19 @@ class LineProblem:
         return 0.0 if self._speeds is None else float(self._speeds.max(initial=0.0))
 
     def flux(self, a) -> np.ndarray:
-        """Upwind flux on the interior faces at state a; walls carry none."""
+        """Upwind flux in the face slots at state a; the wall slots are +0.0."""
         return self._flux(*self._state(a, None), None)
 
     def _flux(self, a, u, lines):
-        """The upwind flux at a record (a, u) on the interior faces."""
+        """The upwind flux at a record (a, u) in the face slots."""
         left, right = self._upwinded(a, lines)
         flux = np.maximum(u, 0.0)
         flux *= left
-        downwind = np.minimum(u, 0.0)
+        downwind = np.minimum(u.ravel()[:-1], 0.0)
         downwind *= right
-        flux += downwind
+        faces = flux.ravel()[:-1]
+        faces += downwind
+        flux[..., -1] = 0.0
         return flux
 
     def update_residual(self, a, lines=None) -> np.ndarray:
@@ -332,12 +353,13 @@ class LineProblem:
 
     def _residual(self, a, lines, update):
         a, u = self._state(a, lines)
-        flux = self._flux(a, u, lines)
-        # F_{i+1/2} - F_{i-1/2}, the wall fluxes being 0.0.
+        flux = self._flux(a, u, lines).ravel()
+        # F_{i+1/2} - F_{i-1/2}, laid end to end: the west wall's flux is the
+        # last line's east wall slot, +0.0, or none at all for the first cell.
         r = np.empty(a.shape)
-        r[..., :-1] = flux
-        r[..., -1] = 0.0
-        r[..., 1:] -= flux
+        divergence = r.ravel()
+        divergence[0] = flux[0]
+        np.subtract(flux[1:], flux[:-1], out=divergence[1:])
         del flux  # freed before the next array is made
         r /= self.dx
         if lines is None:
@@ -372,11 +394,12 @@ class LineProblem:
     def _jacobian(self, a, lines, c):
         dx = self.dx
         a, u = self._state(a, lines, rows_of_last=True)
-        # What each face upwinds at u: left where u > 0, right where u < 0, else 0,
-        # each + 0.0 as the sum with the other side's 0.0 that it is.
+        # What each face upwinds at u: left where u > 0, right where u < 0, else 0
+        # (the wall slots too), each + 0.0 as the sum with the other side's 0.0 that it is.
         left, right = self._upwinded(a, lines)
-        m_face = np.where(u < 0, right, 0.0)
-        np.copyto(m_face, left, where=u > 0)
+        m_face = np.where(u > 0, left, 0.0)
+        m_faces = m_face.ravel()[:-1]  # slots 0 .. N-2 of the N laid end to end
+        np.copyto(m_faces, right, where=u.ravel()[:-1] < 0)
         m_face += 0.0
         del left, right  # gathered rows under S1, not needed again
         dense = self.coupled and self.kernel.exact_form not in QUADRATIC_FORMS
@@ -388,30 +411,34 @@ class LineProblem:
             c_rule = 1.0 if self.stage_rule == IMPLICIT else 0.5
             coef = (c_rule * self.kernel.cell_measure / dx) * m_face
             if dense:  # (n, n), the cells on the last axis
-                dF = self.kernel.toeplitz_difference * coef[..., None]
+                dF = self.kernel.toeplitz_difference * coef[..., :-1, None]
                 dF /= dx
                 low = np.zeros(a.shape + a.shape[-1:])
                 low[..., :-1, :] += dF
                 low[..., 1:, :] -= dF
             else:  # (2, L, n), the layout the pass solve reads; a single line is L = 1
-                faces, cells = self.kernel.difference_factors
+                faces, cells = self.kernel.difference_factors  # wall slot 0.0
                 dF = faces[:, None, :] * coef
                 dF /= dx
-                low = np.zeros(dF.shape[:-1] + a.shape[-1:])
-                low[..., :-1] += dF
-                low[..., 1:] -= dF
+                # Laid end to end, cell i gets 0.0 + dF_i - dF_{i-1}; a wall slot's dF is 0.0.
+                low = dF + 0.0
+                after = low.reshape(2, -1)[:, 1:]
+                after -= dF.reshape(2, -1)[:, :-1]
 
         # d xi_i / d a_i from the diffusion term (vacuum-floored).
         g = self.energy.curvature_regularized(a)
         # dF_j/da_j = m_j g_j/dx [+ u_j^+] and dF_j/da_{j+1} = -m_j g_{j+1}/dx [+ u_j^-],
         # the bracketed terms under S2 only; dleft ends as the first over dx and
-        # dright as the second over dx, negated under S1. Both, one (2, ..., n-1)
+        # dright as the second over dx, negated under S1. Both, one (2, ..., n)
         # array scaled at once, and the diagonal in g's buffer become the bands.
         pair = np.empty((2,) + u.shape)
         dleft, dright = pair
-        np.multiply(m_face, g[..., :-1], out=dleft)
-        np.multiply(m_face, g[..., 1:], out=dright)
-        del m_face  # read into both bands, freed before the rest are made
+        flat_dright = dright.ravel()
+        g_next, dright_faces = g.ravel()[1:], flat_dright[:-1]
+        np.multiply(m_face, g, out=dleft)
+        np.multiply(m_faces, g_next, out=dright_faces)
+        flat_dright[-1] = 0.0  # the one slot no product wrote, so no garbage below
+        del m_face, m_faces  # read into both bands, freed before the rest are made
         pair /= dx
         if self.kind == S2:
             upwind = np.maximum(u, 0.0)
@@ -420,11 +447,13 @@ class LineProblem:
         pair /= dx
         diag = g
         diag.fill(1.0 / self.dt)
-        diag[..., :-1] += dleft   # +dF_i/da_i from the right face of cell i
+        # A wall slot's entries are +-0.0 times a finite g, which leave the diagonal
+        # of this line's last cell and the next line's first as they are.
+        diag += dleft             # +dF_i/da_i from the right face of cell i
         if self.kind == S2:       # -dF_{i-1}/da_i from the left face
-            diag[..., 1:] -= dright
+            g_next -= dright_faces  # g_next views diag's cells 1 .. N-1
         else:
-            diag[..., 1:] += dright
+            g_next += dright_faces
         diag *= scale
         # lower: -dF_{i-1}/da_{i-1}; upper: +dF_i/da_{i+1}
         if self.kind == S2:
@@ -432,6 +461,7 @@ class LineProblem:
             dright *= scale
         else:
             pair *= -scale
+        pair[..., -1] = 0.0  # the wall slots, +0.0 after any sign change
         tri = Tridiagonal(dleft, diag, dright)
         if not self.coupled:
             return tri

@@ -158,36 +158,25 @@ _sum, _min, _max = np.add.reduce, np.minimum.reduce, np.maximum.reduce
 def _solve_lines_tridiagonal(tri, rhs):
     """One gtsv for the Tridiagonal lines of ``tri`` laid end to end, rhs shaped (N,) or (N, k).
 
-    The band entries that would couple the last cell of one line to the first
-    of the next are zero, so the one solve treats every line alone. This is
-    LAPACK's dgtsv, the routine scipy.linalg.solve_banded calls for (1, 1)
-    bands, without that function's per-call wrapper: the same bits, and the
-    same finite-input check and LinAlgError on a singular matrix. The check
-    is one sum of the four arrays: a finite sum has finite terms only. Only a
-    sum that is not finite (an inf or NaN entry, or finite entries whose sum
-    overflows) has the arrays checked entry by entry.
+    gtsv is handed views of the bands (and copies them itself): the lines
+    laid end to end, less the last wall slot. Every other wall slot
+    (+0.0) is the entry between a line's last cell and the next line's
+    first, so the one solve treats every line alone. This is LAPACK's dgtsv, the routine
+    scipy.linalg.solve_banded calls for (1, 1) bands, without that
+    function's per-call wrapper: the same bits, and the same finite-input
+    check and LinAlgError on a singular matrix. The check is one sum of the
+    four arrays: a finite sum has finite terms only. Only a sum that is not
+    finite (an inf or NaN entry, or finite entries whose sum overflows) has
+    the arrays checked entry by entry.
     """
-    n = tri.diag.shape[-1]
-    diag = tri.diag.reshape(-1)
-    own_bands = diag.size != n  # bands made here, which gtsv may overwrite
-    if own_bands:
-        lower, upper = np.empty(diag.size), np.empty(diag.size)
-        rows = lower.reshape(-1, n)
-        rows[:, :-1] = tri.lower.reshape(-1, n - 1)
-        rows[:, -1] = 0.0
-        rows = upper.reshape(-1, n)
-        rows[:, 1:] = tri.upper.reshape(-1, n - 1)
-        rows[:, 0] = 0.0
-        lower, upper = lower[:-1], upper[1:]
-    else:
-        lower, upper = tri.lower.reshape(-1), tri.upper.reshape(-1)
+    diag = tri.diag.ravel()
+    lower, upper = tri.lower.ravel()[:-1], tri.upper.ravel()[:-1]
     finite_sum = _sum(lower) + _sum(diag) + _sum(upper) + _sum(rhs, axis=None)
     if not math.isfinite(finite_sum) and not (
             np.isfinite(lower).all() and np.isfinite(diag).all()
             and np.isfinite(upper).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    _, _, _, x, info = _GTSV(lower, diag, upper, rhs,
-                             overwrite_dl=own_bands, overwrite_du=own_bands)
+    _, _, _, x, info = _GTSV(lower, diag, upper, rhs)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:

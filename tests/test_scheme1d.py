@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+import draws
 from aggdiff import scheme1d
 from aggdiff.errors import DomainError
 from aggdiff.kernels import EXPLICIT, IMPLICIT, MIDPOINT, KernelTable, convolve
@@ -47,12 +48,18 @@ def slope_formula_faces(rho, theta=2.0):
     return r + 0.5 * slopes, r - 0.5 * slopes
 
 
+def walled(interior):
+    """Interior-face values (..., n-1) in the face-slot layout (..., n): the wall slot +0.0."""
+    interior = np.asarray(interior, dtype=float)
+    return np.concatenate((interior, np.zeros(interior.shape[:-1] + (1,))), axis=-1)
+
+
 def banded(tri):
     """scipy.linalg.solve_banded's (3, N) layout of a Tridiagonal's lines laid end to end."""
     ab = np.zeros((3,) + tri.diag.shape)
-    ab[0, ..., 1:] = tri.upper
+    ab[0, ..., 1:] = tri.upper[..., :-1]
     ab[1] = tri.diag
-    ab[2, ..., :-1] = tri.lower
+    ab[2, ..., :-1] = tri.lower[..., :-1]
     return ab.reshape(3, -1)
 
 
@@ -157,7 +164,7 @@ class TestReconstruction:
 class TestVelocityAndFlux:
     def test_velocity_from_potential_differences(self):
         u = face_velocities(np.array([0.0, 1.0, 3.0]), 1.0)
-        assert np.allclose(u, [-1.0, -2.0])
+        assert same_bits(u, np.array([-1.0, -2.0, 0.0]))  # the wall slot +0.0
 
     def test_constant_potential_no_velocity(self):
         assert not face_velocities(np.full(6, 2.3), 0.5).any()
@@ -307,7 +314,7 @@ class TestSliceDifferencesMatchNpDiff:
             problem = LineProblem(SchemeConfig(kind, MIDPOINT), old, dt, dx, energy, v, None)
             xi = chemical_potential(at, energy, v, None)
             u = -np.diff(xi) / dx
-            assert same_bits(face_velocities(xi, dx), u)
+            assert same_bits(face_velocities(xi, dx), walled(u))
             faces = reconstruct_faces(old) if kind == S1 else (None, None)
             flux = assemble_flux(kind, u, at, *faces)
             expected = (at - old) / dt + np.diff(flux, prepend=0.0, append=0.0) / dx
@@ -316,6 +323,46 @@ class TestSliceDifferencesMatchNpDiff:
             for lines in (np.array([0, 2, 5]), np.array([4])):
                 subset = at[lines]
                 assert same_bits(problem.update_residual(subset, lines), dt * expected[lines])
+
+
+class TestWallSlots:
+    """Lines laid end to end: a batch's line is the line alone, bit for bit.
+
+    Wall cells of 0.0, -0.0 and 1e-300 sit next to a line 10^6 times larger
+    (draws.wall_lines), in the old state and in the state evaluated.
+    """
+
+    lines, n, dt, dx = 6, 9, 1e-3, 0.25
+
+    def _case(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        old = draws.wall_lines(rng, self.lines, self.n, 0.2, 1.0)
+        at = draws.wall_lines(rng, self.lines, self.n)
+        v = draws.floats(rng, old.shape, -1.0, 1.0)
+
+        def make(rows):
+            return LineProblem(SchemeConfig(kind, MIDPOINT), old[rows], self.dt, self.dx,
+                               InternalEnergy("entropy", 1.0), v[rows], None)
+
+        return make, at
+
+    @pytest.mark.parametrize("kind", [S1, S2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batch_equals_each_line_alone(self, kind, seed):
+        make, at = self._case(kind, seed)
+        batch = make(slice(None))
+        r, jac = batch.update_residual(at), batch.update_jacobian(at)
+        draws.assert_walls_positive_zero(batch, at, jac)
+        root, _, _ = solve_lines(make(slice(None)))
+        dense = jac.to_dense()
+        for k in range(self.lines):
+            line = make(k)  # the 1D line, shaped (n,)
+            line_jac = line.update_jacobian(at[k])
+            assert same_bits(r[k], line.update_residual(at[k]))
+            assert same_bits(dense[k], line_jac.to_dense())
+            assert all(same_bits(x[k], y) for x, y in zip(jac, line_jac))
+            draws.assert_walls_positive_zero(line, at[k], line_jac)
+            assert same_bits(root[k], solve_lines(make(k))[0])
 
 
 class TestRecordReuse:
@@ -487,13 +534,13 @@ def reference_update_jacobian(problem, a, lines=None):
         coupling = np.zeros((n, n))
         coupling[:-1] += dF
         coupling[1:] -= dF
-        banded = Tridiagonal(-dF_dleft / dx, diag, dF_dright / dx).to_dense()
+        banded = Tridiagonal(walled(-dF_dleft / dx), diag, walled(dF_dright / dx)).to_dense()
         return dt * (banded + coupling)
-    tri = Tridiagonal(dt * (-dF_dleft / dx), dt * diag, dt * (dF_dright / dx))
+    tri = Tridiagonal(walled(dt * (-dF_dleft / dx)), dt * diag, walled(dt * (dF_dright / dx)))
     if not problem.coupled:
         return tri
     faces, cells = problem.kernel.difference_factors
-    dF = faces.T * ((c_rule * problem.kernel.cell_measure / dx) * m_face)[:, None]
+    dF = faces[:, :-1].T * ((c_rule * problem.kernel.cell_measure / dx) * m_face)[:, None]
     left = np.zeros(cells.shape)
     left[:-1] += dF / dx
     left[1:] -= dF / dx
@@ -588,7 +635,7 @@ class TestJacobian:
             # The residual against one assembled from kernels.convolve.
             conv_of = {EXPLICIT: old, IMPLICIT: at, MIDPOINT: 0.5 * (at + old)}[stage]
             xi = chemical_potential(at, energy, v, None) + convolve(kernel, conv_of)
-            u = face_velocities(xi, dx)
+            u = face_velocities(xi, dx)[..., :-1]  # the interior faces
             faces = reconstruct_faces(old) if kind == S1 else (None, None)
             flux = assemble_flux(kind, u, at, *faces)
             expected = (at - old) / dt + np.diff(flux, prepend=0.0, append=0.0) / dx
@@ -629,7 +676,8 @@ class TestTridiagonalBatch:
     def _bands(self, lines, n, seed):
         rng = np.random.default_rng(seed)
         diag = 4.0 + rng.random((lines, n))
-        return Tridiagonal(rng.random((lines, n - 1)) - 0.5, diag, rng.random((lines, n - 1)) - 0.5)
+        return Tridiagonal(walled(rng.random((lines, n - 1)) - 0.5), diag,
+                           walled(rng.random((lines, n - 1)) - 0.5))
 
     def test_one_concatenated_solve_equals_per_line_solves(self):
         jac = self._bands(7, 9, 0)
@@ -655,7 +703,7 @@ class TestTridiagonalBatch:
         jac.diag[1, 2] = np.nan
         with pytest.raises(ValueError):
             _solve_linear(jac, rhs)
-        singular = Tridiagonal(np.zeros((1, 4)), np.zeros((1, 5)), np.zeros((1, 4)))
+        singular = Tridiagonal(np.zeros((1, 5)), np.zeros((1, 5)), np.zeros((1, 5)))
         with pytest.raises(LinAlgError):
             _solve_linear(singular, np.ones((1, 5)))
 
@@ -664,7 +712,8 @@ class TestTridiagonalBatch:
         dense = jac.to_dense()
         for k in range(3):
             line = Tridiagonal(jac.lower[k], jac.diag[k], jac.upper[k])
-            expected = (np.diag(line.diag) + np.diag(line.upper, 1) + np.diag(line.lower, -1))
+            expected = (np.diag(line.diag) + np.diag(line.upper[:-1], 1)
+                        + np.diag(line.lower[:-1], -1))
             assert np.array_equal(dense[k], expected)
             assert np.array_equal(line.to_dense(), expected)
 

@@ -214,7 +214,7 @@ def _one_state_jacobian(layout, slope):
     def jacobian(x):
         s = slope(x).reshape(PASS_LINES, -1)
         lines, n = s.shape
-        tri = Tridiagonal(np.zeros((lines, n - 1)), s, np.zeros((lines, n - 1)))
+        tri = Tridiagonal(np.zeros((lines, n)), s, np.zeros((lines, n)))
         return TridiagonalLowRank(tri, np.zeros((2, lines, n)), np.zeros((n, 2)), 2.0)
 
     return jacobian
@@ -305,8 +305,9 @@ class TestBandedFiniteCheck:
 
     def _system(self, k, scale=1.0):
         rng = np.random.default_rng(k)
-        tri = Tridiagonal(scale * (rng.random(self.n - 1) - 0.5), scale * (4.0 + rng.random(self.n)),
-                          scale * (rng.random(self.n - 1) - 0.5))
+        tri = Tridiagonal(np.append(scale * (rng.random(self.n - 1) - 0.5), 0.0),
+                          scale * (4.0 + rng.random(self.n)),
+                          np.append(scale * (rng.random(self.n - 1) - 0.5), 0.0))
         rhs = scale * rng.uniform(-1.0, 1.0, self.n if k == 1 else (self.n, k))
         return tri, rhs
 
@@ -317,7 +318,7 @@ class TestBandedFiniteCheck:
             assert not np.isfinite(tri.diag.sum())
             got = solver._solve_lines_tridiagonal(tri, rhs)
         ab = np.zeros((3, self.n))
-        ab[0, 1:], ab[1], ab[2, :-1] = tri.upper, tri.diag, tri.lower
+        ab[0, 1:], ab[1], ab[2, :-1] = tri.upper[:-1], tri.diag, tri.lower[:-1]
         expected = solve_banded((1, 1), ab, rhs)
         assert np.isfinite(got).all() and got.tobytes() == expected.tobytes()
 
@@ -335,7 +336,7 @@ class TestBandedFiniteCheck:
         def jacobian(x, lines=None):
             diag = np.ones(x.shape)
             diag[..., 3] = np.nan
-            return Tridiagonal(np.zeros(diag.shape[:-1] + (5,)), diag, np.zeros(diag.shape[:-1] + (5,)))
+            return Tridiagonal(np.zeros(diag.shape), diag, np.zeros(diag.shape))
 
         message = "the Newton linear solve rejected its input: array must not contain infs or NaNs"
         with pytest.raises(NumericalError, match=f"^{message}$"):
@@ -370,8 +371,9 @@ class TestLoadedGtsv:
         reference = get_lapack_funcs("gtsv", dtype=np.float64)
         got = self._outputs(solver._GTSV, system, False)
         assert got[2] == 3 and got == self._outputs(reference, system, False)
+        tri = Tridiagonal(np.zeros(4), system[1], np.zeros(4))  # the bands with their wall slot
         with pytest.raises(np.linalg.LinAlgError, match="^singular matrix$"):
-            solver._solve_lines_tridiagonal(Tridiagonal(*system[:3]), system[3])
+            solver._solve_lines_tridiagonal(tri, system[3])
 
     def test_scipy_linalg_imported_afterwards_keeps_its_own_module(self):
         script = """
@@ -384,10 +386,11 @@ import scipy.linalg
 assert scipy.linalg._flapack.__name__ == "scipy.linalg._flapack"
 assert scipy.linalg._flapack is not sys.modules["aggdiff._flapack"]
 rng = np.random.default_rng(5)
-tri = Tridiagonal(rng.random(7) - 0.5, 4.0 + rng.random(8), rng.random(7) - 0.5)
+tri = Tridiagonal(np.append(rng.random(7) - 0.5, 0.0), 4.0 + rng.random(8),
+                  np.append(rng.random(7) - 0.5, 0.0))
 rhs = rng.uniform(-1.0, 1.0, (8, 3))
 ab = np.zeros((3, 8))
-ab[0, 1:], ab[1], ab[2, :-1] = tri.upper, tri.diag, tri.lower
+ab[0, 1:], ab[1], ab[2, :-1] = tri.upper[:-1], tri.diag, tri.lower[:-1]
 expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
 assert solver._solve_lines_tridiagonal(tri, rhs).tobytes() == expected.tobytes()
 """

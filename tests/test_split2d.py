@@ -176,6 +176,23 @@ class TestBatchedPassMatchesPerLineSolves:
             assert counts[: self.n_zero] == [0] * self.n_zero
             assert max(counts) >= 3
 
+    @pytest.mark.parametrize("kind", ["s1", "s2"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_wall_cells_next_to_larger_lines(self, kind, axis):
+        # The pass's lines laid end to end put wall cells of 0.0, -0.0 and
+        # 1e-300 next to a line 10^6 times larger (draws.wall_lines).
+        g = grid_2d(3.0, 0.25)
+        lines = draws.wall_lines(np.random.default_rng(200 + axis), g.n_cells, g.n_cells,
+                                 0.2, 1.0)
+        field = lines.T if axis == 0 else lines
+        setup = build_setup(heat(g), kind, stage="midpoint")
+        dt = g.dx**2 / 8 if kind == "s1" else 0.05
+        cfg = NewtonConfig(tolerance=1e-6)  # R*dt of a line near 10^6 carries roundoff of 1e-10
+        batched = advance_split_axis(field, axis, dt, setup, cfg)
+        expected, counts = self._oracle(field, axis, dt, setup, cfg)
+        assert batched.tobytes() == expected.tobytes()
+        assert max(counts) >= 2
+
     def test_full_step_counts_every_line(self):
         g = grid_2d(3.0, 0.25)
         setup = build_setup(nonlocal_fokker_planck(g), "s2", stage="explicit")
@@ -428,9 +445,13 @@ class TestSweepMatchesFullReconvolution:
     def _setups(g, kind):
         fp = nonlocal_fokker_planck(g)
         gaussian = tabulate_kernel(Gaussian(0.5, -1.0), g)  # attractive
+        # W = |x|^2/2 is negative definite, so the implicit stage voids the guarantee.
+        with pytest.warns(UserWarning, match="stage rule 'implicit' voids the energy-dissipation "
+                                             "guarantee for a negative_definite interaction"):
+            implicit = build_setup(fp, kind, stage="implicit")
         return [
             SchemeSetup(SchemeConfig(kind, MIDPOINT), fp, gaussian),
-            build_setup(fp, kind, stage="implicit"),
+            implicit,
             build_setup(fp, kind, stage="midpoint"),
             # W = -|x|^2/2 (exact_form "quadratic-"), positive definite: implicit.
             SchemeSetup(SchemeConfig(kind, "implicit"), fp, tabulate_kernel(Quadratic(-1.0), g)),
@@ -463,6 +484,66 @@ class TestSweepMatchesFullReconvolution:
                 index, problem = self._stage_problem(staged, r, axis, dt, setup)
                 assert np.abs(problem.update_residual(swept[index])).max() <= cfg.tolerance
                 staged[index] = swept[index]
+
+
+class TestLinesLaidEndToEnd:
+    """The face-slot layout in the 2D passes: one slot per cell, walls +0.0."""
+
+    @pytest.mark.parametrize("kind", ["s1", "s2"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_sweep_pass_rows_read_no_other_line(self, kind, axis):
+        # A quadratic pass couples its lines, so no line is solved alone. The
+        # last line enters no other line's background (lines after r are read
+        # at the old field), so a state that differs in the last line only,
+        # wall cells included, leaves every other row's residual and
+        # Jacobian as they were, bit for bit.
+        g = grid_2d(2.0, 0.25)
+        n = g.n_cells
+        setup = build_setup(nonlocal_fokker_planck(g), kind, stage="midpoint")
+        rng = np.random.default_rng(300 + 2 * axis + (kind == "s2"))
+        lines = draws.wall_lines(rng, n, n, 0.2, 1.0)
+        field = lines.T if axis == 0 else lines
+        v_lines = setup.model.v_table.T if axis == 0 else setup.model.v_table
+        problem = line_problem(setup, lines, 0.05, v_lines, setup.kernel.row_kernels[axis],
+                               across=PassMomentBackground(setup.kernel, field, axis))
+        state = draws.wall_lines(rng, n, n).ravel()
+        changed = state.copy()
+        changed[-n:] = draws.floats(rng, n, 0.0, 1.0)
+        changed[-n], changed[-1] = -0.0, 1e-300
+        rows = []
+        for a in (state, changed):
+            fresh = problem.with_dt(problem.dt)
+            jac = fresh.update_jacobian(a)
+            draws.assert_walls_positive_zero(fresh, a, jac)
+            rows.append([fresh.update_residual(a), *jac.tri, *jac.left])
+        assert all(x[:-1].tobytes() == y[:-1].tobytes() for x, y in zip(*rows))
+
+    def test_x_pass_lines_are_contiguous_and_reach_gtsv_as_views(self, monkeypatch):
+        # The x-pass hands transposed lines; the problem keeps them C-contiguous,
+        # so every face operation and band is flat, and gtsv reads the bands in place.
+        g = grid_2d(2.0, 0.25)
+        n = g.n_cells
+        setup = build_setup(heat(g), "s1", stage="midpoint")
+        field = draws.wall_lines(np.random.default_rng(7), n, n, 0.2, 1.0)
+        problem = line_problem(setup, field.T, 1e-3, setup.model.v_table.T, kernel=None)
+        a = np.array(field.T * 1.01, order="C")
+        problem.update_residual(a)
+        jac = problem.update_jacobian(a)
+        record = problem._last[2]
+        made = [problem.old, problem.v, problem.east, problem.west, *record, *jac]
+        assert all(x.shape == (n, n) and x.flags.c_contiguous for x in made)
+        passed = []
+        gtsv = solver._GTSV
+
+        def spy(dl, d, du, b, **flags):
+            passed.append((dl, d, du))
+            return gtsv(dl, d, du, b, **flags)
+
+        monkeypatch.setattr(solver, "_GTSV", spy)
+        solver._solve_lines_tridiagonal(jac, np.ones(n * n))
+        (dl, d, du), = passed
+        assert (np.shares_memory(dl, jac.lower) and np.shares_memory(d, jac.diag)
+                and np.shares_memory(du, jac.upper))
 
 
 class TestMomentBackground:
@@ -594,7 +675,7 @@ class TestPassSystem:
         targets = [2 * np.eye(2)] * lines
         targets[1] = np.array(capacitance)
         left = np.stack([(right @ (target - np.eye(2))).T for target in targets], axis=1)
-        tri = Tridiagonal(np.zeros((lines, n - 1)), np.ones((lines, n)), np.zeros((lines, n - 1)))
+        tri = Tridiagonal(np.zeros((lines, n)), np.ones((lines, n)), np.zeros((lines, n)))
         return TridiagonalLowRank(tri, left, right, 2.0)
 
     @pytest.mark.parametrize("capacitance", [[[0.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]]],
